@@ -23,6 +23,8 @@ from .projection import (
     display_masks,
     image,
     lift,
+    lift_table,
+    to_chart,
     to_observable,
 )
 
@@ -339,17 +341,12 @@ def chart_points_of_orbit(p: ProjPoint) -> list[ProjPoint]:
 
 def e_rank(p: ProjPoint) -> int:
     """Minimal k such that every (k+1)x(k+1) minor on disjoint row/column
-    sets of the chart matrix vanishes; off-chart points are transported
-    along their orbit to a chart point first."""
-    n = p.n_source
-    if p not in set(image(n)):
+    sets of the chart matrix vanishes; an off-chart point is first carried
+    to a chart point of its orbit by ``to_chart``."""
+    if p not in lift_table(p.n_source):
         raise ValueError("exclusive rank is defined only on the image")
-    if p.bits & 1:
-        return _e_rank_of_chart(chart_matrix(p))
-    charts = chart_points_of_orbit(p)
-    if not charts:
-        raise ValueError("orbit contains no chart point")
-    return _e_rank_of_chart(chart_matrix(charts[0]))
+    _, q = to_chart(p)
+    return _e_rank_of_chart(chart_matrix(q))
 
 
 # Classification data for the known commuting classes: display-order

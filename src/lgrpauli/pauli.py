@@ -185,57 +185,15 @@ def generator_points(g: Generator) -> list[PauliPoint]:
 
 
 @lru_cache(maxsize=None)
-def _lagrangian_row_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical RREF row tuples of every maximal isotropic subspace.
-
-    Every such subspace has at least one nonzero principal Plucker
-    coordinate, hence is the image under a coordinate swap e_i <-> e_{N+i}
-    (i in T) of the graph {e_i + sum_j a_ij e_{N+j}} of some symmetric
-    matrix A.  Sweeping all 2^N swap sets T and all symmetric A therefore
-    reaches every subspace; duplicates collapse on the canonical form.
-    """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"supported qubit range is 1..{MAX_QUBITS}")
-    pair_positions = [(i, j) for i in range(n) for j in range(i, n)]
-    n_sym = len(pair_positions)
-
-    # Decode each symmetric matrix code into per-row integers of A.
-    sym_rows = []
-    for code in range(1 << n_sym):
-        rows = [0] * n
-        for k, (i, j) in enumerate(pair_positions):
-            if (code >> k) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        sym_rows.append(tuple(rows))
-
-    seen: set[tuple[int, ...]] = set()
-    for t_mask in range(1 << n):
-        swap = [i for i in range(n) if (t_mask >> i) & 1]
-        for arows in sym_rows:
-            raw = []
-            for i in range(n):
-                r = (1 << i) | (arows[i] << n)
-                for s in swap:
-                    lo = (r >> s) & 1
-                    hi = (r >> (n + s)) & 1
-                    if lo != hi:
-                        r ^= (1 << s) | (1 << (n + s))
-                raw.append(r)
-            seen.add(tuple(_rref_ints(raw)))
-    return tuple(sorted(seen))
-
-
-@lru_cache(maxsize=None)
 def enumerate_generators(n_qubits: int) -> tuple[Generator, ...]:
-    """All generators of W(2N-1,2), sorted by canonical basis matrix.
+    """All generators of W(2N-1,2), sorted by canonical basis matrix: the
+    lifts of the projected image, which is one Clifford orbit.
 
     The count is (2+1)(2^2+1)...(2^N+1).
     """
-    return tuple(
-        Generator(n_qubits, BinMat(2 * n_qubits, rows))
-        for rows in _lagrangian_row_tuples(n_qubits)
-    )
+    from .projection import lift_table
+
+    return tuple(sorted(lift_table(n_qubits).values(), key=lambda g: g.basis.rows))
 
 
 def generator_count(n_qubits: int) -> int:

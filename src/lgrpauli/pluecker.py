@@ -242,14 +242,15 @@ def lagrangian_constraints(n_qubits: int) -> tuple[LinearConstraint, ...]:
     """The linear conditions isolating the totally isotropic subspaces.
 
     For each (N-2)-subset K of {1..2N}: sum over i (with i and N+i both
-    outside K) of p_{K + {i, N+i}} = 0, degenerate sums dropped.
+    outside K) of p_{K + {i, N+i}} = 0, degenerate sums dropped (so none
+    for N = 1, where every line is isotropic).
     """
     n = n_qubits
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"supported qubit range is 2..{MAX_QUBITS}")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"supported qubit range is 1..{MAX_QUBITS}")
     two_n = 2 * n
     out = []
-    for k_set in itertools.combinations(range(1, two_n + 1), n - 2):
+    for k_set in itertools.combinations(range(1, two_n + 1), max(n - 2, 0)):
         k_key = sum(1 << (x - 1) for x in k_set)
         terms = []
         for i in range(1, n + 1):

@@ -14,11 +14,13 @@ most significant, followed by their complements in the same order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .gf2 import BinMat, minor
-from .pauli import BITS_LETTER, Generator, PauliPoint
+from .pauli import BITS_LETTER, MAX_QUBITS, Generator, PauliPoint
 from .pluecker import PlueckerVec, SubsetIndex, embed, lagrangian_constraints
 
 
@@ -125,13 +127,12 @@ class ProjPoint:
         text = text.strip()
         size = 1 << n_qubits
         if text.startswith("[") and text.endswith("]"):
-            parts = text[1:-1].split(":")
-            if len(parts) != size:
-                raise ValueError(f"expected {size} coordinates")
-            return cls.from_display_bits(int(p) for p in parts)
-        if text.lower().startswith("0x"):
-            value = int(text, 16)
-            bitstr = format(value, f"0{size}b")
+            parts = [part.strip() for part in text[1:-1].split(":")]
+            if len(parts) != size or set(parts) - {"0", "1"}:
+                raise ValueError(f"expected {size} coordinates, each 0 or 1")
+            bitstr = "".join(parts)
+        elif text.lower().startswith("0x"):
+            bitstr = format(int(text, 16), f"0{size}b")
         else:
             bitstr = text
         if len(bitstr) != size or set(bitstr) - {"0", "1"}:
@@ -206,47 +207,87 @@ def chart_matrix(p: ProjPoint) -> ChartMatrix:
     return ChartMatrix(n, BinMat(n, tuple(rows)))
 
 
-def chart_generator(p: ProjPoint) -> Generator:
-    """The generator spanned by u_i = e_i + sum_j a_ij e_{N+j}."""
+def chart_generator(p: ProjPoint, swap: int = 0) -> Generator:
+    """The generator spanned by u_i = e_i + sum_j a_ij e_{N+j}, with the
+    columns i <-> N+i exchanged for i in the subset mask ``swap``."""
     a = chart_matrix(p)
     n = p.n_source
-    rows = tuple((1 << i) | (a.entries.rows[i] << n) for i in range(n))
-    return Generator.from_basis(BinMat(2 * n, rows), n)
+    rows = []
+    for i in range(n):
+        r = (1 << i) | (a.entries.rows[i] << n)
+        d = (r ^ (r >> n)) & swap
+        rows.append(r ^ d ^ (d << n))
+    return Generator.from_basis(BinMat(2 * n, tuple(rows)), n)
+
+
+def clifford_gates(n_qubits: int) -> tuple[tuple[bool, int, int], ...]:
+    """H_i for each qubit, then S_i, then CZ_ij (i < j), as (hadamard,
+    support, mask): ``support`` is the subset mask of the gate's qubits and
+    ``mask`` keeps the coordinates x_S with S disjoint from it."""
+    n = n_qubits
+    singles = [1 << i for i in range(n)]
+    pairs = [a | b for a, b in itertools.combinations(singles, 2)]
+    gates = [(True, t) for t in singles] + [(False, t) for t in singles + pairs]
+    return tuple((h, t, sum(1 << m for m in range(1 << n) if not m & t)) for h, t in gates)
+
+
+def apply_gate(gate: tuple[bool, int, int], bits: int) -> int:
+    """H_i: x_S <-> x_{S ^ {i}};  S_i: x_S += x_{S - {i}} for i in S;
+    CZ_ij: x_S += x_{S - {i,j}} for {i,j} in S.  Shifting left by the
+    support moves x_S onto x_{S | support}."""
+    hadamard, support, mask = gate
+    moved = (bits & mask) << support
+    if hadamard:
+        return moved | ((bits >> support) & mask)
+    return bits ^ moved
+
+
+def to_chart(p: ProjPoint) -> tuple[int, ProjPoint]:
+    """(T, H_T p) for the lowest subset T with x_T = 1.  H_T maps x_S to
+    x_{S ^ T}; it is a product of local SWAP factors, so H_T p is a chart
+    point of the same local orbit."""
+    t = (p.bits & -p.bits).bit_length() - 1
+    bits = sum(1 << (m ^ t) for m in range(1 << p.n_source) if p.bits >> m & 1)
+    return t, ProjPoint(p.n_source, bits)
+
+
+@lru_cache(maxsize=None)
+def lift_table(n_qubits: int) -> MappingProxyType[ProjPoint, Generator]:
+    """Every image point with the unique generator projecting to it.
+
+    The image is the orbit of the point x_{} = 1 under the Clifford gates.
+    Each point p is swap-lifted: the chart generator of H_T p with columns
+    T swapped back, checked to project to p.
+    """
+    n = n_qubits
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"supported qubit range is 1..{MAX_QUBITS}")
+    gates = clifford_gates(n)
+    seen, frontier = {1}, {1}
+    while frontier:
+        frontier = {apply_gate(g, v) for v in frontier for g in gates} - seen
+        seen |= frontier
+    table = {}
+    for bits in sorted(seen):
+        p = ProjPoint(n, bits)
+        t, q = to_chart(p)
+        g = chart_generator(q, swap=t)
+        if project(embed(g)) != p:
+            raise RuntimeError(f"lift table: {p.display_str()} does not round-trip")
+        table[p] = g
+    return MappingProxyType(table)
 
 
 @lru_cache(maxsize=None)
 def image(n_qubits: int) -> tuple[ProjPoint, ...]:
     """The projected images of all generators, sorted; has the same
     cardinality as the generator list (the projection is injective)."""
-    from .pauli import enumerate_generators
-
-    pts = {project(embed(g)) for g in enumerate_generators(n_qubits)}
-    return tuple(sorted(pts))
-
-
-@lru_cache(maxsize=None)
-def _lift_table(n_qubits: int) -> dict[ProjPoint, Generator]:
-    from .pauli import enumerate_generators
-
-    table = {}
-    for g in enumerate_generators(n_qubits):
-        table[project(embed(g))] = g
-    return table
+    return tuple(lift_table(n_qubits))  # the table is built in point order
 
 
 def lift(p: ProjPoint) -> Generator:
-    """The unique generator projecting to ``p``.
-
-    Chart points are reconstructed from the symmetric matrix; off-chart
-    points fall back to the precomputed enumeration table.
-    """
-    if p.bits & 1:
-        g = chart_generator(p)
-        if project(embed(g)) != p:
-            raise NotInImageError(f"{p.display_str()} is not in the image")
-        return g
-    table = _lift_table(p.n_source)
+    """The unique generator projecting to ``p``."""
     try:
-        return table[p]
+        return lift_table(p.n_source)[p]
     except KeyError:
         raise NotInImageError(f"{p.display_str()} is not in the image") from None

@@ -70,7 +70,7 @@ def test_criterion_2_bijectivity():
         img = {project(embed(g)) for g in gens}
         ok &= len(img) == len(gens)
         details.append(f"N={n}: {len(img)}/{len(gens)} distinct")
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         ok &= all(project(embed(lift(p))) == p for p in image(n))
         details.append(f"N={n} lift round-trip")
     report("2 bijectivity", ok, "; ".join(details))

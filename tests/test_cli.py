@@ -123,11 +123,19 @@ def test_orbits_csv_deterministic(capsys):
     assert out1.count("\n") == 6  # header + 5 orbits
 
 
-def test_threads_flag_does_not_change_output(capsys):
-    _, out1, _ = run(capsys, "tables", "--n", "2", "--format", "json")
-    _, out2, _ = run(capsys, "tables", "--n", "2", "--format", "json",
-                     "--threads", "8")
-    assert out1 == out2
+def test_threads_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--n", "2", "--threads", "8"])
+    assert exc.value.code == EXIT_PARSE
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_rank_rejects_non_binary_colon_coordinates(capsys):
+    for point in ("[0:0:3:0]", "[0:0:-1:0]"):
+        code, out, err = run(capsys, "rank", "--n", "2", "--point", point)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("bad point:")
 
 
 def test_verify_all_suites_n2(capsys):
@@ -156,6 +164,14 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())[0]["generators"] == 15
+
+
+def test_out_unwritable_path_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "counts", "--n", "2", "--out", str(target))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.count("\n") == 1 and str(target) in err
 
 
 def test_generators_listing(capsys):

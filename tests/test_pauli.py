@@ -95,11 +95,17 @@ def test_quad_form_polarizes_to_symplectic_product():
             assert qs == (quad_form(a) ^ quad_form(b) ^ symplectic_product(a, b))
 
 
-@pytest.mark.parametrize("n,count", [(2, 15), (3, 135), (4, 2295)])
+@pytest.mark.parametrize("n,count", [(1, 3), (2, 15), (3, 135), (4, 2295)])
 def test_generator_counts_small(n, count):
     gens = enumerate_generators(n)
     assert len(gens) == count == generator_count(n)
     assert len(set(gens)) == count
+
+
+@pytest.mark.parametrize("n", [0, 6])
+def test_enumeration_outside_one_to_five_rejected(n):
+    with pytest.raises(ValueError):
+        enumerate_generators(n)
 
 
 def test_count_formula_is_product_of_shifted_powers():

@@ -1,9 +1,13 @@
 """Tests for the principal-coordinate projection, display ordering, the
 observable map, and the chart-based inverse."""
 
+from functools import lru_cache
+
 import pytest
 
+from lgrpauli.gf2 import BinMat, _rref_ints
 from lgrpauli.pauli import (
+    Generator,
     PauliPoint,
     enumerate_generators,
     generator_from_operators,
@@ -12,15 +16,67 @@ from lgrpauli.pluecker import embed
 from lgrpauli.projection import (
     NotInImageError,
     ProjPoint,
+    apply_gate,
     chart_generator,
     chart_matrix,
+    clifford_gates,
     display_masks,
     image,
     lift,
+    lift_table,
     principal_index,
     project,
+    to_chart,
     to_observable,
 )
+
+
+@lru_cache(maxsize=None)
+def sweep_generators(n: int) -> tuple[Generator, ...]:
+    """Oracle: every maximal isotropic subspace, sorted by canonical basis.
+
+    Every such subspace has a nonzero principal Plucker coordinate, hence
+    is the image under a coordinate swap e_i <-> e_{N+i} (i in T) of the
+    graph {e_i + sum_j a_ij e_{N+j}} of a symmetric matrix A.  Sweeping all
+    2^N swap sets T and all symmetric A reaches every subspace; duplicates
+    collapse on the canonical form.
+    """
+    pair_positions = [(i, j) for i in range(n) for j in range(i, n)]
+    seen = set()
+    for t_mask in range(1 << n):
+        for code in range(1 << len(pair_positions)):
+            a = [0] * n
+            for k, (i, j) in enumerate(pair_positions):
+                if (code >> k) & 1:
+                    a[i] |= 1 << j
+                    a[j] |= 1 << i
+            raw = []
+            for i in range(n):
+                r = (1 << i) | (a[i] << n)
+                for s in range(n):
+                    if (t_mask >> s) & 1 and ((r >> s) ^ (r >> (n + s))) & 1:
+                        r ^= (1 << s) | (1 << (n + s))
+                raw.append(r)
+            seen.add(tuple(_rref_ints(raw)))
+    return tuple(Generator(n, BinMat(2 * n, rows)) for rows in sorted(seen))
+
+
+def gate_on_row(gate, r: int, n: int) -> int:
+    """The symplectic action of a gate on one basis row: H_i swaps columns
+    i and N+i; S_i adds column i to N+i (A += E_ii); CZ_ij adds column j to
+    N+i and column i to N+j (A += E_ij + E_ji)."""
+    hadamard, support, _mask = gate
+    if hadamard:
+        d = (r ^ (r >> n)) & support
+        return r ^ d ^ (d << n)
+    qubits = [i for i in range(n) if (support >> i) & 1]
+    if len(qubits) == 1:
+        pairs = [(qubits[0], qubits[0])]
+    else:
+        pairs = [(qubits[0], qubits[1]), (qubits[1], qubits[0])]
+    for k, l in pairs:  # column N+k += column l
+        r ^= ((r >> l) & 1) << (n + k)
+    return r
 
 
 def proj(ops):
@@ -76,6 +132,35 @@ def test_worked_examples():
 def test_projection_injective(n):
     gens = enumerate_generators(n)
     assert len({project(embed(g)) for g in gens}) == len(gens)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lift_table_matches_sweep_oracle(n):
+    oracle = {project(embed(g)): g for g in sweep_generators(n)}
+    assert lift_table(n) == oracle
+    assert image(n) == tuple(sorted(oracle))
+    assert enumerate_generators(n) == sweep_generators(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_clifford_gates_equivariant(n):
+    # project(embed(C.G)) == C.project(embed(G)) for every generator gate C
+    # and every subspace G, with C.G the symplectic action on the basis
+    gates = clifford_gates(n)
+    assert len(gates) == n + n + n * (n - 1) // 2
+    for g in sweep_generators(n):
+        p = project(embed(g))
+        for gate in gates:
+            rows = tuple(gate_on_row(gate, r, n) for r in g.basis.rows)
+            moved = Generator.from_basis(BinMat(2 * n, rows), n)
+            assert project(embed(moved)).bits == apply_gate(gate, p.bits)
+
+
+def test_to_chart_reaches_the_chart_by_hadamards():
+    for p in image(4):
+        t, q = to_chart(p)
+        assert (p.bits >> t) & 1 and not p.bits & ((1 << t) - 1)
+        assert q.bits & 1 and q in lift_table(4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
