@@ -275,30 +275,28 @@ def _suite_cayley(n: int) -> list[tuple[str, bool]]:
     ]
 
 
+# suite name -> (checks, supported N range)
 _SUITES = {
-    "bijection": _suite_bijection,
-    "variety": _suite_variety,
-    "tables": _suite_tables,
-    "cayley": _suite_cayley,
+    "bijection": (_suite_bijection, (2, 5)),
+    "variety": (_suite_variety, (2, 4)),
+    "tables": (_suite_tables, (2, 4)),
+    "cayley": (_suite_cayley, (3, 4)),
 }
 
 
 def cmd_verify(args) -> str:
     n = args.n
     if args.suite:
+        lo, hi = _SUITES[args.suite][1]
+        if not lo <= n <= hi:
+            raise CliError(EXIT_PARSE, f"--n must be in {lo}..{hi} for verify --suite {args.suite}")
         names = [args.suite]
     else:
-        names = ["bijection", "variety"]
-        if n in CLASS_TABLE:
-            names.append("tables")
-        if n in (3, 4):
-            names.append("cayley")
+        names = [name for name, (_fn, (lo, hi)) in _SUITES.items() if lo <= n <= hi]
     lines = []
     all_ok = True
     for name in names:
-        if name not in _SUITES:
-            raise CliError(EXIT_PARSE, f"unknown suite {name!r}")
-        for desc, ok in _SUITES[name](n):
+        for desc, ok in _SUITES[name][0](n):
             all_ok &= ok
             lines.append(f"[{name}] {desc}: {'PASS' if ok else 'FAIL'}")
     out = "\n".join(lines) + "\n"
@@ -317,19 +315,27 @@ def cmd_cayley(args) -> str:
     return _emit(rows, args.format)
 
 
+# command name -> (handler, supported N range, its own flags)
 _COMMANDS = {
     "counts": (cmd_counts, (2, 5), ()),
     "generators": (cmd_generators, (2, 5), ()),
     "project": (cmd_project, (2, 5), ("ops",)),
-    "lift": (cmd_lift, (2, 4), ("point",)),
+    "lift": (cmd_lift, (2, 5), ("point",)),
     "map": (cmd_map, (2, 5), ("ops",)),
     "relations": (cmd_relations, (2, 5), ()),
     "constraints": (cmd_constraints, (2, 5), ()),
     "orbits": (cmd_orbits, (2, 4), ()),
     "tables": (cmd_tables, (2, 4), ()),
     "rank": (cmd_rank, (2, 4), ("point",)),
-    "verify": (cmd_verify, (2, 5), ()),
+    "verify": (cmd_verify, (2, 5), ("suite",)),
     "cayley": (cmd_cayley, (3, 4), ()),
+}
+
+_FLAGS = {
+    "ops": dict(required=True, help="comma-separated operator labels, e.g. ZZI,XXI,IIX"),
+    "point": dict(required=True, help="point as bit string, [x:..:x], or hex"),
+    "suite": dict(choices=sorted(_SUITES),
+                  help="verification suite (default: every suite supporting --n)"),
 }
 
 
@@ -340,24 +346,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "coordinates, and the projection onto single observables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_fn, (lo, hi), required) in _COMMANDS.items():
+    for name, (_fn, (lo, hi), flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--n", type=int, required=True,
                         help=f"number of qubits ({lo}..{hi})")
-        sp.add_argument("--ops", required="ops" in required,
-                        help="comma-separated operator labels, e.g. ZZI,XXI,IIX")
-        sp.add_argument("--point", required="point" in required,
-                        help="point as bit string, [x:..:x], or hex")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
         sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
-        sp.add_argument("--suite", choices=sorted(_SUITES),
-                        help="verification suite (verify only; default: all)")
         sp.add_argument("--out", help="write output to this path instead of stdout")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    fn, (lo, hi), _req = _COMMANDS[args.command]
+    fn, (lo, hi), _flags = _COMMANDS[args.command]
     try:
         if not lo <= args.n <= hi:
             raise CliError(EXIT_PARSE,

@@ -18,9 +18,14 @@ from typing import Optional
 from .gf2 import minor
 from .pauli import PauliPoint
 from .projection import (
+    SWAP,
+    Gate,
+    Mat2,
     ProjPoint,
+    apply_gate,
     chart_matrix,
     display_masks,
+    gate,
     image,
     lift,
     lift_table,
@@ -28,10 +33,7 @@ from .projection import (
     to_observable,
 )
 
-Mat2 = tuple[tuple[int, int], tuple[int, int]]
-
 SHEAR: Mat2 = ((1, 1), (0, 1))
-SWAP: Mat2 = ((0, 1), (1, 0))
 
 
 class MixedOrbitError(RuntimeError):
@@ -98,54 +100,31 @@ class GroupElem:
 
 
 @lru_cache(maxsize=None)
-def _axis_columns(n: int, axis: int, mat: Mat2) -> tuple[int, ...]:
-    bit = 1 << (axis - 1)
-    cols = []
-    for m in range(1 << n):
-        beta = 1 if m & bit else 0
-        col = 0
-        if mat[0][beta]:
-            col |= 1 << (m & ~bit)
-        if mat[1][beta]:
-            col |= 1 << (m | bit)
-        cols.append(col)
-    return tuple(cols)
-
-
-def _apply_columns(cols, v: int) -> int:
-    out = 0
-    while v:
-        i = (v & -v).bit_length() - 1
-        v &= v - 1
-        out ^= cols[i]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _elem_columns(g: GroupElem) -> tuple[int, ...]:
-    """The linear action of ``g`` as columns over subset masks."""
+def _elem_gates(g: GroupElem) -> tuple[Gate, ...]:
+    """``g`` as gates: each factor on its axis, then the axis
+    permutation as adjacent transpositions of axes k, k+1."""
     n = g.n
-    current = [1 << m for m in range(1 << n)]
-    for axis in range(1, n + 1):
-        ac = _axis_columns(n, axis, g.factors[axis - 1])
-        current = [_apply_columns(ac, c) for c in current]
-    # axis permutation: subset mask bit j-1 moves to bit perm[j-1]-1
-    perm_cols = []
-    for m in range(1 << n):
-        t = 0
-        for j in range(n):
-            if (m >> j) & 1:
-                t |= 1 << (g.perm[j] - 1)
-        perm_cols.append(1 << t)
-    current = [_apply_columns(perm_cols, c) for c in current]
-    return tuple(current)
+    gates = [gate(n, 0, 1 << j, m) for j, m in enumerate(g.factors)]
+    dest = [d - 1 for d in g.perm]  # dest[k]: final axis of the content of axis k
+    for end in range(n - 1, 0, -1):  # bubble sort: one transposition per swap
+        for k in range(end):
+            if dest[k] > dest[k + 1]:
+                dest[k], dest[k + 1] = dest[k + 1], dest[k]
+                gates.append(gate(n, 1 << k, 2 << k, SWAP))
+    return tuple(gates)
+
+
+def _apply_elem(g: GroupElem, bits: int) -> int:
+    for gt in _elem_gates(g):
+        bits = apply_gate(gt, bits)
+    return bits
 
 
 def act(g: GroupElem, p: ProjPoint) -> ProjPoint:
     """Apply each 2x2 factor along its tensor axis, then permute the axes."""
     if g.n != p.n_source:
         raise ValueError("dimension mismatch")
-    return ProjPoint(p.n_source, _apply_columns(_elem_columns(g), p.bits))
+    return ProjPoint(p.n_source, _apply_elem(g, p.bits))
 
 
 @lru_cache(maxsize=None)
@@ -172,40 +151,16 @@ def group_order(n: int) -> int:
 def _display_rows(n: int, g: GroupElem) -> list[int]:
     """Row masks of the action matrix in display coordinates (1-based rows;
     row a holds the variables substituted for x_a)."""
-    cols = _elem_columns(g)
     disp = display_masks(n)
     pos = {m: i + 1 for i, m in enumerate(disp)}
     rows = [0] * (len(disp) + 1)
     for c_idx, c_mask in enumerate(disp):
-        col = cols[c_mask]
+        col = _apply_elem(g, 1 << c_mask)
         while col:
             a_mask = (col & -col).bit_length() - 1
             col &= col - 1
             rows[pos[a_mask]] |= 1 << c_idx
     return rows
-
-
-def _byte_tables(cols) -> tuple[list[int], list[int]]:
-    lo = [0] * 256
-    hi = [0] * 256
-    for x in range(256):
-        v = 0
-        y = x
-        while y:
-            i = (y & -y).bit_length() - 1
-            y &= y - 1
-            if i < len(cols):
-                v ^= cols[i]
-        lo[x] = v
-        v = 0
-        y = x
-        while y:
-            i = (y & -y).bit_length() - 1
-            y &= y - 1
-            if i + 8 < len(cols):
-                v ^= cols[i + 8]
-        hi[x] = v
-    return lo, hi
 
 
 @lru_cache(maxsize=None)
@@ -214,8 +169,12 @@ def _orbit_data(n: int) -> tuple[list[int], list[list[int]]]:
     (size, minimal member)."""
     if not 2 <= n <= 4:
         raise ValueError("orbit partition supports 2 <= N <= 4")
-    tables = [_byte_tables(_elem_columns(g)) for g in group_generators(n)]
     size = 1 << (1 << n)
+    # the action is linear, so a point's image is the XOR of the images of
+    # its low and high bytes
+    tables = [([_apply_elem(g, x) for x in range(min(size, 256))],
+               [_apply_elem(g, x << 8) for x in range(max(1, size >> 8))])
+              for g in group_generators(n)]
     oid = [-1] * size
     raw: list[list[int]] = []
     for start in range(1, size):

@@ -159,20 +159,12 @@ class PlueckerRelation:
         return " + ".join(parts) + " = 0"
 
 
-@lru_cache(maxsize=None)
-def pluecker_relations(n_qubits: int) -> tuple[PlueckerRelation, ...]:
-    """The deduplicated quadratic relations cutting out Gr(N,2N).
-
-    One relation per choice of an (N-1)-sequence i and an (N+1)-sequence j:
-    sum_a p_{i,j_a} p_{j \\ j_a} = 0, with repeated-index coordinates dropped
-    and GF(2) cancellation applied.  Relations whose monomial support
-    coincides, and relations that are GF(2) sums of earlier ones, are
-    removed: the result is an independent system (processed with shorter
-    relations first, then ascending key order).
-    """
+def _relation_candidates(n_qubits: int) -> list[PlueckerRelation]:
+    """One relation per choice of an (N-1)-sequence i and an (N+1)-sequence
+    j: sum_a p_{i,j_a} p_{j \\ j_a} = 0, with repeated-index coordinates
+    dropped, GF(2) cancellation applied and equal monomial supports merged;
+    shorter relations first, then ascending key order."""
     n = n_qubits
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"supported qubit range is 2..{MAX_QUBITS}")
     two_n = 2 * n
     seen: set[frozenset[tuple[int, int]]] = set()
     for i_set in itertools.combinations(range(1, two_n + 1), n - 1):
@@ -194,21 +186,35 @@ def pluecker_relations(n_qubits: int) -> tuple[PlueckerRelation, ...]:
         PlueckerRelation(n, tuple(sorted(mono_set))) for mono_set in seen
     ]
     rels.sort(key=lambda r: (len(r.term_keys), r.term_keys))
+    return rels
+
+
+@lru_cache(maxsize=None)
+def pluecker_relations(n_qubits: int) -> tuple[PlueckerRelation, ...]:
+    """The deduplicated quadratic relations cutting out Gr(N,2N).
+
+    The candidates of ``_relation_candidates`` that are GF(2) sums of
+    earlier ones are removed: the result is an independent system.
+    """
+    n = n_qubits
+    if not 2 <= n <= MAX_QUBITS:
+        raise ValueError(f"supported qubit range is 2..{MAX_QUBITS}")
     mono_pos: dict[tuple[int, int], int] = {}
-    basis: list[int] = []
+    pivots: dict[int, int] = {}  # top bit -> kept row with that top bit
     kept = []
-    for r in rels:
+    for r in _relation_candidates(n):
         row = 0
         for mono in r.term_keys:
             if mono not in mono_pos:
                 mono_pos[mono] = len(mono_pos)
             row |= 1 << mono_pos[mono]
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-            kept.append(r)
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                kept.append(r)
+                break
+            row ^= pivots[top]
     kept.sort()
     return tuple(kept)
 

@@ -220,35 +220,58 @@ def chart_generator(p: ProjPoint, swap: int = 0) -> Generator:
     return Generator.from_basis(BinMat(2 * n, tuple(rows)), n)
 
 
-def clifford_gates(n_qubits: int) -> tuple[tuple[bool, int, int], ...]:
-    """H_i for each qubit, then S_i, then CZ_ij (i < j), as (hadamard,
-    support, mask): ``support`` is the subset mask of the gate's qubits and
-    ``mask`` keeps the coordinates x_S with S disjoint from it."""
+Mat2 = tuple[tuple[int, int], tuple[int, int]]
+Gate = tuple[int, int, int, int, int]
+
+SWAP: Mat2 = ((0, 1), (1, 0))
+LOWER: Mat2 = ((1, 0), (1, 1))
+
+
+def gate(n_qubits: int, frm: int, to: int, mat: Mat2) -> Gate:
+    """The linear map applying ``mat`` to every coordinate pair
+    (x_{S|frm}, x_{S|to}) with S disjoint from frm|to, fixing the other
+    coordinates; ``frm`` < ``to`` are disjoint subset masks.
+
+    Packed as (shift, n00, n01, n10, n11): x_{S|to} sits ``shift`` =
+    to - frm bits above x_{S|frm}, and n_ab masks the x_{S|frm} positions
+    where (mat + I)[a][b] = 1, the change the gate adds to each pair.
+    """
+    if frm & to or frm >= to:
+        raise ValueError("gate needs disjoint subset masks frm < to")
+    low = sum(1 << m for m in range(1 << n_qubits) if m & (frm | to) == frm)
+    return (to - frm, *(low if mat[a][b] ^ (a == b) else 0 for a in (0, 1) for b in (0, 1)))
+
+
+def apply_gate(g: Gate, bits: int) -> int:
+    """Apply a packed gate to packed coordinates (bit m = subset m)."""
+    shift, n00, n01, n10, n11 = g
+    hi = bits >> shift
+    return bits ^ (bits & n00 ^ hi & n01) ^ (bits & n10 ^ hi & n11) << shift
+
+
+@lru_cache(maxsize=None)
+def clifford_gates(n_qubits: int) -> tuple[Gate, ...]:
+    """H_i for each qubit, then S_i, then CZ_ij (i < j):
+    H_i: x_S <-> x_{S ^ {i}};  S_i: x_S += x_{S - {i}} for i in S;
+    CZ_ij: x_S += x_{S - {i,j}} for {i,j} in S."""
     n = n_qubits
     singles = [1 << i for i in range(n)]
     pairs = [a | b for a, b in itertools.combinations(singles, 2)]
-    gates = [(True, t) for t in singles] + [(False, t) for t in singles + pairs]
-    return tuple((h, t, sum(1 << m for m in range(1 << n) if not m & t)) for h, t in gates)
-
-
-def apply_gate(gate: tuple[bool, int, int], bits: int) -> int:
-    """H_i: x_S <-> x_{S ^ {i}};  S_i: x_S += x_{S - {i}} for i in S;
-    CZ_ij: x_S += x_{S - {i,j}} for {i,j} in S.  Shifting left by the
-    support moves x_S onto x_{S | support}."""
-    hadamard, support, mask = gate
-    moved = (bits & mask) << support
-    if hadamard:
-        return moved | ((bits >> support) & mask)
-    return bits ^ moved
+    return tuple([gate(n, 0, t, SWAP) for t in singles]
+                 + [gate(n, 0, t, LOWER) for t in singles + pairs])
 
 
 def to_chart(p: ProjPoint) -> tuple[int, ProjPoint]:
     """(T, H_T p) for the lowest subset T with x_T = 1.  H_T maps x_S to
     x_{S ^ T}; it is a product of local SWAP factors, so H_T p is a chart
     point of the same local orbit."""
+    n = p.n_source
     t = (p.bits & -p.bits).bit_length() - 1
-    bits = sum(1 << (m ^ t) for m in range(1 << p.n_source) if p.bits >> m & 1)
-    return t, ProjPoint(p.n_source, bits)
+    bits = p.bits
+    for i, h in enumerate(clifford_gates(n)[:n]):
+        if t >> i & 1:
+            bits = apply_gate(h, bits)
+    return t, ProjPoint(n, bits)
 
 
 @lru_cache(maxsize=None)

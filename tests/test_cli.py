@@ -12,6 +12,9 @@ from lgrpauli.cli import (
     EXIT_VERIFY,
     main,
 )
+from lgrpauli.pauli import PauliPoint, generator_from_operators
+from lgrpauli.pluecker import embed
+from lgrpauli.projection import project
 
 
 def run(capsys, *argv):
@@ -86,6 +89,18 @@ def test_lift_round_trip(capsys):
     assert "ZZI" in out and "XXI" in out and "IIX" in out
 
 
+def test_lift_off_chart_n5(capsys):
+    ops = ["XXIII", "ZZIII", "IIXII", "IIIXI", "IIIIX"]
+    p = project(embed(generator_from_operators([PauliPoint.from_label(s) for s in ops])))
+    assert not p.bits & 1  # x_{} = 0: off the chart
+    code, out, _ = run(capsys, "lift", "--n", "5", "--point", p.bit_string(),
+                       "--format", "json")
+    assert code == 0
+    basis = json.loads(out)[0]["basis"]
+    g = generator_from_operators([PauliPoint.from_label(s) for s in basis])
+    assert project(embed(g)) == p
+
+
 def test_lift_non_image_exit_5(capsys):
     code, _, _ = run(capsys, "lift", "--n", "3", "--point", "10001000")
     assert code == EXIT_VERIFY
@@ -143,6 +158,38 @@ def test_verify_all_suites_n2(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS" in out
+
+
+def test_verify_n5_runs_the_suites_supporting_n5(capsys):
+    code, out, err = run(capsys, "verify", "--n", "5")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 2 and all(line.startswith("[bijection] ") for line in lines)
+    assert all(line.endswith(": PASS") for line in lines)
+
+
+def test_verify_cayley_outside_its_range_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--n", "2", "--suite", "cayley")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == "--n must be in 3..4 for verify --suite cayley\n"
+
+
+def test_verify_tables_outside_its_range_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--n", "5", "--suite", "tables")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == "--n must be in 2..4 for verify --suite tables\n"
+
+
+def test_subcommands_reject_flags_of_other_subcommands(capsys):
+    for argv in (["counts", "--n", "3", "--suite", "variety"],
+                 ["orbits", "--n", "3", "--point", "0010"],
+                 ["rank", "--n", "2", "--point", "0010", "--ops", "XI,IX"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_PARSE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_cayley_n4(capsys):

@@ -1,8 +1,8 @@
 """Tests for the local symmetry group, orbit stratification, and the two
 rank invariants."""
 
-import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -26,6 +26,70 @@ from lgrpauli.orbits import (
 from lgrpauli.pauli import PauliPoint, generator_from_operators
 from lgrpauli.pluecker import embed
 from lgrpauli.projection import ProjPoint, image, project, to_observable
+
+
+@lru_cache(maxsize=None)
+def _axis_columns(n, axis, mat):
+    bit = 1 << (axis - 1)
+    cols = []
+    for m in range(1 << n):
+        beta = 1 if m & bit else 0
+        col = 0
+        if mat[0][beta]:
+            col |= 1 << (m & ~bit)
+        if mat[1][beta]:
+            col |= 1 << (m | bit)
+        cols.append(col)
+    return tuple(cols)
+
+
+def _apply_columns(cols, v):
+    out = 0
+    while v:
+        i = (v & -v).bit_length() - 1
+        v &= v - 1
+        out ^= cols[i]
+    return out
+
+
+def _elem_columns(g):
+    """Oracle: the linear action of ``g`` as columns over subset masks,
+    each factor applied bit by bit, then subset bit j-1 moved to bit
+    perm[j-1]-1."""
+    n = g.n
+    current = [1 << m for m in range(1 << n)]
+    for axis in range(1, n + 1):
+        ac = _axis_columns(n, axis, g.factors[axis - 1])
+        current = [_apply_columns(ac, c) for c in current]
+    perm_cols = []
+    for m in range(1 << n):
+        t = 0
+        for j in range(n):
+            if (m >> j) & 1:
+                t |= 1 << (g.perm[j] - 1)
+        perm_cols.append(1 << t)
+    return [_apply_columns(perm_cols, c) for c in current]
+
+
+def _group(n):
+    """Every element, as the closure of the generators."""
+    gens = group_generators(n)
+    seen = {GroupElem.identity(n)}
+    frontier = set(seen)
+    while frontier:
+        frontier = {g * h for g in frontier for h in gens} - seen
+        seen |= frontier
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_act_matches_column_oracle_on_the_whole_group(n):
+    elems = _group(n)
+    assert len(elems) == group_order(n)
+    for g in elems:
+        cols = _elem_columns(g)
+        for bits in range(1, 1 << (1 << n)):
+            assert act(g, ProjPoint(n, bits)).bits == _apply_columns(cols, bits)
 
 
 def test_group_generators_are_involutions():

@@ -15,6 +15,7 @@ from lgrpauli.pluecker import (
     pluecker_relations,
     retained_indices,
     subset_keys,
+    _relation_candidates,
 )
 
 
@@ -65,6 +66,34 @@ def test_relation_census(n, three, four):
     assert len(by_terms.get(3, [])) == three
     assert len(by_terms.get(4, [])) == four
     assert set(by_terms) == {3, 4}
+
+
+def min_reduction_relations(n):
+    """Oracle: keep each candidate not in the span of the kept ones, reduced
+    by row = min(row, row ^ b) against the kept rows sorted descending."""
+    mono_pos = {}
+    basis = []
+    kept = []
+    for r in _relation_candidates(n):
+        row = 0
+        for mono in r.term_keys:
+            row |= 1 << mono_pos.setdefault(mono, len(mono_pos))
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+            kept.append(r)
+    return tuple(sorted(kept))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_relations_match_min_reduction_oracle(n):
+    assert pluecker_relations(n) == min_reduction_relations(n)
+
+
+def test_relation_count_n5():
+    assert len(pluecker_relations(5)) == 12473
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

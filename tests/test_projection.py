@@ -1,6 +1,7 @@
 """Tests for the principal-coordinate projection, display ordering, the
 observable map, and the chart-based inverse."""
 
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -14,6 +15,8 @@ from lgrpauli.pauli import (
 )
 from lgrpauli.pluecker import embed
 from lgrpauli.projection import (
+    LOWER,
+    SWAP,
     NotInImageError,
     ProjPoint,
     apply_gate,
@@ -21,6 +24,7 @@ from lgrpauli.projection import (
     chart_matrix,
     clifford_gates,
     display_masks,
+    gate,
     image,
     lift,
     lift_table,
@@ -61,22 +65,36 @@ def sweep_generators(n: int) -> tuple[Generator, ...]:
     return tuple(Generator(n, BinMat(2 * n, rows)) for rows in sorted(seen))
 
 
-def gate_on_row(gate, r: int, n: int) -> int:
-    """The symplectic action of a gate on one basis row: H_i swaps columns
-    i and N+i; S_i adds column i to N+i (A += E_ii); CZ_ij adds column j to
-    N+i and column i to N+j (A += E_ij + E_ji)."""
-    hadamard, support, _mask = gate
-    if hadamard:
-        d = (r ^ (r >> n)) & support
-        return r ^ d ^ (d << n)
-    qubits = [i for i in range(n) if (support >> i) & 1]
-    if len(qubits) == 1:
-        pairs = [(qubits[0], qubits[0])]
-    else:
-        pairs = [(qubits[0], qubits[1]), (qubits[1], qubits[0])]
-    for k, l in pairs:  # column N+k += column l
-        r ^= ((r >> l) & 1) << (n + k)
-    return r
+def swap_columns(r: int, a: int, b: int) -> int:
+    d = ((r >> a) ^ (r >> b)) & 1
+    return r ^ (d << a) ^ (d << b)
+
+
+def add_column(r: int, src: int, dst: int) -> int:
+    return r ^ (((r >> src) & 1) << dst)
+
+
+def clifford_cases(n: int):
+    """The gates of ``clifford_gates`` in order, each with its symplectic
+    action on one basis row: H_i swaps columns i and N+i; S_i adds column i
+    to N+i (A += E_ii); CZ_ij adds column j to N+i and column i to N+j
+    (A += E_ij + E_ji)."""
+    cases = [(gate(n, 0, 1 << i, SWAP), lambda r, i=i: swap_columns(r, i, n + i))
+             for i in range(n)]
+    cases += [(gate(n, 0, 1 << i, LOWER), lambda r, i=i: add_column(r, i, n + i))
+              for i in range(n)]
+    cases += [(gate(n, 0, (1 << i) | (1 << j), LOWER),
+               lambda r, i=i, j=j: add_column(add_column(r, j, n + i), i, n + j))
+              for i, j in itertools.combinations(range(n), 2)]
+    return cases
+
+
+def transposition_cases(n: int):
+    """The gate exchanging axes k and k+1, with its action on a basis row:
+    swap qubit columns k <-> k+1 and N+k <-> N+k+1."""
+    return [(gate(n, 1 << k, 2 << k, SWAP),
+             lambda r, k=k: swap_columns(swap_columns(r, k, k + 1), n + k, n + k + 1))
+            for k in range(n - 1)]
 
 
 def proj(ops):
@@ -145,15 +163,23 @@ def test_lift_table_matches_sweep_oracle(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_clifford_gates_equivariant(n):
     # project(embed(C.G)) == C.project(embed(G)) for every generator gate C
-    # and every subspace G, with C.G the symplectic action on the basis
-    gates = clifford_gates(n)
-    assert len(gates) == n + n + n * (n - 1) // 2
+    # and axis transposition C, and every subspace G, with C.G the
+    # symplectic action on the basis
+    cases = clifford_cases(n)
+    assert clifford_gates(n) == tuple(g for g, _ in cases)
+    assert len(cases) == n + n + n * (n - 1) // 2
     for g in sweep_generators(n):
         p = project(embed(g))
-        for gate in gates:
-            rows = tuple(gate_on_row(gate, r, n) for r in g.basis.rows)
+        for gt, on_row in cases + transposition_cases(n):
+            rows = tuple(on_row(r) for r in g.basis.rows)
             moved = Generator.from_basis(BinMat(2 * n, rows), n)
-            assert project(embed(moved)).bits == apply_gate(gate, p.bits)
+            assert project(embed(moved)).bits == apply_gate(gt, p.bits)
+
+
+def test_gate_rejects_overlapping_or_unordered_masks():
+    for frm, to in ((1, 1), (0b011, 0b110), (2, 1), (0, 0)):
+        with pytest.raises(ValueError):
+            gate(3, frm, to, SWAP)
 
 
 def test_to_chart_reaches_the_chart_by_hadamards():
