@@ -73,7 +73,6 @@ from .orbits import (
     emit_tables,
     group_generators,
     group_order,
-    is_separable_by_flattenings,
     orbit_members,
     orbit_of_point,
     orbit_partition,
@@ -97,6 +96,6 @@ __all__ = [
     "spans", "vanishing_quadrics", "variety_quadrics", "verify_variety",
     "CLASS_TABLE", "GroupElem", "MixedOrbitError", "OrbitRecord", "act",
     "classify_image", "e_rank", "emit_tables", "group_generators",
-    "group_order", "is_separable_by_flattenings", "orbit_members",
+    "group_order", "orbit_members",
     "orbit_of_point", "orbit_partition", "t_rank",
 ]

@@ -30,14 +30,13 @@ from .pluecker import (
     pluecker_relations,
     retained_indices,
 )
-from .projection import NotInImageError, ProjPoint, image, lift, lift_table, project, to_observable
+from .projection import NotInImageError, ProjPoint, image, lift, project, to_observable
 from .quadrics import cayley_quadric, hyperbolic_form, quadric_orbit, variety_quadrics, verify_variety
 from .orbits import (
     CLASS_TABLE,
     classify_image,
     e_rank,
     emit_tables,
-    is_separable_by_flattenings,
     orbit_of_point,
     orbit_partition,
     t_rank,
@@ -204,16 +203,16 @@ def cmd_tables(args) -> str:
 
 def cmd_rank(args) -> str:
     p = _parse_point(args.n, args.point)
-    in_img = p in lift_table(args.n)
+    rec = orbit_of_point(p)
     row = {
         "point": p.display_str(),
-        "t_rank": t_rank(p),
-        "separable": is_separable_by_flattenings(p),
-        "in_image": in_img,
-        "e_rank": e_rank(p) if in_img else "",
+        "t_rank": rec.t_rank,
+        "separable": rec.t_rank == 1,
+        "in_image": rec.in_image,
+        "e_rank": "" if rec.e_rank is None else rec.e_rank,
     }
-    if in_img:
-        row["orbit_id"] = orbit_of_point(p).orbit_id
+    if rec.in_image:
+        row["orbit_id"] = rec.orbit_id
     return _emit([row], args.format)
 
 
@@ -249,13 +248,10 @@ def _suite_tables(n: int) -> list[tuple[str, bool]]:
     for row in CLASS_TABLE.get(n, ()):
         p = ProjPoint.from_string(n, row["representative"])
         rec = orbit_of_point(p)
-        ok = (rec.size == row["size"]
-              and to_observable(p).label() == row["observable"]
-              and t_rank(p) == row["t_rank"]
-              and e_rank(p) == row["e_rank"])
+        obs, tr, er = to_observable(p).label(), t_rank(p), e_rank(p)
+        ok = (rec.size, obs, tr, er) == (row["size"], row["observable"], row["t_rank"], row["e_rank"])
         checks.append((f"class {row['label']}: size {rec.size}, "
-                       f"observable {to_observable(p).label()}, "
-                       f"t_rank {t_rank(p)}, e_rank {e_rank(p)}", ok))
+                       f"observable {obs}, t_rank {tr}, e_rank {er}", ok))
     return checks
 
 
@@ -293,14 +289,14 @@ def cmd_verify(args) -> str:
         names = [args.suite]
     else:
         names = [name for name, (_fn, (lo, hi)) in _SUITES.items() if lo <= n <= hi]
-    lines = []
-    all_ok = True
-    for name in names:
-        for desc, ok in _SUITES[name][0](n):
-            all_ok &= ok
-            lines.append(f"[{name}] {desc}: {'PASS' if ok else 'FAIL'}")
-    out = "\n".join(lines) + "\n"
-    if not all_ok:
+    rows = [{"suite": name, "check": desc, "pass": ok}
+            for name in names for desc, ok in _SUITES[name][0](n)]
+    if args.format == "text":
+        out = "\n".join(f"[{r['suite']}] {r['check']}: {'PASS' if r['pass'] else 'FAIL'}"
+                        for r in rows) + "\n"
+    else:
+        out = _emit(rows, args.format)
+    if not all(r["pass"] for r in rows):
         raise CliError(EXIT_VERIFY, out.rstrip("\n"))
     return out
 

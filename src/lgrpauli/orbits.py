@@ -216,57 +216,36 @@ def _separable_vectors(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _t_rank_table(n: int) -> bytearray:
-    """Graph distance from 0 with separable vectors as steps: exact minimal
-    number of rank-one tensors summing to each point."""
+def _orbit_t_ranks(n: int) -> list[int]:
+    """T-rank of each orbit id: the minimal number of separable tensors
+    summing to its points, by a layered search over orbit ids.
+
+    The separable set and each set {T-rank <= k} are unions of orbits, and
+    for o = g.rep, o + s = g.(rep + g^-1 s) with g^-1 s separable again, so
+    the orbits one separable step from an orbit are those of rep + s over
+    the separable s, read from one representative."""
+    assign, orbits = _orbit_data(n)
     seps = _separable_vectors(n)
-    size = 1 << (1 << n)
-    dist = bytearray(size)
-    frontier = list(seps)
-    for s in seps:
-        dist[s] = 1
-    d = 1
+    ranks = [0] * len(orbits)
+    frontier = {assign[s] for s in seps}
+    rank = 1
     while frontier:
-        nxt = []
-        for v in frontier:
-            for s in seps:
-                w = v ^ s
-                if w and not dist[w]:
-                    dist[w] = d + 1
-                    nxt.append(w)
-        d += 1
-        frontier = nxt
-    return dist
+        for o in frontier:
+            ranks[o] = rank
+        rank += 1
+        reached = {assign[w] for o in frontier for s in seps if (w := orbits[o][0] ^ s)}
+        frontier = {o for o in reached if not ranks[o]}
+    return ranks
 
 
 def t_rank(p: ProjPoint) -> int:
-    """Minimal k with p a sum of k separable tensors (layered closure)."""
+    """Minimal k with p a sum of k separable tensors (the T-rank of its
+    orbit)."""
     n = p.n_source
     if not 2 <= n <= 4:
         raise ValueError("tensor rank supports 2 <= N <= 4")
-    return _t_rank_table(n)[p.bits]
-
-
-def is_separable_by_flattenings(p: ProjPoint) -> bool:
-    """Rank-one test via flattenings: separable iff every 2 x 2^(N-1)
-    flattening has rank <= 1, i.e. all its 2x2 minors vanish."""
-    n = p.n_source
-    for axis in range(n):
-        bit = 1 << axis
-        row0 = row1 = 0
-        idx = 0
-        for m in range(1 << n):
-            if m & bit:
-                continue
-            if (p.bits >> m) & 1:
-                row0 |= 1 << idx
-            if (p.bits >> (m | bit)) & 1:
-                row1 |= 1 << idx
-            idx += 1
-        # rank <= 1 iff one row is zero or rows are equal
-        if row0 and row1 and row0 != row1:
-            return False
-    return True
+    assign, _ = _orbit_data(n)
+    return _orbit_t_ranks(n)[assign[p.bits]]
 
 
 def _exclusive_minors_vanish(a, k: int) -> bool:
@@ -288,14 +267,6 @@ def _e_rank_of_chart(a) -> int:
         if _exclusive_minors_vanish(a, k + 1):
             return k
     raise AssertionError("unreachable: top exclusive minors are vacuous")
-
-
-def chart_points_of_orbit(p: ProjPoint) -> list[ProjPoint]:
-    """Orbit members with empty-set coordinate 1."""
-    n = p.n_source
-    assign, orbits = _orbit_data(n)
-    members = orbits[assign[p.bits]]
-    return [ProjPoint(n, v) for v in members if v & 1]
 
 
 def e_rank(p: ProjPoint) -> int:
@@ -370,7 +341,7 @@ def orbit_partition(n: int) -> tuple[OrbitRecord, ...]:
     (size, canonical representative) and numbered from 1."""
     assign, orbits = _orbit_data(n)
     img = {p.bits for p in image(n)}
-    trank = _t_rank_table(n)
+    trank = _orbit_t_ranks(n)
     ref_by_bits = {}
     for row in CLASS_TABLE.get(n, ()):
         p = ProjPoint.from_string(n, row["representative"])
@@ -393,7 +364,7 @@ def orbit_partition(n: int) -> tuple[OrbitRecord, ...]:
                 size=len(members),
                 representative=rep,
                 in_image=inside,
-                t_rank=trank[members[0]],
+                t_rank=trank[i],
                 e_rank=e_rank(rep) if inside else None,
                 observable=to_observable(rep).label() if inside else None,
                 reference_label=label,

@@ -15,13 +15,14 @@ most significant, followed by their complements in the same order.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
 from .gf2 import BinMat, minor
 from .pauli import BITS_LETTER, MAX_QUBITS, Generator, PauliPoint
-from .pluecker import PlueckerVec, SubsetIndex, embed, lagrangian_constraints
+from .pluecker import LinearConstraint, PlueckerVec, SubsetIndex, embed, lagrangian_constraints
 
 
 class NotInImageError(ValueError):
@@ -59,6 +60,9 @@ def principal_index(n_qubits: int, subset) -> SubsetIndex:
     full = (1 << n) - 1
     key = (full & ~i_mask) | (i_mask << n)
     return SubsetIndex.from_key(2 * n, key)
+
+
+_HEX = re.compile(r"0[xX][0-9a-fA-F]+")
 
 
 @dataclass(frozen=True, order=True)
@@ -123,7 +127,7 @@ class ProjPoint:
     @classmethod
     def from_string(cls, n_qubits: int, text: str) -> "ProjPoint":
         """Parse a display bit string ("0010"), colon form ("[0:0:1:0]") or
-        hex ("0x4")."""
+        hex ("0x4", ASCII hex digits only)."""
         text = text.strip()
         size = 1 << n_qubits
         if text.startswith("[") and text.endswith("]"):
@@ -131,13 +135,19 @@ class ProjPoint:
             if len(parts) != size or set(parts) - {"0", "1"}:
                 raise ValueError(f"expected {size} coordinates, each 0 or 1")
             bitstr = "".join(parts)
-        elif text.lower().startswith("0x"):
+        elif _HEX.fullmatch(text):
             bitstr = format(int(text, 16), f"0{size}b")
         else:
             bitstr = text
         if len(bitstr) != size or set(bitstr) - {"0", "1"}:
             raise ValueError(f"expected {size} binary digits or hex")
         return cls.from_display_bits(int(c) for c in bitstr)
+
+
+@lru_cache(maxsize=None)
+def _constraint_masks(n_qubits: int) -> tuple[tuple[int, LinearConstraint], ...]:
+    """Each isotropy constraint with the mask of its terms' coordinates."""
+    return tuple((sum(1 << k for k in c.term_keys), c) for c in lagrangian_constraints(n_qubits))
 
 
 def project(v: PlueckerVec) -> ProjPoint:
@@ -147,8 +157,8 @@ def project(v: PlueckerVec) -> ProjPoint:
     vector signals a point off the Lagrangian locus and is rejected.
     """
     n = v.n_qubits
-    for c in lagrangian_constraints(n):
-        if c.evaluate(v):
+    for mask, c in _constraint_masks(n):
+        if (v.table & mask).bit_count() & 1:
             raise ValueError(f"input violates isotropy constraint {c}")
     full = (1 << n) - 1
     bits = 0

@@ -9,15 +9,12 @@ import pytest
 from lgrpauli.gf2 import BinMat
 from lgrpauli.orbits import (
     CLASS_TABLE,
-    chart_points_of_orbit,
     classify_image,
     e_rank,
     orbit_members,
     orbit_of_point,
     orbit_partition,
     t_rank,
-    _separable_vectors,
-    _t_rank_table,
 )
 from lgrpauli.pauli import (
     PauliPoint,
@@ -41,6 +38,7 @@ from lgrpauli.quadrics import (
     variety_quadrics,
     verify_variety,
 )
+from orbit_oracles import chart_points_of_orbit, whole_space_t_ranks
 
 
 def report(name, ok, detail=""):
@@ -153,7 +151,7 @@ def test_criterion_6_table_reproduction():
             rec = orbit_of_point(p)
             ok &= rec.size == row["size"]
             ok &= to_observable(p).label() == row["observable"]
-            ok &= t_rank(p) == row["t_rank"]  # layered-closure oracle
+            ok &= t_rank(p) == row["t_rank"]  # layered search on the orbit quotient
             ok &= e_rank(p) == row["e_rank"]  # chart-minor computation
             rows_checked += 1
     report("6 table reproduction", ok and rows_checked == 11,
@@ -200,10 +198,12 @@ def test_criterion_8_property_suites():
             v = embed(g)
             ok &= all(r.evaluate(v) == 0 for r in rels)
             ok &= all(c.evaluate(v) == 0 for c in cons)
-    # t_rank constant on orbits (exhaustive N <= 3)
-    for n in (2, 3):
+    # whole-space t_rank constant on orbits and equal to the orbit record
+    # (exhaustive N <= 4)
+    for n in (2, 3, 4):
+        oracle = whole_space_t_ranks(n)
         for rec in orbit_partition(n):
-            ok &= {t_rank(p) for p in orbit_members(n, rec.orbit_id)} == {
+            ok &= {oracle[p.bits] for p in orbit_members(n, rec.orbit_id)} == {
                 rec.t_rank
             }
     # e_rank constant over all chart points of each image orbit (N <= 4)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from lgrpauli import cli
 from lgrpauli.cli import (
     EXIT_NONCOMMUTING,
     EXIT_NONMAXIMAL,
@@ -153,6 +154,15 @@ def test_rank_rejects_non_binary_colon_coordinates(capsys):
         assert err.startswith("bad point:")
 
 
+def test_rank_rejects_hex_without_ascii_digits(capsys):
+    assert run(capsys, "rank", "--n", "2", "--point", "0x1")[0] == 0
+    for point in ("0x_1", "0x\u0661", "0x\uff101"):  # underscore, Arabic-Indic 1, fullwidth 0
+        code, out, err = run(capsys, "rank", "--n", "2", "--point", point)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("bad point:")
+
+
 def test_verify_all_suites_n2(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2")
     assert code == 0
@@ -166,6 +176,25 @@ def test_verify_n5_runs_the_suites_supporting_n5(capsys):
     lines = out.splitlines()
     assert len(lines) == 2 and all(line.startswith("[bijection] ") for line in lines)
     assert all(line.endswith(": PASS") for line in lines)
+
+
+def test_verify_json_one_record_per_check(capsys):
+    code, out, err = run(capsys, "verify", "--n", "3", "--format", "json")
+    assert code == 0 and err == ""
+    records = json.loads(out)
+    _, text, _ = run(capsys, "verify", "--n", "3")
+    assert [f"[{r['suite']}] {r['check']}: {'PASS' if r['pass'] else 'FAIL'}"
+            for r in records] == text.splitlines()
+    assert all(set(r) == {"suite", "check", "pass"} and r["pass"] is True for r in records)
+    assert {r["suite"] for r in records} == {"bijection", "variety", "tables", "cayley"}
+
+
+def test_verify_failure_renders_its_format_on_stderr(capsys, monkeypatch):
+    monkeypatch.setitem(cli._SUITES, "cayley", (lambda n: [("forced", False)], (3, 4)))
+    code, out, err = run(capsys, "verify", "--n", "3", "--suite", "cayley", "--format", "csv")
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert err == "suite,check,pass\r\ncayley,forced,False\r\n"
 
 
 def test_verify_cayley_outside_its_range_exit_2(capsys):

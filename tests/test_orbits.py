@@ -10,13 +10,11 @@ from lgrpauli.orbits import (
     CLASS_TABLE,
     GroupElem,
     act,
-    chart_points_of_orbit,
     classify_image,
     e_rank,
     emit_tables,
     group_generators,
     group_order,
-    is_separable_by_flattenings,
     orbit_members,
     orbit_of_point,
     orbit_partition,
@@ -26,6 +24,7 @@ from lgrpauli.orbits import (
 from lgrpauli.pauli import PauliPoint, generator_from_operators
 from lgrpauli.pluecker import embed
 from lgrpauli.projection import ProjPoint, image, project, to_observable
+from orbit_oracles import chart_points_of_orbit, is_separable_by_flattenings, whole_space_t_ranks
 
 
 @lru_cache(maxsize=None)
@@ -162,8 +161,15 @@ def test_separable_vectors_census():
             assert is_separable_by_flattenings(ProjPoint(n, v))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_t_rank_matches_whole_space_oracle(n):
+    oracle = whole_space_t_ranks(n)
+    for bits in range(1, 1 << (1 << n)):
+        assert t_rank(ProjPoint(n, bits)) == oracle[bits]
+
+
 def test_t_rank_one_iff_separable_flattenings():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         for bits in range(1, 1 << (1 << n)):
             p = ProjPoint(n, bits)
             assert (t_rank(p) == 1) == is_separable_by_flattenings(p)
@@ -181,10 +187,11 @@ def test_t_rank_additivity_bound():
         assert t_rank(ps) <= t_rank(pa) + t_rank(pb)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_t_rank_constant_on_orbits_exhaustive(n):
+    oracle = whole_space_t_ranks(n)
     for rec in orbit_partition(n):
-        ranks = {t_rank(p) for p in orbit_members(n, rec.orbit_id)}
+        ranks = {oracle[p.bits] for p in orbit_members(n, rec.orbit_id)}
         assert ranks == {rec.t_rank}
 
 
@@ -238,9 +245,10 @@ def test_action_preserves_image_and_ranks():
     rng = random.Random(11)
     gens = group_generators(3)
     img = set(image(3))
+    oracle = whole_space_t_ranks(3)
     for p in list(img)[::7]:
         for g in rng.sample(gens, 4):
             q = act(g, p)
             assert q in img
-            assert t_rank(q) == t_rank(p)
+            assert oracle[q.bits] == oracle[p.bits]
             assert e_rank(q) == e_rank(p)

@@ -41,6 +41,16 @@ def test_bad_labels():
             PauliPoint.from_label(s)
 
 
+@given(st.one_of(st.text(), st.text(alphabet="IXYZ+-\u2212xi ")))
+def test_from_label_fuzz(s):
+    try:
+        p = PauliPoint.from_label(s)
+    except LabelError:
+        return
+    assert (s[1:] if s[:1] in ("+", "-", "\u2212") else s) == p.label()
+    assert PauliPoint.from_label(p.label()) == p
+
+
 def test_letter_bit_convention():
     p = PauliPoint.from_label("XYZ")
     # qubit i letters: X=(0,1), Y=(1,1), Z=(1,0) as (x_i, x_{N+i})

@@ -2,9 +2,13 @@
 observable map, and the chart-based inverse."""
 
 import itertools
+import random
+import re
 from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lgrpauli.gf2 import BinMat, _rref_ints
 from lgrpauli.pauli import (
@@ -13,7 +17,7 @@ from lgrpauli.pauli import (
     enumerate_generators,
     generator_from_operators,
 )
-from lgrpauli.pluecker import embed
+from lgrpauli.pluecker import PlueckerVec, embed, lagrangian_constraints, subset_keys
 from lgrpauli.projection import (
     LOWER,
     SWAP,
@@ -137,6 +141,43 @@ def test_point_serialization_roundtrip():
     assert ProjPoint.from_string(3, p.bit_string()) == p
     assert ProjPoint.from_string(3, p.display_str()) == p
     assert ProjPoint.from_string(3, "0x" + p.hex_string()) == p
+
+
+# the documented point forms: display bits, colon form, ASCII hex
+POINT_FORM = re.compile(r"[01]+|\[\s*[01]\s*(:\s*[01]\s*)*\]|0[xX][0-9a-fA-F]+")
+point_texts = st.one_of(
+    st.text(),
+    st.text(alphabet="01:[] \t0xX_abcdefABCDEF9\u0661\uff10"),
+    st.from_regex(r"\s*0[xX][0-9a-f_\u0661\uff10]{1,4}\s*", fullmatch=True),
+    st.lists(st.sampled_from(["0", "1", " 1", "0 ", "2", ""]), min_size=1, max_size=17)
+    .map(lambda parts: "[" + ":".join(parts) + "]"),
+)
+
+
+@given(st.integers(1, 4), point_texts)
+def test_from_string_fuzz(n, text):
+    try:
+        p = ProjPoint.from_string(n, text)
+    except ValueError:
+        return
+    assert POINT_FORM.fullmatch(text.strip())
+    assert p.n_source == n
+    for form in (p.bit_string(), p.display_str(), "0x" + p.hex_string()):
+        assert ProjPoint.from_string(n, form) == p
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_project_names_the_first_violated_constraint(n):
+    rng = random.Random(n)
+    keys = subset_keys(2 * n, n)
+    for _ in range(200):
+        v = PlueckerVec(n, sum(1 << k for k in rng.sample(keys, rng.randrange(1, 6))))
+        violated = [c for c in lagrangian_constraints(n) if c.evaluate(v)]
+        if not violated:
+            continue
+        with pytest.raises(ValueError) as exc:
+            project(v)
+        assert str(exc.value) == f"input violates isotropy constraint {violated[0]}"
 
 
 def test_worked_examples():
