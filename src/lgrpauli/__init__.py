@@ -64,15 +64,11 @@ from .quadrics import (
 )
 from .orbits import (
     CLASS_TABLE,
-    GroupElem,
     MixedOrbitError,
     OrbitRecord,
-    act,
     classify_image,
     e_rank,
     emit_tables,
-    group_generators,
-    group_order,
     orbit_members,
     orbit_of_point,
     orbit_partition,
@@ -94,8 +90,7 @@ __all__ = [
     "project", "to_observable",
     "QuadForm", "cayley_quadric", "hyperbolic_form", "quadric_orbit", "quadric_orbit_raw",
     "spans", "vanishing_quadrics", "variety_quadrics", "verify_variety",
-    "CLASS_TABLE", "GroupElem", "MixedOrbitError", "OrbitRecord", "act",
-    "classify_image", "e_rank", "emit_tables", "group_generators",
-    "group_order", "orbit_members",
-    "orbit_of_point", "orbit_partition", "t_rank",
+    "CLASS_TABLE", "MixedOrbitError", "OrbitRecord", "classify_image",
+    "e_rank", "emit_tables", "orbit_members", "orbit_of_point",
+    "orbit_partition", "t_rank",
 ]

@@ -1,9 +1,9 @@
 """Command-line interface: every pipeline stage as a deterministic,
 scriptable report in text, CSV, or JSON.
 
-Exit codes: 0 success, 1 internal error, 2 parse error or unwritable
-``--out`` path, 3 non-commuting input, 4 non-maximal input, 5 verification
-failure.
+Exit codes: 0 success, 1 internal error (naming the command and the
+exception type), 2 parse error or unwritable ``--out`` path, 3
+non-commuting input, 4 non-maximal input, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -103,11 +103,12 @@ def _emit(rows: list[dict], fmt: str, title: str | None = None) -> str:
 
 def cmd_counts(args) -> str:
     n = args.n
+    # the projection is injective, so the image has one point per generator
     row = {
         "n": n,
         "points": (1 << (2 * n)) - 1,
         "generators": generator_count(n),
-        "image": len(image(n)),
+        "image": generator_count(n),
     }
     if 2 <= n <= 4:
         row["orbits"] = len(orbit_partition(n))
@@ -365,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         print(str(e), file=sys.stderr)
         return e.code
     except Exception as e:  # noqa: BLE001
-        print(f"internal error: {e}", file=sys.stderr)
+        print(f"internal error in {args.command}: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.out:
         try:

@@ -2,10 +2,11 @@
 orbit stratification, and the two rank invariants.
 
 The group is one copy of GL(2,2) per tensor axis, extended by axis
-permutations.  It acts linearly on the 2^N coordinates (indexed by subsets
-of {1..N}), preserves the projected image, and preserves both the tensor
-rank and the exclusive rank, which is what makes the orbit classification
-of commuting families meaningful.
+permutations, and is generated by the gates of :func:`local_gates`.  It
+acts linearly on the 2^N coordinates (indexed by subsets of {1..N}),
+preserves the projected image, and preserves both the tensor rank and the
+exclusive rank, which is what makes the orbit classification of commuting
+families meaningful.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .pauli import PauliPoint
 from .projection import (
     SWAP,
     Gate,
-    Mat2,
     ProjPoint,
     apply_gate,
     chart_matrix,
+    clifford_gates,
     display_masks,
     gate,
     image,
@@ -33,129 +34,29 @@ from .projection import (
     to_observable,
 )
 
-SHEAR: Mat2 = ((1, 1), (0, 1))
-
 
 class MixedOrbitError(RuntimeError):
     """An orbit met the image without being contained in it; this would
     contradict invariance of the image under the group."""
 
 
-@dataclass(frozen=True)
-class GroupElem:
-    """An element (M_1, ..., M_N; perm): one invertible 2x2 factor per axis
-    followed by an axis permutation.  ``perm[j-1]`` is the image of axis j."""
-
-    n: int
-    factors: tuple[Mat2, ...]
-    perm: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.factors) != self.n or sorted(self.perm) != list(range(1, self.n + 1)):
-            raise ValueError("need N factors and a permutation of 1..N")
-        for m in self.factors:
-            a, b = m[0]
-            c, d = m[1]
-            if (a & d) ^ (b & c) != 1:
-                raise ValueError(f"factor {m} is singular over GF(2)")
-
-    @classmethod
-    def identity(cls, n: int) -> "GroupElem":
-        eye: Mat2 = ((1, 0), (0, 1))
-        return cls(n, (eye,) * n, tuple(range(1, n + 1)))
-
-    @classmethod
-    def axis_op(cls, n: int, axis: int, mat: Mat2) -> "GroupElem":
-        e = cls.identity(n)
-        factors = list(e.factors)
-        factors[axis - 1] = mat
-        return cls(n, tuple(factors), e.perm)
-
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "GroupElem":
-        e = cls.identity(n)
-        perm = list(e.perm)
-        perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-        return cls(n, e.factors, tuple(perm))
-
-    def __mul__(self, other: "GroupElem") -> "GroupElem":
-        """Composition so that act(g * h, p) == act(g, act(h, p))."""
-        if self.n != other.n:
-            raise ValueError("axis count mismatch")
-
-        def mul2(x: Mat2, y: Mat2) -> Mat2:
-            return tuple(
-                tuple(
-                    (x[i][0] & y[0][j]) ^ (x[i][1] & y[1][j]) for j in range(2)
-                )
-                for i in range(2)
-            )  # type: ignore[return-value]
-
-        factors = tuple(
-            mul2(self.factors[other.perm[j] - 1], other.factors[j])
-            for j in range(self.n)
-        )
-        perm = tuple(self.perm[other.perm[j] - 1] for j in range(self.n))
-        return GroupElem(self.n, factors, perm)
+@lru_cache(maxsize=None)
+def local_gates(n: int) -> tuple[Gate, ...]:
+    """Generators of the local group as gates: H_i and S_i on each axis
+    (SWAP and LOWER generate GL(2,2)), then the adjacent axis swaps
+    k <-> k+1.  Each is an involution."""
+    return clifford_gates(n)[:2 * n] + tuple(gate(n, 1 << k, 2 << k, SWAP) for k in range(n - 1))
 
 
 @lru_cache(maxsize=None)
-def _elem_gates(g: GroupElem) -> tuple[Gate, ...]:
-    """``g`` as gates: each factor on its axis, then the axis
-    permutation as adjacent transpositions of axes k, k+1."""
-    n = g.n
-    gates = [gate(n, 0, 1 << j, m) for j, m in enumerate(g.factors)]
-    dest = [d - 1 for d in g.perm]  # dest[k]: final axis of the content of axis k
-    for end in range(n - 1, 0, -1):  # bubble sort: one transposition per swap
-        for k in range(end):
-            if dest[k] > dest[k + 1]:
-                dest[k], dest[k + 1] = dest[k + 1], dest[k]
-                gates.append(gate(n, 1 << k, 2 << k, SWAP))
-    return tuple(gates)
-
-
-def _apply_elem(g: GroupElem, bits: int) -> int:
-    for gt in _elem_gates(g):
-        bits = apply_gate(gt, bits)
-    return bits
-
-
-def act(g: GroupElem, p: ProjPoint) -> ProjPoint:
-    """Apply each 2x2 factor along its tensor axis, then permute the axes."""
-    if g.n != p.n_source:
-        raise ValueError("dimension mismatch")
-    return ProjPoint(p.n_source, _apply_elem(g, p.bits))
-
-
-@lru_cache(maxsize=None)
-def group_generators(n: int) -> tuple[GroupElem, ...]:
-    """A small involutive generator set: shear and swap on each axis plus
-    the adjacent transpositions."""
-    gens = []
-    for axis in range(1, n + 1):
-        gens.append(GroupElem.axis_op(n, axis, SHEAR))
-        gens.append(GroupElem.axis_op(n, axis, SWAP))
-    for axis in range(1, n):
-        gens.append(GroupElem.transposition(n, axis, axis + 1))
-    return tuple(gens)
-
-
-def group_order(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return 6**n * out
-
-
-@lru_cache(maxsize=None)
-def _display_rows(n: int, g: GroupElem) -> list[int]:
+def _display_rows(n: int, g: Gate) -> list[int]:
     """Row masks of the action matrix in display coordinates (1-based rows;
     row a holds the variables substituted for x_a)."""
     disp = display_masks(n)
     pos = {m: i + 1 for i, m in enumerate(disp)}
     rows = [0] * (len(disp) + 1)
     for c_idx, c_mask in enumerate(disp):
-        col = _apply_elem(g, 1 << c_mask)
+        col = apply_gate(g, 1 << c_mask)
         while col:
             a_mask = (col & -col).bit_length() - 1
             col &= col - 1
@@ -172,9 +73,9 @@ def _orbit_data(n: int) -> tuple[list[int], list[list[int]]]:
     size = 1 << (1 << n)
     # the action is linear, so a point's image is the XOR of the images of
     # its low and high bytes
-    tables = [([_apply_elem(g, x) for x in range(min(size, 256))],
-               [_apply_elem(g, x << 8) for x in range(max(1, size >> 8))])
-              for g in group_generators(n)]
+    tables = [([apply_gate(g, x) for x in range(min(size, 256))],
+               [apply_gate(g, x << 8) for x in range(max(1, size >> 8))])
+              for g in local_gates(n)]
     oid = [-1] * size
     raw: list[list[int]] = []
     for start in range(1, size):
@@ -202,32 +103,20 @@ def _orbit_data(n: int) -> tuple[list[int], list[list[int]]]:
 
 
 @lru_cache(maxsize=None)
-def _separable_vectors(n: int) -> tuple[int, ...]:
-    vecs = [1]
-    for axis in range(n):
-        shift = 1 << axis
-        nxt = []
-        for v in vecs:
-            nxt.append(v)               # (1,0) on this axis
-            nxt.append(v << shift)      # (0,1)
-            nxt.append(v | (v << shift))  # (1,1)
-        vecs = nxt
-    return tuple(sorted(set(vecs)))
-
-
-@lru_cache(maxsize=None)
 def _orbit_t_ranks(n: int) -> list[int]:
     """T-rank of each orbit id: the minimal number of separable tensors
     summing to its points, by a layered search over orbit ids.
 
-    The separable set and each set {T-rank <= k} are unions of orbits, and
-    for o = g.rep, o + s = g.(rep + g^-1 s) with g^-1 s separable again, so
-    the orbits one separable step from an orbit are those of rep + s over
-    the separable s, read from one representative."""
+    GL(2,2) is transitive on the nonzero vectors of GF(2)^2, so the 3^N
+    separable tensors are the orbit of x_{} = 1.  Each set {T-rank <= k} is
+    a union of orbits, and for o = g.rep, o + s = g.(rep + g^-1 s) with
+    g^-1 s separable again, so the orbits one separable step from an orbit
+    are those of rep + s over the separable s, read from one
+    representative."""
     assign, orbits = _orbit_data(n)
-    seps = _separable_vectors(n)
+    seps = orbits[assign[1]]
     ranks = [0] * len(orbits)
-    frontier = {assign[s] for s in seps}
+    frontier = {assign[1]}
     rank = 1
     while frontier:
         for o in frontier:

@@ -267,9 +267,9 @@ def quadric_orbit_raw(q: QuadForm, n_qubits: int) -> set[QuadForm]:
     The group generators are involutions, so substituting their display-
     coordinate matrices and iterating to a fixed point yields the orbit.
     """
-    from .orbits import _display_rows, group_generators
+    from .orbits import _display_rows, local_gates
 
-    gen_rows = [_display_rows(n_qubits, g) for g in group_generators(n_qubits)]
+    gen_rows = [_display_rows(n_qubits, g) for g in local_gates(n_qubits)]
     seen = {q}
     frontier = [q]
     while frontier:

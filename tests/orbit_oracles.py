@@ -2,10 +2,23 @@
 compare against: each computes its invariant point by point, without the
 orbit partition's per-orbit records."""
 
+import itertools
 from functools import lru_cache
 
-from lgrpauli.orbits import _orbit_data, _separable_vectors
+from lgrpauli.orbits import _orbit_data
 from lgrpauli.projection import ProjPoint
+
+
+@lru_cache(maxsize=None)
+def separable_tensors(n: int) -> tuple[int, ...]:
+    """The 3^N rank-one tensors v_1 (x) ... (x) v_N, one nonzero v_j in
+    GF(2)^2 per axis: the coordinate of subset m is the product over axes
+    j of v_j[bit j of m]."""
+    out = set()
+    for vs in itertools.product(((1, 0), (0, 1), (1, 1)), repeat=n):
+        out.add(sum(1 << m for m in range(1 << n)
+                    if all(v[m >> j & 1] for j, v in enumerate(vs))))
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
@@ -13,7 +26,7 @@ def whole_space_t_ranks(n: int) -> bytearray:
     """Graph distance from 0 over all 2^(2^N) points with separable vectors
     as steps: exact minimal number of rank-one tensors summing to each
     point."""
-    seps = _separable_vectors(n)
+    seps = separable_tensors(n)
     size = 1 << (1 << n)
     dist = bytearray(size)
     frontier = list(seps)

@@ -1,12 +1,14 @@
-"""End-to-end tests of the command-line interface: output format, worked
-examples, determinism, and exit codes."""
+"""End-to-end tests of the command-line interface and the package's
+exports: output format, worked examples, determinism, and exit codes."""
 
 import json
 
 import pytest
 
+import lgrpauli
 from lgrpauli import cli
 from lgrpauli.cli import (
+    EXIT_INTERNAL,
     EXIT_NONCOMMUTING,
     EXIT_NONMAXIMAL,
     EXIT_PARSE,
@@ -15,13 +17,18 @@ from lgrpauli.cli import (
 )
 from lgrpauli.pauli import PauliPoint, generator_from_operators
 from lgrpauli.pluecker import embed
-from lgrpauli.projection import project
+from lgrpauli.projection import image, project
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_all_exports_resolve():
+    missing = [name for name in lgrpauli.__all__ if not hasattr(lgrpauli, name)]
+    assert missing == []
 
 
 def test_counts_n3(capsys):
@@ -43,6 +50,34 @@ def test_counts_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data[0]["generators"] == 2295
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_counts_image_is_the_image_size(capsys, n):
+    code, out, _ = run(capsys, "counts", "--n", str(n), "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["image"] == len(image(n))
+
+
+def test_counts_n5_builds_no_image(capsys, monkeypatch):
+    def no_image(n):
+        raise AssertionError("counts must not build the image")
+
+    monkeypatch.setattr(cli, "image", no_image)
+    code, out, _ = run(capsys, "counts", "--n", "5")
+    assert code == 0
+    assert "image=75735" in out
+
+
+def test_internal_error_names_command_and_exception_type(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "counts", (broken, (2, 5), ()))
+    code, out, err = run(capsys, "counts", "--n", "3")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error in counts: KeyError: 'boom'\n"
 
 
 def test_project_worked_example(capsys):

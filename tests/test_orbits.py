@@ -1,6 +1,8 @@
 """Tests for the local symmetry group, orbit stratification, and the two
 rank invariants."""
 
+import itertools
+import math
 import random
 from functools import lru_cache
 
@@ -8,23 +10,27 @@ import pytest
 
 from lgrpauli.orbits import (
     CLASS_TABLE,
-    GroupElem,
-    act,
     classify_image,
     e_rank,
     emit_tables,
-    group_generators,
-    group_order,
+    local_gates,
     orbit_members,
     orbit_of_point,
     orbit_partition,
     t_rank,
-    _separable_vectors,
 )
 from lgrpauli.pauli import PauliPoint, generator_from_operators
 from lgrpauli.pluecker import embed
-from lgrpauli.projection import ProjPoint, image, project, to_observable
-from orbit_oracles import chart_points_of_orbit, is_separable_by_flattenings, whole_space_t_ranks
+from lgrpauli.projection import ProjPoint, apply_gate, image, project, to_observable
+from orbit_oracles import (
+    chart_points_of_orbit,
+    is_separable_by_flattenings,
+    separable_tensors,
+    whole_space_t_ranks,
+)
+
+GL22 = [m for m in itertools.product(itertools.product((0, 1), repeat=2), repeat=2)
+        if (m[0][0] & m[1][1]) ^ (m[0][1] & m[1][0])]
 
 
 @lru_cache(maxsize=None)
@@ -51,72 +57,57 @@ def _apply_columns(cols, v):
     return out
 
 
-def _elem_columns(g):
-    """Oracle: the linear action of ``g`` as columns over subset masks,
-    each factor applied bit by bit, then subset bit j-1 moved to bit
-    perm[j-1]-1."""
-    n = g.n
+def _elem_columns(factors, perm):
+    """Oracle: the linear action of the element (factors; perm) as columns
+    over subset masks, each 2x2 factor applied along its axis, then subset
+    bit j-1 moved to bit perm[j-1]-1."""
+    n = len(factors)
     current = [1 << m for m in range(1 << n)]
     for axis in range(1, n + 1):
-        ac = _axis_columns(n, axis, g.factors[axis - 1])
+        ac = _axis_columns(n, axis, factors[axis - 1])
         current = [_apply_columns(ac, c) for c in current]
     perm_cols = []
     for m in range(1 << n):
         t = 0
         for j in range(n):
             if (m >> j) & 1:
-                t |= 1 << (g.perm[j] - 1)
+                t |= 1 << (perm[j] - 1)
         perm_cols.append(1 << t)
-    return [_apply_columns(perm_cols, c) for c in current]
+    return tuple(_apply_columns(perm_cols, c) for c in current)
 
 
-def _group(n):
-    """Every element, as the closure of the generators."""
-    gens = group_generators(n)
-    seen = {GroupElem.identity(n)}
-    frontier = set(seen)
+@lru_cache(maxsize=None)
+def _local_group(n):
+    """Every element of the group generated by ``local_gates(n)``, as the
+    tuple of images of the unit vectors."""
+    gates = local_gates(n)
+    identity = tuple(1 << m for m in range(1 << n))
+    seen, frontier = {identity}, {identity}
     while frontier:
-        frontier = {g * h for g in frontier for h in gens} - seen
+        frontier = {tuple(apply_gate(g, c) for c in cols) for cols in frontier for g in gates} - seen
         seen |= frontier
     return seen
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_act_matches_column_oracle_on_the_whole_group(n):
-    elems = _group(n)
-    assert len(elems) == group_order(n)
-    for g in elems:
-        cols = _elem_columns(g)
-        for bits in range(1, 1 << (1 << n)):
-            assert act(g, ProjPoint(n, bits)).bits == _apply_columns(cols, bits)
+def test_local_gates_generate_the_local_group(n):
+    axis_perms = itertools.permutations(range(1, n + 1))
+    oracle = {_elem_columns(f, p) for f, p in itertools.product(
+        itertools.product(GL22, repeat=n), axis_perms)}
+    assert _local_group(n) == oracle
+    assert len(oracle) == 6**n * math.factorial(n)
 
 
 def test_group_generators_are_involutions():
-    for n in (2, 3):
-        e = GroupElem.identity(n)
-        for g in group_generators(n):
-            assert g * g == e
-
-
-def test_action_composition_law():
-    rng = random.Random(7)
-    gens = group_generators(3)
-    for _ in range(40):
-        g = rng.choice(gens)
-        h = rng.choice(gens)
-        p = ProjPoint(3, rng.randrange(1, 1 << 8))
-        assert act(g * h, p) == act(g, act(h, p))
+    for n in (2, 3, 4):
+        for g in local_gates(n):
+            assert all(apply_gate(g, apply_gate(g, bits)) == bits
+                       for bits in range(1 << (1 << n)))
 
 
 def test_group_order_formula():
-    assert group_order(2) == 72
-    assert group_order(3) == 1296
-    assert group_order(4) == 31104
-
-
-def test_singular_factor_rejected():
-    with pytest.raises(ValueError):
-        GroupElem(2, (((1, 1), (1, 1)), ((1, 0), (0, 1))), (1, 2))
+    assert len(_local_group(2)) == 72
+    assert len(_local_group(3)) == 1296
 
 
 @pytest.mark.parametrize(
@@ -155,8 +146,10 @@ def test_image_is_union_of_whole_orbits():
 
 def test_separable_vectors_census():
     for n in (2, 3, 4):
-        seps = _separable_vectors(n)
+        seps = separable_tensors(n)
         assert len(seps) == 3**n
+        assert set(orbit_members(n, orbit_of_point(ProjPoint(n, 1)).orbit_id)) == {
+            ProjPoint(n, v) for v in seps}
         for v in seps:
             assert is_separable_by_flattenings(ProjPoint(n, v))
 
@@ -243,12 +236,12 @@ def test_emit_tables_covers_all_image_orbits():
 
 def test_action_preserves_image_and_ranks():
     rng = random.Random(11)
-    gens = group_generators(3)
+    gates = local_gates(3)
     img = set(image(3))
     oracle = whole_space_t_ranks(3)
     for p in list(img)[::7]:
-        for g in rng.sample(gens, 4):
-            q = act(g, p)
+        for g in rng.sample(gates, 4):
+            q = ProjPoint(3, apply_gate(g, p.bits))
             assert q in img
             assert oracle[q.bits] == oracle[p.bits]
             assert e_rank(q) == e_rank(p)
