@@ -12,64 +12,40 @@ The image is cut out by explicit quadrics and is stratified into orbits of
 the local symmetry group with tensor-rank and exclusive-rank invariants.
 """
 
-from .gf2 import BinMat, BinVec, det, kernel, minor, rank, rref
 from .pauli import (
     CommutationError,
     Generator,
     LabelError,
     NotMaximalError,
     PauliPoint,
-    all_points,
     commute,
     enumerate_generators,
     generator_count,
     generator_from_operators,
-    generator_points,
-    quad_form,
     symplectic_product,
 )
 from .pluecker import (
-    LinearConstraint,
-    PlueckerRelation,
     PlueckerVec,
-    SubsetIndex,
     constraint_rank,
     embed,
     lagrangian_constraints,
     pluecker_relations,
 )
-from .projection import (
-    ChartMatrix,
-    NotInImageError,
-    ProjPoint,
-    chart_generator,
-    chart_matrix,
-    display_masks,
-    image,
-    lift,
-    principal_index,
-    project,
-    to_observable,
-)
+from .projection import NotInImageError, ProjPoint, image, lift, project, to_observable
 from .quadrics import (
-    QuadForm,
     cayley_quadric,
     hyperbolic_form,
     quadric_orbit,
-    quadric_orbit_raw,
     spans,
     vanishing_quadrics,
     variety_quadrics,
     verify_variety,
 )
 from .orbits import (
-    CLASS_TABLE,
     MixedOrbitError,
-    OrbitRecord,
     classify_image,
     e_rank,
     emit_tables,
-    orbit_members,
     orbit_of_point,
     orbit_partition,
     t_rank,
@@ -78,19 +54,15 @@ from .orbits import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BinMat", "BinVec", "det", "kernel", "minor", "rank", "rref",
-    "CommutationError", "Generator", "LabelError", "NotMaximalError",
-    "PauliPoint", "all_points", "commute", "enumerate_generators",
-    "generator_count", "generator_from_operators", "generator_points",
-    "quad_form", "symplectic_product",
-    "LinearConstraint", "PlueckerRelation", "PlueckerVec", "SubsetIndex",
-    "constraint_rank", "embed", "lagrangian_constraints", "pluecker_relations",
-    "ChartMatrix", "NotInImageError", "ProjPoint", "chart_generator",
-    "chart_matrix", "display_masks", "image", "lift", "principal_index",
-    "project", "to_observable",
-    "QuadForm", "cayley_quadric", "hyperbolic_form", "quadric_orbit", "quadric_orbit_raw",
-    "spans", "vanishing_quadrics", "variety_quadrics", "verify_variety",
-    "CLASS_TABLE", "MixedOrbitError", "OrbitRecord", "classify_image",
-    "e_rank", "emit_tables", "orbit_members", "orbit_of_point",
-    "orbit_partition", "t_rank",
+    "PauliPoint", "Generator", "PlueckerVec", "ProjPoint",
+    "LabelError", "CommutationError", "NotMaximalError", "NotInImageError",
+    "MixedOrbitError",
+    "commute", "symplectic_product", "generator_from_operators",
+    "enumerate_generators", "generator_count",
+    "embed", "pluecker_relations", "lagrangian_constraints", "constraint_rank",
+    "project", "to_observable", "lift", "image",
+    "variety_quadrics", "verify_variety", "hyperbolic_form", "cayley_quadric",
+    "quadric_orbit", "vanishing_quadrics", "spans",
+    "orbit_partition", "classify_image", "orbit_of_point", "t_rank", "e_rank",
+    "emit_tables",
 ]

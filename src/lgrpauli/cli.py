@@ -119,7 +119,7 @@ def cmd_counts(args) -> str:
 def cmd_generators(args) -> str:
     rows = []
     for i, g in enumerate(enumerate_generators(args.n), 1):
-        labels = [PauliPoint.from_bits(args.n, r).label() for r in g.basis.rows]
+        labels = [PauliPoint(args.n, r).label() for r in g.rows]
         rows.append({"index": i, "basis": labels})
     return _emit(rows, args.format, title=f"{len(rows)} generators (canonical bases)")
 
@@ -160,7 +160,7 @@ def cmd_lift(args) -> str:
         g = lift(p)
     except NotInImageError as e:
         raise CliError(EXIT_VERIFY, str(e)) from e
-    labels = [PauliPoint.from_bits(args.n, r).label() for r in g.basis.rows]
+    labels = [PauliPoint(args.n, r).label() for r in g.rows]
     return _emit([{"point": p.display_str(), "basis": labels}], args.format)
 
 

@@ -1,156 +1,18 @@
-"""Bit-packed exact linear algebra over GF(2).
+"""Exact linear algebra over GF(2) on packed integer rows.
 
-Vectors and matrices store their coordinates in Python integers, one
-coordinate per bit.  All arithmetic is exact; there is no floating point
-anywhere.  Coordinate indices in the public API are 1-based.
+A matrix is a sequence of Python integers, one per row, with column j
+(1-based) at bit j-1.  All arithmetic is exact; there is no floating
+point anywhere.  Index sets in the API are 1-based.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True, order=True)
-class BinVec:
-    """A vector over GF(2).
-
-    Coordinate j (1-based) is stored at bit j-1 of ``bits``.  Bits beyond
-    ``n`` are forced to zero, so equality, hashing and ordering only see
-    the logical coordinates.
-    """
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vector length must be non-negative")
-        object.__setattr__(self, "bits", self.bits & ((1 << self.n) - 1))
-
-    @classmethod
-    def from_coords(cls, coords: Iterable[int]) -> "BinVec":
-        coords = list(coords)
-        bits = 0
-        for i, c in enumerate(coords):
-            if c & 1:
-                bits |= 1 << i
-        return cls(len(coords), bits)
-
-    def coord(self, j: int) -> int:
-        """Return coordinate j (1-based)."""
-        if not 1 <= j <= self.n:
-            raise IndexError(f"coordinate {j} out of range 1..{self.n}")
-        return (self.bits >> (j - 1)) & 1
-
-    def to_tuple(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.n))
-
-    def support(self) -> tuple[int, ...]:
-        """1-based indices of the nonzero coordinates."""
-        return tuple(i + 1 for i in range(self.n) if (self.bits >> i) & 1)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __add__(self, other: "BinVec") -> "BinVec":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BinVec(self.n, self.bits ^ other.bits)
-
-    def dot(self, other: "BinVec") -> int:
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return (self.bits & other.bits).bit_count() & 1
-
-
-@dataclass(frozen=True, order=True)
-class BinMat:
-    """A matrix over GF(2), stored as one integer per row.
-
-    Entry (i, j) (1-based) of row i is bit j-1 of ``rows[i-1]``.
-    """
-
-    cols: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.cols < 0:
-            raise ValueError("column count must be non-negative")
-        mask = (1 << self.cols) - 1
-        object.__setattr__(self, "rows", tuple(r & mask for r in self.rows))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int] | BinVec], cols: int | None = None) -> "BinMat":
-        ints = []
-        for r in rows:
-            if isinstance(r, BinVec):
-                if cols is None:
-                    cols = r.n
-                elif cols != r.n:
-                    raise ValueError("row length mismatch")
-                ints.append(r.bits)
-            else:
-                r = list(r)
-                if cols is None:
-                    cols = len(r)
-                elif cols != len(r):
-                    raise ValueError("row length mismatch")
-                ints.append(sum(1 << i for i, c in enumerate(r) if c & 1))
-        if cols is None:
-            raise ValueError("cannot infer column count from an empty matrix")
-        return cls(cols, tuple(ints))
-
-    @classmethod
-    def identity(cls, n: int) -> "BinMat":
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "BinMat":
-        return cls(ncols, (0,) * nrows)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        """Return entry (i, j), both indices 1-based."""
-        if not 1 <= i <= self.nrows:
-            raise IndexError(f"row {i} out of range 1..{self.nrows}")
-        if not 1 <= j <= self.cols:
-            raise IndexError(f"column {j} out of range 1..{self.cols}")
-        return (self.rows[i - 1] >> (j - 1)) & 1
-
-    def row(self, i: int) -> BinVec:
-        if not 1 <= i <= self.nrows:
-            raise IndexError(f"row {i} out of range 1..{self.nrows}")
-        return BinVec(self.cols, self.rows[i - 1])
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.rows]
-
-    def transpose(self) -> "BinMat":
-        rows = []
-        for j in range(self.cols):
-            bits = 0
-            for i, r in enumerate(self.rows):
-                if (r >> j) & 1:
-                    bits |= 1 << i
-            rows.append(bits)
-        return BinMat(self.nrows, tuple(rows))
-
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.rows)
-
-
-def _rref_ints(rows: Iterable[int]) -> list[int]:
-    """Reduced row echelon form of integer-packed rows (lowest bit = column 1).
-
-    Returns the nonzero rows sorted by pivot column.
-    """
+def rref(rows: Iterable[int]) -> list[int]:
+    """Reduced row echelon form: the nonzero rows sorted by pivot column,
+    the canonical form used for subspace equality."""
     pivots: list[tuple[int, int]] = []  # (pivot bit index, row)
     for r in rows:
         for pc, pr in pivots:
@@ -166,34 +28,21 @@ def _rref_ints(rows: Iterable[int]) -> list[int]:
     return [pr for _, pr in pivots]
 
 
-def rref(m: BinMat, drop_zero_rows: bool = True) -> BinMat:
-    """Reduced row echelon form over GF(2).
-
-    With ``drop_zero_rows`` (the default, and the canonical form used for
-    subspace equality) only the nonzero rows are kept; otherwise zero rows
-    pad the result back to the input row count.
-    """
-    reduced = _rref_ints(m.rows)
-    if not drop_zero_rows:
-        reduced = reduced + [0] * (m.nrows - len(reduced))
-    return BinMat(m.cols, tuple(reduced))
-
-
-def rank(m: BinMat) -> int:
+def rank(rows: Iterable[int]) -> int:
     """GF(2) row rank."""
-    return len(_rref_ints(m.rows))
+    return len(rref(rows))
 
 
-def kernel(m: BinMat) -> BinMat:
-    """A basis of the right null space, one basis vector per row.
-
-    The result has ``cols(m) - rank(m)`` rows of length ``cols(m)``.
-    """
-    reduced = _rref_ints(m.rows)
+def kernel(rows: Sequence[int], n_cols: int) -> list[int]:
+    """A basis of the right null space of a matrix with ``n_cols``
+    columns: ``n_cols - rank`` packed vectors."""
+    if any(r >> n_cols for r in rows):
+        raise ValueError(f"row wider than {n_cols} columns")
+    reduced = rref(rows)
     pivot_cols = [(r & -r).bit_length() - 1 for r in reduced]
     pivot_set = set(pivot_cols)
     basis = []
-    for free in range(m.cols):
+    for free in range(n_cols):
         if free in pivot_set:
             continue
         vec = 1 << free
@@ -201,39 +50,27 @@ def kernel(m: BinMat) -> BinMat:
             if (r >> free) & 1:
                 vec |= 1 << pc
         basis.append(vec)
-    return BinMat(m.cols, tuple(basis))
+    return basis
 
 
-def det(m: BinMat) -> int:
-    """GF(2) determinant of a square matrix."""
-    if m.nrows != m.cols:
-        raise ValueError(f"determinant of non-square {m.nrows}x{m.cols} matrix")
-    return 1 if len(_rref_ints(m.rows)) == m.cols else 0
-
-
-def minor(m: BinMat, row_set: Iterable[int], col_set: Iterable[int]) -> int:
-    """Determinant of the submatrix on 1-based index sets ``row_set``/``col_set``.
+def minor(rows: Sequence[int], n_cols: int, row_set: Iterable[int], col_set: Iterable[int]) -> int:
+    """Determinant of the submatrix on 1-based index sets ``row_set``/``col_set``
+    of a matrix with ``n_cols`` columns.
 
     The empty minor is 1 by convention.
     """
-    rows = sorted(set(row_set))
-    cols = sorted(set(col_set))
-    if len(rows) != len(cols):
-        raise ValueError(f"minor needs |I| == |J|, got {len(rows)} and {len(cols)}")
-    for i in rows:
-        if not 1 <= i <= m.nrows:
-            raise IndexError(f"row index {i} out of range 1..{m.nrows}")
-    for j in cols:
-        if not 1 <= j <= m.cols:
-            raise IndexError(f"column index {j} out of range 1..{m.cols}")
-    if not rows:
-        return 1
+    rs = sorted(set(row_set))
+    cs = sorted(set(col_set))
+    if len(rs) != len(cs):
+        raise ValueError(f"minor needs |I| == |J|, got {len(rs)} and {len(cs)}")
+    for i in rs:
+        if not 1 <= i <= len(rows):
+            raise IndexError(f"row index {i} out of range 1..{len(rows)}")
+    for j in cs:
+        if not 1 <= j <= n_cols:
+            raise IndexError(f"column index {j} out of range 1..{n_cols}")
     sub = []
-    for i in rows:
-        r = m.rows[i - 1]
-        bits = 0
-        for k, j in enumerate(cols):
-            if (r >> (j - 1)) & 1:
-                bits |= 1 << k
-        sub.append(bits)
-    return 1 if len(_rref_ints(sub)) == len(rows) else 0
+    for i in rs:
+        r = rows[i - 1]
+        sub.append(sum(1 << k for k, j in enumerate(cs) if (r >> (j - 1)) & 1))
+    return 1 if rank(sub) == len(rs) else 0

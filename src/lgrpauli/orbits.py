@@ -137,8 +137,8 @@ def t_rank(p: ProjPoint) -> int:
     return _orbit_t_ranks(n)[assign[p.bits]]
 
 
-def _exclusive_minors_vanish(a, k: int) -> bool:
-    n = a.n
+def _exclusive_minors_vanish(a: tuple[int, ...], k: int) -> bool:
+    n = len(a)
     if 2 * k > n:
         return True
     for i_set in itertools.combinations(range(1, n + 1), k):
@@ -146,13 +146,13 @@ def _exclusive_minors_vanish(a, k: int) -> bool:
         for j_set in itertools.combinations(rest, k):
             if j_set < i_set:
                 continue  # symmetric matrix: unordered pairs suffice
-            if minor(a.entries, i_set, j_set):
+            if minor(a, n, i_set, j_set):
                 return False
     return True
 
 
-def _e_rank_of_chart(a) -> int:
-    for k in range(a.n + 1):
+def _e_rank_of_chart(a: tuple[int, ...]) -> int:
+    for k in range(len(a) + 1):
         if _exclusive_minors_vanish(a, k + 1):
             return k
     raise AssertionError("unreachable: top exclusive minors are vacuous")
@@ -268,11 +268,6 @@ def classify_image(n: int) -> tuple[OrbitRecord, ...]:
     return tuple(r for r in orbit_partition(n) if r.in_image)
 
 
-def orbit_members(n: int, orbit_id: int) -> list[ProjPoint]:
-    _, orbits = _orbit_data(n)
-    return [ProjPoint(n, v) for v in orbits[orbit_id - 1]]
-
-
 def orbit_of_point(p: ProjPoint) -> OrbitRecord:
     assign, _ = _orbit_data(p.n_source)
     return orbit_partition(p.n_source)[assign[p.bits]]
@@ -289,7 +284,7 @@ def emit_tables(n: int) -> list[dict]:
     for rec in classify_image(n):
         ref_rep = refs.get(rec.orbit_id, rec.representative)
         g = lift(ref_rep)
-        sample = [PauliPoint.from_bits(n, r).label() for r in g.basis.rows]
+        sample = [PauliPoint(n, r).label() for r in g.rows]
         rows.append(
             {
                 "orbit_id": rec.orbit_id,

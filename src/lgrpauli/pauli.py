@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import BinMat, BinVec, _rref_ints
+from .gf2 import rref
 
 MAX_QUBITS = 5
 
@@ -43,18 +43,17 @@ class NotMaximalError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class PauliPoint:
-    """A nonzero N-qubit Pauli operator modulo sign."""
+    """A nonzero N-qubit Pauli operator modulo sign: bit i-1 of ``bits`` is
+    x_i and bit N+i-1 is x_{N+i}."""
 
     n_qubits: int
-    coords: BinVec
+    bits: int
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        if self.coords.n != 2 * self.n_qubits:
-            raise ValueError("coordinate vector must have length 2N")
-        if self.coords.is_zero():
-            raise ValueError("the identity operator is excluded")
+        if not 0 < self.bits < 1 << (2 * self.n_qubits):
+            raise ValueError(f"bits must be in 1..4^N-1 for N={self.n_qubits}, got {self.bits}")
 
     @classmethod
     def from_label(cls, s: str) -> "PauliPoint":
@@ -75,21 +74,14 @@ class PauliPoint:
                 bits |= 1 << (n + i)
         if bits == 0:
             raise LabelError("the all-identity label has no point")
-        return cls(n, BinVec(2 * n, bits))
-
-    @classmethod
-    def from_bits(cls, n_qubits: int, bits: int) -> "PauliPoint":
-        return cls(n_qubits, BinVec(2 * n_qubits, bits))
+        return cls(n, bits)
 
     def label(self) -> str:
         n = self.n_qubits
-        b = self.coords.bits
+        b = self.bits
         return "".join(
             BITS_LETTER[((b >> i) & 1, (b >> (n + i)) & 1)] for i in range(n)
         )
-
-    def y_count(self) -> int:
-        return sum(1 for ch in self.label() if ch == "Y")
 
 
 def _symplectic_int(a: int, b: int, n: int) -> int:
@@ -101,63 +93,44 @@ def symplectic_product(a: PauliPoint, b: PauliPoint) -> int:
     """The alternating form sum_i (x_i y_{N+i} + x_{N+i} y_i); 0 iff a, b commute."""
     if a.n_qubits != b.n_qubits:
         raise ValueError("qubit count mismatch")
-    return _symplectic_int(a.coords.bits, b.coords.bits, a.n_qubits)
-
-
-def quad_form(p: PauliPoint) -> int:
-    """The quadratic form sum_i x_i x_{N+i}; 0 iff the operator is symmetric,
-    i.e. its label carries an even number of Y's."""
-    n = p.n_qubits
-    b = p.coords.bits
-    return (b & (b >> n)).bit_count() & 1
+    return _symplectic_int(a.bits, b.bits, a.n_qubits)
 
 
 def commute(a: PauliPoint, b: PauliPoint) -> bool:
     return symplectic_product(a, b) == 0
 
 
-def all_points(n_qubits: int) -> list[PauliPoint]:
-    """All 4^N - 1 nonzero points, in coordinate order."""
-    return [PauliPoint.from_bits(n_qubits, b) for b in range(1, 1 << (2 * n_qubits))]
-
-
 @dataclass(frozen=True, order=True)
 class Generator:
-    """A maximal totally isotropic subspace, held as its canonical RREF basis.
+    """A maximal totally isotropic subspace, held as its canonical RREF basis:
+    N packed rows of 2N bits.
 
     Two generators are equal iff their row spaces are equal iff their
-    canonical matrices are equal.
+    canonical bases are equal.
     """
 
     n_qubits: int
-    basis: BinMat
+    rows: tuple[int, ...]
 
     def __post_init__(self):
         n = self.n_qubits
-        if self.basis.cols != 2 * n or self.basis.nrows != n:
-            raise ValueError("basis must be N x 2N")
-        rows = self.basis.rows
+        rows = self.rows
+        if len(rows) != n or any(r >> (2 * n) for r in rows):
+            raise ValueError(f"basis must be N x 2N: {n} rows of at most {2 * n} bits")
         for i, a in enumerate(rows):
             for b in rows[i + 1:]:
                 if _symplectic_int(a, b, n):
                     raise ValueError("basis is not totally isotropic")
 
     @classmethod
-    def from_basis(cls, mat: BinMat, n_qubits: int | None = None) -> "Generator":
-        """Canonicalize an arbitrary basis matrix (must have full rank N)."""
-        if n_qubits is None:
-            if mat.cols % 2:
-                raise ValueError("ambient dimension must be even")
-            n_qubits = mat.cols // 2
-        rows = _rref_ints(mat.rows)
-        if len(rows) != n_qubits:
+    def from_basis(cls, rows, n_qubits: int) -> "Generator":
+        """Canonicalize an arbitrary basis of packed rows (must have full rank N)."""
+        reduced = rref(rows)
+        if len(reduced) != n_qubits:
             raise NotMaximalError(
-                f"subspace has rank {len(rows)}, expected {n_qubits}"
+                f"subspace has rank {len(reduced)}, expected {n_qubits}"
             )
-        return cls(n_qubits, BinMat(2 * n_qubits, tuple(rows)))
-
-    def points(self) -> list[PauliPoint]:
-        return generator_points(self)
+        return cls(n_qubits, tuple(reduced))
 
 
 def generator_from_operators(ops: list[PauliPoint]) -> Generator:
@@ -171,17 +144,7 @@ def generator_from_operators(ops: list[PauliPoint]) -> Generator:
     for a, b in itertools.combinations(ops, 2):
         if symplectic_product(a, b):
             raise CommutationError(a, b)
-    mat = BinMat(2 * n, tuple(p.coords.bits for p in ops))
-    return Generator.from_basis(mat, n)
-
-
-def generator_points(g: Generator) -> list[PauliPoint]:
-    """All 2^N - 1 nonzero points of the row space, sorted by coordinates."""
-    span = {0}
-    for r in g.basis.rows:
-        span |= {v ^ r for v in span}
-    span.discard(0)
-    return [PauliPoint.from_bits(g.n_qubits, b) for b in sorted(span)]
+    return Generator.from_basis([p.bits for p in ops], n)
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +156,7 @@ def enumerate_generators(n_qubits: int) -> tuple[Generator, ...]:
     """
     from .projection import lift_table
 
-    return tuple(sorted(lift_table(n_qubits).values(), key=lambda g: g.basis.rows))
+    return tuple(sorted(lift_table(n_qubits).values(), key=lambda g: g.rows))
 
 
 def generator_count(n_qubits: int) -> int:

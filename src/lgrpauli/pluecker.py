@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import BinVec
+from .gf2 import rank
 from .pauli import MAX_QUBITS, Generator
 
 
@@ -43,16 +43,6 @@ class SubsetIndex:
         if self.n_ambient < 10:
             return "p" + "".join(str(j) for j in self.members)
         return "p{" + ",".join(str(j) for j in self.members) + "}"
-
-
-@lru_cache(maxsize=None)
-def subset_keys(n_ambient: int, k: int) -> tuple[int, ...]:
-    """Integer keys of all k-subsets of {1..n_ambient}, ascending."""
-    keys = [
-        sum(1 << (j - 1) for j in c)
-        for c in itertools.combinations(range(1, n_ambient + 1), k)
-    ]
-    return tuple(sorted(keys))
 
 
 @lru_cache(maxsize=None)
@@ -104,28 +94,10 @@ class PlueckerVec:
             raise ValueError("index shape mismatch")
         return self.coord_key(idx.key)
 
-    @property
-    def coords(self) -> BinVec:
-        """Coordinates as a vector over the N-subsets in ascending key order."""
-        keys = subset_keys(2 * self.n_qubits, self.n_qubits)
-        bits = 0
-        for i, k in enumerate(keys):
-            if (self.table >> k) & 1:
-                bits |= 1 << i
-        return BinVec(len(keys), bits)
-
-    def nonzero_indices(self) -> list[SubsetIndex]:
-        two_n = 2 * self.n_qubits
-        return [
-            SubsetIndex.from_key(two_n, k)
-            for k in subset_keys(two_n, self.n_qubits)
-            if (self.table >> k) & 1
-        ]
-
 
 def embed(g: Generator) -> PlueckerVec:
     """Plucker embedding of a generator."""
-    return PlueckerVec(g.n_qubits, _wedge(g.basis.rows, 2 * g.n_qubits))
+    return PlueckerVec(g.n_qubits, _wedge(g.rows, 2 * g.n_qubits))
 
 
 @dataclass(frozen=True, order=True)
@@ -272,38 +244,19 @@ def lagrangian_constraints(n_qubits: int) -> tuple[LinearConstraint, ...]:
 
 def constraint_rank(n_qubits: int) -> int:
     """GF(2) rank of the full linear constraint system."""
-    from .gf2 import BinMat, rank
-
-    rows = []
-    for c in lagrangian_constraints(n_qubits):
-        bits = 0
-        for k in c.term_keys:
-            bits |= 1 << k
-        rows.append(bits)
-    return rank(BinMat(1 << (2 * n_qubits), tuple(rows)))
+    return rank(sum(1 << k for k in c.term_keys) for c in lagrangian_constraints(n_qubits))
 
 
 @lru_cache(maxsize=None)
-def eliminated_indices(n_qubits: int) -> frozenset[SubsetIndex]:
-    """All subset indices touched by some linear constraint.
-
-    Their complement within the N-subsets has exactly 2^N members: the
-    principal-minor coordinates retained by the projection.
-    """
-    two_n = 2 * n_qubits
-    keys = set()
-    for c in lagrangian_constraints(n_qubits):
-        keys.update(c.term_keys)
-    return frozenset(SubsetIndex.from_key(two_n, k) for k in keys)
+def principal_keys(n_qubits: int) -> tuple[int, ...]:
+    """Entry m is the key of the Plucker index whose minor is the principal
+    minor on the subset mask m of {1..N}: ({1..N} minus m) together with
+    {N+i : i in m}."""
+    full = (1 << n_qubits) - 1
+    return tuple((full & ~m) | (m << n_qubits) for m in range(1 << n_qubits))
 
 
 @lru_cache(maxsize=None)
 def retained_indices(n_qubits: int) -> tuple[SubsetIndex, ...]:
     """The 2^N principal-minor coordinates, in ascending key order."""
-    two_n = 2 * n_qubits
-    gone = {s.key for s in eliminated_indices(n_qubits)}
-    return tuple(
-        SubsetIndex.from_key(two_n, k)
-        for k in subset_keys(two_n, n_qubits)
-        if k not in gone
-    )
+    return tuple(SubsetIndex.from_key(2 * n_qubits, k) for k in sorted(principal_keys(n_qubits)))

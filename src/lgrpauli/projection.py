@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .gf2 import BinMat, minor
 from .pauli import BITS_LETTER, MAX_QUBITS, Generator, PauliPoint
-from .pluecker import LinearConstraint, PlueckerVec, SubsetIndex, embed, lagrangian_constraints
+from .pluecker import LinearConstraint, PlueckerVec, embed, lagrangian_constraints, principal_keys
 
 
 class NotInImageError(ValueError):
@@ -45,23 +44,6 @@ def display_masks(n_qubits: int) -> tuple[int, ...]:
     return tuple(first + [full ^ m for m in first])
 
 
-def principal_index(n_qubits: int, subset) -> SubsetIndex:
-    """The Plucker index whose minor is the principal minor on I:
-    ({1..N} minus I) together with {N+i : i in I}."""
-    n = n_qubits
-    if isinstance(subset, int):
-        i_mask = subset
-    else:
-        i_mask = 0
-        for j in subset:
-            if not 1 <= j <= n:
-                raise ValueError(f"subset element {j} out of range 1..{n}")
-            i_mask |= 1 << (j - 1)
-    full = (1 << n) - 1
-    key = (full & ~i_mask) | (i_mask << n)
-    return SubsetIndex.from_key(2 * n, key)
-
-
 _HEX = re.compile(r"0[xX][0-9a-fA-F]+")
 
 
@@ -80,13 +62,6 @@ class ProjPoint:
             raise ValueError("source qubit count must be positive")
         if self.bits <= 0 or self.bits >> (1 << self.n_source):
             raise ValueError("point must be nonzero and within 2^N coordinates")
-
-    def coord(self, subset) -> int:
-        if isinstance(subset, int):
-            m = subset
-        else:
-            m = sum(1 << (j - 1) for j in subset)
-        return (self.bits >> m) & 1
 
     def display_bits(self) -> tuple[int, ...]:
         return tuple((self.bits >> m) & 1 for m in display_masks(self.n_source))
@@ -114,13 +89,15 @@ class ProjPoint:
     @classmethod
     def from_display_bits(cls, bits) -> "ProjPoint":
         bits = tuple(int(b) for b in bits)
+        if set(bits) - {0, 1}:
+            raise ValueError("display coordinates must be 0 or 1")
         size = len(bits)
         n = size.bit_length() - 1
         if 1 << n != size:
             raise ValueError("display length must be a power of two")
         packed = 0
         for b, m in zip(bits, display_masks(n)):
-            if b & 1:
+            if b:
                 packed |= 1 << m
         return cls(n, packed)
 
@@ -160,10 +137,8 @@ def project(v: PlueckerVec) -> ProjPoint:
     for mask, c in _constraint_masks(n):
         if (v.table & mask).bit_count() & 1:
             raise ValueError(f"input violates isotropy constraint {c}")
-    full = (1 << n) - 1
     bits = 0
-    for m in range(1 << n):
-        key = (full & ~m) | (m << n)
+    for m, key in enumerate(principal_keys(n)):
         if (v.table >> key) & 1:
             bits |= 1 << m
     if bits == 0:
@@ -179,27 +154,10 @@ def to_observable(p: ProjPoint) -> PauliPoint:
     return PauliPoint.from_label(letters)
 
 
-@dataclass(frozen=True)
-class ChartMatrix:
-    """The symmetric matrix whose graph is a chart point's subspace."""
-
-    n: int
-    entries: BinMat
-
-    def __post_init__(self):
-        if self.entries.nrows != self.n or self.entries.cols != self.n:
-            raise ValueError("chart matrix must be N x N")
-        if self.entries != self.entries.transpose():
-            raise ValueError("chart matrix must be symmetric")
-
-    def principal_minor(self, subset) -> int:
-        idx = sorted(subset)
-        return minor(self.entries, idx, idx)
-
-
-def chart_matrix(p: ProjPoint) -> ChartMatrix:
-    """Reconstruct A from a chart point (empty-set coordinate = 1):
-    a_ii from the singleton minors, a_ij = D_i D_j + D_ij."""
+def chart_matrix(p: ProjPoint) -> tuple[int, ...]:
+    """The rows of the symmetric matrix A whose graph is the subspace of a
+    chart point (empty-set coordinate = 1): a_ii from the singleton minors,
+    a_ij = D_i D_j + D_ij."""
     n = p.n_source
     if not p.bits & 1:
         raise ValueError("not a chart point: empty-set coordinate is 0")
@@ -214,20 +172,19 @@ def chart_matrix(p: ProjPoint) -> ChartMatrix:
             if (di & dj) ^ dij:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return ChartMatrix(n, BinMat(n, tuple(rows)))
+    return tuple(rows)
 
 
 def chart_generator(p: ProjPoint, swap: int = 0) -> Generator:
     """The generator spanned by u_i = e_i + sum_j a_ij e_{N+j}, with the
     columns i <-> N+i exchanged for i in the subset mask ``swap``."""
-    a = chart_matrix(p)
     n = p.n_source
     rows = []
-    for i in range(n):
-        r = (1 << i) | (a.entries.rows[i] << n)
+    for i, a in enumerate(chart_matrix(p)):
+        r = (1 << i) | (a << n)
         d = (r ^ (r >> n)) & swap
         rows.append(r ^ d ^ (d << n))
-    return Generator.from_basis(BinMat(2 * n, tuple(rows)), n)
+    return Generator.from_basis(rows, n)
 
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]

@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import BinMat, kernel, rank
+from .gf2 import kernel, rank
+from .pluecker import principal_keys
 from .projection import ProjPoint, display_masks, image
 
 
@@ -177,9 +178,8 @@ def vanishing_quadrics(points) -> list[QuadForm]:
             if v & 1:
                 bits |= 1 << col
         rows.append(bits)
-    ker = kernel(BinMat(len(basis), tuple(rows)))
     forms = []
-    for krow in ker.rows:
+    for krow in kernel(rows, len(basis)):
         monos = {basis[col] for col in range(len(basis)) if (krow >> col) & 1}
         forms.append(QuadForm(n_vars, frozenset(monos)))
     forms.sort(key=lambda q: q.sorted_monomials())
@@ -195,8 +195,7 @@ def spans(basis_forms, q: QuadForm) -> bool:
         return sum(1 << col[m] for m in f.monomials)
 
     rows = [row(f) for f in basis_forms]
-    base = rank(BinMat(len(monos), tuple(rows)))
-    return rank(BinMat(len(monos), tuple(rows + [row(q)]))) == base
+    return rank(rows + [row(q)]) == rank(rows)
 
 
 def cayley_quadric(n_qubits: int) -> QuadForm:
@@ -222,16 +221,11 @@ def cayley_quadric(n_qubits: int) -> QuadForm:
         ({1, 3, bar(2)}, {2, bar(1), bar(3)}),
         ({1, bar(2), bar(3)}, {2, 3, bar(1)}),
     ]
-    disp = display_masks(n)
-    pos = {m: i + 1 for i, m in enumerate(disp)}
+    keys = principal_keys(n)
+    var = {keys[m]: i + 1 for i, m in enumerate(display_masks(n))}
 
     def var_of(subset):
-        key = sum(1 << (j - 1) for j in sorted(subset | set(trail)))
-        i_mask = key >> n  # elements above N name the principal subset
-        full = (1 << n) - 1
-        if ((full & ~i_mask) | (i_mask << n)) != key:
-            raise ValueError("not a principal index")
-        return pos[i_mask]
+        return var[sum(1 << (j - 1) for j in subset | set(trail))]
 
     return _form(1 << n, *[(var_of(a), var_of(b)) for a, b in raw_pairs])
 

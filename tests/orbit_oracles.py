@@ -68,6 +68,12 @@ def is_separable_by_flattenings(p: ProjPoint) -> bool:
     return True
 
 
+def orbit_members(n: int, orbit_id: int) -> list[ProjPoint]:
+    """The points of the orbit numbered ``orbit_id``, in point order."""
+    _, orbits = _orbit_data(n)
+    return [ProjPoint(n, v) for v in orbits[orbit_id - 1]]
+
+
 def chart_points_of_orbit(p: ProjPoint) -> list[ProjPoint]:
     """Orbit members with empty-set coordinate 1."""
     n = p.n_source

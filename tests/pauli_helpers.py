@@ -1,0 +1,38 @@
+"""Point and index enumerations and label statistics for the tests: each is
+computed from a point's bits or label alone, independently of the code
+under test."""
+
+import itertools
+
+from lgrpauli.pauli import Generator, PauliPoint
+
+
+def subset_keys(n_ambient: int, k: int) -> tuple[int, ...]:
+    """Integer keys of all k-subsets of {1..n_ambient}, ascending."""
+    return tuple(sorted(sum(1 << (j - 1) for j in c)
+                        for c in itertools.combinations(range(1, n_ambient + 1), k)))
+
+
+def all_points(n_qubits: int) -> list[PauliPoint]:
+    """All 4^N - 1 nonzero points, in coordinate order."""
+    return [PauliPoint(n_qubits, b) for b in range(1, 1 << (2 * n_qubits))]
+
+
+def generator_points(g: Generator) -> list[PauliPoint]:
+    """All 2^N - 1 nonzero points of the row space, sorted by coordinates."""
+    span = {0}
+    for r in g.rows:
+        span |= {v ^ r for v in span}
+    span.discard(0)
+    return [PauliPoint(g.n_qubits, b) for b in sorted(span)]
+
+
+def y_count(p: PauliPoint) -> int:
+    return p.label().count("Y")
+
+
+def quad_form(p: PauliPoint) -> int:
+    """The quadratic form sum_i x_i x_{N+i}; 0 iff the operator is symmetric,
+    i.e. its label carries an even number of Y's."""
+    b = p.bits
+    return (b & (b >> p.n_qubits)).bit_count() & 1

@@ -6,22 +6,18 @@ import itertools
 
 import pytest
 
-from lgrpauli.gf2 import BinMat
 from lgrpauli.orbits import (
     CLASS_TABLE,
     classify_image,
     e_rank,
-    orbit_members,
     orbit_of_point,
     orbit_partition,
     t_rank,
 )
 from lgrpauli.pauli import (
     PauliPoint,
-    all_points,
     enumerate_generators,
     generator_count,
-    quad_form,
     symplectic_product,
 )
 from lgrpauli.pluecker import (
@@ -38,7 +34,8 @@ from lgrpauli.quadrics import (
     variety_quadrics,
     verify_variety,
 )
-from orbit_oracles import chart_points_of_orbit, whole_space_t_ranks
+from orbit_oracles import chart_points_of_orbit, orbit_members, whole_space_t_ranks
+from pauli_helpers import all_points, quad_form, y_count
 
 
 def report(name, ok, detail=""):
@@ -181,15 +178,15 @@ def test_criterion_8_property_suites():
     for a in pts2:
         for b in pts2:
             ok &= symplectic_product(a, b) == symplectic_product(b, a)
-            s = a.coords.bits ^ b.coords.bits
+            s = a.bits ^ b.bits
             if s:
-                c = PauliPoint.from_bits(2, s)
+                c = PauliPoint(2, s)
                 ok &= quad_form(c) == (
                     quad_form(a) ^ quad_form(b) ^ symplectic_product(a, b)
                 )
     # quadratic form value = Y-parity for all points, N <= 4
     for n in (1, 2, 3, 4):
-        ok &= all(quad_form(p) == p.y_count() % 2 for p in all_points(n))
+        ok &= all(quad_form(p) == y_count(p) % 2 for p in all_points(n))
     # every embedded generator annihilates every relation and constraint
     for n in (2, 3):
         rels = pluecker_relations(n)
@@ -214,7 +211,7 @@ def test_criterion_8_property_suites():
             ok &= {e_rank(p) for p in charts} == {rec.e_rank}
     # image observables have even Y-count (N in {3,4})
     for n in (3, 4):
-        ok &= all(to_observable(p).y_count() % 2 == 0 for p in image(n))
+        ok &= all(y_count(to_observable(p)) % 2 == 0 for p in image(n))
     report("8 property suites", ok)
 
 

@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line interface and the package's
-exports: output format, worked examples, determinism, and exit codes."""
+exports and imports: output format, worked examples, determinism, and exit
+codes."""
 
+import ast
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -26,9 +30,41 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+PACKAGE = Path(lgrpauli.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_all_exports_resolve():
     missing = [name for name in lgrpauli.__all__ if not hasattr(lgrpauli, name)]
     assert missing == []
+
+
+def test_public_api_matches_readme():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"`([A-Za-z_]\w*)`", section)
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(lgrpauli.__all__)
+    assert not [n for n in lgrpauli.__all__
+                if getattr(getattr(lgrpauli, n), "__module__", "") == "lgrpauli.gf2"]
+
+
+def test_no_module_imports_an_unused_name():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}: {bound}")
+    assert unused == []
 
 
 def test_counts_n3(capsys):

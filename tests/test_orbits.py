@@ -14,7 +14,6 @@ from lgrpauli.orbits import (
     e_rank,
     emit_tables,
     local_gates,
-    orbit_members,
     orbit_of_point,
     orbit_partition,
     t_rank,
@@ -25,6 +24,7 @@ from lgrpauli.projection import ProjPoint, apply_gate, image, project, to_observ
 from orbit_oracles import (
     chart_points_of_orbit,
     is_separable_by_flattenings,
+    orbit_members,
     separable_tensors,
     whole_space_t_ranks,
 )

@@ -13,19 +13,17 @@ from lgrpauli.pauli import (
     LabelError,
     NotMaximalError,
     PauliPoint,
-    all_points,
     commute,
     enumerate_generators,
     generator_count,
     generator_from_operators,
-    generator_points,
-    quad_form,
     symplectic_product,
 )
+from pauli_helpers import all_points, generator_points, quad_form, y_count
 
 
 def points(n):
-    return st.integers(1, (1 << (2 * n)) - 1).map(lambda b: PauliPoint.from_bits(n, b))
+    return st.integers(1, (1 << (2 * n)) - 1).map(lambda b: PauliPoint(n, b))
 
 
 def test_label_roundtrip():
@@ -54,7 +52,7 @@ def test_from_label_fuzz(s):
 def test_letter_bit_convention():
     p = PauliPoint.from_label("XYZ")
     # qubit i letters: X=(0,1), Y=(1,1), Z=(1,0) as (x_i, x_{N+i})
-    t = p.coords.to_tuple()
+    t = [(p.bits >> j) & 1 for j in range(6)]
     assert (t[0], t[3]) == (0, 1)
     assert (t[1], t[4]) == (1, 1)
     assert (t[2], t[5]) == (1, 0)
@@ -83,9 +81,9 @@ def test_symplectic_product_symmetric_alternating(a, b):
 @given(points(3), points(3), points(3))
 def test_symplectic_product_bilinear(a, b, c):
     n = a.n_qubits
-    if b.coords.bits == c.coords.bits:
+    if b.bits == c.bits:
         return
-    bc = PauliPoint.from_bits(n, b.coords.bits ^ c.coords.bits)
+    bc = PauliPoint(n, b.bits ^ c.bits)
     assert symplectic_product(a, bc) == (
         symplectic_product(a, b) ^ symplectic_product(a, c)
     )
@@ -94,14 +92,14 @@ def test_symplectic_product_bilinear(a, b, c):
 def test_quad_form_is_y_parity():
     for n in (1, 2, 3, 4):
         for p in all_points(n):
-            assert quad_form(p) == p.y_count() % 2
+            assert quad_form(p) == y_count(p) % 2
 
 
 def test_quad_form_polarizes_to_symplectic_product():
     for a in all_points(2):
         for b in all_points(2):
-            s = a.coords.bits ^ b.coords.bits
-            qs = quad_form(PauliPoint.from_bits(2, s)) if s else 0
+            s = a.bits ^ b.bits
+            qs = quad_form(PauliPoint(2, s)) if s else 0
             assert qs == (quad_form(a) ^ quad_form(b) ^ symplectic_product(a, b))
 
 
@@ -141,6 +139,20 @@ def test_every_commuting_pair_everywhere():
     )
     labels = {p.label() for p in generator_points(g)}
     assert labels == {"ZZI", "XXI", "YYI", "IIX", "ZZX", "XXX", "YYX"}
+
+
+def test_point_rejects_bits_outside_one_to_four_to_the_n():
+    for bits in (0, 0b10000, 0b10001, -1):
+        with pytest.raises(ValueError):
+            PauliPoint(2, bits)
+
+
+def test_generator_rejects_rows_wider_than_2n():
+    rows = (0b10001, 0b0010)
+    with pytest.raises(ValueError):
+        Generator(2, rows)
+    with pytest.raises(ValueError):
+        Generator.from_basis(rows, 2)
 
 
 def test_non_commuting_rejected_with_pair():

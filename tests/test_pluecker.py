@@ -5,7 +5,6 @@ import itertools
 
 import pytest
 
-from lgrpauli.gf2 import BinMat, det
 from lgrpauli.pauli import enumerate_generators, generator_from_operators, PauliPoint
 from lgrpauli.pluecker import (
     SubsetIndex,
@@ -13,23 +12,34 @@ from lgrpauli.pluecker import (
     embed,
     lagrangian_constraints,
     pluecker_relations,
+    principal_keys,
     retained_indices,
-    subset_keys,
     _relation_candidates,
 )
+from pauli_helpers import subset_keys
+
+
+def permutation_det(a) -> int:
+    """GF(2) determinant of a square 0/1 matrix (list of lists) as the sum
+    over all permutations of the products of entries."""
+    n = len(a)
+    return sum(all(a[i][s[i]] for i in range(n)) for s in itertools.permutations(range(n))) & 1
 
 
 def brute_coordinates(g):
     """Independent oracle: every NxN minor by direct determinant."""
     n = g.n_qubits
     out = {}
-    for cols in itertools.combinations(range(1, 2 * n + 1), n):
-        sub = BinMat.from_rows(
-            [[g.basis.entry(i, j) for j in cols] for i in range(1, n + 1)],
-            cols=n,
-        )
-        out[sum(1 << (c - 1) for c in cols)] = det(sub)
+    for cols in itertools.combinations(range(2 * n), n):
+        sub = [[(r >> j) & 1 for j in cols] for r in g.rows]
+        out[sum(1 << c for c in cols)] = permutation_det(sub)
     return out
+
+
+def complement_of_constraint_keys(n):
+    """Oracle: the N-subset keys that no isotropy constraint touches."""
+    gone = {k for c in lagrangian_constraints(n) for k in c.term_keys}
+    return sorted(k for k in subset_keys(2 * n, n) if k not in gone)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -135,11 +145,17 @@ def test_retained_indices_count_matches_display_dimension():
         assert len(retained_indices(n)) == 1 << n
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_principal_keys_are_the_keys_no_constraint_touches(n):
+    assert sorted(principal_keys(n)) == complement_of_constraint_keys(n)
+    assert [idx.key for idx in retained_indices(n)] == complement_of_constraint_keys(n)
+
+
 def test_sample_embedding_value():
     g = generator_from_operators(
         [PauliPoint.from_label(s) for s in ("ZZI", "XXI", "IIX")]
     )
     v = embed(g)
-    nz = {idx.label() for idx in v.nonzero_indices()}
+    nz = {SubsetIndex.from_key(6, k).label() for k in subset_keys(6, 3) if v.coord_key(k)}
     # the two nonzero retained coordinates recorded for this family
     assert {"p246", "p156"} <= nz

@@ -10,14 +10,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lgrpauli.gf2 import BinMat, _rref_ints
+from lgrpauli.gf2 import minor, rref
 from lgrpauli.pauli import (
     Generator,
     PauliPoint,
     enumerate_generators,
     generator_from_operators,
 )
-from lgrpauli.pluecker import PlueckerVec, embed, lagrangian_constraints, subset_keys
+from lgrpauli.pluecker import (
+    PlueckerVec,
+    SubsetIndex,
+    embed,
+    lagrangian_constraints,
+    principal_keys,
+)
 from lgrpauli.projection import (
     LOWER,
     SWAP,
@@ -32,11 +38,11 @@ from lgrpauli.projection import (
     image,
     lift,
     lift_table,
-    principal_index,
     project,
     to_chart,
     to_observable,
 )
+from pauli_helpers import subset_keys, y_count
 
 
 @lru_cache(maxsize=None)
@@ -65,8 +71,8 @@ def sweep_generators(n: int) -> tuple[Generator, ...]:
                     if (t_mask >> s) & 1 and ((r >> s) ^ (r >> (n + s))) & 1:
                         r ^= (1 << s) | (1 << (n + s))
                 raw.append(r)
-            seen.add(tuple(_rref_ints(raw)))
-    return tuple(Generator(n, BinMat(2 * n, rows)) for rows in sorted(seen))
+            seen.add(tuple(rref(raw)))
+    return tuple(Generator(n, rows) for rows in sorted(seen))
 
 
 def swap_columns(r: int, a: int, b: int) -> int:
@@ -108,12 +114,12 @@ def proj(ops):
 
 def test_principal_index_pairs_complementary_columns():
     # subset I of {1..N} -> columns ({1..N} minus I) union {N+i : i in I}
-    idx = principal_index(3, {2})
-    assert idx.members == (1, 3, 5)
-    idx = principal_index(3, set())
-    assert idx.members == (1, 2, 3)
-    idx = principal_index(3, {1, 2, 3})
-    assert idx.members == (4, 5, 6)
+    def members(i_mask):
+        return SubsetIndex.from_key(6, principal_keys(3)[i_mask]).members
+
+    assert members(0b010) == (1, 3, 5)
+    assert members(0b000) == (1, 2, 3)
+    assert members(0b111) == (4, 5, 6)
 
 
 def test_display_order_first_half_excludes_element_one():
@@ -212,8 +218,7 @@ def test_clifford_gates_equivariant(n):
     for g in sweep_generators(n):
         p = project(embed(g))
         for gt, on_row in cases + transposition_cases(n):
-            rows = tuple(on_row(r) for r in g.basis.rows)
-            moved = Generator.from_basis(BinMat(2 * n, rows), n)
+            moved = Generator.from_basis([on_row(r) for r in g.rows], n)
             assert project(embed(moved)).bits == apply_gate(gt, p.bits)
 
 
@@ -238,15 +243,18 @@ def test_lift_round_trip(n):
 
 
 def test_chart_matrix_reconstruction():
-    # chart points: the symmetric matrix's principal minors reproduce
-    # the display coordinates
-    for p in image(3):
-        if not p.bits & 1:
-            continue
-        a = chart_matrix(p)
-        for m in range(1 << 3):
-            subset = [i + 1 for i in range(3) if (m >> i) & 1]
-            assert a.principal_minor(subset) == (p.bits >> m) & 1
+    # chart points: the rows form a symmetric matrix whose principal minors
+    # reproduce the coordinates
+    for n in (2, 3, 4):
+        for p in image(n):
+            if not p.bits & 1:
+                continue
+            a = chart_matrix(p)
+            assert len(a) == n
+            assert all((a[i] >> j) & 1 == (a[j] >> i) & 1 for i in range(n) for j in range(n))
+            for m in range(1 << n):
+                subset = [i + 1 for i in range(n) if (m >> i) & 1]
+                assert minor(a, n, subset, subset) == (p.bits >> m) & 1
 
 
 def test_chart_generator_agrees_with_lift():
@@ -265,7 +273,14 @@ def test_lift_rejects_non_image_points():
 def test_observable_even_y_count_on_image():
     for n in (3, 4):
         for p in image(n):
-            assert to_observable(p).y_count() % 2 == 0
+            assert y_count(to_observable(p)) % 2 == 0
+
+
+def test_from_display_bits_rejects_entries_other_than_0_or_1():
+    for bits in ((3, 0, 0, 0), (0, 0, 2, 0), (1, 0, -1, 0)):
+        with pytest.raises(ValueError):
+            ProjPoint.from_display_bits(bits)
+    assert ProjPoint.from_display_bits((1, 0, 0, 0)).display_str() == "[1:0:0:0]"
 
 
 def test_image_sizes():
