@@ -25,7 +25,6 @@ from .projection import (
     apply_gate,
     chart_matrix,
     clifford_gates,
-    display_masks,
     gate,
     image,
     lift,
@@ -46,22 +45,6 @@ def local_gates(n: int) -> tuple[Gate, ...]:
     (SWAP and LOWER generate GL(2,2)), then the adjacent axis swaps
     k <-> k+1.  Each is an involution."""
     return clifford_gates(n)[:2 * n] + tuple(gate(n, 1 << k, 2 << k, SWAP) for k in range(n - 1))
-
-
-@lru_cache(maxsize=None)
-def _display_rows(n: int, g: Gate) -> list[int]:
-    """Row masks of the action matrix in display coordinates (1-based rows;
-    row a holds the variables substituted for x_a)."""
-    disp = display_masks(n)
-    pos = {m: i + 1 for i, m in enumerate(disp)}
-    rows = [0] * (len(disp) + 1)
-    for c_idx, c_mask in enumerate(disp):
-        col = apply_gate(g, 1 << c_mask)
-        while col:
-            a_mask = (col & -col).bit_length() - 1
-            col &= col - 1
-            rows[pos[a_mask]] |= 1 << c_idx
-    return rows
 
 
 @lru_cache(maxsize=None)

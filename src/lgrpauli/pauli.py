@@ -103,10 +103,8 @@ def commute(a: PauliPoint, b: PauliPoint) -> bool:
 @dataclass(frozen=True, order=True)
 class Generator:
     """A maximal totally isotropic subspace, held as its canonical RREF basis:
-    N packed rows of 2N bits.
-
-    Two generators are equal iff their row spaces are equal iff their
-    canonical bases are equal.
+    N packed rows of 2N bits.  The constructor takes any spanning rows and
+    reduces them, so two generators are equal iff their row spaces are.
     """
 
     n_qubits: int
@@ -114,23 +112,16 @@ class Generator:
 
     def __post_init__(self):
         n = self.n_qubits
-        rows = self.rows
-        if len(rows) != n or any(r >> (2 * n) for r in rows):
-            raise ValueError(f"basis must be N x 2N: {n} rows of at most {2 * n} bits")
+        if any(r >> (2 * n) for r in self.rows):
+            raise ValueError(f"basis rows must have at most {2 * n} bits")
+        rows = tuple(rref(self.rows))
+        if len(rows) != n:
+            raise NotMaximalError(f"subspace has rank {len(rows)}, expected {n}")
         for i, a in enumerate(rows):
             for b in rows[i + 1:]:
                 if _symplectic_int(a, b, n):
                     raise ValueError("basis is not totally isotropic")
-
-    @classmethod
-    def from_basis(cls, rows, n_qubits: int) -> "Generator":
-        """Canonicalize an arbitrary basis of packed rows (must have full rank N)."""
-        reduced = rref(rows)
-        if len(reduced) != n_qubits:
-            raise NotMaximalError(
-                f"subspace has rank {len(reduced)}, expected {n_qubits}"
-            )
-        return cls(n_qubits, tuple(reduced))
+        object.__setattr__(self, "rows", rows)
 
 
 def generator_from_operators(ops: list[PauliPoint]) -> Generator:
@@ -144,7 +135,7 @@ def generator_from_operators(ops: list[PauliPoint]) -> Generator:
     for a, b in itertools.combinations(ops, 2):
         if symplectic_product(a, b):
             raise CommutationError(a, b)
-    return Generator.from_basis([p.bits for p in ops], n)
+    return Generator(n, [p.bits for p in ops])
 
 
 @lru_cache(maxsize=None)

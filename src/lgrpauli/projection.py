@@ -66,15 +66,6 @@ class ProjPoint:
     def display_bits(self) -> tuple[int, ...]:
         return tuple((self.bits >> m) & 1 for m in display_masks(self.n_source))
 
-    @property
-    def display_int(self) -> int:
-        """Display-order coordinates packed with position k at bit k-1."""
-        out = 0
-        for k, m in enumerate(display_masks(self.n_source)):
-            if (self.bits >> m) & 1:
-                out |= 1 << k
-        return out
-
     def display_str(self) -> str:
         return "[" + ":".join(str(b) for b in self.display_bits()) + "]"
 
@@ -184,7 +175,7 @@ def chart_generator(p: ProjPoint, swap: int = 0) -> Generator:
         r = (1 << i) | (a << n)
         d = (r ^ (r >> n)) & swap
         rows.append(r ^ d ^ (d << n))
-    return Generator.from_basis(rows, n)
+    return Generator(n, rows)
 
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]

@@ -2,89 +2,98 @@
 cut out the projected image, recovery of all vanishing quadrics from the
 point set, and the Cayley-quadric orbit computation.
 
-Variables are the display-order coordinates x_1..x_{2^N}.  Evaluation is
-always at GF(2) points, where x^2 = x; square terms are therefore kept in
-reduced form as singleton monomials.
+A form is one packed int: the monomial x_a x_b, for subset masks a <= b,
+sits at bit (a << N) | b, so both halves of the 2N-bit index are the
+coordinates of ``ProjPoint.bits``.  The diagonal a == b is the square
+term, equal to x_a at the GF(2) points where forms are evaluated.  The
+display numbering x_1..x_{2^N} is used only to read and print forms.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf2 import kernel, rank
-from .pluecker import principal_keys
-from .projection import ProjPoint, display_masks, image
+from .orbits import local_gates
+from .pluecker import _absent_masks, principal_keys
+from .projection import SWAP, Gate, ProjPoint, apply_gate, display_masks, gate, image
+
+
+@lru_cache(maxsize=None)
+def _upper(n: int) -> tuple[int, int]:
+    """(diagonal, strictly upper) monomial masks: the bits (a << N) | b
+    with a == b and with a < b."""
+    diag = sum(1 << ((a << n) | a) for a in range(1 << n))
+    upper = sum(1 << ((a << n) | b) for a in range(1 << n) for b in range(a + 1, 1 << n))
+    return diag, upper
+
+
+def _monomial(n: int, a: int, b: int) -> int:
+    return 1 << ((min(a, b) << n) | max(a, b))
+
+
+def _pairs(n: int, bits: int):
+    """The (a, b) of every monomial x_a x_b in packed form ``bits``."""
+    while bits:
+        k = (bits & -bits).bit_length() - 1
+        bits &= bits - 1
+        yield k >> n, k & ((1 << n) - 1)
+
+
+def _monomials_at(n: int, x: int) -> int:
+    """The monomials that equal 1 at the point with packed coordinates x."""
+    return sum((x & -(1 << a)) << (a << n) for a in range(1 << n) if x >> a & 1)
 
 
 @dataclass(frozen=True)
 class QuadForm:
-    """A quadratic form as a set of monomials over variables 1..n_vars.
+    """A quadratic form on the 2^N principal minors, packed as above;
+    addition is XOR."""
 
-    A monomial is a pair (i, j) with i < j, or a singleton (i,) standing
-    for the square term x_i^2 (== x_i on GF(2) points).  Addition is
-    symmetric difference of monomial sets.
-    """
-
-    n_vars: int
-    monomials: frozenset[tuple[int, ...]]
+    n_qubits: int
+    bits: int
 
     def __post_init__(self):
-        for mono in self.monomials:
-            if len(mono) not in (1, 2) or (len(mono) == 2 and mono[0] >= mono[1]):
-                raise ValueError(f"bad monomial {mono}")
-            if not all(1 <= v <= self.n_vars for v in mono):
-                raise ValueError(f"variable out of range in {mono}")
-
-    @classmethod
-    def from_pairs(cls, n_vars: int, pairs) -> "QuadForm":
-        monos = set()
-        for a, b in pairs:
-            mono = (a,) if a == b else (min(a, b), max(a, b))
-            monos ^= {mono}
-        return cls(n_vars, frozenset(monos))
+        diag, upper = _upper(self.n_qubits)
+        if self.bits < 0 or self.bits & ~(diag | upper):
+            raise ValueError("bits outside the monomials x_a x_b with a <= b")
 
     def __add__(self, other: "QuadForm") -> "QuadForm":
-        if self.n_vars != other.n_vars:
+        if self.n_qubits != other.n_qubits:
             raise ValueError("variable count mismatch")
-        return QuadForm(self.n_vars, self.monomials ^ other.monomials)
-
-    def is_zero(self) -> bool:
-        return not self.monomials
+        return QuadForm(self.n_qubits, self.bits ^ other.bits)
 
     def sorted_monomials(self) -> list[tuple[int, ...]]:
-        return sorted(self.monomials, key=lambda m: (len(m), m))
-
-    def evaluate_display(self, x: int) -> int:
-        """Evaluate at a display-packed point (variable k at bit k-1)."""
-        out = 0
-        for mono in self.monomials:
-            v = 1
-            for i in mono:
-                v &= x >> (i - 1)
-            out ^= v & 1
-        return out
+        """The monomials in display numbering, (i,) for the square of x_i and
+        (i, j) with i < j otherwise: squares first, then ascending."""
+        pos = {m: k + 1 for k, m in enumerate(display_masks(self.n_qubits))}
+        monos = [tuple(sorted({pos[a], pos[b]})) for a, b in _pairs(self.n_qubits, self.bits)]
+        return sorted(monos, key=lambda m: (len(m), m))
 
     def evaluate(self, p: ProjPoint) -> int:
-        if 1 << p.n_source != self.n_vars:
+        if p.n_source != self.n_qubits:
             raise ValueError("point/form dimension mismatch")
-        return self.evaluate_display(p.display_int)
+        return (self.bits & _monomials_at(self.n_qubits, p.bits)).bit_count() & 1
 
     def __str__(self) -> str:
-        if not self.monomials:
+        if not self.bits:
             return "0"
-        parts = []
-        for mono in self.sorted_monomials():
-            if len(mono) == 1:
-                parts.append(f"x{mono[0]}")
-            else:
-                parts.append(f"x{mono[0]}*x{mono[1]}")
-        return " + ".join(parts)
+        return " + ".join("*".join(f"x{i}" for i in m) for m in self.sorted_monomials())
 
 
 def _form(n_vars: int, *pairs) -> QuadForm:
-    return QuadForm.from_pairs(n_vars, pairs)
+    """The sum of x_i x_j over display-numbered pairs (i, j); (i, i) is the
+    square term."""
+    n = n_vars.bit_length() - 1
+    if n_vars != 1 << n:
+        raise ValueError(f"the variable count {n_vars} is not a power of two")
+    bits = 0
+    for pair in pairs:
+        if not all(1 <= v <= n_vars for v in pair):
+            raise ValueError(f"variable out of range 1..{n_vars} in {pair}")
+        bits ^= _monomial(n, *(display_masks(n)[v - 1] for v in pair))
+    return QuadForm(n, bits)
 
 
 def hyperbolic_form(n_vars: int) -> QuadForm:
@@ -96,7 +105,10 @@ def hyperbolic_form(n_vars: int) -> QuadForm:
 @lru_cache(maxsize=None)
 def variety_quadrics(n_qubits: int) -> tuple[QuadForm, ...]:
     """The explicit quadrics whose common zero set is the projected image:
-    a single form for N=3, ten forms for N=4."""
+    none for N=2 (the image is the whole space), a single form for N=3,
+    ten forms for N=4."""
+    if n_qubits == 2:
+        return ()
     if n_qubits == 3:
         return (hyperbolic_form(8),)
     if n_qubits == 4:
@@ -113,7 +125,7 @@ def variety_quadrics(n_qubits: int) -> tuple[QuadForm, ...]:
             _form(v, (1, 9), (4, 12), (6, 14), (7, 15)),
             _form(v, (2, 10), (3, 11), (5, 13), (8, 16)),
         )
-    raise ValueError("explicit quadrics are available for N in {3, 4}")
+    raise ValueError("explicit quadrics are available for N in {2, 3, 4}")
 
 
 @dataclass(frozen=True)
@@ -125,38 +137,30 @@ class VarietyReport:
     matches: bool
 
 
+def _zero_set(n: int) -> int:
+    """The common zero set of ``variety_quadrics(n)`` in PG(2^N - 1, 2),
+    bitsliced: bit p is set iff the point with packed coordinates p is a
+    zero, and a column holds a form's value at every point."""
+    full = (1 << (1 << (1 << n))) - 1
+    cols = [full ^ m for m in _absent_masks(1 << n)]
+    zeros = full ^ 1  # the nonzero points
+    for q in variety_quadrics(n):
+        col = 0
+        for a, b in _pairs(n, q.bits):
+            col ^= cols[a] & cols[b]
+        zeros &= ~col
+    return zeros
+
+
 def verify_variety(n_qubits: int) -> VarietyReport:
-    """Scan the whole projective space and compare the common zero set of
-    the explicit quadrics with the projected image (for N=2 the image is
-    the full space and there are no quadrics)."""
-    if n_qubits not in (2, 3, 4):
+    """Compare the common zero set of the explicit quadrics with the
+    projected image over the whole projective space."""
+    n = n_qubits
+    if n not in (2, 3, 4):
         raise ValueError("verification supports N in {2, 3, 4}")
-    img = {p.display_int for p in image(n_qubits)}
-    size = 1 << (1 << n_qubits)
-    if n_qubits == 2:
-        zero_set_size = size - 1
-        matches = img == set(range(1, size))
-    else:
-        quads = variety_quadrics(n_qubits)
-        zero_set = set()
-        for x in range(1, size):
-            if all(q.evaluate_display(x) == 0 for q in quads):
-                zero_set.add(x)
-        zero_set_size = len(zero_set)
-        matches = zero_set == img
-    return VarietyReport(
-        n_qubits,
-        0 if n_qubits == 2 else len(variety_quadrics(n_qubits)),
-        zero_set_size,
-        len(img),
-        matches,
-    )
-
-
-def _monomial_basis(n_vars: int) -> list[tuple[int, ...]]:
-    singles = [(i,) for i in range(1, n_vars + 1)]
-    pairs = [(i, j) for i, j in itertools.combinations(range(1, n_vars + 1), 2)]
-    return singles + pairs
+    zeros = _zero_set(n)
+    img = sum(1 << p.bits for p in image(n))
+    return VarietyReport(n, len(variety_quadrics(n)), zeros.bit_count(), len(image(n)), zeros == img)
 
 
 def vanishing_quadrics(points) -> list[QuadForm]:
@@ -165,37 +169,20 @@ def vanishing_quadrics(points) -> list[QuadForm]:
     points = list(points)
     if not points:
         raise ValueError("need at least one point")
-    n_vars = 1 << points[0].n_source
-    basis = _monomial_basis(n_vars)
-    rows = []
-    for p in points:
-        x = p.display_int
-        bits = 0
-        for col, mono in enumerate(basis):
-            v = 1
-            for i in mono:
-                v &= x >> (i - 1)
-            if v & 1:
-                bits |= 1 << col
-        rows.append(bits)
-    forms = []
-    for krow in kernel(rows, len(basis)):
-        monos = {basis[col] for col in range(len(basis)) if (krow >> col) & 1}
-        forms.append(QuadForm(n_vars, frozenset(monos)))
+    n = points[0].n_source
+    diag, upper = _upper(n)
+    rows = [_monomials_at(n, p.bits) for p in points]
+    # a column (a << N) | b with a > b is no monomial: its unit vector is in
+    # the kernel and is dropped
+    forms = [QuadForm(n, k) for k in kernel(rows, 1 << (2 * n)) if k & (diag | upper)]
     forms.sort(key=lambda q: q.sorted_monomials())
     return forms
 
 
 def spans(basis_forms, q: QuadForm) -> bool:
     """Whether ``q`` lies in the GF(2) span of ``basis_forms``."""
-    monos = sorted({m for f in basis_forms for m in f.monomials} | set(q.monomials))
-    col = {m: i for i, m in enumerate(monos)}
-
-    def row(f):
-        return sum(1 << col[m] for m in f.monomials)
-
-    rows = [row(f) for f in basis_forms]
-    return rank(rows + [row(q)]) == rank(rows)
+    rows = [f.bits for f in basis_forms]
+    return rank(rows + [q.bits]) == rank(rows)
 
 
 def cayley_quadric(n_qubits: int) -> QuadForm:
@@ -221,61 +208,60 @@ def cayley_quadric(n_qubits: int) -> QuadForm:
         ({1, 3, bar(2)}, {2, bar(1), bar(3)}),
         ({1, bar(2), bar(3)}, {2, 3, bar(1)}),
     ]
-    keys = principal_keys(n)
-    var = {keys[m]: i + 1 for i, m in enumerate(display_masks(n))}
+    mask = {key: m for m, key in enumerate(principal_keys(n))}
 
-    def var_of(subset):
-        return var[sum(1 << (j - 1) for j in subset | set(trail))]
+    def mask_of(subset):
+        return mask[sum(1 << (j - 1) for j in subset | set(trail))]
 
-    return _form(1 << n, *[(var_of(a), var_of(b)) for a, b in raw_pairs])
+    bits = 0
+    for a, b in raw_pairs:
+        bits ^= _monomial(n, mask_of(a), mask_of(b))
+    return QuadForm(n, bits)
 
 
-def _substitute(q: QuadForm, rows: list[int]) -> QuadForm:
-    """Apply the linear substitution x_a -> sum_c rows[a]_c x_c (bit c-1)."""
-    acc: set[tuple[int, ...]] = set()
-    for mono in q.monomials:
-        if len(mono) == 1:
-            u = rows[mono[0]]
-            c = u
-            while c:
-                i = (c & -c).bit_length()
-                c &= c - 1
-                acc ^= {(i,)}
-        else:
-            u, v = rows[mono[0]], rows[mono[1]]
-            uu = u
-            while uu:
-                i = (uu & -uu).bit_length()
-                uu &= uu - 1
-                vv = v
-                while vv:
-                    j = (vv & -vv).bit_length()
-                    vv &= vv - 1
-                    acc ^= {(i,)} if i == j else {(min(i, j), max(i, j))}
-    return QuadForm(q.n_vars, frozenset(acc))
+@lru_cache(maxsize=None)
+def _form_gates(n: int) -> tuple[tuple[Gate, Gate], ...]:
+    """Each local gate g as the pair of gates applying g^T to the low and to
+    the high half of the monomial index: together they take the
+    coefficient matrix B of Q to g^T B g, the matrix of Q(g x)."""
+    rows = sum(1 << (a << n) for a in range(1 << n))
+    row = (1 << (1 << n)) - 1
+
+    def spread(mask):
+        return sum(row << (a << n) for a in range(1 << n) if mask >> a & 1)
+
+    out = []
+    for shift, n00, n01, n10, n11 in local_gates(n):
+        masks = (n00, n10, n01, n11)  # the transpose swaps n01 and n10
+        out.append(((shift, *(m * rows for m in masks)), (shift << n, *map(spread, masks))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _transpose(n: int) -> tuple[Gate, ...]:
+    """B -> B^T as the gates exchanging index bits k and N+k."""
+    return tuple(gate(2 * n, 1 << k, 1 << (n + k), SWAP) for k in range(n))
+
+
+def _act(n: int, g: tuple[Gate, Gate], bits: int) -> int:
+    """The packed form of Q(g x), folded back to one bit per monomial."""
+    c = apply_gate(g[1], apply_gate(g[0], bits))
+    ct = c
+    for t in _transpose(n):
+        ct = apply_gate(t, ct)
+    diag, upper = _upper(n)
+    return (c ^ ct) & upper | c & diag
 
 
 def quadric_orbit_raw(q: QuadForm, n_qubits: int) -> set[QuadForm]:
-    """Closure of ``q`` under the induced group action on quadratic forms.
-
-    The group generators are involutions, so substituting their display-
-    coordinate matrices and iterating to a fixed point yields the orbit.
-    """
-    from .orbits import _display_rows, local_gates
-
-    gen_rows = [_display_rows(n_qubits, g) for g in local_gates(n_qubits)]
-    seen = {q}
-    frontier = [q]
+    """Closure of ``q`` under the local gates acting on quadratic forms;
+    the gates are involutions, so the closure is the orbit."""
+    gates = _form_gates(n_qubits)
+    seen, frontier = {q.bits}, {q.bits}
     while frontier:
-        nxt = []
-        for f in frontier:
-            for rows in gen_rows:
-                g = _substitute(f, rows)
-                if g not in seen:
-                    seen.add(g)
-                    nxt.append(g)
-        frontier = nxt
-    return seen
+        frontier = {_act(n_qubits, g, f) for f in frontier for g in gates} - seen
+        seen |= frontier
+    return {QuadForm(n_qubits, b) for b in seen}
 
 
 def quadric_orbit(q: QuadForm, n_qubits: int) -> set[QuadForm]:
@@ -289,20 +275,14 @@ def quadric_orbit(q: QuadForm, n_qubits: int) -> set[QuadForm]:
     elements by (monomial count, monomial list), and greedily keep each
     element that is independent of the ones already kept.
     """
-    raw = quadric_orbit_raw(q, n_qubits)
-    zero = QuadForm(q.n_vars, frozenset())
-    span = {zero}
-    for f in raw:
-        if f not in span:
-            span = span | {g + f for g in span}
-    elems = sorted(
-        (f for f in span if not f.is_zero()),
-        key=lambda f: (len(f.monomials), f.sorted_monomials()),
-    )
+    span = {0}
+    for f in quadric_orbit_raw(q, n_qubits):
+        if f.bits not in span:
+            span |= {g ^ f.bits for g in span}
+    elems = sorted((QuadForm(n_qubits, b) for b in span if b),
+                   key=lambda f: (f.bits.bit_count(), f.sorted_monomials()))
     chosen: list[QuadForm] = []
-    cspan = {zero}
     for f in elems:
-        if f not in cspan:
+        if rank([c.bits for c in chosen] + [f.bits]) > len(chosen):
             chosen.append(f)
-            cspan = cspan | {g + f for g in cspan}
     return set(chosen)

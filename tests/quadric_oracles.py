@@ -1,0 +1,111 @@
+"""Test-only oracles for the quadric layer: the algorithms that held forms
+as sets of display-numbered monomials, kept to check the packed forms.
+
+A monomial is (i,) for the square term x_i (== x_i at GF(2) points) or
+(i, j) with i < j, over the display variables x_1..x_{2^N}; a display-
+packed point has variable k at bit k-1.
+"""
+
+import itertools
+
+from lgrpauli.gf2 import kernel
+from lgrpauli.orbits import local_gates
+from lgrpauli.projection import apply_gate, display_masks
+from lgrpauli.quadrics import QuadForm, _form
+
+
+def monomials(q: QuadForm) -> frozenset:
+    return frozenset(q.sorted_monomials())
+
+
+def from_monomials(n: int, monos) -> QuadForm:
+    return _form(1 << n, *[(m[0], m[-1]) for m in monos])
+
+
+def display_rows(n: int, g) -> list[int]:
+    """Row masks of a gate's matrix in display coordinates (1-based rows;
+    row a holds the variables substituted for x_a)."""
+    disp = display_masks(n)
+    pos = {m: i + 1 for i, m in enumerate(disp)}
+    rows = [0] * (len(disp) + 1)
+    for c_idx, c_mask in enumerate(disp):
+        col = apply_gate(g, 1 << c_mask)
+        while col:
+            a_mask = (col & -col).bit_length() - 1
+            col &= col - 1
+            rows[pos[a_mask]] |= 1 << c_idx
+    return rows
+
+
+def _variables(mask: int):
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def substitute(monos: frozenset, rows: list[int]) -> frozenset:
+    """Apply the linear substitution x_a -> sum_c rows[a]_c x_c (bit c-1)
+    term by term, reducing x_i x_i to x_i."""
+    acc = set()
+    for mono in monos:
+        u, v = rows[mono[0]], rows[mono[-1]]
+        if len(mono) == 1:
+            terms = [(i,) for i in _variables(u)]
+        else:
+            terms = [(i,) if i == j else (min(i, j), max(i, j))
+                     for i in _variables(u) for j in _variables(v)]
+        for t in terms:
+            acc ^= {t}
+    return frozenset(acc)
+
+
+def orbit_closure(q: QuadForm, n: int) -> set[frozenset]:
+    """Closure of q's monomial set under substitution by every local gate."""
+    gen_rows = [display_rows(n, g) for g in local_gates(n)]
+    seen = {monomials(q)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for rows in gen_rows:
+                g = substitute(f, rows)
+                if g not in seen:
+                    seen.add(g)
+                    nxt.append(g)
+        frontier = nxt
+    return seen
+
+
+def evaluate_display(monos, x: int) -> int:
+    out = 0
+    for mono in monos:
+        v = 1
+        for i in mono:
+            v &= x >> (i - 1)
+        out ^= v & 1
+    return out
+
+
+def zero_set(forms, n: int) -> set[int]:
+    """Scan every nonzero display-packed point of PG(2^N - 1, 2); return
+    the zeros of all forms as packed coordinates (subset mask m at bit m)."""
+    sets = [monomials(q) for q in forms]
+    disp = display_masks(n)
+    zeros = set()
+    for x in range(1, 1 << (1 << n)):
+        if all(evaluate_display(monos, x) == 0 for monos in sets):
+            zeros.add(sum(1 << m for k, m in enumerate(disp) if x >> k & 1))
+    return zeros
+
+
+def vanishing_basis(points, n: int) -> list[frozenset]:
+    """Row-wise kernel over the display monomials (squares, then pairs)."""
+    n_vars = 1 << n
+    basis = [(i,) for i in range(1, n_vars + 1)]
+    basis += list(itertools.combinations(range(1, n_vars + 1), 2))
+    disp = display_masks(n)
+    rows = []
+    for p in points:
+        x = sum(1 << k for k, m in enumerate(disp) if p.bits >> m & 1)
+        rows.append(sum(1 << col for col, mono in enumerate(basis)
+                        if evaluate_display([mono], x)))
+    return [frozenset(basis[c] for c in range(len(basis)) if k >> c & 1)
+            for k in kernel(rows, len(basis))]

@@ -304,6 +304,21 @@ def test_cayley_command(capsys):
     assert "x1*x5 + x2*x6 + x3*x7 + x4*x8" in out
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_RUNS = [f"{cmd} --n {n} --format {fmt}" for cmd in ("cayley", "verify")
+               for n in (3, 4) for fmt in ("text", "csv", "json")]
+GOLDEN_RUNS.append("verify --n 2 --suite variety --format text")
+
+
+@pytest.mark.parametrize("argv", GOLDEN_RUNS)
+def test_quadric_commands_match_golden_output(capsys, argv):
+    # each file holds the stdout of `python -m lgrpauli.cli <argv>`, exit 0
+    name = "-".join(a.lstrip("-") for a in argv.split()) + ".out"
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "counts", "--n", "2", "--format", "json",

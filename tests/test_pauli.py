@@ -151,8 +151,22 @@ def test_generator_rejects_rows_wider_than_2n():
     rows = (0b10001, 0b0010)
     with pytest.raises(ValueError):
         Generator(2, rows)
-    with pytest.raises(ValueError):
-        Generator.from_basis(rows, 2)
+
+
+def test_generator_equal_spans_are_equal():
+    # ZZ, IZ and IZ, ZI span the same plane, in any order
+    a, b, c = Generator(2, (3, 2)), Generator(2, (1, 2)), Generator(2, (2, 1))
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert a.rows == (1, 2)
+    for g in enumerate_generators(3):
+        other = (g.rows[2], g.rows[0] ^ g.rows[1], g.rows[1] ^ g.rows[2])
+        assert Generator(3, other) == g and hash(Generator(3, other)) == hash(g)
+
+
+def test_generator_rank_deficient_basis_raises_not_maximal():
+    for rows in ((0, 0), (1, 1), (3, 3, 0), (1,)):
+        with pytest.raises(NotMaximalError):
+            Generator(2, rows)
 
 
 def test_non_commuting_rejected_with_pair():

@@ -218,7 +218,7 @@ def test_clifford_gates_equivariant(n):
     for g in sweep_generators(n):
         p = project(embed(g))
         for gt, on_row in cases + transposition_cases(n):
-            moved = Generator.from_basis([on_row(r) for r in g.rows], n)
+            moved = Generator(n, [on_row(r) for r in g.rows])
             assert project(embed(moved)).bits == apply_gate(gt, p.bits)
 
 

@@ -1,11 +1,19 @@
 """Tests for the defining quadratic forms of the projected image and the
 reduced closure of the distinguished four-monomial quadric."""
 
+import random
+
 import pytest
 
+from lgrpauli.orbits import local_gates
 from lgrpauli.projection import ProjPoint, image
 from lgrpauli.quadrics import (
     QuadForm,
+    _act,
+    _form,
+    _form_gates,
+    _upper,
+    _zero_set,
     cayley_quadric,
     hyperbolic_form,
     quadric_orbit,
@@ -15,17 +23,42 @@ from lgrpauli.quadrics import (
     variety_quadrics,
     verify_variety,
 )
+from quadric_oracles import (
+    display_rows,
+    from_monomials,
+    monomials,
+    orbit_closure,
+    substitute,
+    vanishing_basis,
+    zero_set,
+)
 
 
 def test_quadform_algebra():
-    a = QuadForm.from_pairs(4, [(1, 2), (3, 4)])
-    b = QuadForm.from_pairs(4, [(3, 4), (1, 3)])
+    a = _form(4, (1, 2), (3, 4))
+    b = _form(4, (3, 4), (1, 3))
     assert (a + b).sorted_monomials() == [(1, 2), (1, 3)]
-    assert (a + a).is_zero()
+    assert (a + a).bits == 0 and str(a + a) == "0"
     # squares reduce to the affine value: (a, a) behaves as x_a
-    sq = QuadForm.from_pairs(4, [(2, 2)])
-    assert sq.evaluate_display(0b0010) == 1
-    assert sq.evaluate_display(0b0001) == 0
+    sq = _form(4, (2, 2))
+    assert str(sq) == "x2"
+    assert sq.evaluate(ProjPoint.from_display_bits((0, 1, 0, 0))) == 1
+    assert sq.evaluate(ProjPoint.from_display_bits((1, 0, 1, 1))) == 0
+
+
+def test_quadform_rejects_bits_outside_the_monomials():
+    for bits in (-1, 1 << ((1 << 2) | 0), 1 << 16):  # a > b, index >= 2^(2N)
+        with pytest.raises(ValueError):
+            QuadForm(2, bits)
+    for pair in ((0, 1), (1, 5)):
+        with pytest.raises(ValueError):
+            _form(4, pair)
+    with pytest.raises(ValueError):
+        hyperbolic_form(6)
+    with pytest.raises(ValueError, match="point/form dimension mismatch"):
+        _form(4, (1, 2)).evaluate(ProjPoint(3, 1))
+    with pytest.raises(ValueError):
+        _form(4, (1, 2)) + _form(8, (1, 2))
 
 
 def test_hyperbolic_form_pairs_opposite_halves():
@@ -105,3 +138,41 @@ def test_raw_closure_spans_same_space_and_misses_q9_q10():
 
 def test_quadric_orbit_n3_is_singleton():
     assert quadric_orbit(cayley_quadric(3), 3) == {hyperbolic_form(8)}
+
+
+def _random_forms(n, count):
+    rng = random.Random(n)
+    diag, upper = _upper(n)
+    return [QuadForm(n, rng.getrandbits(1 << (2 * n)) & (diag | upper)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gate_action_matches_substitution_oracle(n):
+    gates = list(zip(local_gates(n), _form_gates(n)))
+    for q in _random_forms(n, 100):
+        for g, lifted in gates:
+            moved = QuadForm(n, _act(n, lifted, q.bits))
+            assert monomials(moved) == substitute(monomials(q), display_rows(n, g))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_raw_orbit_matches_oracle_closure(n):
+    raw = quadric_orbit_raw(cayley_quadric(n), n)
+    assert {monomials(f) for f in raw} == orbit_closure(cayley_quadric(n), n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_zero_set_matches_pointwise_scan(n):
+    bits = _zero_set(n)
+    got = {p for p in range(bits.bit_length()) if bits >> p & 1}
+    assert got == zero_set(variety_quadrics(n), n)
+    assert got == {p.bits for p in image(n)}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_vanishing_quadrics_span_the_rowwise_basis(n):
+    got = vanishing_quadrics(image(n))
+    want = [from_monomials(n, monos) for monos in vanishing_basis(image(n), n)]
+    assert len(got) == len(want)
+    assert all(spans(want, q) for q in got)
+    assert all(spans(got, q) for q in want)
