@@ -23,6 +23,9 @@ MAX_QUBITS = 5
 
 LETTER_BITS = {"I": (0, 0), "X": (0, 1), "Y": (1, 1), "Z": (1, 0)}
 BITS_LETTER = {v: k for k, v in LETTER_BITS.items()}
+# four-qubit labels indexed by (z << 4) | x, qubit k by z bit k = x_k and x bit k = x_{N+k}
+_LABEL_CHUNKS = tuple("".join(BITS_LETTER[(c >> 4 + k & 1, c >> k & 1)] for k in range(4))
+                      for c in range(256))
 
 
 class LabelError(ValueError):
@@ -77,23 +80,18 @@ class PauliPoint:
         return cls(n, bits)
 
     def label(self) -> str:
-        n = self.n_qubits
-        b = self.bits
-        return "".join(
-            BITS_LETTER[((b >> i) & 1, (b >> (n + i)) & 1)] for i in range(n)
-        )
-
-
-def _symplectic_int(a: int, b: int, n: int) -> int:
-    mask = (1 << n) - 1
-    return ((a & (b >> n)).bit_count() + ((a >> n) & b & mask).bit_count()) & 1
+        n, b = self.n_qubits, self.bits
+        x = b >> n
+        return "".join(_LABEL_CHUNKS[(b >> i & 15) << 4 | x >> i & 15]
+                       for i in range(0, n, 4))[:n]
 
 
 def symplectic_product(a: PauliPoint, b: PauliPoint) -> int:
     """The alternating form sum_i (x_i y_{N+i} + x_{N+i} y_i); 0 iff a, b commute."""
     if a.n_qubits != b.n_qubits:
         raise ValueError("qubit count mismatch")
-    return _symplectic_int(a.bits, b.bits, a.n_qubits)
+    n, x, y = a.n_qubits, a.bits, b.bits
+    return ((x & (y >> n)).bit_count() + ((x >> n) & y & ((1 << n) - 1)).bit_count()) & 1
 
 
 def commute(a: PauliPoint, b: PauliPoint) -> bool:
@@ -117,25 +115,32 @@ class Generator:
         rows = tuple(rref(self.rows))
         if len(rows) != n:
             raise NotMaximalError(f"subspace has rank {len(rows)}, expected {n}")
+        low = (1 << n) - 1
         for i, a in enumerate(rows):
+            w = (a >> n) | (a & low) << n  # a with its halves exchanged
             for b in rows[i + 1:]:
-                if _symplectic_int(a, b, n):
+                if (w & b).bit_count() & 1:
                     raise ValueError("basis is not totally isotropic")
         object.__setattr__(self, "rows", rows)
 
 
 def generator_from_operators(ops: list[PauliPoint]) -> Generator:
-    """Canonical generator spanned by a maximal pairwise-commuting set."""
+    """Canonical generator spanned by a maximal pairwise-commuting set.  The
+    span is isotropic iff the operators commute, so only a rejected set is
+    searched for its first anticommuting pair (reported before its rank)."""
     if not ops:
         raise ValueError("need at least one operator")
     n = ops[0].n_qubits
     for p in ops:
         if p.n_qubits != n:
             raise ValueError("mixed qubit counts")
-    for a, b in itertools.combinations(ops, 2):
-        if symplectic_product(a, b):
-            raise CommutationError(a, b)
-    return Generator(n, [p.bits for p in ops])
+    try:
+        return Generator(n, [p.bits for p in ops])
+    except ValueError:
+        for a, b in itertools.combinations(ops, 2):
+            if symplectic_product(a, b):
+                raise CommutationError(a, b) from None
+        raise
 
 
 @lru_cache(maxsize=None)

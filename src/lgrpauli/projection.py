@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from types import MappingProxyType
 
-from .pauli import BITS_LETTER, MAX_QUBITS, Generator, PauliPoint
-from .pluecker import LinearConstraint, PlueckerVec, embed, lagrangian_constraints, principal_keys
+from .pauli import MAX_QUBITS, Generator, PauliPoint
+from .pluecker import PlueckerVec, embed, lagrangian_constraints, principal_keys
 
 
 class NotInImageError(ValueError):
@@ -113,9 +113,25 @@ class ProjPoint:
 
 
 @lru_cache(maxsize=None)
-def _constraint_masks(n_qubits: int) -> tuple[tuple[int, LinearConstraint], ...]:
-    """Each isotropy constraint with the mask of its terms' coordinates."""
-    return tuple((sum(1 << k for k in c.term_keys), c) for c in lagrangian_constraints(n_qubits))
+def _constraint_masks(n_qubits: int) -> tuple[tuple[int, str], ...]:
+    """Each isotropy constraint as the mask of its terms' coordinates, with
+    the message naming it when they sum to 1."""
+    return tuple((sum(1 << k for k in c.term_keys), f"input violates isotropy constraint {c}")
+                 for c in lagrangian_constraints(n_qubits))
+
+
+@lru_cache(maxsize=None)
+def _contraction(n_qubits: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Contraction with omega = sum_i e_i ^ e_{N+i}: each pair p_i = {i, N+i}
+    with the mask M_i of the keys containing it, and the mask of the keys K
+    that carry a constraint (the meet of its terms K | p_i).  Bit K of
+    XOR_i (table & M_i) >> p_i is then the constraint's sum of the
+    coordinates at the keys K | p_i."""
+    n = n_qubits
+    pairs = [(1 << i) | (1 << n + i) for i in range(n)]
+    masks = tuple((p, sum(1 << k for k in range(1 << 2 * n) if k & p == p)) for p in pairs)
+    targets = {reduce(int.__and__, c.term_keys) for c in lagrangian_constraints(n)}
+    return masks, sum(1 << k for k in targets)
 
 
 def project(v: PlueckerVec) -> ProjPoint:
@@ -124,25 +140,43 @@ def project(v: PlueckerVec) -> ProjPoint:
     The input must satisfy the isotropy constraints; a resulting zero
     vector signals a point off the Lagrangian locus and is rejected.
     """
-    n = v.n_qubits
-    for mask, c in _constraint_masks(n):
-        if (v.table & mask).bit_count() & 1:
-            raise ValueError(f"input violates isotropy constraint {c}")
+    n, t = v.n_qubits, v.table
+    masks, targets = _contraction(n)
+    s = 0
+    for p, m in masks:
+        s ^= (t & m) >> p
+    if s & targets:
+        msg = next(msg for mask, msg in _constraint_masks(n) if (t & mask).bit_count() & 1)
+        raise ValueError(msg)
     bits = 0
     for m, key in enumerate(principal_keys(n)):
-        if (v.table >> key) & 1:
+        if (t >> key) & 1:
             bits |= 1 << m
     if bits == 0:
         raise ValueError("all principal coordinates vanish: input not Lagrangian")
     return ProjPoint(n, bits)
 
 
+@lru_cache(maxsize=None)
+def _observable_tables(n_qubits: int) -> tuple[tuple[int, ...], ...]:
+    """The display order as byte tables: entry [b][v] has bit j set for each
+    bit k of v with display_masks(N)[j] == 8b + k."""
+    pos = {m: j for j, m in enumerate(display_masks(n_qubits))}
+    tables = []
+    for lo in range(0, len(pos), 8):
+        table = [0]
+        for m in range(lo, lo + 8):  # the entries with bit m - lo set follow those without
+            bit = 1 << pos[m] if m in pos else 0
+            table += [v | bit for v in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def to_observable(p: ProjPoint) -> PauliPoint:
-    """Read the display coordinates as a Pauli operator on 2^(N-1) qubits."""
-    db = p.display_bits()
-    m = len(db) // 2
-    letters = "".join(BITS_LETTER[(db[k], db[k + m])] for k in range(m))
-    return PauliPoint.from_label(letters)
+    """Read the display coordinates as a Pauli operator on 2^(N-1) qubits:
+    display coordinate j is bit j of the operator."""
+    tables = enumerate(_observable_tables(p.n_source))
+    return PauliPoint(1 << (p.n_source - 1), sum(t[p.bits >> 8 * b & 255] for b, t in tables))
 
 
 def chart_matrix(p: ProjPoint) -> tuple[int, ...]:

@@ -4,7 +4,7 @@ under test."""
 
 import itertools
 
-from lgrpauli.pauli import Generator, PauliPoint
+from lgrpauli.pauli import BITS_LETTER, Generator, PauliPoint
 
 
 def subset_keys(n_ambient: int, k: int) -> tuple[int, ...]:
@@ -36,3 +36,9 @@ def quad_form(p: PauliPoint) -> int:
     i.e. its label carries an even number of Y's."""
     b = p.bits
     return (b & (b >> p.n_qubits)).bit_count() & 1
+
+
+def label_oracle(p: PauliPoint) -> str:
+    """The label letter by letter, each from the qubit's bit pair."""
+    n, b = p.n_qubits, p.bits
+    return "".join(BITS_LETTER[((b >> i) & 1, (b >> (n + i)) & 1)] for i in range(n))

@@ -310,13 +310,44 @@ GOLDEN_RUNS = [f"{cmd} --n {n} --format {fmt}" for cmd in ("cayley", "verify")
 GOLDEN_RUNS.append("verify --n 2 --suite variety --format text")
 
 
+# argv -> exit code of the `project` and `map` cases: the README examples
+# and one family for each N in each format, then the rejected inputs
+GOLDEN_OPS = {2: ["XI,IX", "ZX,XZ"], 3: ["ZZI,XXI,IIX"], 4: ["ZZII,XXII,IIZZ,IIXX"],
+              5: ["XXIII,ZZIII,IIXII,IIIXI,IIIIX", "ZXIII,XZIII,IIZXI,IIXZI,IIIIY"]}
+GOLDEN_PROJECTION_RUNS = {f"{cmd} --n {n} --ops {ops} --format {fmt}": 0
+                          for n, families in GOLDEN_OPS.items() for ops in families
+                          for cmd in ("project", "map") for fmt in ("text", "csv", "json")}
+GOLDEN_PROJECTION_RUNS.update({  # XII, ZII anticommute and have rank 2 < 3: exit 3
+    f"{cmd} --n 3 --ops {ops} --format text": code
+    for ops, code in (("XII,ZII", EXIT_NONCOMMUTING), ("XII,XII,IXI", EXIT_NONMAXIMAL),
+                      ("QQI", EXIT_PARSE))
+    for cmd in ("project", "map")})
+GOLDEN_PROJECTION_RUNS.update({  # two anticommuting pairs, with full and deficient rank
+    "map --n 5 --ops XIIII,IZIII,IXIII,ZIIII,IIIIX --format text": EXIT_NONCOMMUTING,
+    "map --n 5 --ops XIIII,IZIII,IXIII,ZIIII --format text": EXIT_NONCOMMUTING,
+})
+
+
+def check_golden(capsys, argv: str, expected_code: int):
+    # the file <argv words without dashes, joined by -> holds the stdout of
+    # `python -m lgrpauli.cli <argv>` as .out on exit 0, else its stderr as .err
+    name = "-".join(a.lstrip("-") for a in argv.split())
+    code, out, err = run(capsys, *argv.split())
+    assert code == expected_code
+    if code == 0:
+        assert err == "" and out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    else:
+        assert out == "" and err.encode() == (GOLDEN / f"{name}.err").read_bytes()
+
+
 @pytest.mark.parametrize("argv", GOLDEN_RUNS)
 def test_quadric_commands_match_golden_output(capsys, argv):
-    # each file holds the stdout of `python -m lgrpauli.cli <argv>`, exit 0
-    name = "-".join(a.lstrip("-") for a in argv.split()) + ".out"
-    code, out, err = run(capsys, *argv.split())
-    assert (code, err) == (0, "")
-    assert out.encode() == (GOLDEN / name).read_bytes()
+    check_golden(capsys, argv, 0)
+
+
+@pytest.mark.parametrize("argv", GOLDEN_PROJECTION_RUNS)
+def test_projection_commands_match_golden_output(capsys, argv):
+    check_golden(capsys, argv, GOLDEN_PROJECTION_RUNS[argv])
 
 
 def test_out_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 maximal commuting families."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,8 @@ from lgrpauli.pauli import (
     generator_from_operators,
     symplectic_product,
 )
-from pauli_helpers import all_points, generator_points, quad_form, y_count
+from lgrpauli.gf2 import rank
+from pauli_helpers import all_points, generator_points, label_oracle, quad_form, y_count
 
 
 def points(n):
@@ -31,6 +33,18 @@ def test_label_roundtrip():
         assert PauliPoint.from_label(s).label() == s
     assert PauliPoint.from_label("+XI").label() == "XI"
     assert PauliPoint.from_label("-XI").label() == "XI"
+
+
+def test_label_matches_letter_loop_oracle():
+    # four-qubit chunks, so lengths that are not multiples of 4 are included
+    rng = random.Random(20)
+    for n in range(1, 21):
+        top = 1 << (2 * n)
+        extremes = [1, top - 1, top >> 1, 1 << (n - 1), 1 << n]
+        for bits in extremes + [rng.randrange(1, top) for _ in range(50)]:
+            p = PauliPoint(n, bits)
+            assert p.label() == label_oracle(p)
+            assert PauliPoint.from_label(p.label()) == p
 
 
 def test_bad_labels():
@@ -170,10 +184,57 @@ def test_generator_rank_deficient_basis_raises_not_maximal():
 
 
 def test_non_commuting_rejected_with_pair():
-    ops = [PauliPoint.from_label(s) for s in ("XI", "ZI")]
-    with pytest.raises(CommutationError) as ei:
-        generator_from_operators(ops)
-    assert {p.label() for p in ei.value.pair} == {"XI", "ZI"}
+    # XII and ZII also span only 2 of 3 dimensions: the pair is reported first
+    for labels in (("XI", "ZI"), ("XII", "ZII")):
+        ops = [PauliPoint.from_label(s) for s in labels]
+        with pytest.raises(CommutationError) as ei:
+            generator_from_operators(ops)
+        assert [p.label() for p in ei.value.pair] == list(labels)
+        assert str(ei.value) == f"operators {labels[0]} and {labels[1]} do not commute"
+
+
+def test_first_anticommuting_pair_in_input_order_is_reported():
+    # (XIIII, ZIIII) at positions 0, 3 comes before (IZIII, IXIII) at 1, 2;
+    # with IIIIX the rank is full, without it deficient
+    for labels in (("XIIII", "IZIII", "IXIII", "ZIIII", "IIIIX"),
+                   ("XIIII", "IZIII", "IXIII", "ZIIII")):
+        with pytest.raises(CommutationError) as ei:
+            generator_from_operators([PauliPoint.from_label(s) for s in labels])
+        assert [p.label() for p in ei.value.pair] == ["XIIII", "ZIIII"]
+
+
+def random_lagrangian_rows(rng: random.Random, n: int) -> list[int]:
+    """The Z basis moved by random symplectic transvections x -> x + <x, v> v."""
+    rows = [1 << i for i in range(n)]
+    for _ in range(4 * n):
+        v = PauliPoint(n, rng.randrange(1, 1 << (2 * n)))
+        rows = [r ^ v.bits if symplectic_product(PauliPoint(n, r), v) else r for r in rows]
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_generator_isotropy_check_agrees_with_symplectic_product(n):
+    rng = random.Random(n)
+    outcomes = set()
+    for _ in range(300):
+        rows = random_lagrangian_rows(rng, n)
+        if rng.randrange(2):  # one flipped bit, which may break isotropy or rank
+            rows[rng.randrange(n)] ^= 1 << rng.randrange(2 * n)
+        pts = [PauliPoint(n, r) for r in rows if r]
+        isotropic = not any(symplectic_product(a, b) for a, b in itertools.combinations(pts, 2))
+        if rank(rows) < n:
+            expected = "NotMaximalError"
+            with pytest.raises(NotMaximalError):
+                Generator(n, rows)
+        elif isotropic:
+            expected = "ok"
+            Generator(n, rows)
+        else:
+            expected = "basis is not totally isotropic"
+            with pytest.raises(ValueError, match=expected):
+                Generator(n, rows)
+        outcomes.add(expected)
+    assert len(outcomes) == 3
 
 
 def test_non_maximal_rejected():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from lgrpauli.gf2 import minor, rref
 from lgrpauli.pauli import (
+    BITS_LETTER,
     Generator,
     PauliPoint,
     enumerate_generators,
@@ -73,6 +74,39 @@ def sweep_generators(n: int) -> tuple[Generator, ...]:
                 raw.append(r)
             seen.add(tuple(rref(raw)))
     return tuple(Generator(n, rows) for rows in sorted(seen))
+
+
+@lru_cache(maxsize=None)
+def constraint_messages(n: int) -> dict:
+    return {c: f"input violates isotropy constraint {c}" for c in lagrangian_constraints(n)}
+
+
+def project_oracle(v: PlueckerVec) -> ProjPoint | str:
+    """``project`` as a per-constraint check: the message of the first
+    constraint, in order, whose terms sum to 1 (``LinearConstraint.evaluate``
+    term by term), else the principal coordinates, or the message for all
+    of them vanishing."""
+    n = v.n_qubits
+    for c, msg in constraint_messages(n).items():
+        if c.evaluate(v):
+            return msg
+    bits = sum(v.coord_key(key) << m for m, key in enumerate(principal_keys(n)))
+    return ProjPoint(n, bits) if bits else "all principal coordinates vanish: input not Lagrangian"
+
+
+def project_outcome(v: PlueckerVec) -> ProjPoint | str:
+    try:
+        return project(v)
+    except ValueError as e:
+        return str(e)
+
+
+def observable_oracle(p: ProjPoint) -> PauliPoint:
+    """``to_observable`` through letters: display coordinates k and k + 2^(N-1)
+    are the bit pair of qubit k, and the label is parsed back."""
+    db = p.display_bits()
+    m = len(db) // 2
+    return PauliPoint.from_label("".join(BITS_LETTER[(db[k], db[k + m])] for k in range(m)))
 
 
 def swap_columns(r: int, a: int, b: int) -> int:
@@ -172,18 +206,53 @@ def test_from_string_fuzz(n, text):
         assert ProjPoint.from_string(n, form) == p
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_project_names_the_first_violated_constraint(n):
+    # sparse tables on the N-subset keys, or on keys of any size, where bits
+    # off the N-subsets must not count as violations
     rng = random.Random(n)
+    pools = (subset_keys(2 * n, n), range(1 << (2 * n)))
+    masks = {c: sum(1 << k for k in c.term_keys) for c in lagrangian_constraints(n)}
+    rejected = 0
+    for _ in range(2000):
+        bits = rng.sample(pools[rng.randrange(2)], rng.randrange(1, 6))
+        v = PlueckerVec(n, sum(1 << k for k in bits))
+        expected = project_oracle(v)
+        assert project_outcome(v) == expected
+        assert all((v.table & m).bit_count() & 1 == c.evaluate(v) for c, m in masks.items())
+        rejected += isinstance(expected, str) and "isotropy" in expected
+    assert 0 < rejected < 2000
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_contraction_matches_constraint_oracle_on_single_bit_flips(n):
     keys = subset_keys(2 * n, n)
-    for _ in range(200):
-        v = PlueckerVec(n, sum(1 << k for k in rng.sample(keys, rng.randrange(1, 6))))
-        violated = [c for c in lagrangian_constraints(n) if c.evaluate(v)]
-        if not violated:
-            continue
-        with pytest.raises(ValueError) as exc:
-            project(v)
-        assert str(exc.value) == f"input violates isotropy constraint {violated[0]}"
+    for g in enumerate_generators(n):
+        t = embed(g).table
+        for k in keys:
+            v = PlueckerVec(n, t ^ (1 << k))
+            assert project_outcome(v) == project_oracle(v)
+
+
+def test_contraction_matches_constraint_oracle_on_every_n5_table():
+    # 120 constraints on 75,735 tables: each constraint's terms are summed
+    # through one mask, the sum evaluate takes term by term (the sparse
+    # tables above check that the two agree); the points come from the
+    # Clifford BFS
+    masks = [sum(1 << k for k in c.term_keys) for c in lagrangian_constraints(5)]
+    for p, g in lift_table(5).items():
+        v = embed(g)
+        assert not any((v.table & m).bit_count() & 1 for m in masks)
+        assert project(v) == p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_to_observable_matches_letter_oracle(n):
+    rng = random.Random(n)
+    size = 1 << n
+    others = [ProjPoint(n, rng.randrange(1, 1 << size)) for _ in range(300)]
+    for p in image(n) + tuple(others):
+        assert to_observable(p) == observable_oracle(p)
 
 
 def test_worked_examples():
