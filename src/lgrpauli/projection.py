@@ -113,25 +113,17 @@ class ProjPoint:
 
 
 @lru_cache(maxsize=None)
-def _constraint_masks(n_qubits: int) -> tuple[tuple[int, str], ...]:
-    """Each isotropy constraint as the mask of its terms' coordinates, with
-    the message naming it when they sum to 1."""
-    return tuple((sum(1 << k for k in c.term_keys), f"input violates isotropy constraint {c}")
-                 for c in lagrangian_constraints(n_qubits))
-
-
-@lru_cache(maxsize=None)
-def _contraction(n_qubits: int) -> tuple[tuple[tuple[int, int], ...], int]:
+def _contraction(n_qubits: int) -> tuple[tuple[tuple[int, int], ...], int, tuple[tuple[int, str], ...]]:
     """Contraction with omega = sum_i e_i ^ e_{N+i}: each pair p_i = {i, N+i}
-    with the mask M_i of the keys containing it, and the mask of the keys K
-    that carry a constraint (the meet of its terms K | p_i).  Bit K of
-    XOR_i (table & M_i) >> p_i is then the constraint's sum of the
-    coordinates at the keys K | p_i."""
+    with the mask M_i of the keys containing it, and each constraint's key K
+    (the meet of its terms K | p_i), as a mask and with its message.  Bit K of
+    XOR_i (table & M_i) >> p_i is the sum of the constraint's terms."""
     n = n_qubits
     pairs = [(1 << i) | (1 << n + i) for i in range(n)]
     masks = tuple((p, sum(1 << k for k in range(1 << 2 * n) if k & p == p)) for p in pairs)
-    targets = {reduce(int.__and__, c.term_keys) for c in lagrangian_constraints(n)}
-    return masks, sum(1 << k for k in targets)
+    named = tuple((reduce(int.__and__, c.term_keys), f"input violates isotropy constraint {c}")
+                  for c in lagrangian_constraints(n))
+    return masks, sum(1 << k for k, _ in named), named
 
 
 def project(v: PlueckerVec) -> ProjPoint:
@@ -141,13 +133,12 @@ def project(v: PlueckerVec) -> ProjPoint:
     vector signals a point off the Lagrangian locus and is rejected.
     """
     n, t = v.n_qubits, v.table
-    masks, targets = _contraction(n)
+    masks, targets, named = _contraction(n)
     s = 0
     for p, m in masks:
         s ^= (t & m) >> p
     if s & targets:
-        msg = next(msg for mask, msg in _constraint_masks(n) if (t & mask).bit_count() & 1)
-        raise ValueError(msg)
+        raise ValueError(next(msg for k, msg in named if s >> k & 1))
     bits = 0
     for m, key in enumerate(principal_keys(n)):
         if (t >> key) & 1:
@@ -162,14 +153,9 @@ def _observable_tables(n_qubits: int) -> tuple[tuple[int, ...], ...]:
     """The display order as byte tables: entry [b][v] has bit j set for each
     bit k of v with display_masks(N)[j] == 8b + k."""
     pos = {m: j for j, m in enumerate(display_masks(n_qubits))}
-    tables = []
-    for lo in range(0, len(pos), 8):
-        table = [0]
-        for m in range(lo, lo + 8):  # the entries with bit m - lo set follow those without
-            bit = 1 << pos[m] if m in pos else 0
-            table += [v | bit for v in table]
-        tables.append(tuple(table))
-    return tuple(tables)
+    low = range(min(8, len(pos)))
+    return tuple(tuple(sum(1 << pos[lo + k] for k in low if v >> k & 1) for v in range(256))
+                 for lo in range(0, len(pos), 8))
 
 
 def to_observable(p: ProjPoint) -> PauliPoint:

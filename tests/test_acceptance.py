@@ -62,8 +62,13 @@ def test_criterion_2_bijectivity():
     details = []
     for n in (2, 3, 4, 5):
         gens = enumerate_generators(n)
-        img = {project(embed(g)) for g in gens}
+        tables = [embed(g) for g in gens]
+        img = {project(v) for v in tables}
         ok &= len(img) == len(gens)
+        # the per-constraint oracle accepts every table project accepted:
+        # each constraint's terms, summed through one mask, vanish
+        masks = [sum(1 << k for k in c.term_keys) for c in lagrangian_constraints(n)]
+        ok &= not any((v.table & m).bit_count() & 1 for v in tables for m in masks)
         details.append(f"N={n}: {len(img)}/{len(gens)} distinct")
     for n in (2, 3, 4, 5):
         ok &= all(project(embed(lift(p))) == p for p in image(n))

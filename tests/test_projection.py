@@ -234,18 +234,6 @@ def test_contraction_matches_constraint_oracle_on_single_bit_flips(n):
             assert project_outcome(v) == project_oracle(v)
 
 
-def test_contraction_matches_constraint_oracle_on_every_n5_table():
-    # 120 constraints on 75,735 tables: each constraint's terms are summed
-    # through one mask, the sum evaluate takes term by term (the sparse
-    # tables above check that the two agree); the points come from the
-    # Clifford BFS
-    masks = [sum(1 << k for k in c.term_keys) for c in lagrangian_constraints(5)]
-    for p, g in lift_table(5).items():
-        v = embed(g)
-        assert not any((v.table & m).bit_count() & 1 for m in masks)
-        assert project(v) == p
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_to_observable_matches_letter_oracle(n):
     rng = random.Random(n)
