@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
 
-from .pauli import MAX_QUBITS, Generator, PauliPoint
-from .pluecker import PlueckerVec, embed, lagrangian_constraints, principal_keys
+from .pauli import MAX_QUBITS, Generator, PauliPoint, generator_count
+from .pluecker import PlueckerVec, embed, lagrangian_constraints
 
 
 class NotInImageError(ValueError):
@@ -139,10 +139,9 @@ def project(v: PlueckerVec) -> ProjPoint:
         s ^= (t & m) >> p
     if s & targets:
         raise ValueError(next(msg for k, msg in named if s >> k & 1))
-    bits = 0
-    for m, key in enumerate(principal_keys(n)):
-        if (t >> key) & 1:
-            bits |= 1 << m
+    # the key of subset m is (m + 1) * step: one slice reads them all, high m first
+    step = (1 << n) - 1
+    bits = int(format(t, f"0{1 << 2 * n}b")[-1 - (step << n):-1:step], 2)
     if bits == 0:
         raise ValueError("all principal coordinates vanish: input not Lagrangian")
     return ProjPoint(n, bits)
@@ -184,18 +183,6 @@ def chart_matrix(p: ProjPoint) -> tuple[int, ...]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return tuple(rows)
-
-
-def chart_generator(p: ProjPoint, swap: int = 0) -> Generator:
-    """The generator spanned by u_i = e_i + sum_j a_ij e_{N+j}, with the
-    columns i <-> N+i exchanged for i in the subset mask ``swap``."""
-    n = p.n_source
-    rows = []
-    for i, a in enumerate(chart_matrix(p)):
-        r = (1 << i) | (a << n)
-        d = (r ^ (r >> n)) & swap
-        rows.append(r ^ d ^ (d << n))
-    return Generator(n, rows)
 
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -252,30 +239,63 @@ def to_chart(p: ProjPoint) -> tuple[int, ProjPoint]:
     return t, ProjPoint(n, bits)
 
 
+def chart_points(n_qubits: int) -> list[int]:
+    """Entry c is the chart point of the symmetric matrix A with code c,
+    bit k of c the entry flipped by gate k of ``clifford_gates(n)[n:]``
+    (a_ii by S_i, then a_ij = a_ji by CZ_ij).  One Gray-code walk from
+    A = 0 (the point x_{} = 1) applies one gate per step."""
+    gates = clifford_gates(n_qubits)[n_qubits:]
+    points = [1] * (1 << len(gates))
+    bits = 1
+    for k in range(1, len(points)):
+        bits = apply_gate(gates[(k & -k).bit_length() - 1], bits)
+        points[k ^ k >> 1] = bits
+    return points
+
+
 @lru_cache(maxsize=None)
 def lift_table(n_qubits: int) -> MappingProxyType[ProjPoint, Generator]:
     """Every image point with the unique generator projecting to it.
 
-    The image is the orbit of the point x_{} = 1 under the Clifford gates.
-    Each point p is swap-lifted: the chart generator of H_T p with columns
-    T swapped back, checked to project to p.
+    Each image point is H_T q for one chart point q and the lowest subset T
+    with x_T = 1, which H_T q has exactly when q vanishes on {S ^ T : S < T}.
+    Its generator is the graph u_i = e_i + sum_j a_ij e_{N+j} of q's matrix
+    A with the columns i <-> N+i exchanged for i in T, checked to project
+    to the point; the table holds prod (2^i + 1) points in point order.
     """
     n = n_qubits
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"supported qubit range is 1..{MAX_QUBITS}")
-    gates = clifford_gates(n)
-    seen, frontier = {1}, {1}
-    while frontier:
-        frontier = {apply_gate(g, v) for v in frontier for g in gates} - seen
-        seen |= frontier
+    points = chart_points(n)
+    e = len(points).bit_length() - 1
+    hits = []  # bits << (e + N) | T << e | code, so that sorting puts them in point order
+    for t in range(1 << n):
+        below = sum(1 << (s ^ t) for s in range(t))
+        hadamards = [h for i, h in enumerate(clifford_gates(n)[:n]) if t >> i & 1]
+        for code in [c for c, q in enumerate(points) if not q & below]:
+            q = points[code]
+            for h in hadamards:
+                q = apply_gate(h, q)
+            hits.append(q << e + n | t << e | code)
+    hits.sort()
+    # the graph rows of A packed 2N bits apart; code bit k adds a_ij and a_ji
+    w = 2 * n
+    flips = [1 << w * i + n + j | 1 << w * j + n + i
+             for i, j in [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))]
+    eye, spread = sum(1 << w * i + i for i in range(n)), sum(1 << w * i for i in range(n))
     table = {}
-    for bits in sorted(seen):
-        p = ProjPoint(n, bits)
-        t, q = to_chart(p)
-        g = chart_generator(q, swap=t)
+    for hit in hits:
+        t, code = hit >> e & (1 << n) - 1, hit & (1 << e) - 1
+        r = sum((f for k, f in enumerate(flips) if code >> k & 1), eye)
+        d = (r ^ r >> n) & t * spread
+        r ^= d ^ d << n
+        p, g = ProjPoint(n, hit >> e + n), Generator(n, [r >> w * i & (1 << w) - 1 for i in range(n)])
         if project(embed(g)) != p:
             raise RuntimeError(f"lift table: {p.display_str()} does not round-trip")
         table[p] = g
+    if not len(hits) == len(table) == generator_count(n):
+        raise RuntimeError(f"lift table: {len(table)} points from {len(hits)} hits,"
+                           f" expected {generator_count(n)}")
     return MappingProxyType(table)
 
 

@@ -5,6 +5,7 @@ under test."""
 import itertools
 
 from lgrpauli.pauli import BITS_LETTER, Generator, PauliPoint
+from lgrpauli.pluecker import PlueckerVec, principal_keys
 
 
 def subset_keys(n_ambient: int, k: int) -> tuple[int, ...]:
@@ -42,3 +43,9 @@ def label_oracle(p: PauliPoint) -> str:
     """The label letter by letter, each from the qubit's bit pair."""
     n, b = p.n_qubits, p.bits
     return "".join(BITS_LETTER[((b >> i) & 1, (b >> (n + i)) & 1)] for i in range(n))
+
+
+def principal_bits(v: PlueckerVec) -> int:
+    """The principal coordinates of a Plucker vector, one key at a time:
+    bit m is the coordinate at the key of subset m."""
+    return sum(v.coord_key(key) << m for m, key in enumerate(principal_keys(v.n_qubits)))

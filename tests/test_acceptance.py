@@ -35,7 +35,7 @@ from lgrpauli.quadrics import (
     verify_variety,
 )
 from orbit_oracles import chart_points_of_orbit, orbit_members, whole_space_t_ranks
-from pauli_helpers import all_points, quad_form, y_count
+from pauli_helpers import all_points, principal_bits, quad_form, y_count
 
 
 def report(name, ok, detail=""):
@@ -60,11 +60,14 @@ def test_criterion_1_generator_counts():
 def test_criterion_2_bijectivity():
     ok = True
     details = []
-    for n in (2, 3, 4, 5):
+    for n in (1, 2, 3, 4, 5):
         gens = enumerate_generators(n)
         tables = [embed(g) for g in gens]
-        img = {project(v) for v in tables}
+        points = [project(v) for v in tables]
+        img = set(points)
         ok &= len(img) == len(gens)
+        # the principal coordinates read key by key agree with project's slice
+        ok &= all(p.bits == principal_bits(v) for p, v in zip(points, tables))
         # the per-constraint oracle accepts every table project accepted:
         # each constraint's terms, summed through one mask, vanish
         masks = [sum(1 << k for k in c.term_keys) for c in lagrangian_constraints(n)]

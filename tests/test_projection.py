@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lgrpauli import projection
 from lgrpauli.gf2 import minor, rref
 from lgrpauli.pauli import (
     BITS_LETTER,
     Generator,
     PauliPoint,
     enumerate_generators,
+    generator_count,
     generator_from_operators,
 )
 from lgrpauli.pluecker import (
@@ -31,8 +33,8 @@ from lgrpauli.projection import (
     NotInImageError,
     ProjPoint,
     apply_gate,
-    chart_generator,
     chart_matrix,
+    chart_points,
     clifford_gates,
     display_masks,
     gate,
@@ -43,7 +45,7 @@ from lgrpauli.projection import (
     to_chart,
     to_observable,
 )
-from pauli_helpers import subset_keys, y_count
+from pauli_helpers import principal_bits, subset_keys, y_count
 
 
 @lru_cache(maxsize=None)
@@ -76,6 +78,28 @@ def sweep_generators(n: int) -> tuple[Generator, ...]:
     return tuple(Generator(n, rows) for rows in sorted(seen))
 
 
+def clifford_orbit(n: int) -> set[int]:
+    """Oracle: the image as the orbit of the point x_{} = 1 under the
+    Clifford gates H, S and CZ, by breadth-first search."""
+    gates = clifford_gates(n)
+    seen, frontier = {1}, {1}
+    while frontier:
+        frontier = {apply_gate(g, v) for v in frontier for g in gates} - seen
+        seen |= frontier
+    return seen
+
+
+def swap_lift(p: ProjPoint) -> Generator:
+    """The graph of the chart matrix of H_T p, columns i <-> N+i swapped for i in T."""
+    n = p.n_source
+    t, q = to_chart(p)
+    rows = [(1 << i) | (a << n) for i, a in enumerate(chart_matrix(q))]
+    for i in range(n):
+        if t >> i & 1:
+            rows = [swap_columns(r, i, n + i) for r in rows]
+    return Generator(n, rows)
+
+
 @lru_cache(maxsize=None)
 def constraint_messages(n: int) -> dict:
     return {c: f"input violates isotropy constraint {c}" for c in lagrangian_constraints(n)}
@@ -90,7 +114,7 @@ def project_oracle(v: PlueckerVec) -> ProjPoint | str:
     for c, msg in constraint_messages(n).items():
         if c.evaluate(v):
             return msg
-    bits = sum(v.coord_key(key) << m for m, key in enumerate(principal_keys(n)))
+    bits = principal_bits(v)
     return ProjPoint(n, bits) if bits else "all principal coordinates vanish: input not Lagrangian"
 
 
@@ -213,7 +237,7 @@ def test_project_names_the_first_violated_constraint(n):
     rng = random.Random(n)
     pools = (subset_keys(2 * n, n), range(1 << (2 * n)))
     masks = {c: sum(1 << k for k in c.term_keys) for c in lagrangian_constraints(n)}
-    rejected = 0
+    rejected = vanished = 0
     for _ in range(2000):
         bits = rng.sample(pools[rng.randrange(2)], rng.randrange(1, 6))
         v = PlueckerVec(n, sum(1 << k for k in bits))
@@ -221,7 +245,8 @@ def test_project_names_the_first_violated_constraint(n):
         assert project_outcome(v) == expected
         assert all((v.table & m).bit_count() & 1 == c.evaluate(v) for c, m in masks.items())
         rejected += isinstance(expected, str) and "isotropy" in expected
-    assert 0 < rejected < 2000
+        vanished += isinstance(expected, str) and "vanish" in expected
+    assert 0 < rejected < 2000 and vanished > 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -285,6 +310,34 @@ def test_gate_rejects_overlapping_or_unordered_masks():
             gate(3, frm, to, SWAP)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lift_table_matches_clifford_orbit_oracle(n):
+    assert {p.bits for p in lift_table(n)} == clifford_orbit(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chart_points_are_the_principal_minors_of_each_code(n):
+    # bit k of a code holds a_ii for k < N, then a_ij for i < j
+    entries = [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))
+    subsets = [[i + 1 for i in range(n) if m >> i & 1] for m in range(1 << n)]
+    points = chart_points(n)
+    assert len(points) == 1 << len(entries)
+    for code, bits in enumerate(points):
+        a = [0] * n
+        for k, (i, j) in enumerate(entries):
+            if code >> k & 1:
+                a[i] |= 1 << j
+                a[j] |= 1 << i
+        assert bits == sum(minor(a, n, s, s) << m for m, s in enumerate(subsets))
+
+
+def test_lift_table_checks_its_size(monkeypatch):
+    assert len(lift_table(1)) == 3
+    monkeypatch.setattr(projection, "generator_count", lambda n: generator_count(n) + 1)
+    with pytest.raises(RuntimeError, match="15 points from 15 hits, expected 16"):
+        lift_table.__wrapped__(2)
+
+
 def test_to_chart_reaches_the_chart_by_hadamards():
     for p in image(4):
         t, q = to_chart(p)
@@ -314,10 +367,10 @@ def test_chart_matrix_reconstruction():
                 assert minor(a, n, subset, subset) == (p.bits >> m) & 1
 
 
-def test_chart_generator_agrees_with_lift():
-    for p in image(3):
-        if p.bits & 1:
-            assert chart_generator(p) == lift(p)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_swap_lift_agrees_with_lift(n):
+    for p in image(n):
+        assert swap_lift(p) == lift(p)
 
 
 def test_lift_rejects_non_image_points():
