@@ -166,14 +166,14 @@ def cmd_lift(args) -> str:
 
 def cmd_relations(args) -> str:
     rels = pluecker_relations(args.n)
-    rows = [{"index": i, "terms": len(r.terms()), "relation": str(r)}
+    rows = [{"index": i, "terms": len(r.term_keys), "relation": str(r)}
             for i, r in enumerate(rels, 1)]
     return _emit(rows, args.format, title=f"{len(rows)} quadratic exchange relations")
 
 
 def cmd_constraints(args) -> str:
     cons = lagrangian_constraints(args.n)
-    rows = [{"index": i, "terms": len(c.terms()), "constraint": str(c)}
+    rows = [{"index": i, "terms": len(c.term_keys), "constraint": str(c)}
             for i, c in enumerate(cons, 1)]
     out = _emit(rows, args.format, title=f"{len(rows)} isotropy constraints")
     if args.format == "text":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional
 
 from .gf2 import minor
@@ -47,36 +47,43 @@ def local_gates(n: int) -> tuple[Gate, ...]:
     return clifford_gates(n)[:2 * n] + tuple(gate(n, 1 << k, 2 << k, SWAP) for k in range(n - 1))
 
 
+def _generator_pair(n: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+    """Two elements generating the local group, as gate sequences applied
+    in turn: a = H_1, S_1, then the axis swap 1 <-> 2; b = H_1, then every
+    adjacent axis swap in order, which cycles the axes."""
+    g = local_gates(n)
+    return (g[0], g[n], g[2 * n]), (g[0], *g[2 * n:])
+
+
 @lru_cache(maxsize=None)
 def _orbit_data(n: int) -> tuple[list[int], list[list[int]]]:
     """(assignment point -> orbit id, orbit member lists), ids ordered by
-    (size, minimal member)."""
+    (size, minimal member); each orbit is a closure under _generator_pair."""
     if not 2 <= n <= 4:
         raise ValueError("orbit partition supports 2 <= N <= 4")
     size = 1 << (1 << n)
-    # the action is linear, so a point's image is the XOR of the images of
-    # its low and high bytes
-    tables = [([apply_gate(g, x) for x in range(min(size, 256))],
-               [apply_gate(g, x << 8) for x in range(max(1, size >> 8))])
-              for g in local_gates(n)]
+    # each element is linear, so a point's image is the XOR of the images
+    # of its low and high bytes
+    (al, ah), (bl, bh) = [
+        ([reduce(lambda v, h: apply_gate(h, v), seq, x) for x in range(min(size, 256))],
+         [reduce(lambda v, h: apply_gate(h, v), seq, x << 8) for x in range(max(1, size >> 8))])
+        for seq in _generator_pair(n)]
     oid = [-1] * size
     raw: list[list[int]] = []
     for start in range(1, size):
         if oid[start] >= 0:
             continue
         members = [start]
-        oid[start] = len(raw)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            lo8 = v & 255
-            hi8 = v >> 8
-            for tl, th in tables:
-                w = tl[lo8] ^ th[hi8]
-                if oid[w] < 0:
-                    oid[w] = len(raw)
-                    members.append(w)
-                    stack.append(w)
+        oid[start] = k = len(raw)
+        for v in members:  # grows while walked: each member is visited once
+            w = al[v & 255] ^ ah[v >> 8]
+            if oid[w] < 0:
+                oid[w] = k
+                members.append(w)
+            w = bl[v & 255] ^ bh[v >> 8]
+            if oid[w] < 0:
+                oid[w] = k
+                members.append(w)
         raw.append(members)
     order = sorted(range(len(raw)), key=lambda i: (len(raw[i]), min(raw[i])))
     relabel = {old: new for new, old in enumerate(order)}

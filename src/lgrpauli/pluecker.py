@@ -46,6 +46,13 @@ class SubsetIndex:
 
 
 @lru_cache(maxsize=None)
+def _key_label(n_ambient: int, key: int) -> str:
+    """``SubsetIndex.from_key(n_ambient, key).label()``, from the key bits."""
+    members = [str(j + 1) for j in range(n_ambient) if key >> j & 1]
+    return "p" + "".join(members) if n_ambient < 10 else "p{" + ",".join(members) + "}"
+
+
+@lru_cache(maxsize=None)
 def _absent_masks(two_n: int) -> tuple[int, ...]:
     # absent[j]: big integer with bit m set iff subset-mask m omits element j+1
     npos = 1 << two_n
@@ -124,11 +131,8 @@ class PlueckerRelation:
 
     def __str__(self) -> str:
         two_n = 2 * self.n_qubits
-        parts = [
-            f"{SubsetIndex.from_key(two_n, a).label()}*{SubsetIndex.from_key(two_n, b).label()}"
-            for a, b in self.term_keys
-        ]
-        return " + ".join(parts) + " = 0"
+        return " + ".join(f"{_key_label(two_n, a)}*{_key_label(two_n, b)}"
+                          for a, b in self.term_keys) + " = 0"
 
 
 def _relation_candidates(n_qubits: int) -> list[PlueckerRelation]:
@@ -211,8 +215,7 @@ class LinearConstraint:
 
     def __str__(self) -> str:
         two_n = 2 * self.n_qubits
-        parts = [SubsetIndex.from_key(two_n, k).label() for k in self.term_keys]
-        return " + ".join(parts) + " = 0"
+        return " + ".join(_key_label(two_n, k) for k in self.term_keys) + " = 0"
 
 
 @lru_cache(maxsize=None)

@@ -278,15 +278,20 @@ def lift_table(n_qubits: int) -> MappingProxyType[ProjPoint, Generator]:
                 q = apply_gate(h, q)
             hits.append(q << e + n | t << e | code)
     hits.sort()
-    # the graph rows of A packed 2N bits apart; code bit k adds a_ij and a_ji
+    # the graph rows of A packed 2N bits apart; code bit k adds a_ij and a_ji,
+    # so the rows are the XOR of one entry per code byte (e <= 15 for N <= 5)
     w = 2 * n
     flips = [1 << w * i + n + j | 1 << w * j + n + i
              for i, j in [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))]
     eye, spread = sum(1 << w * i + i for i in range(n)), sum(1 << w * i for i in range(n))
+    lo, hi = [eye], [0]  # I plus the flips picked by code bits 0-7; by bits 8 and up
+    for k, f in enumerate(flips):
+        part = lo if k < 8 else hi
+        part += [x ^ f for x in part]
     table = {}
     for hit in hits:
         t, code = hit >> e & (1 << n) - 1, hit & (1 << e) - 1
-        r = sum((f for k, f in enumerate(flips) if code >> k & 1), eye)
+        r = lo[code & 255] ^ hi[code >> 8]
         d = (r ^ r >> n) & t * spread
         r ^= d ^ d << n
         p, g = ProjPoint(n, hit >> e + n), Generator(n, [r >> w * i & (1 << w) - 1 for i in range(n)])

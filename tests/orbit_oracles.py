@@ -5,8 +5,43 @@ orbit partition's per-orbit records."""
 import itertools
 from functools import lru_cache
 
-from lgrpauli.orbits import _orbit_data
-from lgrpauli.projection import ProjPoint
+from lgrpauli.orbits import _orbit_data, local_gates
+from lgrpauli.projection import ProjPoint, apply_gate
+
+
+def orbit_data_by_local_gates(n: int) -> tuple[list[int], list[list[int]]]:
+    """(assignment, member lists) as ``_orbit_data`` returns them, found by
+    closing each point under all the gates of ``local_gates(n)``."""
+    size = 1 << (1 << n)
+    # the action is linear, so a point's image is the XOR of the images of
+    # its low and high bytes
+    tables = [([apply_gate(g, x) for x in range(min(size, 256))],
+               [apply_gate(g, x << 8) for x in range(max(1, size >> 8))])
+              for g in local_gates(n)]
+    oid = [-1] * size
+    raw: list[list[int]] = []
+    for start in range(1, size):
+        if oid[start] >= 0:
+            continue
+        members = [start]
+        oid[start] = len(raw)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            lo8 = v & 255
+            hi8 = v >> 8
+            for tl, th in tables:
+                w = tl[lo8] ^ th[hi8]
+                if oid[w] < 0:
+                    oid[w] = len(raw)
+                    members.append(w)
+                    stack.append(w)
+        raw.append(members)
+    order = sorted(range(len(raw)), key=lambda i: (len(raw[i]), min(raw[i])))
+    relabel = {old: new for new, old in enumerate(order)}
+    assign = [relabel[x] if x >= 0 else -1 for x in oid]
+    orbits = [sorted(raw[old]) for old in order]
+    return assign, orbits
 
 
 @lru_cache(maxsize=None)

@@ -4,12 +4,14 @@ rank invariants."""
 import itertools
 import math
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 
 from lgrpauli.orbits import (
     CLASS_TABLE,
+    _generator_pair,
+    _orbit_data,
     classify_image,
     e_rank,
     emit_tables,
@@ -24,6 +26,7 @@ from lgrpauli.projection import ProjPoint, apply_gate, image, project, to_observ
 from orbit_oracles import (
     chart_points_of_orbit,
     is_separable_by_flattenings,
+    orbit_data_by_local_gates,
     orbit_members,
     separable_tensors,
     whole_space_t_ranks,
@@ -76,17 +79,22 @@ def _elem_columns(factors, perm):
     return tuple(_apply_columns(perm_cols, c) for c in current)
 
 
-@lru_cache(maxsize=None)
-def _local_group(n):
-    """Every element of the group generated by ``local_gates(n)``, as the
-    tuple of images of the unit vectors."""
-    gates = local_gates(n)
+def _closure(n, elements):
+    """Every element of the group generated by ``elements`` (each a gate
+    sequence applied in turn), as the tuple of images of the unit vectors."""
     identity = tuple(1 << m for m in range(1 << n))
     seen, frontier = {identity}, {identity}
     while frontier:
-        frontier = {tuple(apply_gate(g, c) for c in cols) for cols in frontier for g in gates} - seen
+        frontier = {tuple(reduce(lambda v, g: apply_gate(g, v), seq, c) for c in cols)
+                    for cols in frontier for seq in elements} - seen
         seen |= frontier
     return seen
+
+
+@lru_cache(maxsize=None)
+def _local_group(n):
+    """Every element of the group generated by ``local_gates(n)``."""
+    return _closure(n, [(g,) for g in local_gates(n)])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -96,6 +104,18 @@ def test_local_gates_generate_the_local_group(n):
         itertools.product(GL22, repeat=n), axis_perms)}
     assert _local_group(n) == oracle
     assert len(oracle) == 6**n * math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_generator_pair_generates_the_local_group(n):
+    # a pair with the same orbits may still span a proper subgroup, so
+    # compare the groups themselves, not only the partitions
+    assert _closure(n, _generator_pair(n)) == _local_group(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orbit_data_matches_the_local_gates_oracle(n):
+    assert _orbit_data(n) == orbit_data_by_local_gates(n)
 
 
 def test_group_generators_are_involutions():

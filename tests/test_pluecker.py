@@ -62,6 +62,17 @@ def test_subset_index_labels():
     assert SubsetIndex.from_key(6, idx.key) == idx
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_printed_relations_and_constraints_match_subset_index_labels(n):
+    label = lambda k: SubsetIndex.from_key(2 * n, k).label()
+    for r in pluecker_relations(n):
+        assert str(r) == " + ".join(f"{label(a)}*{label(b)}" for a, b in r.term_keys) + " = 0"
+        assert len(r.term_keys) == len(r.terms())
+    for c in lagrangian_constraints(n):
+        assert str(c) == " + ".join(label(k) for k in c.term_keys) + " = 0"
+        assert len(c.term_keys) == len(c.terms())
+
+
 def test_subset_keys_counts():
     assert len(subset_keys(6, 3)) == 20
     assert len(subset_keys(8, 4)) == 70
