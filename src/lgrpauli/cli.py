@@ -24,11 +24,12 @@ from .pauli import (
     generator_from_operators,
 )
 from .pluecker import (
+    _key_label,
     constraint_rank,
     embed,
     lagrangian_constraints,
     pluecker_relations,
-    retained_indices,
+    principal_keys,
 )
 from .projection import NotInImageError, ProjPoint, image, lift, project, to_observable
 from .quadrics import cayley_quadric, hyperbolic_form, quadric_orbit, variety_quadrics, verify_variety
@@ -135,7 +136,7 @@ def _project_rows(n: int, ops_text: str) -> list[dict]:
         raise CliError(EXIT_NONMAXIMAL, str(e)) from e
     v = embed(g)
     p = project(v)
-    pluecker = {idx.label(): v.coord(idx) for idx in retained_indices(n)}
+    pluecker = {_key_label(2 * n, k): v.coord_key(k) for k in sorted(principal_keys(n))}
     return [{
         "point": p.display_str(),
         "bits": p.bit_string(),

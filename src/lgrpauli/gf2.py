@@ -7,6 +7,8 @@ point anywhere.  Index sets in the API are 1-based.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -74,3 +76,69 @@ def minor(rows: Sequence[int], n_cols: int, row_set: Iterable[int], col_set: Ite
         r = rows[i - 1]
         sub.append(sum(1 << k for k, j in enumerate(cs) if (r >> (j - 1)) & 1))
     return 1 if rank(sub) == len(rs) else 0
+
+
+@lru_cache(maxsize=None)
+def absent_masks(n_cols: int) -> tuple[int, ...]:
+    """Entry j has bit m set iff the subset mask m omits column j+1, for the
+    2^n_cols masks m."""
+    npos = 1 << n_cols
+    masks = []
+    for j in range(n_cols):
+        pat = (1 << (1 << j)) - 1
+        width = 1 << (j + 1)
+        while width < npos:
+            pat |= pat << width
+            width <<= 1
+        masks.append(pat)
+    return tuple(masks)
+
+
+@lru_cache(maxsize=None)
+def _row_terms(n_cols: int, r: int) -> tuple[tuple[int, int], ...]:
+    """The terms of wedging row r onto a product: the (absent_masks entry,
+    shift) pair of each of its columns."""
+    if r >> n_cols:
+        raise ValueError(f"basis rows must have at most {n_cols} bits")
+    absent = absent_masks(n_cols)
+    return tuple((absent[j], 1 << j) for j in range(n_cols) if r >> j & 1)
+
+
+def wedge(rows: Iterable[int], n_cols: int) -> tuple[int, int]:
+    """(table, rank): the exterior product of a basis of the row space, bit
+    m of ``table`` the minor on the columns of subset mask m; a change of
+    basis has determinant 1, so it depends only on the span.  A row whose
+    product with the kept rows vanishes lies in their span and is skipped,
+    so ``rank`` rows are kept.  A row wider than ``n_cols`` bits raises."""
+    w, kept = 1, 0
+    for r in rows:
+        nw = 0
+        for m, s in _row_terms(n_cols, r):
+            nw ^= (w & m) << s
+        if nw:
+            w = nw
+            kept += 1
+    return w, kept
+
+
+@lru_cache(maxsize=None)
+def _rref_reader(n_cols: int, pivots: int) -> itemgetter:
+    """For the pivot set ``pivots``: the characters of a table's bit string
+    (key k at index -1-k) that spell the RREF rows, pivots ascending and
+    each row's columns from the highest down."""
+    return itemgetter(*(-1 - (pivots ^ 1 << p ^ 1 << j) for p in range(n_cols) if pivots >> p & 1
+                        for j in reversed(range(n_cols))))
+
+
+def packed_rref(table: int, n_cols: int) -> int:
+    """The RREF rows (pivot = lowest column) of the row space whose wedge is
+    ``table``, packed ``n_cols`` bits apart with the first row highest, so
+    that at one rank the ints order as the row tuples do.  The pivot set P
+    is the lowest set key, and column j of the row with pivot p is the
+    coordinate at P - p + j: the minor of the RREF rows on the columns P
+    with p replaced by j."""
+    pivots = (table & -table).bit_length() - 1
+    if not pivots:
+        return 0
+    # the top bit keeps every key's digit in the string, below "0b1"
+    return int("".join(_rref_reader(n_cols, pivots)(bin(table | 1 << (1 << n_cols)))), 2)

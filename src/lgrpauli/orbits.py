@@ -85,9 +85,10 @@ def _orbit_data(n: int) -> tuple[list[int], list[list[int]]]:
                 oid[w] = k
                 members.append(w)
         raw.append(members)
-    order = sorted(range(len(raw)), key=lambda i: (len(raw[i]), min(raw[i])))
-    relabel = {old: new for new, old in enumerate(order)}
-    assign = [relabel[x] if x >= 0 else -1 for x in oid]
+    # starts ascend, so each orbit's start is its minimal member
+    order = sorted(range(len(raw)), key=lambda i: (len(raw[i]), raw[i][0]))
+    relabel = sorted(range(len(raw)), key=order.__getitem__) + [-1]  # new id by old; -1 stays
+    assign = list(map(relabel.__getitem__, oid))
     orbits = [sorted(raw[old]) for old in order]
     return assign, orbits
 

@@ -8,7 +8,8 @@ with qubit i encoded as the pair (x_i, x_{N+i}):
 
 Two operators commute exactly when their symplectic product vanishes.
 A maximal set of pairwise commuting operators is an N-dimensional totally
-isotropic subspace; we keep those in canonical reduced-row-echelon form.
+isotropic subspace; we keep each as its Plucker vector, the wedge of any basis,
+which is canonical and reads back as the reduced-row-echelon basis.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
-from .gf2 import rref
+from .gf2 import absent_masks, packed_rref, wedge
 
 MAX_QUBITS = 5
 
@@ -98,30 +100,50 @@ def commute(a: PauliPoint, b: PauliPoint) -> bool:
     return symplectic_product(a, b) == 0
 
 
-@dataclass(frozen=True, order=True)
+@lru_cache(maxsize=None)
+def omega_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """Contraction with omega = sum_i e_i ^ e_{N+i}: each pair p_i = {i, N+i}
+    as a key, with the mask M_i of the keys containing it.  For a wedge w,
+    XOR_i (w & M_i) >> p_i is the contraction, and a rank-N wedge is
+    totally isotropic iff it vanishes."""
+    absent = absent_masks(2 * n)
+    full = (1 << (1 << 2 * n)) - 1
+    return tuple(((1 << i) | (1 << n + i), full ^ (absent[i] | absent[n + i])) for i in range(n))
+
+
+@dataclass(frozen=True, init=False)
 class Generator:
-    """A maximal totally isotropic subspace, held as its canonical RREF basis:
-    N packed rows of 2N bits.  The constructor takes any spanning rows and
-    reduces them, so two generators are equal iff their row spaces are.
+    """A maximal totally isotropic subspace, held as its Plucker vector:
+    bit m of ``table`` is the minor on the columns of subset mask m.  The
+    constructor takes any spanning rows of at most 2N bits; the vector
+    depends only on their span, so two generators are equal iff their row
+    spaces are, and ``rows`` reads the canonical RREF basis back from it.
     """
 
     n_qubits: int
-    rows: tuple[int, ...]
+    table: int
 
-    def __post_init__(self):
-        n = self.n_qubits
-        if any(r >> (2 * n) for r in self.rows):
-            raise ValueError(f"basis rows must have at most {2 * n} bits")
-        rows = tuple(rref(self.rows))
-        if len(rows) != n:
-            raise NotMaximalError(f"subspace has rank {len(rows)}, expected {n}")
-        low = (1 << n) - 1
-        for i, a in enumerate(rows):
-            w = (a >> n) | (a & low) << n  # a with its halves exchanged
-            for b in rows[i + 1:]:
-                if (w & b).bit_count() & 1:
-                    raise ValueError("basis is not totally isotropic")
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, n_qubits: int, rows: Iterable[int]):
+        n = n_qubits
+        table, rank = wedge(rows, 2 * n)  # ValueError for a row wider than 2N bits
+        if rank != n:
+            raise NotMaximalError(f"subspace has rank {rank}, expected {n}")
+        s = 0
+        for p, m in omega_masks(n):
+            s ^= (table & m) >> p
+        if s:
+            raise ValueError("basis is not totally isotropic")
+        object.__setattr__(self, "n_qubits", n)
+        object.__setattr__(self, "table", table)
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """The canonical RREF basis: N packed rows of 2N bits."""
+        n, packed = self.n_qubits, packed_rref(self.table, 2 * self.n_qubits)
+        return tuple([packed >> 2 * n * i & (1 << 2 * n) - 1 for i in reversed(range(n))])
+
+    def __repr__(self) -> str:
+        return f"Generator({self.n_qubits}, {self.rows})"
 
 
 def generator_from_operators(ops: list[PauliPoint]) -> Generator:
@@ -152,7 +174,8 @@ def enumerate_generators(n_qubits: int) -> tuple[Generator, ...]:
     """
     from .projection import lift_table
 
-    return tuple(sorted(lift_table(n_qubits).values(), key=lambda g: g.rows))
+    # packed rows order as the row tuples do, and take less memory
+    return tuple(sorted(lift_table(n_qubits).values(), key=lambda g: packed_rref(g.table, 2 * n_qubits)))
 
 
 def generator_count(n_qubits: int) -> int:

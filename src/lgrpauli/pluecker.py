@@ -17,70 +17,12 @@ from .gf2 import rank
 from .pauli import MAX_QUBITS, Generator
 
 
-@dataclass(frozen=True, order=True)
-class SubsetIndex:
-    """A sorted k-subset of {1..n_ambient}, ordered by its integer key."""
-
-    n_ambient: int
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        m = self.members
-        if any(m[i] >= m[i + 1] for i in range(len(m) - 1)):
-            raise ValueError("members must be strictly increasing")
-        if m and not (1 <= m[0] and m[-1] <= self.n_ambient):
-            raise ValueError("member out of ambient range")
-
-    @property
-    def key(self) -> int:
-        return sum(1 << (j - 1) for j in self.members)
-
-    @classmethod
-    def from_key(cls, n_ambient: int, key: int) -> "SubsetIndex":
-        return cls(n_ambient, tuple(j + 1 for j in range(n_ambient) if (key >> j) & 1))
-
-    def label(self) -> str:
-        if self.n_ambient < 10:
-            return "p" + "".join(str(j) for j in self.members)
-        return "p{" + ",".join(str(j) for j in self.members) + "}"
-
-
 @lru_cache(maxsize=None)
 def _key_label(n_ambient: int, key: int) -> str:
-    """``SubsetIndex.from_key(n_ambient, key).label()``, from the key bits."""
+    """The label of the subset of {1..n_ambient} with key ``key``: "p246",
+    or "p{1,2,10}" once members can have two digits."""
     members = [str(j + 1) for j in range(n_ambient) if key >> j & 1]
     return "p" + "".join(members) if n_ambient < 10 else "p{" + ",".join(members) + "}"
-
-
-@lru_cache(maxsize=None)
-def _absent_masks(two_n: int) -> tuple[int, ...]:
-    # absent[j]: big integer with bit m set iff subset-mask m omits element j+1
-    npos = 1 << two_n
-    masks = []
-    for j in range(two_n):
-        pat = (1 << (1 << j)) - 1
-        width = 1 << (j + 1)
-        while width < npos:
-            pat |= pat << width
-            width <<= 1
-        masks.append(pat)
-    return tuple(masks)
-
-
-def _wedge(rows, two_n: int) -> int:
-    """Exterior product of packed rows: bit m of the result is the minor on
-    the columns of subset-mask m (signs collapse over GF(2))."""
-    absent = _absent_masks(two_n)
-    w = 1
-    for r in rows:
-        nw = 0
-        rr = r
-        while rr:
-            j = (rr & -rr).bit_length() - 1
-            rr &= rr - 1
-            nw ^= (w & absent[j]) << (1 << j)
-        w = nw
-    return w
 
 
 @dataclass(frozen=True, order=True)
@@ -96,15 +38,10 @@ class PlueckerVec:
     def coord_key(self, key: int) -> int:
         return (self.table >> key) & 1
 
-    def coord(self, idx: SubsetIndex) -> int:
-        if idx.n_ambient != 2 * self.n_qubits or len(idx.members) != self.n_qubits:
-            raise ValueError("index shape mismatch")
-        return self.coord_key(idx.key)
-
 
 def embed(g: Generator) -> PlueckerVec:
-    """Plucker embedding of a generator."""
-    return PlueckerVec(g.n_qubits, _wedge(g.rows, 2 * g.n_qubits))
+    """Plucker embedding of a generator: the vector it already holds."""
+    return PlueckerVec(g.n_qubits, g.table)
 
 
 @dataclass(frozen=True, order=True)
@@ -114,20 +51,6 @@ class PlueckerRelation:
 
     n_qubits: int
     term_keys: tuple[tuple[int, int], ...]
-
-    def terms(self) -> list[tuple[SubsetIndex, SubsetIndex]]:
-        two_n = 2 * self.n_qubits
-        return [
-            (SubsetIndex.from_key(two_n, a), SubsetIndex.from_key(two_n, b))
-            for a, b in self.term_keys
-        ]
-
-    def evaluate(self, v: PlueckerVec) -> int:
-        t = v.table
-        out = 0
-        for a, b in self.term_keys:
-            out ^= (t >> a) & (t >> b) & 1
-        return out
 
     def __str__(self) -> str:
         two_n = 2 * self.n_qubits
@@ -202,17 +125,6 @@ class LinearConstraint:
     n_qubits: int
     term_keys: tuple[int, ...]
 
-    def terms(self) -> list[SubsetIndex]:
-        two_n = 2 * self.n_qubits
-        return [SubsetIndex.from_key(two_n, k) for k in self.term_keys]
-
-    def evaluate(self, v: PlueckerVec) -> int:
-        t = v.table
-        out = 0
-        for k in self.term_keys:
-            out ^= (t >> k) & 1
-        return out
-
     def __str__(self) -> str:
         two_n = 2 * self.n_qubits
         return " + ".join(_key_label(two_n, k) for k in self.term_keys) + " = 0"
@@ -258,8 +170,3 @@ def principal_keys(n_qubits: int) -> tuple[int, ...]:
     full = (1 << n_qubits) - 1
     return tuple((full & ~m) | (m << n_qubits) for m in range(1 << n_qubits))
 
-
-@lru_cache(maxsize=None)
-def retained_indices(n_qubits: int) -> tuple[SubsetIndex, ...]:
-    """The 2^N principal-minor coordinates, in ascending key order."""
-    return tuple(SubsetIndex.from_key(2 * n_qubits, k) for k in sorted(principal_keys(n_qubits)))

@@ -15,12 +15,13 @@ most significant, followed by their complements in the same order.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
 
-from .pauli import MAX_QUBITS, Generator, PauliPoint, generator_count
+from .pauli import MAX_QUBITS, Generator, PauliPoint, generator_count, omega_masks
 from .pluecker import PlueckerVec, embed, lagrangian_constraints
 
 
@@ -113,17 +114,13 @@ class ProjPoint:
 
 
 @lru_cache(maxsize=None)
-def _contraction(n_qubits: int) -> tuple[tuple[tuple[int, int], ...], int, tuple[tuple[int, str], ...]]:
-    """Contraction with omega = sum_i e_i ^ e_{N+i}: each pair p_i = {i, N+i}
-    with the mask M_i of the keys containing it, and each constraint's key K
-    (the meet of its terms K | p_i), as a mask and with its message.  Bit K of
-    XOR_i (table & M_i) >> p_i is the sum of the constraint's terms."""
-    n = n_qubits
-    pairs = [(1 << i) | (1 << n + i) for i in range(n)]
-    masks = tuple((p, sum(1 << k for k in range(1 << 2 * n) if k & p == p)) for p in pairs)
+def _contraction(n_qubits: int) -> tuple[int, tuple[tuple[int, str], ...]]:
+    """Each constraint's key K (the meet of its terms K | p_i), as a mask and
+    with its message: bit K of the contraction with omega (``omega_masks``)
+    is the sum of the constraint's terms."""
     named = tuple((reduce(int.__and__, c.term_keys), f"input violates isotropy constraint {c}")
-                  for c in lagrangian_constraints(n))
-    return masks, sum(1 << k for k, _ in named), named
+                  for c in lagrangian_constraints(n_qubits))
+    return sum(1 << k for k, _ in named), named
 
 
 def project(v: PlueckerVec) -> ProjPoint:
@@ -133,9 +130,9 @@ def project(v: PlueckerVec) -> ProjPoint:
     vector signals a point off the Lagrangian locus and is rejected.
     """
     n, t = v.n_qubits, v.table
-    masks, targets, named = _contraction(n)
+    targets, named = _contraction(n)
     s = 0
-    for p, m in masks:
+    for p, m in omega_masks(n):
         s ^= (t & m) >> p
     if s & targets:
         raise ValueError(next(msg for k, msg in named if s >> k & 1))
@@ -272,7 +269,7 @@ def lift_table(n_qubits: int) -> MappingProxyType[ProjPoint, Generator]:
     for t in range(1 << n):
         below = sum(1 << (s ^ t) for s in range(t))
         hadamards = [h for i, h in enumerate(clifford_gates(n)[:n]) if t >> i & 1]
-        for code in [c for c, q in enumerate(points) if not q & below]:
+        for code in itertools.compress(range(len(points)), map(operator.not_, map(below.__and__, points))):
             q = points[code]
             for h in hadamards:
                 q = apply_gate(h, q)
@@ -294,9 +291,10 @@ def lift_table(n_qubits: int) -> MappingProxyType[ProjPoint, Generator]:
         r = lo[code & 255] ^ hi[code >> 8]
         d = (r ^ r >> n) & t * spread
         r ^= d ^ d << n
-        p, g = ProjPoint(n, hit >> e + n), Generator(n, [r >> w * i & (1 << w) - 1 for i in range(n)])
-        if project(embed(g)) != p:
-            raise RuntimeError(f"lift table: {p.display_str()} does not round-trip")
+        g = Generator(n, [r >> w * i & (1 << w) - 1 for i in range(n)])
+        p = project(embed(g))
+        if p.bits != hit >> e + n:
+            raise RuntimeError(f"lift table: {ProjPoint(n, hit >> e + n).display_str()} does not round-trip")
         table[p] = g
     if not len(hits) == len(table) == generator_count(n):
         raise RuntimeError(f"lift table: {len(table)} points from {len(hits)} hits,"

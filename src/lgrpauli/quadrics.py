@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import kernel, rank
+from .gf2 import absent_masks, kernel, rank
 from .orbits import local_gates
-from .pluecker import _absent_masks, principal_keys
+from .pluecker import principal_keys
 from .projection import SWAP, Gate, ProjPoint, apply_gate, display_masks, gate, image
 
 
@@ -142,7 +142,7 @@ def _zero_set(n: int) -> int:
     bitsliced: bit p is set iff the point with packed coordinates p is a
     zero, and a column holds a form's value at every point."""
     full = (1 << (1 << (1 << n))) - 1
-    cols = [full ^ m for m in _absent_masks(1 << n)]
+    cols = [full ^ m for m in absent_masks(1 << n)]
     zeros = full ^ 1  # the nonzero points
     for q in variety_quadrics(n):
         col = 0

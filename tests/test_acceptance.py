@@ -36,6 +36,7 @@ from lgrpauli.quadrics import (
 )
 from orbit_oracles import chart_points_of_orbit, orbit_members, whole_space_t_ranks
 from pauli_helpers import all_points, principal_bits, quad_form, y_count
+from pluecker_oracles import constraint_terms, constraint_value, relation_terms, relation_value
 
 
 def report(name, ok, detail=""):
@@ -104,10 +105,10 @@ def test_criterion_3_image_identification():
 
 def test_criterion_4_relation_and_constraint_counts():
     rels = pluecker_relations(3)
-    three = sum(1 for r in rels if len(r.terms()) == 3)
-    four = sum(1 for r in rels if len(r.terms()) == 4)
+    three = sum(1 for r in rels if len(relation_terms(r)) == 3)
+    four = sum(1 for r in rels if len(relation_terms(r)) == 4)
     ranks = {n: constraint_rank(n) for n in (2, 3, 4)}
-    three_term_4 = [c for c in lagrangian_constraints(4) if len(c.terms()) == 3]
+    three_term_4 = [c for c in lagrangian_constraints(4) if len(constraint_terms(c)) == 3]
     total = set()
     for c in three_term_4:
         total ^= set(c.term_keys)
@@ -201,8 +202,8 @@ def test_criterion_8_property_suites():
         cons = lagrangian_constraints(n)
         for g in enumerate_generators(n):
             v = embed(g)
-            ok &= all(r.evaluate(v) == 0 for r in rels)
-            ok &= all(c.evaluate(v) == 0 for c in cons)
+            ok &= all(relation_value(r, v) == 0 for r in rels)
+            ok &= all(constraint_value(c, v) == 0 for c in cons)
     # whole-space t_rank constant on orbits and equal to the orbit record
     # (exhaustive N <= 4)
     for n in (2, 3, 4):

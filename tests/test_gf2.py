@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lgrpauli.gf2 import kernel, minor, rank, rref
+from lgrpauli.gf2 import kernel, minor, packed_rref, rank, rref, wedge
+from pluecker_oracles import bitwise_wedge
 
 
 def mats(max_rows=6, max_cols=6):
@@ -89,6 +90,24 @@ def test_rref_preserves_row_space(m):
         return s
 
     assert span(rows) == span(rref(rows))
+
+
+@given(mats(max_rows=8))
+def test_wedge_keeps_a_basis_and_reads_back_as_rref(m):
+    # rows in the span of earlier ones (zero and repeated rows included)
+    # are skipped, so the table is the bit-by-bit wedge of the RREF basis
+    rows, cols = m
+    reduced = rref(rows)
+    table, kept = wedge(rows + rows[:1] + (0,), cols)
+    assert kept == len(reduced)
+    assert table == bitwise_wedge(reduced, cols)
+    assert packed_rref(table, cols) == sum(r << cols * i for i, r in enumerate(reversed(reduced)))
+
+
+def test_wedge_rejects_rows_wider_than_its_columns():
+    for row in (0b1000, -1):
+        with pytest.raises(ValueError, match="at most 3 bits"):
+            wedge((1, row), 3)
 
 
 @given(mats())

@@ -20,8 +20,10 @@ from lgrpauli.pauli import (
     generator_from_operators,
     symplectic_product,
 )
-from lgrpauli.gf2 import rank
+from lgrpauli.gf2 import rank, rref
+from lgrpauli.pluecker import embed
 from pauli_helpers import all_points, generator_points, label_oracle, quad_form, y_count
+from pluecker_oracles import bitwise_wedge, rref_generator_rows
 
 
 def points(n):
@@ -162,19 +164,80 @@ def test_point_rejects_bits_outside_one_to_four_to_the_n():
 
 
 def test_generator_rejects_rows_wider_than_2n():
-    rows = (0b10001, 0b0010)
-    with pytest.raises(ValueError):
-        Generator(2, rows)
+    for rows in ((0b10001, 0b0010), (0b0001, -1), (0, 0, 1 << 4)):
+        with pytest.raises(ValueError, match="^basis rows must have at most 4 bits$"):
+            Generator(2, rows)
 
 
 def test_generator_equal_spans_are_equal():
     # ZZ, IZ and IZ, ZI span the same plane, in any order
     a, b, c = Generator(2, (3, 2)), Generator(2, (1, 2)), Generator(2, (2, 1))
     assert a == b == c and hash(a) == hash(b) == hash(c)
-    assert a.rows == (1, 2)
+    assert a.rows == (1, 2) and repr(a) == "Generator(2, (1, 2))"
     for g in enumerate_generators(3):
         other = (g.rows[2], g.rows[0] ^ g.rows[1], g.rows[1] ^ g.rows[2])
         assert Generator(3, other) == g and hash(Generator(3, other)) == hash(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_generator_rows_are_rref_and_table_is_their_wedge(n):
+    for g in enumerate_generators(n):
+        rows = g.rows
+        assert len(rows) == n and rows == tuple(rref(rows))
+        assert embed(g).table == g.table == bitwise_wedge(rows, 2 * n)
+
+
+def test_generator_edge_inputs():
+    # N + 1 independent rows: the rank is reported, above N
+    with pytest.raises(NotMaximalError, match="^subspace has rank 3, expected 2$"):
+        Generator(2, (1, 2, 4))
+    with pytest.raises(NotMaximalError, match="^subspace has rank 6, expected 5$"):
+        Generator(5, (1, 2, 4, 8, 16, 32))
+    # zero and repeated rows are accepted and dropped
+    assert Generator(2, (0, 1, 0, 2, 1, 3)) == Generator(2, (1, 2))
+    # N = 1 has no pair of rows to check: every line is isotropic
+    assert [Generator(1, (r,)).rows for r in (1, 2, 3)] == [(1,), (2,), (3,)]
+    # an anticommuting, rank-deficient set names its first pair in
+    # combinations order
+    ops = [PauliPoint.from_label(s) for s in ("IXI", "XII", "IXI", "ZII")]
+    with pytest.raises(CommutationError) as ei:
+        generator_from_operators(ops)
+    assert [p.label() for p in ei.value.pair] == ["XII", "ZII"]
+    g = Generator(2, (1, 2))
+    with pytest.raises(AttributeError):
+        g.rows = (1, 2)
+
+
+def rows_outcome(make, n, rows):
+    try:
+        return make(n, rows)
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_generator_agrees_with_rref_constructor_on_random_rows(n):
+    # random rows, or a Lagrangian basis padded with rows of its span, maybe
+    # with one bit flipped; now and then a row too wide or negative
+    rng = random.Random(100 + n)
+    outcomes = set()
+    for _ in range(600):
+        if rng.randrange(3):
+            rows = random_lagrangian_rows(rng, n)
+            for _ in range(rng.randrange(3)):
+                rows.append(rows[rng.randrange(n)] ^ rows[rng.randrange(n)])
+            rng.shuffle(rows)
+            if rng.randrange(2):
+                rows[rng.randrange(len(rows))] ^= 1 << rng.randrange(2 * n)
+        else:
+            rows = [rng.randrange(1 << 2 * n) for _ in range(rng.randrange(n + 3))]
+        if rows and not rng.randrange(20):
+            rows[rng.randrange(len(rows))] = rng.choice([-1, 1 << 2 * n, -(1 << n)])
+        expected = rows_outcome(rref_generator_rows, n, rows)
+        got = rows_outcome(lambda n, rows: Generator(n, rows).rows, n, rows)
+        assert got == expected, rows
+        outcomes.add(expected[0] if isinstance(expected[0], str) else "ok")
+    assert outcomes == {"ok", "NotMaximalError", "ValueError"}
 
 
 def test_generator_rank_deficient_basis_raises_not_maximal():

@@ -22,7 +22,6 @@ from lgrpauli.pauli import (
 )
 from lgrpauli.pluecker import (
     PlueckerVec,
-    SubsetIndex,
     embed,
     lagrangian_constraints,
     principal_keys,
@@ -46,6 +45,7 @@ from lgrpauli.projection import (
     to_observable,
 )
 from pauli_helpers import principal_bits, subset_keys, y_count
+from pluecker_oracles import SubsetIndex, constraint_value
 
 
 @lru_cache(maxsize=None)
@@ -107,12 +107,12 @@ def constraint_messages(n: int) -> dict:
 
 def project_oracle(v: PlueckerVec) -> ProjPoint | str:
     """``project`` as a per-constraint check: the message of the first
-    constraint, in order, whose terms sum to 1 (``LinearConstraint.evaluate``
-    term by term), else the principal coordinates, or the message for all
+    constraint, in order, whose terms sum to 1 (``constraint_value``, term
+    by term), else the principal coordinates, or the message for all
     of them vanishing."""
     n = v.n_qubits
     for c, msg in constraint_messages(n).items():
-        if c.evaluate(v):
+        if constraint_value(c, v):
             return msg
     bits = principal_bits(v)
     return ProjPoint(n, bits) if bits else "all principal coordinates vanish: input not Lagrangian"
@@ -243,7 +243,7 @@ def test_project_names_the_first_violated_constraint(n):
         v = PlueckerVec(n, sum(1 << k for k in bits))
         expected = project_oracle(v)
         assert project_outcome(v) == expected
-        assert all((v.table & m).bit_count() & 1 == c.evaluate(v) for c, m in masks.items())
+        assert all((v.table & m).bit_count() & 1 == constraint_value(c, v) for c, m in masks.items())
         rejected += isinstance(expected, str) and "isotropy" in expected
         vanished += isinstance(expected, str) and "vanish" in expected
     assert 0 < rejected < 2000 and vanished > 0
