@@ -1,4 +1,4 @@
-"""Exact linear algebra over GF(2) on packed integer rows.
+"""Exact GF(2) linear algebra and linear maps (gates, byte tables) on packed ints.
 
 A matrix is a sequence of Python integers, one per row, with column j
 (1-based) at bit j-1.  All arithmetic is exact; there is no floating
@@ -10,6 +10,13 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence
+
+Mat2 = tuple[tuple[int, int], tuple[int, int]]
+Gate = tuple[int, int, int, int, int]
+Tables = tuple[tuple[int, ...], ...]
+
+SWAP: Mat2 = ((0, 1), (1, 0))
+LOWER: Mat2 = ((1, 0), (1, 1))
 
 
 def rref(rows: Iterable[int]) -> list[int]:
@@ -142,3 +149,47 @@ def packed_rref(table: int, n_cols: int) -> int:
         return 0
     # the top bit keeps every key's digit in the string, below "0b1"
     return int("".join(_rref_reader(n_cols, pivots)(bin(table | 1 << (1 << n_cols)))), 2)
+
+
+def gate(n_qubits: int, frm: int, to: int, mat: Mat2) -> Gate:
+    """The linear map applying ``mat`` to every coordinate pair
+    (x_{S|frm}, x_{S|to}) with S disjoint from frm|to, fixing the other
+    coordinates; ``frm`` < ``to`` are disjoint subset masks.
+
+    Packed as (shift, n00, n01, n10, n11): x_{S|to} sits ``shift`` =
+    to - frm bits above x_{S|frm}, and n_ab masks the x_{S|frm} positions
+    where (mat + I)[a][b] = 1, the change the gate adds to each pair.
+    """
+    if frm & to or frm >= to:
+        raise ValueError("gate needs disjoint subset masks frm < to")
+    low = sum(1 << m for m in range(1 << n_qubits) if m & (frm | to) == frm)
+    return (to - frm, *(low if mat[a][b] ^ (a == b) else 0 for a in (0, 1) for b in (0, 1)))
+
+
+def apply_gate(g: Gate, bits: int) -> int:
+    """Apply a packed gate to packed coordinates (bit m = subset m)."""
+    shift, n00, n01, n10, n11 = g
+    hi = bits >> shift
+    return bits ^ (bits & n00 ^ hi & n01) ^ (bits & n10 ^ hi & n11) << shift
+
+
+def byte_tables(images: Sequence[int]) -> Tables:
+    """The linear map sending bit k to ``images[k]``, as one table per input
+    byte: entry v of table b is the image of v << 8b, and a byte of k <= 8
+    images gets the 2^k entries doubled over them."""
+    tables = []
+    for lo in range(0, len(images), 8):
+        table = [0]
+        for im in images[lo:lo + 8]:
+            table += [v ^ im for v in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def apply_tables(tables: Tables, x: int) -> int:
+    """The image of ``x`` (no wider than the images) under the tabulated map."""
+    y = 0
+    for table in tables:
+        y ^= table[x & 255]
+        x >>= 8
+    return y

@@ -16,16 +16,12 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Optional
 
-from .gf2 import minor
+from .gf2 import SWAP, Gate, apply_gate, byte_tables, gate, minor
 from .pauli import PauliPoint
 from .projection import (
-    SWAP,
-    Gate,
     ProjPoint,
-    apply_gate,
     chart_matrix,
     clifford_gates,
-    gate,
     image,
     lift,
     lift_table,
@@ -63,11 +59,9 @@ def _orbit_data(n: int) -> tuple[list[int], list[list[int]]]:
         raise ValueError("orbit partition supports 2 <= N <= 4")
     size = 1 << (1 << n)
     # each element is linear, so a point's image is the XOR of the images
-    # of its low and high bytes
-    (al, ah), (bl, bh) = [
-        ([reduce(lambda v, h: apply_gate(h, v), seq, x) for x in range(min(size, 256))],
-         [reduce(lambda v, h: apply_gate(h, v), seq, x << 8) for x in range(max(1, size >> 8))])
-        for seq in _generator_pair(n)]
+    # of its low and high bytes (points have at most 16 bits)
+    (al, ah), (bl, bh) = [byte_tables([reduce(lambda v, h: apply_gate(h, v), seq, 1 << k) for k in range(16)])
+                          for seq in _generator_pair(n)]
     oid = [-1] * size
     raw: list[list[int]] = []
     for start in range(1, size):

@@ -125,6 +125,8 @@ class Generator:
 
     def __init__(self, n_qubits: int, rows: Iterable[int]):
         n = n_qubits
+        if n < 1:
+            raise ValueError("need at least one qubit")
         table, rank = wedge(rows, 2 * n)  # ValueError for a row wider than 2N bits
         if rank != n:
             raise NotMaximalError(f"subspace has rank {rank}, expected {n}")

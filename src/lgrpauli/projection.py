@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
 
+from .gf2 import LOWER, SWAP, Gate, Tables, apply_gate, apply_tables, byte_tables, gate
 from .pauli import MAX_QUBITS, Generator, PauliPoint, generator_count, omega_masks
 from .pluecker import PlueckerVec, embed, lagrangian_constraints
 
@@ -33,16 +34,19 @@ class NotInImageError(ValueError):
 def display_masks(n_qubits: int) -> tuple[int, ...]:
     """Internal subset masks in display order (length 2^N)."""
     n = n_qubits
-    half = 1 << (n - 1)
-    first = []
-    for d in range(half):
-        m = 0
-        for j in range(2, n + 1):
-            if (d >> (n - j)) & 1:
-                m |= 1 << (j - 1)
-        first.append(m)
+    # the N-1 bits of d, reversed, are elements 2..N
+    first = [int(format(d, f"0{n - 1}b")[::-1], 2) << 1 for d in range(1 << n - 1)]
     full = (1 << n) - 1
     return tuple(first + [full ^ m for m in first])
+
+
+@lru_cache(maxsize=None)
+def _display_order(n_qubits: int) -> tuple[Tables, Tables]:
+    """The display order as byte tables of a bit permutation, moving the
+    coordinate of display_masks(N)[j] to bit j, and of its inverse."""
+    masks = display_masks(n_qubits)
+    positions = sorted(range(len(masks)), key=masks.__getitem__)  # the inverse permutation
+    return byte_tables([1 << j for j in positions]), byte_tables([1 << m for m in masks])
 
 
 _HEX = re.compile(r"0[xX][0-9a-fA-F]+")
@@ -65,18 +69,19 @@ class ProjPoint:
             raise ValueError("point must be nonzero and within 2^N coordinates")
 
     def display_bits(self) -> tuple[int, ...]:
-        return tuple((self.bits >> m) & 1 for m in display_masks(self.n_source))
+        return tuple(map(int, self.bit_string()))
 
     def display_str(self) -> str:
-        return "[" + ":".join(str(b) for b in self.display_bits()) + "]"
+        return "[" + ":".join(self.bit_string()) + "]"
 
     def bit_string(self) -> str:
-        return "".join(str(b) for b in self.display_bits())
+        # display coordinate j is bit j of the permuted int, so it is read reversed
+        n = self.n_source
+        return format(apply_tables(_display_order(n)[0], self.bits), f"0{1 << n}b")[::-1]
 
     def hex_string(self) -> str:
-        width = (len(display_masks(self.n_source)) + 3) // 4
-        value = int(self.bit_string(), 2)
-        return format(value, f"0{width}x")
+        width = ((1 << self.n_source) + 3) // 4
+        return format(int(self.bit_string(), 2), f"0{width}x")
 
     @classmethod
     def from_display_bits(cls, bits) -> "ProjPoint":
@@ -87,11 +92,7 @@ class ProjPoint:
         n = size.bit_length() - 1
         if 1 << n != size:
             raise ValueError("display length must be a power of two")
-        packed = 0
-        for b, m in zip(bits, display_masks(n)):
-            if b:
-                packed |= 1 << m
-        return cls(n, packed)
+        return cls(n, apply_tables(_display_order(n)[1], sum(b << j for j, b in enumerate(bits))))
 
     @classmethod
     def from_string(cls, n_qubits: int, text: str) -> "ProjPoint":
@@ -110,7 +111,7 @@ class ProjPoint:
             bitstr = text
         if len(bitstr) != size or set(bitstr) - {"0", "1"}:
             raise ValueError(f"expected {size} binary digits or hex")
-        return cls.from_display_bits(int(c) for c in bitstr)
+        return cls(n_qubits, apply_tables(_display_order(n_qubits)[1], int(bitstr[::-1], 2)))
 
 
 @lru_cache(maxsize=None)
@@ -144,21 +145,10 @@ def project(v: PlueckerVec) -> ProjPoint:
     return ProjPoint(n, bits)
 
 
-@lru_cache(maxsize=None)
-def _observable_tables(n_qubits: int) -> tuple[tuple[int, ...], ...]:
-    """The display order as byte tables: entry [b][v] has bit j set for each
-    bit k of v with display_masks(N)[j] == 8b + k."""
-    pos = {m: j for j, m in enumerate(display_masks(n_qubits))}
-    low = range(min(8, len(pos)))
-    return tuple(tuple(sum(1 << pos[lo + k] for k in low if v >> k & 1) for v in range(256))
-                 for lo in range(0, len(pos), 8))
-
-
 def to_observable(p: ProjPoint) -> PauliPoint:
     """Read the display coordinates as a Pauli operator on 2^(N-1) qubits:
     display coordinate j is bit j of the operator."""
-    tables = enumerate(_observable_tables(p.n_source))
-    return PauliPoint(1 << (p.n_source - 1), sum(t[p.bits >> 8 * b & 255] for b, t in tables))
+    return PauliPoint(1 << (p.n_source - 1), apply_tables(_display_order(p.n_source)[0], p.bits))
 
 
 def chart_matrix(p: ProjPoint) -> tuple[int, ...]:
@@ -182,35 +172,6 @@ def chart_matrix(p: ProjPoint) -> tuple[int, ...]:
     return tuple(rows)
 
 
-Mat2 = tuple[tuple[int, int], tuple[int, int]]
-Gate = tuple[int, int, int, int, int]
-
-SWAP: Mat2 = ((0, 1), (1, 0))
-LOWER: Mat2 = ((1, 0), (1, 1))
-
-
-def gate(n_qubits: int, frm: int, to: int, mat: Mat2) -> Gate:
-    """The linear map applying ``mat`` to every coordinate pair
-    (x_{S|frm}, x_{S|to}) with S disjoint from frm|to, fixing the other
-    coordinates; ``frm`` < ``to`` are disjoint subset masks.
-
-    Packed as (shift, n00, n01, n10, n11): x_{S|to} sits ``shift`` =
-    to - frm bits above x_{S|frm}, and n_ab masks the x_{S|frm} positions
-    where (mat + I)[a][b] = 1, the change the gate adds to each pair.
-    """
-    if frm & to or frm >= to:
-        raise ValueError("gate needs disjoint subset masks frm < to")
-    low = sum(1 << m for m in range(1 << n_qubits) if m & (frm | to) == frm)
-    return (to - frm, *(low if mat[a][b] ^ (a == b) else 0 for a in (0, 1) for b in (0, 1)))
-
-
-def apply_gate(g: Gate, bits: int) -> int:
-    """Apply a packed gate to packed coordinates (bit m = subset m)."""
-    shift, n00, n01, n10, n11 = g
-    hi = bits >> shift
-    return bits ^ (bits & n00 ^ hi & n01) ^ (bits & n10 ^ hi & n11) << shift
-
-
 @lru_cache(maxsize=None)
 def clifford_gates(n_qubits: int) -> tuple[Gate, ...]:
     """H_i for each qubit, then S_i, then CZ_ij (i < j):
@@ -223,17 +184,18 @@ def clifford_gates(n_qubits: int) -> tuple[Gate, ...]:
                  + [gate(n, 0, t, LOWER) for t in singles + pairs])
 
 
+@lru_cache(maxsize=None)
+def _hadamard(n_qubits: int, t: int) -> Tables:
+    """H_T = prod_{i in T} H_i as byte tables: it maps x_S to x_{S ^ T}."""
+    return byte_tables([1 << (m ^ t) for m in range(1 << n_qubits)])
+
+
 def to_chart(p: ProjPoint) -> tuple[int, ProjPoint]:
-    """(T, H_T p) for the lowest subset T with x_T = 1.  H_T maps x_S to
-    x_{S ^ T}; it is a product of local SWAP factors, so H_T p is a chart
-    point of the same local orbit."""
-    n = p.n_source
+    """(T, H_T p) for the lowest subset T with x_T = 1.  H_T is a product
+    of local SWAP factors, so H_T p is a chart point of the same local
+    orbit."""
     t = (p.bits & -p.bits).bit_length() - 1
-    bits = p.bits
-    for i, h in enumerate(clifford_gates(n)[:n]):
-        if t >> i & 1:
-            bits = apply_gate(h, bits)
-    return t, ProjPoint(n, bits)
+    return t, ProjPoint(p.n_source, apply_tables(_hadamard(p.n_source, t), p.bits))
 
 
 def chart_points(n_qubits: int) -> list[int]:
@@ -268,27 +230,20 @@ def lift_table(n_qubits: int) -> MappingProxyType[ProjPoint, Generator]:
     hits = []  # bits << (e + N) | T << e | code, so that sorting puts them in point order
     for t in range(1 << n):
         below = sum(1 << (s ^ t) for s in range(t))
-        hadamards = [h for i, h in enumerate(clifford_gates(n)[:n]) if t >> i & 1]
+        h = _hadamard(n, t)
         for code in itertools.compress(range(len(points)), map(operator.not_, map(below.__and__, points))):
-            q = points[code]
-            for h in hadamards:
-                q = apply_gate(h, q)
-            hits.append(q << e + n | t << e | code)
+            hits.append(apply_tables(h, points[code]) << e + n | t << e | code)
     hits.sort()
-    # the graph rows of A packed 2N bits apart; code bit k adds a_ij and a_ji,
-    # so the rows are the XOR of one entry per code byte (e <= 15 for N <= 5)
+    # the graph rows of A packed 2N bits apart: I plus a linear map of the
+    # code, whose bit k flips a_ij and a_ji
     w = 2 * n
-    flips = [1 << w * i + n + j | 1 << w * j + n + i
-             for i, j in [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))]
+    decode = byte_tables([1 << w * i + n + j | 1 << w * j + n + i
+                          for i, j in [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))])
     eye, spread = sum(1 << w * i + i for i in range(n)), sum(1 << w * i for i in range(n))
-    lo, hi = [eye], [0]  # I plus the flips picked by code bits 0-7; by bits 8 and up
-    for k, f in enumerate(flips):
-        part = lo if k < 8 else hi
-        part += [x ^ f for x in part]
     table = {}
     for hit in hits:
         t, code = hit >> e & (1 << n) - 1, hit & (1 << e) - 1
-        r = lo[code & 255] ^ hi[code >> 8]
+        r = eye ^ apply_tables(decode, code)
         d = (r ^ r >> n) & t * spread
         r ^= d ^ d << n
         g = Generator(n, [r >> w * i & (1 << w) - 1 for i in range(n)])

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import absent_masks, kernel, rank
+from .gf2 import SWAP, Gate, absent_masks, apply_gate, gate, kernel, rank
 from .orbits import local_gates
 from .pluecker import principal_keys
-from .projection import SWAP, Gate, ProjPoint, apply_gate, display_masks, gate, image
+from .projection import ProjPoint, display_masks, image
 
 
 @lru_cache(maxsize=None)

@@ -5,8 +5,9 @@ orbit partition's per-orbit records."""
 import itertools
 from functools import lru_cache
 
+from lgrpauli.gf2 import apply_gate
 from lgrpauli.orbits import _orbit_data, local_gates
-from lgrpauli.projection import ProjPoint, apply_gate
+from lgrpauli.projection import ProjPoint
 
 
 def orbit_data_by_local_gates(n: int) -> tuple[list[int], list[list[int]]]:

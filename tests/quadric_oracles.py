@@ -8,9 +8,9 @@ packed point has variable k at bit k-1.
 
 import itertools
 
-from lgrpauli.gf2 import kernel
+from lgrpauli.gf2 import apply_gate, kernel
 from lgrpauli.orbits import local_gates
-from lgrpauli.projection import apply_gate, display_masks
+from lgrpauli.projection import display_masks
 from lgrpauli.quadrics import QuadForm, _form
 
 

@@ -327,17 +327,39 @@ GOLDEN_PROJECTION_RUNS.update({  # two anticommuting pairs, with full and defici
     "map --n 5 --ops XIIII,IZIII,IXIII,ZIIII --format text": EXIT_NONCOMMUTING,
 })
 
+# argv -> exit code of the commands that read or print display-order points:
+# an off-chart image point to lift and one point to rank at each N (a chart
+# point, a point outside the image, an off-chart image point), the orbit and
+# class tables, N = 5 lifts of a chart and an off-chart point in bits and in
+# hex, then a point outside the image and a malformed point
+GOLDEN_POINTS = {2: ("0111", "1000"), 3: ("00110111", "0xb6"),
+                 4: ("0100010101110001", "0x4571")}
+GOLDEN_POINT_RUNS = {f"{cmd} --n {n}{arg} --format {fmt}": 0
+                     for n, (lift_point, rank_point) in GOLDEN_POINTS.items()
+                     for cmd, arg in (("lift", f" --point {lift_point}"), ("rank", f" --point {rank_point}"),
+                                      ("orbits", ""), ("tables", ""))
+                     for fmt in ("text", "csv", "json")}
+GOLDEN_POINT_RUNS.update({f"lift --n 5 --point {point} --format text": 0
+                          for point in ("10100010110100110011111011011110", "0xa2d33ede",
+                                        "01100001011001111101011110100111", "0x6167d7a7")})
+GOLDEN_POINT_RUNS.update({"lift --n 3 --point 10110110 --format text": EXIT_VERIFY,
+                          "rank --n 3 --point 0102 --format text": EXIT_PARSE})
 
-def check_golden(capsys, argv: str, expected_code: int):
+
+def golden_name(argv: str, code: int) -> str:
     # the file <argv words without dashes, joined by -> holds the stdout of
     # `python -m lgrpauli.cli <argv>` as .out on exit 0, else its stderr as .err
-    name = "-".join(a.lstrip("-") for a in argv.split())
+    return "-".join(a.lstrip("-") for a in argv.split()) + (".out" if code == 0 else ".err")
+
+
+def check_golden(capsys, argv: str, expected_code: int):
+    name = golden_name(argv, expected_code)
     code, out, err = run(capsys, *argv.split())
     assert code == expected_code
     if code == 0:
-        assert err == "" and out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+        assert err == "" and out.encode() == (GOLDEN / name).read_bytes()
     else:
-        assert out == "" and err.encode() == (GOLDEN / f"{name}.err").read_bytes()
+        assert out == "" and err.encode() == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("argv", GOLDEN_RUNS)
@@ -348,6 +370,19 @@ def test_quadric_commands_match_golden_output(capsys, argv):
 @pytest.mark.parametrize("argv", GOLDEN_PROJECTION_RUNS)
 def test_projection_commands_match_golden_output(capsys, argv):
     check_golden(capsys, argv, GOLDEN_PROJECTION_RUNS[argv])
+
+
+@pytest.mark.parametrize("argv", GOLDEN_POINT_RUNS)
+def test_point_commands_match_golden_output(capsys, argv):
+    check_golden(capsys, argv, GOLDEN_POINT_RUNS[argv])
+
+
+def test_every_golden_file_has_exactly_one_case():
+    cases = [(argv, 0) for argv in GOLDEN_RUNS]
+    cases += [*GOLDEN_PROJECTION_RUNS.items(), *GOLDEN_POINT_RUNS.items()]
+    names = [golden_name(argv, code) for argv, code in cases]
+    assert len(set(names)) == len(names)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(names)
 
 
 def test_out_file(tmp_path, capsys):

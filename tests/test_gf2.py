@@ -1,12 +1,13 @@
 """Property tests for the packed-row GF(2) linear algebra kernel."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lgrpauli.gf2 import kernel, minor, packed_rref, rank, rref, wedge
+from lgrpauli.gf2 import apply_tables, byte_tables, kernel, minor, packed_rref, rank, rref, wedge
 from pluecker_oracles import bitwise_wedge
 
 
@@ -178,3 +179,32 @@ def test_minor_and_kernel_check_their_indices():
         minor(rows, 2, (1, 2), (1,))
     with pytest.raises(ValueError):
         kernel((0b100,), 2)
+
+
+def apply_by_bits(images, x: int) -> int:
+    """Oracle: the XOR of the images of the set bits of x."""
+    y = 0
+    for k, im in enumerate(images):
+        if x >> k & 1:
+            y ^= im
+    return y
+
+
+@pytest.mark.parametrize("size", range(1, 41))
+def test_byte_tables_match_the_bit_loop_oracle(size):
+    # seeded random maps of 1-40 images (a partial byte, one or more full
+    # bytes: 4, 8, 15, 16, 32, ...), some images zero, on the unit vectors,
+    # the extremes and random inputs of ``size`` bits
+    rng = random.Random(1000 + size)
+    images = [rng.getrandbits(rng.choice((1, 8, 40))) * rng.randrange(4) for _ in range(size)]
+    tables = byte_tables(images)
+    assert [len(t) for t in tables] == [1 << min(8, size - lo) for lo in range(0, size, 8)]
+    xs = [0, (1 << size) - 1, *(1 << k for k in range(size)),
+          *(rng.getrandbits(size) for _ in range(300))]
+    for x in xs:
+        assert apply_tables(tables, x) == apply_by_bits(images, x)
+
+
+def test_byte_tables_of_no_images_map_to_zero():
+    assert byte_tables([]) == ()
+    assert apply_tables((), 0) == 0

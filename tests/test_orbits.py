@@ -8,6 +8,7 @@ from functools import lru_cache, reduce
 
 import pytest
 
+from lgrpauli.gf2 import apply_gate
 from lgrpauli.orbits import (
     CLASS_TABLE,
     _generator_pair,
@@ -22,7 +23,7 @@ from lgrpauli.orbits import (
 )
 from lgrpauli.pauli import PauliPoint, generator_from_operators
 from lgrpauli.pluecker import embed
-from lgrpauli.projection import ProjPoint, apply_gate, image, project, to_observable
+from lgrpauli.projection import ProjPoint, image, project, to_observable
 from orbit_oracles import (
     chart_points_of_orbit,
     is_separable_by_flattenings,

@@ -208,6 +208,14 @@ def test_generator_edge_inputs():
         g.rows = (1, 2)
 
 
+@pytest.mark.parametrize("n, rows", [(0, ()), (0, (1,)), (-1, ()), (-1, (1,))])
+def test_generator_rejects_fewer_than_one_qubit(n, rows):
+    # the message PauliPoint gives, before any row is read
+    with pytest.raises(ValueError, match="^need at least one qubit$") as ei:
+        Generator(n, rows)
+    assert type(ei.value) is ValueError
+
+
 def rows_outcome(make, n, rows):
     try:
         return make(n, rows)

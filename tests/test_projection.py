@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lgrpauli import projection
-from lgrpauli.gf2 import minor, rref
+from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, gate, minor, rref
 from lgrpauli.pauli import (
     BITS_LETTER,
     Generator,
@@ -27,16 +27,13 @@ from lgrpauli.pluecker import (
     principal_keys,
 )
 from lgrpauli.projection import (
-    LOWER,
-    SWAP,
     NotInImageError,
     ProjPoint,
-    apply_gate,
+    _hadamard,
     chart_matrix,
     chart_points,
     clifford_gates,
     display_masks,
-    gate,
     image,
     lift,
     lift_table,
@@ -125,10 +122,32 @@ def project_outcome(v: PlueckerVec) -> ProjPoint | str:
         return str(e)
 
 
+@lru_cache(maxsize=None)
+def display_masks_by_elements(n: int) -> tuple[int, ...]:
+    """Oracle: ``display_masks`` element by element: entry d < 2^(N-1) holds
+    element j >= 2 iff bit N-j of d is set, and entry 2^(N-1) + d is its
+    complement."""
+    half = 1 << (n - 1)
+    first = []
+    for d in range(half):
+        m = 0
+        for j in range(2, n + 1):
+            if (d >> (n - j)) & 1:
+                m |= 1 << (j - 1)
+        first.append(m)
+    full = (1 << n) - 1
+    return tuple(first + [full ^ m for m in first])
+
+
+def display_bits_by_masks(p: ProjPoint) -> tuple[int, ...]:
+    """Oracle: ``display_bits`` read one subset mask at a time."""
+    return tuple((p.bits >> m) & 1 for m in display_masks_by_elements(p.n_source))
+
+
 def observable_oracle(p: ProjPoint) -> PauliPoint:
     """``to_observable`` through letters: display coordinates k and k + 2^(N-1)
     are the bit pair of qubit k, and the label is parsed back."""
-    db = p.display_bits()
+    db = display_bits_by_masks(p)
     m = len(db) // 2
     return PauliPoint.from_label("".join(BITS_LETTER[(db[k], db[k + m])] for k in range(m)))
 
@@ -196,6 +215,57 @@ def test_display_order_n3_explicit():
     # positions 1..8 as subset masks over {1,2,3} (bit i-1 = element i)
     assert display_masks(3) == (0b000, 0b100, 0b010, 0b110,
                                 0b111, 0b011, 0b101, 0b001)
+
+
+def test_display_masks_match_the_element_oracle():
+    assert [display_masks(n) for n in range(1, 7)] == [display_masks_by_elements(n) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_display_forms_match_the_per_mask_oracle_and_parse_back(n):
+    # every nonzero point at N <= 3, the image at N = 4 and 5, and seeded
+    # random points; at N = 5 the bit string, which the other forms are
+    # built from, is checked on the whole image and every form on a seeded
+    # sample of it (all forms on all 75,735 points would take about 4 s)
+    rng = random.Random(60 + n)
+    size = 1 << n
+    points = [ProjPoint(n, bits) for bits in range(1, 1 << size)] if n <= 3 else list(image(n))
+    masks = display_masks_by_elements(n)
+    assert [p.bit_string() for p in points] == ["".join("01"[p.bits >> m & 1] for m in masks) for p in points]
+    if n == 5:
+        points = rng.sample(points, 2000)
+    for p in points + [ProjPoint(n, rng.randrange(1, 1 << size)) for _ in range(300)]:
+        db = display_bits_by_masks(p)
+        s = "".join(map(str, db))
+        assert p.display_bits() == db
+        assert p.bit_string() == s
+        assert p.display_str() == "[" + ":".join(s) + "]"
+        assert p.hex_string() == format(int(s, 2), f"0{(size + 3) // 4}x")
+        for form in (s, p.display_str(), "0x" + p.hex_string()):
+            assert ProjPoint.from_string(n, form) == p
+        assert ProjPoint.from_display_bits(db) == p
+
+
+@pytest.mark.parametrize("parse, arg, message", [
+    (ProjPoint.from_string, (3, "0102"), "expected 8 binary digits or hex"),
+    (ProjPoint.from_string, (3, "1111111"), "expected 8 binary digits or hex"),
+    (ProjPoint.from_string, (3, "0x1ff"), "expected 8 binary digits or hex"),
+    (ProjPoint.from_string, (3, "0x"), "expected 8 binary digits or hex"),
+    (ProjPoint.from_string, (2, " 0b10 "), "expected 4 binary digits or hex"),
+    (ProjPoint.from_string, (2, "0x\u0661"), "expected 4 binary digits or hex"),
+    (ProjPoint.from_string, (3, "[0:1]"), "expected 8 coordinates, each 0 or 1"),
+    (ProjPoint.from_string, (3, "[0:1:0:0:0:0:0:2]"), "expected 8 coordinates, each 0 or 1"),
+    (ProjPoint.from_string, (3, "00000000"), "point must be nonzero and within 2^N coordinates"),
+    (ProjPoint.from_string, (3, "0x0"), "point must be nonzero and within 2^N coordinates"),
+    (ProjPoint.from_display_bits, ((1, 0, 1),), "display length must be a power of two"),
+    (ProjPoint.from_display_bits, ((0, 2, 0, 0),), "display coordinates must be 0 or 1"),
+    (ProjPoint.from_display_bits, ((1, 0, -1, 0),), "display coordinates must be 0 or 1"),
+    (ProjPoint.from_display_bits, ((0, 0, 0, 0),), "point must be nonzero and within 2^N coordinates"),
+])
+def test_malformed_points_keep_their_messages(parse, arg, message):
+    with pytest.raises(ValueError) as ei:
+        parse(*arg)
+    assert str(ei.value) == message
 
 
 def test_point_serialization_roundtrip():
@@ -336,6 +406,21 @@ def test_lift_table_checks_its_size(monkeypatch):
     monkeypatch.setattr(projection, "generator_count", lambda n: generator_count(n) + 1)
     with pytest.raises(RuntimeError, match="15 points from 15 hits, expected 16"):
         lift_table.__wrapped__(2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_hadamard_tables_match_the_gate_product(n):
+    # H_T against the gates H_i for i in T applied in turn, on the unit
+    # vectors and seeded random points
+    rng = random.Random(70 + n)
+    hadamards = clifford_gates(n)[:n]
+    for t in range(1 << n):
+        for bits in [*(1 << m for m in range(1 << n)), *(rng.getrandbits(1 << n) for _ in range(20))]:
+            want = bits
+            for i, h in enumerate(hadamards):
+                if t >> i & 1:
+                    want = apply_gate(h, want)
+            assert apply_tables(_hadamard(n, t), bits) == want
 
 
 def test_to_chart_reaches_the_chart_by_hadamards():
