@@ -20,7 +20,6 @@ from .gf2 import SWAP, Gate, apply_gate, byte_tables, gate, minor
 from .pauli import PauliPoint
 from .projection import (
     ProjPoint,
-    chart_matrix,
     clifford_gates,
     image,
     lift,
@@ -146,11 +145,13 @@ def _e_rank_of_chart(a: tuple[int, ...]) -> int:
 def e_rank(p: ProjPoint) -> int:
     """Minimal k such that every (k+1)x(k+1) minor on disjoint row/column
     sets of the chart matrix vanishes; an off-chart point is first carried
-    to a chart point of its orbit by ``to_chart``."""
+    to a chart point of its orbit by ``to_chart``.  The canonical rows of
+    a chart point's lift are the graph rows e_i + sum_j a_ij e_{N+j} of its
+    matrix A."""
     if p not in lift_table(p.n_source):
         raise ValueError("exclusive rank is defined only on the image")
     _, q = to_chart(p)
-    return _e_rank_of_chart(chart_matrix(q))
+    return _e_rank_of_chart(tuple(r >> p.n_source for r in lift(q).rows))
 
 
 # Classification data for the known commuting classes: display-order

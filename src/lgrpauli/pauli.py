@@ -102,13 +102,19 @@ def commute(a: PauliPoint, b: PauliPoint) -> bool:
 
 @lru_cache(maxsize=None)
 def omega_masks(n: int) -> tuple[tuple[int, int], ...]:
-    """Contraction with omega = sum_i e_i ^ e_{N+i}: each pair p_i = {i, N+i}
-    as a key, with the mask M_i of the keys containing it.  For a wedge w,
-    XOR_i (w & M_i) >> p_i is the contraction, and a rank-N wedge is
-    totally isotropic iff it vanishes."""
+    """Each pair p_i = {i, N+i} as a key, with the mask M_i of the keys containing it."""
     absent = absent_masks(2 * n)
     full = (1 << (1 << 2 * n)) - 1
     return tuple(((1 << i) | (1 << n + i), full ^ (absent[i] | absent[n + i])) for i in range(n))
+
+
+def omega_contraction(n: int, table: int) -> int:
+    """Contraction with omega = sum_i e_i ^ e_{N+i}, XOR_i (table & M_i) >> p_i
+    over ``omega_masks``; a rank-N wedge is totally isotropic iff it vanishes."""
+    s = 0
+    for p, m in omega_masks(n):
+        s ^= (table & m) >> p
+    return s
 
 
 @dataclass(frozen=True, init=False)
@@ -130,10 +136,17 @@ class Generator:
         table, rank = wedge(rows, 2 * n)  # ValueError for a row wider than 2N bits
         if rank != n:
             raise NotMaximalError(f"subspace has rank {rank}, expected {n}")
-        s = 0
-        for p, m in omega_masks(n):
-            s ^= (table & m) >> p
-        if s:
+        self._store(n, table)
+
+    @classmethod
+    def _from_table(cls, n_qubits: int, table: int) -> "Generator":
+        """The generator of a rank-N wedge by construction; checks its isotropy."""
+        g = object.__new__(cls)
+        g._store(n_qubits, table)
+        return g
+
+    def _store(self, n: int, table: int) -> None:
+        if omega_contraction(n, table):
             raise ValueError("basis is not totally isotropic")
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "table", table)

@@ -15,15 +15,14 @@ most significant, followed by their complements in the same order.
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
 
 from .gf2 import LOWER, SWAP, Gate, Tables, apply_gate, apply_tables, byte_tables, gate
-from .pauli import MAX_QUBITS, Generator, PauliPoint, generator_count, omega_masks
-from .pluecker import PlueckerVec, embed, lagrangian_constraints
+from .pauli import MAX_QUBITS, Generator, PauliPoint, generator_count, omega_contraction
+from .pluecker import PlueckerVec, lagrangian_constraints
 
 
 class NotInImageError(ValueError):
@@ -89,6 +88,8 @@ class ProjPoint:
         if set(bits) - {0, 1}:
             raise ValueError("display coordinates must be 0 or 1")
         size = len(bits)
+        if size < 2:
+            raise ValueError(f"display length {size} is below 2")
         n = size.bit_length() - 1
         if 1 << n != size:
             raise ValueError("display length must be a power of two")
@@ -98,6 +99,8 @@ class ProjPoint:
     def from_string(cls, n_qubits: int, text: str) -> "ProjPoint":
         """Parse a display bit string ("0010"), colon form ("[0:0:1:0]") or
         hex ("0x4", ASCII hex digits only)."""
+        if n_qubits < 1:
+            raise ValueError("source qubit count must be positive")
         text = text.strip()
         size = 1 << n_qubits
         if text.startswith("[") and text.endswith("]"):
@@ -117,7 +120,7 @@ class ProjPoint:
 @lru_cache(maxsize=None)
 def _contraction(n_qubits: int) -> tuple[int, tuple[tuple[int, str], ...]]:
     """Each constraint's key K (the meet of its terms K | p_i), as a mask and
-    with its message: bit K of the contraction with omega (``omega_masks``)
+    with its message: bit K of the contraction with omega (``omega_contraction``)
     is the sum of the constraint's terms."""
     named = tuple((reduce(int.__and__, c.term_keys), f"input violates isotropy constraint {c}")
                   for c in lagrangian_constraints(n_qubits))
@@ -130,46 +133,27 @@ def project(v: PlueckerVec) -> ProjPoint:
     The input must satisfy the isotropy constraints; a resulting zero
     vector signals a point off the Lagrangian locus and is rejected.
     """
-    n, t = v.n_qubits, v.table
+    n = v.n_qubits
     targets, named = _contraction(n)
-    s = 0
-    for p, m in omega_masks(n):
-        s ^= (t & m) >> p
+    s = omega_contraction(n, v.table)
     if s & targets:
         raise ValueError(next(msg for k, msg in named if s >> k & 1))
-    # the key of subset m is (m + 1) * step: one slice reads them all, high m first
-    step = (1 << n) - 1
-    bits = int(format(t, f"0{1 << 2 * n}b")[-1 - (step << n):-1:step], 2)
+    bits = _principal_bits(n, v.table)
     if bits == 0:
         raise ValueError("all principal coordinates vanish: input not Lagrangian")
     return ProjPoint(n, bits)
+
+
+def _principal_bits(n: int, table: int) -> int:
+    """Subset m's principal coordinate, at key (m + 1)(2^N - 1), to bit m."""
+    step = (1 << n) - 1  # one strided slice reads them all, high m first
+    return int(format(table, f"0{1 << 2 * n}b")[-1 - (step << n):-1:step], 2)
 
 
 def to_observable(p: ProjPoint) -> PauliPoint:
     """Read the display coordinates as a Pauli operator on 2^(N-1) qubits:
     display coordinate j is bit j of the operator."""
     return PauliPoint(1 << (p.n_source - 1), apply_tables(_display_order(p.n_source)[0], p.bits))
-
-
-def chart_matrix(p: ProjPoint) -> tuple[int, ...]:
-    """The rows of the symmetric matrix A whose graph is the subspace of a
-    chart point (empty-set coordinate = 1): a_ii from the singleton minors,
-    a_ij = D_i D_j + D_ij."""
-    n = p.n_source
-    if not p.bits & 1:
-        raise ValueError("not a chart point: empty-set coordinate is 0")
-    rows = [0] * n
-    for i in range(n):
-        di = (p.bits >> (1 << i)) & 1
-        if di:
-            rows[i] |= 1 << i
-        for j in range(i + 1, n):
-            dj = (p.bits >> (1 << j)) & 1
-            dij = (p.bits >> ((1 << i) | (1 << j))) & 1
-            if (di & dj) ^ dij:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -198,18 +182,34 @@ def to_chart(p: ProjPoint) -> tuple[int, ProjPoint]:
     return t, ProjPoint(p.n_source, apply_tables(_hadamard(p.n_source, t), p.bits))
 
 
+def _gray_walk(steps: list[tuple[Gate, ...]], start: int) -> list[int]:
+    """Entry c is ``start`` moved by step k's gates for each bit k of c (the
+    steps commute), one step per move of a Gray-code walk."""
+    out = [start] * (1 << len(steps))
+    bits = start
+    for k in range(1, len(out)):
+        for g in steps[(k & -k).bit_length() - 1]:
+            bits = apply_gate(g, bits)
+        out[k ^ k >> 1] = bits
+    return out
+
+
 def chart_points(n_qubits: int) -> list[int]:
     """Entry c is the chart point of the symmetric matrix A with code c,
     bit k of c the entry flipped by gate k of ``clifford_gates(n)[n:]``
-    (a_ii by S_i, then a_ij = a_ji by CZ_ij).  One Gray-code walk from
-    A = 0 (the point x_{} = 1) applies one gate per step."""
-    gates = clifford_gates(n_qubits)[n_qubits:]
-    points = [1] * (1 << len(gates))
-    bits = 1
-    for k in range(1, len(points)):
-        bits = apply_gate(gates[(k & -k).bit_length() - 1], bits)
-        points[k ^ k >> 1] = bits
-    return points
+    (a_ii by S_i, then a_ij = a_ji by CZ_ij), walked from x_{} = 1."""
+    return _gray_walk([(g,) for g in clifford_gates(n_qubits)[n_qubits:]], 1)
+
+
+def _pluecker_gates(n: int) -> list[tuple[Gate, ...]]:
+    """``clifford_gates(n)`` on Plucker vectors: each is a column map of the
+    basis rows, one gate on 2N columns per column operation.  H_i swaps
+    columns i and N+i, S_i adds column i to N+i and CZ_ij adds i to N+j and
+    j to N+i; on the graph of A, rows e_i + sum_j a_ij e_{N+j}, S_i and
+    CZ_ij flip a_ii and a_ij = a_ji."""
+    adds = [[(i, i)] for i in range(n)] + [[(i, j), (j, i)] for i, j in itertools.combinations(range(n), 2)]
+    return ([(gate(2 * n, 1 << i, 1 << n + i, SWAP),) for i in range(n)]
+            + [tuple(gate(2 * n, 1 << i, 1 << n + j, LOWER) for i, j in a) for a in adds])
 
 
 @lru_cache(maxsize=None)
@@ -218,39 +218,36 @@ def lift_table(n_qubits: int) -> MappingProxyType[ProjPoint, Generator]:
 
     Each image point is H_T q for one chart point q and the lowest subset T
     with x_T = 1, which H_T q has exactly when q vanishes on {S ^ T : S < T}.
-    Its generator is the graph u_i = e_i + sum_j a_ij e_{N+j} of q's matrix
-    A with the columns i <-> N+i exchanged for i in T, checked to project
-    to the point; the table holds prod (2^i + 1) points in point order.
+    Its generator is the graph of q's matrix A, walked as a Plucker vector
+    alongside the chart, with the columns i <-> N+i exchanged for i in T,
+    checked to be isotropic and to project to the point; the table holds
+    prod (2^i + 1) points in point order.
     """
     n = n_qubits
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"supported qubit range is 1..{MAX_QUBITS}")
     points = chart_points(n)
+    gates = _pluecker_gates(n)
+    graphs = _gray_walk(gates[n:], 1 << (1 << n) - 1)  # from e_1 ^ ... ^ e_N, the graph of A = 0
     e = len(points).bit_length() - 1
     hits = []  # bits << (e + N) | T << e | code, so that sorting puts them in point order
     for t in range(1 << n):
         below = sum(1 << (s ^ t) for s in range(t))
         h = _hadamard(n, t)
-        for code in itertools.compress(range(len(points)), map(operator.not_, map(below.__and__, points))):
-            hits.append(apply_tables(h, points[code]) << e + n | t << e | code)
+        hits += [apply_tables(h, q) << e + n | t << e | code
+                 for code, q in enumerate(points) if not q & below]
     hits.sort()
-    # the graph rows of A packed 2N bits apart: I plus a linear map of the
-    # code, whose bit k flips a_ij and a_ji
-    w = 2 * n
-    decode = byte_tables([1 << w * i + n + j | 1 << w * j + n + i
-                          for i, j in [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))])
-    eye, spread = sum(1 << w * i + i for i in range(n)), sum(1 << w * i for i in range(n))
+    del points  # freed before the table fills, which keeps the build's peak memory down
+    swaps = [[g for i, (g,) in enumerate(gates[:n]) if t >> i & 1] for t in range(1 << n)]  # H_i for i in T
     table = {}
     for hit in hits:
-        t, code = hit >> e & (1 << n) - 1, hit & (1 << e) - 1
-        r = eye ^ apply_tables(decode, code)
-        d = (r ^ r >> n) & t * spread
-        r ^= d ^ d << n
-        g = Generator(n, [r >> w * i & (1 << w) - 1 for i in range(n)])
-        p = project(embed(g))
-        if p.bits != hit >> e + n:
-            raise RuntimeError(f"lift table: {ProjPoint(n, hit >> e + n).display_str()} does not round-trip")
-        table[p] = g
+        bits, v = hit >> e + n, graphs[hit & (1 << e) - 1]
+        for sw in swaps[hit >> e & (1 << n) - 1]:
+            v = apply_gate(sw, v)
+        g = Generator._from_table(n, v)
+        if _principal_bits(n, v) != bits:
+            raise RuntimeError(f"lift table: {ProjPoint(n, bits).display_str()} does not round-trip")
+        table[ProjPoint(n, bits)] = g
     if not len(hits) == len(table) == generator_count(n):
         raise RuntimeError(f"lift table: {len(table)} points from {len(hits)} hits,"
                            f" expected {generator_count(n)}")

@@ -4,14 +4,14 @@ observable map, and the chart-based inverse."""
 import itertools
 import random
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lgrpauli import projection
-from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, gate, minor, rref
+from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, gate, minor, rref, wedge
 from lgrpauli.pauli import (
     BITS_LETTER,
     Generator,
@@ -30,7 +30,7 @@ from lgrpauli.projection import (
     NotInImageError,
     ProjPoint,
     _hadamard,
-    chart_matrix,
+    _pluecker_gates,
     chart_points,
     clifford_gates,
     display_masks,
@@ -84,6 +84,56 @@ def clifford_orbit(n: int) -> set[int]:
         frontier = {apply_gate(g, v) for v in frontier for g in gates} - seen
         seen |= frontier
     return seen
+
+
+def chart_matrix(p: ProjPoint) -> tuple[int, ...]:
+    """Oracle: the rows of the symmetric matrix A whose graph is the
+    subspace of a chart point, read from its minors: a_ii from the singleton
+    minors, a_ij = D_i D_j + D_ij."""
+    n = p.n_source
+    assert p.bits & 1, "not a chart point"
+    rows = [0] * n
+    for i in range(n):
+        di = (p.bits >> (1 << i)) & 1
+        if di:
+            rows[i] |= 1 << i
+        for j in range(i + 1, n):
+            dj = (p.bits >> (1 << j)) & 1
+            dij = (p.bits >> ((1 << i) | (1 << j))) & 1
+            if (di & dj) ^ dij:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def lift_table_per_entry(n: int) -> dict[ProjPoint, Generator]:
+    """Oracle: the lift table built entry by entry, from the same chart hits
+    H_T q in point order: the graph rows e_i + sum_j a_ij e_{N+j} of A,
+    decoded from the code (bit k flips entry k, a_ii first, then a_ij for
+    i < j), the columns i <-> N+i swapped for i in T, ``Generator(n, rows)``
+    and ``project(embed(g))`` checked against the hit."""
+    entries = [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))
+    points, hits = chart_points(n), []
+    for t in range(1 << n):
+        below = sum(1 << (s ^ t) for s in range(t))
+        hits += [(apply_tables(_hadamard(n, t), q), t, code)
+                 for code, q in enumerate(points) if not q & below]
+    table = {}
+    for bits, t, code in sorted(hits):
+        rows = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(entries):
+            if code >> k & 1:
+                rows[i] ^= 1 << n + j
+                if i != j:
+                    rows[j] ^= 1 << n + i
+        for i in range(n):
+            if t >> i & 1:
+                rows = [swap_columns(r, i, n + i) for r in rows]
+        g = Generator(n, rows)
+        p = project(embed(g))
+        assert p.bits == bits
+        table[p] = g
+    return table
 
 
 def swap_lift(p: ProjPoint) -> Generator:
@@ -176,6 +226,20 @@ def clifford_cases(n: int):
     return cases
 
 
+def pluecker_gate_cases(n: int):
+    """The gates of ``_pluecker_gates``, flattened in order, each with the
+    column map on one basis row that it is the exterior power of: H_i swaps
+    columns i and N+i, S_i adds column i to N+i, CZ_ij adds column i to N+j
+    and then column j to N+i."""
+    maps = [lambda r, i=i: swap_columns(r, i, n + i) for i in range(n)]
+    maps += [lambda r, i=i: add_column(r, i, n + i) for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        maps += [lambda r, i=i, j=j: add_column(r, i, n + j), lambda r, i=i, j=j: add_column(r, j, n + i)]
+    gates = [g for step in _pluecker_gates(n) for g in step]
+    assert len(gates) == len(maps)
+    return list(zip(gates, maps))
+
+
 def transposition_cases(n: int):
     """The gate exchanging axes k and k+1, with its action on a basis row:
     swap qubit columns k <-> k+1 and N+k <-> N+k+1."""
@@ -261,6 +325,10 @@ def test_display_forms_match_the_per_mask_oracle_and_parse_back(n):
     (ProjPoint.from_display_bits, ((0, 2, 0, 0),), "display coordinates must be 0 or 1"),
     (ProjPoint.from_display_bits, ((1, 0, -1, 0),), "display coordinates must be 0 or 1"),
     (ProjPoint.from_display_bits, ((0, 0, 0, 0),), "point must be nonzero and within 2^N coordinates"),
+    (ProjPoint.from_string, (0, "1"), "source qubit count must be positive"),
+    (ProjPoint.from_string, (-1, "1"), "source qubit count must be positive"),
+    (ProjPoint.from_display_bits, ((1,),), "display length 1 is below 2"),
+    (ProjPoint.from_display_bits, ((),), "display length 0 is below 2"),
 ])
 def test_malformed_points_keep_their_messages(parse, arg, message):
     with pytest.raises(ValueError) as ei:
@@ -367,11 +435,24 @@ def test_clifford_gates_equivariant(n):
     cases = clifford_cases(n)
     assert clifford_gates(n) == tuple(g for g, _ in cases)
     assert len(cases) == n + n + n * (n - 1) // 2
+    steps = _pluecker_gates(n) + [()] * (n - 1)
     for g in sweep_generators(n):
         p = project(embed(g))
-        for gt, on_row in cases + transposition_cases(n):
+        for (gt, on_row), step in zip(cases + transposition_cases(n), steps, strict=True):
             moved = Generator(n, [on_row(r) for r in g.rows])
             assert project(embed(moved)).bits == apply_gate(gt, p.bits)
+            if step:  # the same gate on the Plucker vector, as the lift table walks it
+                assert reduce(lambda v, gp: apply_gate(gp, v), step, g.table) == moved.table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pluecker_gates_are_exterior_powers_of_their_column_maps(n):
+    # on each unit vector e_K of the N-subset keys, a gate gives the wedge of
+    # the unit rows of K after its column map
+    for gp, on_row in pluecker_gate_cases(n):
+        for key in subset_keys(2 * n, n):
+            rows = [on_row(1 << k) for k in range(2 * n) if key >> k & 1]
+            assert apply_gate(gp, 1 << key) == wedge(rows, 2 * n)[0]
 
 
 def test_gate_rejects_overlapping_or_unordered_masks():
@@ -399,6 +480,20 @@ def test_chart_points_are_the_principal_minors_of_each_code(n):
                 a[i] |= 1 << j
                 a[j] |= 1 << i
         assert bits == sum(minor(a, n, s, s) << m for m, s in enumerate(subsets))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lift_table_matches_per_entry_oracle(n):
+    # keys, values and their order
+    assert list(lift_table(n).items()) == list(lift_table_per_entry(n).items())
+
+
+def test_lift_table_checks_each_round_trip(monkeypatch):
+    # H_3 read as H_1 makes the hits of T = 3 disagree with their generators
+    hadamard = projection._hadamard
+    monkeypatch.setattr(projection, "_hadamard", lambda n, t: hadamard(n, 1 if t == 3 else t))
+    with pytest.raises(RuntimeError, match=re.escape("lift table: [0:0:0:0:0:0:0:1] does not round-trip")):
+        lift_table.__wrapped__(3)
 
 
 def test_lift_table_checks_its_size(monkeypatch):
@@ -438,13 +533,17 @@ def test_lift_round_trip(n):
 
 
 def test_chart_matrix_reconstruction():
-    # chart points: the rows form a symmetric matrix whose principal minors
-    # reproduce the coordinates
+    # chart points: the lifted rows are the graph rows e_i + sum_j a_ij e_{N+j}
+    # of the matrix that the minors give, symmetric, whose principal minors
+    # reproduce the coordinates (``e_rank`` reads A from them)
     for n in (2, 3, 4):
         for p in image(n):
             if not p.bits & 1:
                 continue
-            a = chart_matrix(p)
+            rows = lift(p).rows
+            assert [r & (1 << n) - 1 for r in rows] == [1 << i for i in range(n)]
+            a = tuple(r >> n for r in rows)
+            assert a == chart_matrix(p)
             assert len(a) == n
             assert all((a[i] >> j) & 1 == (a[j] >> i) & 1 for i in range(n) for j in range(n))
             for m in range(1 << n):
