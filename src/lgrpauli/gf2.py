@@ -2,7 +2,7 @@
 
 A matrix is a sequence of Python integers, one per row, with column j
 (1-based) at bit j-1.  All arithmetic is exact; there is no floating
-point anywhere.  Index sets in the API are 1-based.
+point anywhere.
 """
 
 from __future__ import annotations
@@ -60,29 +60,6 @@ def kernel(rows: Sequence[int], n_cols: int) -> list[int]:
                 vec |= 1 << pc
         basis.append(vec)
     return basis
-
-
-def minor(rows: Sequence[int], n_cols: int, row_set: Iterable[int], col_set: Iterable[int]) -> int:
-    """Determinant of the submatrix on 1-based index sets ``row_set``/``col_set``
-    of a matrix with ``n_cols`` columns.
-
-    The empty minor is 1 by convention.
-    """
-    rs = sorted(set(row_set))
-    cs = sorted(set(col_set))
-    if len(rs) != len(cs):
-        raise ValueError(f"minor needs |I| == |J|, got {len(rs)} and {len(cs)}")
-    for i in rs:
-        if not 1 <= i <= len(rows):
-            raise IndexError(f"row index {i} out of range 1..{len(rows)}")
-    for j in cs:
-        if not 1 <= j <= n_cols:
-            raise IndexError(f"column index {j} out of range 1..{n_cols}")
-    sub = []
-    for i in rs:
-        r = rows[i - 1]
-        sub.append(sum(1 << k for k, j in enumerate(cs) if (r >> (j - 1)) & 1))
-    return 1 if rank(sub) == len(rs) else 0
 
 
 @lru_cache(maxsize=None)

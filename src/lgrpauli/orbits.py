@@ -11,12 +11,11 @@ families meaningful.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Optional
 
-from .gf2 import SWAP, Gate, apply_gate, byte_tables, gate, minor
+from .gf2 import SWAP, Gate, apply_gate, byte_tables, gate, rank
 from .pauli import PauliPoint
 from .projection import (
     ProjPoint,
@@ -24,7 +23,6 @@ from .projection import (
     image,
     lift,
     lift_table,
-    to_chart,
     to_observable,
 )
 
@@ -101,11 +99,11 @@ def _orbit_t_ranks(n: int) -> list[int]:
     seps = orbits[assign[1]]
     ranks = [0] * len(orbits)
     frontier = {assign[1]}
-    rank = 1
+    depth = 1
     while frontier:
         for o in frontier:
-            ranks[o] = rank
-        rank += 1
+            ranks[o] = depth
+        depth += 1
         reached = {assign[w] for o in frontier for s in seps if (w := orbits[o][0] ^ s)}
         frontier = {o for o in reached if not ranks[o]}
     return ranks
@@ -121,37 +119,18 @@ def t_rank(p: ProjPoint) -> int:
     return _orbit_t_ranks(n)[assign[p.bits]]
 
 
-def _exclusive_minors_vanish(a: tuple[int, ...], k: int) -> bool:
-    n = len(a)
-    if 2 * k > n:
-        return True
-    for i_set in itertools.combinations(range(1, n + 1), k):
-        rest = [j for j in range(1, n + 1) if j not in i_set]
-        for j_set in itertools.combinations(rest, k):
-            if j_set < i_set:
-                continue  # symmetric matrix: unordered pairs suffice
-            if minor(a, n, i_set, j_set):
-                return False
-    return True
-
-
-def _e_rank_of_chart(a: tuple[int, ...]) -> int:
-    for k in range(len(a) + 1):
-        if _exclusive_minors_vanish(a, k + 1):
-            return k
-    raise AssertionError("unreachable: top exclusive minors are vacuous")
-
-
 def e_rank(p: ProjPoint) -> int:
     """Minimal k such that every (k+1)x(k+1) minor on disjoint row/column
-    sets of the chart matrix vanishes; an off-chart point is first carried
-    to a chart point of its orbit by ``to_chart``.  The canonical rows of
-    a chart point's lift are the graph rows e_i + sum_j a_ij e_{N+j} of its
-    matrix A."""
+    sets of the chart matrix vanishes: the largest cut rank
+    rank(pi_X L) - |X| of the lifted generator L over the cuts X, where
+    pi_X keeps the columns i and N+i for i in X.  Local gates keep each cut
+    rank, and on the graph rows e_i + sum_j a_ij e_{N+j} of a chart point
+    the cut X has rank rank A[X^c, X]; a cut and its complement have equal
+    rank, so the cuts omitting qubit N suffice."""
     if p not in lift_table(p.n_source):
         raise ValueError("exclusive rank is defined only on the image")
-    _, q = to_chart(p)
-    return _e_rank_of_chart(tuple(r >> p.n_source for r in lift(q).rows))
+    n, rows = p.n_source, lift(p).rows
+    return max(rank([r & (x | x << n) for r in rows]) - x.bit_count() for x in range(1 << n - 1))
 
 
 # Classification data for the known commuting classes: display-order

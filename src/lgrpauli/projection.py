@@ -174,14 +174,6 @@ def _hadamard(n_qubits: int, t: int) -> Tables:
     return byte_tables([1 << (m ^ t) for m in range(1 << n_qubits)])
 
 
-def to_chart(p: ProjPoint) -> tuple[int, ProjPoint]:
-    """(T, H_T p) for the lowest subset T with x_T = 1.  H_T is a product
-    of local SWAP factors, so H_T p is a chart point of the same local
-    orbit."""
-    t = (p.bits & -p.bits).bit_length() - 1
-    return t, ProjPoint(p.n_source, apply_tables(_hadamard(p.n_source, t), p.bits))
-
-
 def _gray_walk(steps: list[tuple[Gate, ...]], start: int) -> list[int]:
     """Entry c is ``start`` moved by step k's gates for each bit k of c (the
     steps commute), one step per move of a Gray-code walk."""

@@ -1,13 +1,15 @@
 """Reference implementations of the orbit invariants, kept for the tests to
 compare against: each computes its invariant point by point, without the
-orbit partition's per-orbit records."""
+orbit partition's per-orbit records.  The exclusive-minor E-rank reads the
+chart matrix through ``to_chart`` and takes its minors with ``minor``."""
 
 import itertools
 from functools import lru_cache
+from typing import Iterable, Sequence
 
-from lgrpauli.gf2 import apply_gate
+from lgrpauli.gf2 import apply_gate, rank
 from lgrpauli.orbits import _orbit_data, local_gates
-from lgrpauli.projection import ProjPoint
+from lgrpauli.projection import ProjPoint, lift
 
 
 def orbit_data_by_local_gates(n: int) -> tuple[list[int], list[list[int]]]:
@@ -116,3 +118,60 @@ def chart_points_of_orbit(p: ProjPoint) -> list[ProjPoint]:
     assign, orbits = _orbit_data(n)
     members = orbits[assign[p.bits]]
     return [ProjPoint(n, v) for v in members if v & 1]
+
+
+def minor(rows: Sequence[int], n_cols: int, row_set: Iterable[int], col_set: Iterable[int]) -> int:
+    """Determinant of the submatrix on 1-based index sets ``row_set``/``col_set``
+    of a matrix with ``n_cols`` columns, column j at bit j-1.
+
+    The empty minor is 1 by convention.
+    """
+    rs = sorted(set(row_set))
+    cs = sorted(set(col_set))
+    if len(rs) != len(cs):
+        raise ValueError(f"minor needs |I| == |J|, got {len(rs)} and {len(cs)}")
+    for i in rs:
+        if not 1 <= i <= len(rows):
+            raise IndexError(f"row index {i} out of range 1..{len(rows)}")
+    for j in cs:
+        if not 1 <= j <= n_cols:
+            raise IndexError(f"column index {j} out of range 1..{n_cols}")
+    sub = []
+    for i in rs:
+        r = rows[i - 1]
+        sub.append(sum(1 << k for k, j in enumerate(cs) if (r >> (j - 1)) & 1))
+    return 1 if rank(sub) == len(rs) else 0
+
+
+def to_chart(p: ProjPoint) -> tuple[int, ProjPoint]:
+    """(T, H_T p) for the lowest subset T with x_T = 1, where H_T maps x_S
+    to x_{S ^ T}.  H_T is a product of local SWAP factors, so H_T p is a
+    chart point of the same local orbit."""
+    t = (p.bits & -p.bits).bit_length() - 1
+    return t, ProjPoint(p.n_source, sum((p.bits >> (m ^ t) & 1) << m for m in range(1 << p.n_source)))
+
+
+def _exclusive_minors_vanish(a: tuple[int, ...], k: int) -> bool:
+    n = len(a)
+    if 2 * k > n:
+        return True
+    for i_set in itertools.combinations(range(1, n + 1), k):
+        rest = [j for j in range(1, n + 1) if j not in i_set]
+        for j_set in itertools.combinations(rest, k):
+            if j_set < i_set:
+                continue  # symmetric matrix: unordered pairs suffice
+            if minor(a, n, i_set, j_set):
+                return False
+    return True
+
+
+def exclusive_minor_e_rank(p: ProjPoint) -> int:
+    """E-rank by its definition: the minimal k such that every (k+1)x(k+1)
+    minor on disjoint row/column sets of the chart matrix A vanishes, by a
+    sweep over the pairs of disjoint index sets.  An off-chart point is
+    first carried to the chart by ``to_chart``; the lifted rows of a chart
+    point are the graph rows e_i + sum_j a_ij e_{N+j} of A."""
+    n = p.n_source
+    _, q = to_chart(p)
+    a = tuple(r >> n for r in lift(q).rows)
+    return next(k for k in range(n + 1) if _exclusive_minors_vanish(a, k + 1))

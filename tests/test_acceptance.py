@@ -158,7 +158,7 @@ def test_criterion_6_table_reproduction():
             ok &= rec.size == row["size"]
             ok &= to_observable(p).label() == row["observable"]
             ok &= t_rank(p) == row["t_rank"]  # layered search on the orbit quotient
-            ok &= e_rank(p) == row["e_rank"]  # chart-minor computation
+            ok &= e_rank(p) == row["e_rank"]  # largest cut rank of the lifted generator
             rows_checked += 1
     report("6 table reproduction", ok and rows_checked == 11,
            f"{rows_checked} rows")

@@ -67,6 +67,17 @@ def test_no_module_imports_an_unused_name():
     assert unused == []
 
 
+def test_every_module_level_definition_is_used_or_exported():
+    # a function or class that no module names and the package does not
+    # export is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    used = {node.id for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    defined = [(name, node.name) for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert defined
+    assert [f"{name}: {d}" for name, d in defined if d not in used and d not in lgrpauli.__all__] == []
+
+
 def test_counts_n3(capsys):
     code, out, _ = run(capsys, "counts", "--n", "3")
     assert code == 0

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lgrpauli.gf2 import apply_tables, byte_tables, kernel, minor, packed_rref, rank, rref, wedge
+from lgrpauli.gf2 import apply_tables, byte_tables, kernel, packed_rref, rank, rref, wedge
+from orbit_oracles import minor
 from pluecker_oracles import bitwise_wedge
 
 

@@ -26,6 +26,7 @@ from lgrpauli.pluecker import embed
 from lgrpauli.projection import ProjPoint, image, project, to_observable
 from orbit_oracles import (
     chart_points_of_orbit,
+    exclusive_minor_e_rank,
     is_separable_by_flattenings,
     orbit_data_by_local_gates,
     orbit_members,
@@ -218,10 +219,18 @@ def test_e_rank_constant_on_chart_points_of_image_orbits():
             assert ranks == {rec.e_rank}
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_e_rank_matches_the_exclusive_minor_oracle(n):
+    for p in image(n)[::37 if n == 5 else 1]:
+        assert e_rank(p) == exclusive_minor_e_rank(p)
+
+
 def test_e_rank_rejects_non_image_points():
-    bad = ProjPoint.from_display_bits((1, 0, 0, 0, 1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        e_rank(bad)
+    # at N = 5, x_{} = x_{12345} = 1 alone would need a chart matrix with
+    # no nonzero 1x1 or 2x2 principal minor, so A = 0, and det A = 1
+    for bad in (ProjPoint.from_display_bits((1, 0, 0, 0, 1, 0, 0, 0)), ProjPoint(5, 1 | 1 << 31)):
+        with pytest.raises(ValueError, match="exclusive rank is defined only on the image"):
+            e_rank(bad)
 
 
 def test_class_table_rows():

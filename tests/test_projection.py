@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lgrpauli import projection
-from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, gate, minor, rref, wedge
+from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, gate, rref, wedge
 from lgrpauli.pauli import (
     BITS_LETTER,
     Generator,
@@ -38,9 +38,9 @@ from lgrpauli.projection import (
     lift,
     lift_table,
     project,
-    to_chart,
     to_observable,
 )
+from orbit_oracles import minor, to_chart
 from pauli_helpers import principal_bits, subset_keys, y_count
 from pluecker_oracles import SubsetIndex, constraint_value
 
@@ -535,7 +535,7 @@ def test_lift_round_trip(n):
 def test_chart_matrix_reconstruction():
     # chart points: the lifted rows are the graph rows e_i + sum_j a_ij e_{N+j}
     # of the matrix that the minors give, symmetric, whose principal minors
-    # reproduce the coordinates (``e_rank`` reads A from them)
+    # reproduce the coordinates (the exclusive-minor oracle reads A from them)
     for n in (2, 3, 4):
         for p in image(n):
             if not p.bits & 1:
