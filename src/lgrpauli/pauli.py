@@ -28,6 +28,8 @@ BITS_LETTER = {v: k for k, v in LETTER_BITS.items()}
 # four-qubit labels indexed by (z << 4) | x, qubit k by z bit k = x_k and x bit k = x_{N+k}
 _LABEL_CHUNKS = tuple("".join(BITS_LETTER[(c >> 4 + k & 1, c >> k & 1)] for k in range(4))
                       for c in range(256))
+# translate tables from a label's bytes to the digits x_i and x_{N+i}, 2 off "IXYZ"
+_LOW_DIGITS, _HIGH_DIGITS = (bytes(48 + LETTER_BITS.get(chr(c), (2, 2))[k] for c in range(256)) for k in (0, 1))
 
 
 class LabelError(ValueError):
@@ -68,15 +70,12 @@ class PauliPoint:
         if not s:
             raise LabelError("empty operator label")
         n = len(s)
-        bits = 0
-        for i, ch in enumerate(s):
-            if ch not in LETTER_BITS:
-                raise LabelError(f"bad character {ch!r} in label {s!r}")
-            xi, xni = LETTER_BITS[ch]
-            if xi:
-                bits |= 1 << i
-            if xni:
-                bits |= 1 << (n + i)
+        try:  # the reversed label spells x_{2N}..x_{N+1}, then x_N..x_1
+            r = s.encode()[::-1]
+            bits = int(r.translate(_HIGH_DIGITS) + r.translate(_LOW_DIGITS), 2)
+        except ValueError:  # a byte off "IXYZ" reads as the digit 2; a lone surrogate fails to encode
+            bad = next(ch for ch in s if ch not in LETTER_BITS)
+            raise LabelError(f"bad character {bad!r} in label {s!r}") from None
         if bits == 0:
             raise LabelError("the all-identity label has no point")
         return cls(n, bits)

@@ -34,6 +34,7 @@ class PlueckerVec:
 
     n_qubits: int
     table: int
+    _isotropic = False  # no field: set by ``embed``, whose generators checked it
 
     def coord_key(self, key: int) -> int:
         return (self.table >> key) & 1
@@ -41,7 +42,9 @@ class PlueckerVec:
 
 def embed(g: Generator) -> PlueckerVec:
     """Plucker embedding of a generator: the vector it already holds."""
-    return PlueckerVec(g.n_qubits, g.table)
+    v = PlueckerVec(g.n_qubits, g.table)
+    object.__setattr__(v, "_isotropic", True)
+    return v
 
 
 @dataclass(frozen=True, order=True)

@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 from .gf2 import LOWER, SWAP, Gate, Tables, apply_gate, apply_tables, byte_tables, gate
 from .pauli import MAX_QUBITS, Generator, PauliPoint, generator_count, omega_contraction
-from .pluecker import PlueckerVec, lagrangian_constraints
+from .pluecker import PlueckerVec, lagrangian_constraints, principal_keys
 
 
 class NotInImageError(ValueError):
@@ -134,10 +134,11 @@ def project(v: PlueckerVec) -> ProjPoint:
     vector signals a point off the Lagrangian locus and is rejected.
     """
     n = v.n_qubits
-    targets, named = _contraction(n)
-    s = omega_contraction(n, v.table)
-    if s & targets:
-        raise ValueError(next(msg for k, msg in named if s >> k & 1))
+    if not v._isotropic:  # the vectors from ``embed`` were checked as generators
+        targets, named = _contraction(n)
+        s = omega_contraction(n, v.table)
+        if s & targets:
+            raise ValueError(next(msg for k, msg in named if s >> k & 1))
     bits = _principal_bits(n, v.table)
     if bits == 0:
         raise ValueError("all principal coordinates vanish: input not Lagrangian")
@@ -204,16 +205,28 @@ def _pluecker_gates(n: int) -> list[tuple[Gate, ...]]:
             + [tuple(gate(2 * n, 1 << i, 1 << n + j, LOWER) for i, j in a) for a in adds])
 
 
+def _chart_cell(n: int, t: int) -> list[int]:
+    """The codes of the symmetric A with a_ij = 0 whenever max(i, j) is in T."""
+    cell = [0]
+    for k, top in enumerate([*range(n), *(j for _, j in itertools.combinations(range(n), 2))]):
+        if not t >> top & 1:
+            cell += [c | 1 << k for c in cell]  # doubled over the free entries
+    return cell
+
+
 @lru_cache(maxsize=None)
-def lift_table(n_qubits: int) -> MappingProxyType[ProjPoint, Generator]:
-    """Every image point with the unique generator projecting to it.
+def lift_table(n_qubits: int) -> MappingProxyType[int, Generator]:
+    """Every image point, keyed by its packed bits, with the unique
+    generator projecting to it, in point order.
 
     Each image point is H_T q for one chart point q and the lowest subset T
-    with x_T = 1, which H_T q has exactly when q vanishes on {S ^ T : S < T}.
-    Its generator is the graph of q's matrix A, walked as a Plucker vector
-    alongside the chart, with the columns i <-> N+i exchanged for i in T,
-    checked to be isotropic and to project to the point; the table holds
-    prod (2^i + 1) points in point order.
+    with x_T = 1: q vanishes on {S ^ T : S < T}, the nonempty U with max U
+    in T.  As q holds the principal minors of A, that is a_ij = 0 whenever
+    max(i, j) is in T (row max U of A[U, U] is then zero, and U = {k}, {j, k}
+    give a_kk, a_jk), T's ``_chart_cell``.  Its generator is the graph of A,
+    walked as a Plucker vector alongside the chart, with the columns
+    i <-> N+i exchanged for i in T, checked to be isotropic and to have
+    exactly the principal coordinates H_T q, by one masked compare.
     """
     n = n_qubits
     if not 1 <= n <= MAX_QUBITS:
@@ -224,22 +237,21 @@ def lift_table(n_qubits: int) -> MappingProxyType[ProjPoint, Generator]:
     e = len(points).bit_length() - 1
     hits = []  # bits << (e + N) | T << e | code, so that sorting puts them in point order
     for t in range(1 << n):
-        below = sum(1 << (s ^ t) for s in range(t))
         h = _hadamard(n, t)
-        hits += [apply_tables(h, q) << e + n | t << e | code
-                 for code, q in enumerate(points) if not q & below]
+        hits += [apply_tables(h, points[code]) << e + n | t << e | code for code in _chart_cell(n, t)]
     hits.sort()
     del points  # freed before the table fills, which keeps the build's peak memory down
     swaps = [[g for i, (g,) in enumerate(gates[:n]) if t >> i & 1] for t in range(1 << n)]  # H_i for i in T
+    keys = principal_keys(n)  # bit m of a point spread to the principal key of subset m
+    spread, mask = byte_tables([1 << k for k in keys]), sum(1 << k for k in keys)
     table = {}
     for hit in hits:
         bits, v = hit >> e + n, graphs[hit & (1 << e) - 1]
         for sw in swaps[hit >> e & (1 << n) - 1]:
             v = apply_gate(sw, v)
-        g = Generator._from_table(n, v)
-        if _principal_bits(n, v) != bits:
+        if v & mask != apply_tables(spread, bits):
             raise RuntimeError(f"lift table: {ProjPoint(n, bits).display_str()} does not round-trip")
-        table[ProjPoint(n, bits)] = g
+        table[bits] = Generator._from_table(n, v)
     if not len(hits) == len(table) == generator_count(n):
         raise RuntimeError(f"lift table: {len(table)} points from {len(hits)} hits,"
                            f" expected {generator_count(n)}")
@@ -248,14 +260,13 @@ def lift_table(n_qubits: int) -> MappingProxyType[ProjPoint, Generator]:
 
 @lru_cache(maxsize=None)
 def image(n_qubits: int) -> tuple[ProjPoint, ...]:
-    """The projected images of all generators, sorted; has the same
-    cardinality as the generator list (the projection is injective)."""
-    return tuple(lift_table(n_qubits))  # the table is built in point order
+    """The projected images of all generators, sorted: one per generator (the projection is injective)."""
+    return tuple(ProjPoint(n_qubits, bits) for bits in lift_table(n_qubits))  # keys in point order
 
 
 def lift(p: ProjPoint) -> Generator:
     """The unique generator projecting to ``p``."""
     try:
-        return lift_table(p.n_source)[p]
+        return lift_table(p.n_source)[p.bits]
     except KeyError:
         raise NotInImageError(f"{p.display_str()} is not in the image") from None

@@ -4,7 +4,7 @@ under test."""
 
 import itertools
 
-from lgrpauli.pauli import BITS_LETTER, Generator, PauliPoint
+from lgrpauli.pauli import BITS_LETTER, LETTER_BITS, Generator, LabelError, PauliPoint
 from lgrpauli.pluecker import PlueckerVec, principal_keys
 
 
@@ -43,6 +43,31 @@ def label_oracle(p: PauliPoint) -> str:
     """The label letter by letter, each from the qubit's bit pair."""
     n, b = p.n_qubits, p.bits
     return "".join(BITS_LETTER[((b >> i) & 1, (b >> (n + i)) & 1)] for i in range(n))
+
+
+def from_label_oracle(s: str) -> PauliPoint | str:
+    """``PauliPoint.from_label`` letter by letter, one shift per bit, or the
+    message of the ``LabelError`` it raises."""
+    if s and s[0] in "+-\u2212":
+        s = s[1:]
+    if not s:
+        return "empty operator label"
+    n, bits = len(s), 0
+    for i, ch in enumerate(s):
+        if ch not in LETTER_BITS:
+            return f"bad character {ch!r} in label {s!r}"
+        xi, xni = LETTER_BITS[ch]
+        bits |= xi << i | xni << (n + i)
+    if bits == 0:
+        return "the all-identity label has no point"
+    return PauliPoint(n, bits)
+
+
+def from_label_outcome(s: str) -> PauliPoint | str:
+    try:
+        return PauliPoint.from_label(s)
+    except LabelError as e:
+        return str(e)
 
 
 def principal_bits(v: PlueckerVec) -> int:

@@ -22,7 +22,8 @@ from lgrpauli.pauli import (
 )
 from lgrpauli.gf2 import rank, rref
 from lgrpauli.pluecker import embed
-from pauli_helpers import all_points, generator_points, label_oracle, quad_form, y_count
+from pauli_helpers import (all_points, from_label_oracle, from_label_outcome, generator_points, label_oracle,
+                           quad_form, y_count)
 from pluecker_oracles import bitwise_wedge, rref_generator_rows
 
 
@@ -47,6 +48,26 @@ def test_label_matches_letter_loop_oracle():
             p = PauliPoint(n, bits)
             assert p.label() == label_oracle(p)
             assert PauliPoint.from_label(p.label()) == p
+
+
+def test_from_label_matches_letter_loop_oracle():
+    # every label of length 1-5 over IXYZ (the all-identity ones included),
+    # the short ones signed, and seeded labels with bad characters: ASCII,
+    # whitespace, digits, signs inside a label and non-ASCII ones such as
+    # the minus sign U+2212
+    labels = ["".join(t) for k in range(1, 6) for t in itertools.product("IXYZ", repeat=k)]
+    labels += [sign + s for sign in ("+", "-", "\u2212") for s in labels[:84]]
+    labels += ["", "+", "-", "\u2212", "--X", "+\u2212X", "X\u2212Y", "0b1", "1", "_X", " X", "X "]
+    rng = random.Random(21)
+    bad = " \txi_01+-\u2212\u00e9\u4e00\ud800"
+    for _ in range(3000):
+        s = [rng.choice("IXYZ") for _ in range(rng.randrange(7))]
+        for _ in range(rng.randrange(1, 3)):
+            s.insert(rng.randrange(len(s) + 1), rng.choice(bad))
+        labels.append("".join(s))
+    outcomes = [from_label_outcome(s) for s in labels]
+    assert outcomes == [from_label_oracle(s) for s in labels]
+    assert sum(isinstance(o, str) and o.startswith("bad character") for o in outcomes) > 2500
 
 
 def test_bad_labels():

@@ -1,6 +1,7 @@
 """Tests for the principal-coordinate projection, display ordering, the
 observable map, and the chart-based inverse."""
 
+import dataclasses
 import itertools
 import random
 import re
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lgrpauli import projection
-from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, gate, rref, wedge
+from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, byte_tables, gate, rref, wedge
 from lgrpauli.pauli import (
     BITS_LETTER,
     Generator,
@@ -29,8 +30,10 @@ from lgrpauli.pluecker import (
 from lgrpauli.projection import (
     NotInImageError,
     ProjPoint,
+    _chart_cell,
     _hadamard,
     _pluecker_gates,
+    _principal_bits,
     chart_points,
     clifford_gates,
     display_masks,
@@ -106,12 +109,12 @@ def chart_matrix(p: ProjPoint) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def lift_table_per_entry(n: int) -> dict[ProjPoint, Generator]:
+def lift_table_per_entry(n: int) -> dict[int, Generator]:
     """Oracle: the lift table built entry by entry, from the same chart hits
     H_T q in point order: the graph rows e_i + sum_j a_ij e_{N+j} of A,
     decoded from the code (bit k flips entry k, a_ii first, then a_ij for
     i < j), the columns i <-> N+i swapped for i in T, ``Generator(n, rows)``
-    and ``project(embed(g))`` checked against the hit."""
+    and ``project(embed(g))`` checked against the hit, keyed by its bits."""
     entries = [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))
     points, hits = chart_points(n), []
     for t in range(1 << n):
@@ -132,7 +135,7 @@ def lift_table_per_entry(n: int) -> dict[ProjPoint, Generator]:
         g = Generator(n, rows)
         p = project(embed(g))
         assert p.bits == bits
-        table[p] = g
+        table[p.bits] = g
     return table
 
 
@@ -422,7 +425,7 @@ def test_projection_injective(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lift_table_matches_sweep_oracle(n):
     oracle = {project(embed(g)): g for g in sweep_generators(n)}
-    assert lift_table(n) == oracle
+    assert lift_table(n) == {p.bits: g for p, g in oracle.items()}
     assert image(n) == tuple(sorted(oracle))
     assert enumerate_generators(n) == sweep_generators(n)
 
@@ -463,7 +466,7 @@ def test_gate_rejects_overlapping_or_unordered_masks():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lift_table_matches_clifford_orbit_oracle(n):
-    assert {p.bits for p in lift_table(n)} == clifford_orbit(n)
+    assert set(lift_table(n)) == clifford_orbit(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -486,6 +489,58 @@ def test_chart_points_are_the_principal_minors_of_each_code(n):
 def test_lift_table_matches_per_entry_oracle(n):
     # keys, values and their order
     assert list(lift_table(n).items()) == list(lift_table_per_entry(n).items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_chart_cells_match_the_lowest_subset_filter(n):
+    # the chart points q for which H_T q is lowest at x_T, those vanishing on
+    # {S ^ T : S < T}, are the codes of T's cell: 2^(N(N+1)/2 - sum_{k in T} (k+1))
+    # of them, prod (2^i + 1) over all T
+    points, total = chart_points(n), 0
+    for t in range(1 << n):
+        below = sum(1 << (s ^ t) for s in range(t))
+        cell = _chart_cell(n, t)
+        assert sorted(cell) == [code for code, q in enumerate(points) if not q & below]
+        assert len(cell) == 1 << n * (n + 1) // 2 - sum(k + 1 for k in range(n) if t >> k & 1)
+        total += len(cell)
+    assert total == generator_count(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_masked_compare_agrees_with_the_principal_slice(n):
+    # the lift table's round-trip check, v & mask == spread(bits) with bit m
+    # spread to the principal key of subset m, against project's strided
+    # slice, on every entry (a seeded sample at N = 5): for the entry's own
+    # bits and with one point bit flipped, on its vector and with one
+    # principal or arbitrary key flipped
+    keys = principal_keys(n)
+    spread, mask = byte_tables([1 << k for k in keys]), sum(1 << k for k in keys)
+    entries = list(lift_table(n).items())
+    rng = random.Random(90 + n)
+    if n == 5:
+        entries = rng.sample(entries, 3000)
+    agreed = [0, 0]
+    for bits, g in entries:
+        for v in (g.table, g.table ^ 1 << rng.choice(keys), g.table ^ 1 << rng.randrange(1 << 2 * n)):
+            for b in (bits, bits ^ 1 << rng.randrange(1 << n)):
+                same = v & mask == apply_tables(spread, b)
+                assert same == (_principal_bits(n, v) == b)
+                agreed[same] += 1
+    assert agreed[True] >= len(entries) and agreed[False] >= 3 * len(entries)
+
+
+def test_project_checks_every_vector_not_from_embed():
+    # embed marks a checked generator's vector, which compares and hashes as
+    # the same vector built by hand; a hand-built or replaced one is checked
+    g = enumerate_generators(3)[7]
+    v = embed(g)
+    assert v == PlueckerVec(3, g.table) and hash(v) == hash(PlueckerVec(3, g.table))
+    assert project(v) == project(PlueckerVec(3, g.table))
+    bad = v.table ^ 1 << 0b001011  # p124 holds the pair {1, 4}, so its flip breaks an isotropy sum
+    expected = project_oracle(PlueckerVec(3, bad))
+    assert "isotropy" in expected
+    assert project_outcome(PlueckerVec(3, bad)) == expected
+    assert project_outcome(dataclasses.replace(v, table=bad)) == expected
 
 
 def test_lift_table_checks_each_round_trip(monkeypatch):
@@ -522,7 +577,7 @@ def test_to_chart_reaches_the_chart_by_hadamards():
     for p in image(4):
         t, q = to_chart(p)
         assert (p.bits >> t) & 1 and not p.bits & ((1 << t) - 1)
-        assert q.bits & 1 and q in lift_table(4)
+        assert q.bits & 1 and q.bits in lift_table(4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
