@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
+from typing import Iterable
 
 from .gf2 import LOWER, SWAP, Gate, Tables, apply_gate, apply_tables, byte_tables, gate
 from .pauli import MAX_QUBITS, Generator, PauliPoint, generator_count, omega_contraction
@@ -215,43 +216,29 @@ def _chart_cell(n: int, t: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def lift_table(n_qubits: int) -> MappingProxyType[int, Generator]:
-    """Every image point, keyed by its packed bits, with the unique
-    generator projecting to it, in point order.
+def lift_table(n_qubits: int) -> MappingProxyType[int, int]:
+    """Every image point, keyed by its packed bits, with the chart address
+    ``T << e | code`` (e = N(N+1)/2) of the generator projecting to it, in
+    point order.  ``lift`` builds that generator from its address.
 
     Each image point is H_T q for one chart point q and the lowest subset T
     with x_T = 1: q vanishes on {S ^ T : S < T}, the nonempty U with max U
     in T.  As q holds the principal minors of A, that is a_ij = 0 whenever
     max(i, j) is in T (row max U of A[U, U] is then zero, and U = {k}, {j, k}
-    give a_kk, a_jk), T's ``_chart_cell``.  Its generator is the graph of A,
-    walked as a Plucker vector alongside the chart, with the columns
-    i <-> N+i exchanged for i in T, checked to be isotropic and to have
-    exactly the principal coordinates H_T q, by one masked compare.
+    give a_kk, a_jk), T's ``_chart_cell``.  The table is checked to hold
+    exactly prod (2^i + 1) points, one per address.
     """
     n = n_qubits
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"supported qubit range is 1..{MAX_QUBITS}")
     points = chart_points(n)
-    gates = _pluecker_gates(n)
-    graphs = _gray_walk(gates[n:], 1 << (1 << n) - 1)  # from e_1 ^ ... ^ e_N, the graph of A = 0
-    e = len(points).bit_length() - 1
+    e = n * (n + 1) // 2
     hits = []  # bits << (e + N) | T << e | code, so that sorting puts them in point order
     for t in range(1 << n):
         h = _hadamard(n, t)
         hits += [apply_tables(h, points[code]) << e + n | t << e | code for code in _chart_cell(n, t)]
     hits.sort()
-    del points  # freed before the table fills, which keeps the build's peak memory down
-    swaps = [[g for i, (g,) in enumerate(gates[:n]) if t >> i & 1] for t in range(1 << n)]  # H_i for i in T
-    keys = principal_keys(n)  # bit m of a point spread to the principal key of subset m
-    spread, mask = byte_tables([1 << k for k in keys]), sum(1 << k for k in keys)
-    table = {}
-    for hit in hits:
-        bits, v = hit >> e + n, graphs[hit & (1 << e) - 1]
-        for sw in swaps[hit >> e & (1 << n) - 1]:
-            v = apply_gate(sw, v)
-        if v & mask != apply_tables(spread, bits):
-            raise RuntimeError(f"lift table: {ProjPoint(n, bits).display_str()} does not round-trip")
-        table[bits] = Generator._from_table(n, v)
+    table = {hit >> e + n: hit & (1 << e + n) - 1 for hit in hits}
     if not len(hits) == len(table) == generator_count(n):
         raise RuntimeError(f"lift table: {len(table)} points from {len(hits)} hits,"
                            f" expected {generator_count(n)}")
@@ -260,13 +247,64 @@ def lift_table(n_qubits: int) -> MappingProxyType[int, Generator]:
 
 @lru_cache(maxsize=None)
 def image(n_qubits: int) -> tuple[ProjPoint, ...]:
-    """The projected images of all generators, sorted: one per generator (the projection is injective)."""
+    """The projected images of all generators, sorted: one per generator (the
+    projection is injective), read from the keys of ``lift_table``."""
     return tuple(ProjPoint(n_qubits, bits) for bits in lift_table(n_qubits))  # keys in point order
 
 
+@lru_cache(maxsize=None)
+def _graphs(n: int) -> tuple[list[int], list[list[Gate]], Tables, int]:
+    """The Plucker vector of the graph of A by chart code, walked alongside
+    ``chart_points`` from e_1 ^ ... ^ e_N (A = 0); the H_i of each T; and a
+    byte table spreading bit m of a point to the principal key of subset m,
+    with the mask of those keys."""
+    gates = _pluecker_gates(n)
+    keys = principal_keys(n)
+    return (_gray_walk(gates[n:], 1 << (1 << n) - 1),
+            [[g for i, (g,) in enumerate(gates[:n]) if t >> i & 1] for t in range(1 << n)],
+            byte_tables([1 << k for k in keys]), sum(1 << k for k in keys))
+
+
+@lru_cache(maxsize=None)
+def _lifted(n_qubits: int) -> dict[int, Generator]:
+    """The generators lifted so far at N, keyed by their points' bits; an N
+    out of range raises, so it caches nothing."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"supported qubit range is 1..{MAX_QUBITS}")
+    return {}
+
+
+def _lift_points(n: int, points: Iterable[int]) -> list[Generator]:
+    """``lift`` of each point, given by its bits: its memo entry, or else the
+    graph of A at its chart address with the columns i <-> N+i exchanged for
+    i in T, checked to have exactly the principal coordinates of the point
+    by one masked compare and to be isotropic, then kept in the memo."""
+    memo, table = _lifted(n), lift_table(n)
+    graphs, swaps, spread, mask = _graphs(n)
+    e = n * (n + 1) // 2
+    out = []
+    for bits in points:
+        g = memo.get(bits)
+        if g is None:
+            address = table.get(bits)
+            if address is None:
+                raise NotInImageError(f"{ProjPoint(n, bits).display_str()} is not in the image")
+            v = graphs[address & (1 << e) - 1]
+            for sw in swaps[address >> e]:
+                v = apply_gate(sw, v)
+            if v & mask != apply_tables(spread, bits):
+                raise RuntimeError(f"lift table: {ProjPoint(n, bits).display_str()} does not round-trip")
+            g = memo[bits] = Generator._from_table(n, v)
+        out.append(g)
+    return out
+
+
 def lift(p: ProjPoint) -> Generator:
-    """The unique generator projecting to ``p``."""
+    """The unique generator projecting to ``p``, built on the first lift of
+    ``p`` and the same object on every later one.  It has passed the masked
+    compare and the isotropy check before it is first returned."""
     try:
-        return lift_table(p.n_source)[p.bits]
+        return _lifted(p.n_source)[p.bits]
     except KeyError:
-        raise NotInImageError(f"{p.display_str()} is not in the image") from None
+        pass
+    return _lift_points(p.n_source, (p.bits,))[0]

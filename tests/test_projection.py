@@ -109,12 +109,13 @@ def chart_matrix(p: ProjPoint) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def lift_table_per_entry(n: int) -> dict[int, Generator]:
+def lift_table_per_entry(n: int) -> dict[int, tuple[int, Generator]]:
     """Oracle: the lift table built entry by entry, from the same chart hits
-    H_T q in point order: the graph rows e_i + sum_j a_ij e_{N+j} of A,
-    decoded from the code (bit k flips entry k, a_ii first, then a_ij for
-    i < j), the columns i <-> N+i swapped for i in T, ``Generator(n, rows)``
-    and ``project(embed(g))`` checked against the hit, keyed by its bits."""
+    H_T q in point order: the chart address T << e | code, and the graph
+    rows e_i + sum_j a_ij e_{N+j} of A, decoded from the code (bit k flips
+    entry k, a_ii first, then a_ij for i < j), the columns i <-> N+i swapped
+    for i in T, ``Generator(n, rows)`` and ``project(embed(g))`` checked
+    against the hit, keyed by its bits."""
     entries = [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))
     points, hits = chart_points(n), []
     for t in range(1 << n):
@@ -135,7 +136,7 @@ def lift_table_per_entry(n: int) -> dict[int, Generator]:
         g = Generator(n, rows)
         p = project(embed(g))
         assert p.bits == bits
-        table[p.bits] = g
+        table[p.bits] = (t << len(entries) | code, g)
     return table
 
 
@@ -425,7 +426,7 @@ def test_projection_injective(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lift_table_matches_sweep_oracle(n):
     oracle = {project(embed(g)): g for g in sweep_generators(n)}
-    assert lift_table(n) == {p.bits: g for p, g in oracle.items()}
+    assert {bits: lift(ProjPoint(n, bits)) for bits in lift_table(n)} == {p.bits: g for p, g in oracle.items()}
     assert image(n) == tuple(sorted(oracle))
     assert enumerate_generators(n) == sweep_generators(n)
 
@@ -487,8 +488,10 @@ def test_chart_points_are_the_principal_minors_of_each_code(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lift_table_matches_per_entry_oracle(n):
-    # keys, values and their order
-    assert list(lift_table(n).items()) == list(lift_table_per_entry(n).items())
+    # keys, chart addresses and their order, and the generator lifted from each key
+    oracle = lift_table_per_entry(n)
+    assert list(lift_table(n).items()) == [(bits, address) for bits, (address, _) in oracle.items()]
+    assert [lift(ProjPoint(n, bits)) for bits in lift_table(n)] == [g for _, g in oracle.values()]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -515,10 +518,11 @@ def test_masked_compare_agrees_with_the_principal_slice(n):
     # principal or arbitrary key flipped
     keys = principal_keys(n)
     spread, mask = byte_tables([1 << k for k in keys]), sum(1 << k for k in keys)
-    entries = list(lift_table(n).items())
+    points = list(lift_table(n))
     rng = random.Random(90 + n)
     if n == 5:
-        entries = rng.sample(entries, 3000)
+        points = rng.sample(points, 3000)
+    entries = [(bits, lift(ProjPoint(n, bits))) for bits in points]
     agreed = [0, 0]
     for bits, g in entries:
         for v in (g.table, g.table ^ 1 << rng.choice(keys), g.table ^ 1 << rng.randrange(1 << 2 * n)):
@@ -543,12 +547,57 @@ def test_project_checks_every_vector_not_from_embed():
     assert project_outcome(dataclasses.replace(v, table=bad)) == expected
 
 
+def fresh_lift_caches(monkeypatch):
+    """Empty caches of the lift memo and of the graph walk, for this test only."""
+    for name in ("_lifted", "_graphs"):
+        monkeypatch.setattr(projection, name, lru_cache(maxsize=None)(getattr(projection, name).__wrapped__))
+
+
 def test_lift_table_checks_each_round_trip(monkeypatch):
-    # H_3 read as H_1 makes the hits of T = 3 disagree with their generators
-    hadamard = projection._hadamard
-    monkeypatch.setattr(projection, "_hadamard", lambda n, t: hadamard(n, 1 if t == 3 else t))
-    with pytest.raises(RuntimeError, match=re.escape("lift table: [0:0:0:0:0:0:0:1] does not round-trip")):
-        lift_table.__wrapped__(3)
+    # H_1 read as H_2 on the Plucker vectors makes every generator built
+    # with 1 in T disagree with its point; the first in point order is x_{1}
+    # (T = {1}, A = 0), lifted alone or by enumerating
+    gates = projection._pluecker_gates
+    monkeypatch.setattr(projection, "_pluecker_gates", lambda n: [gates(n)[1], *gates(n)[1:]])
+    fresh_lift_caches(monkeypatch)
+    error = re.escape("lift table: [0:0:0:0:0:0:0:1] does not round-trip")
+    assert lift(ProjPoint(3, 1)).table == 1 << 0b000111  # T = {}, A = 0: e_1 ^ e_2 ^ e_3
+    with pytest.raises(RuntimeError, match=error):
+        lift(ProjPoint(3, 1 << 0b001))
+    assert len(projection._lifted(3)) == 1
+    with pytest.raises(RuntimeError, match=error):
+        enumerate_generators.__wrapped__(3)
+
+
+def test_lift_builds_each_generator_once_on_its_first_lift(monkeypatch):
+    fresh_lift_caches(monkeypatch)
+    built = []
+    from_table = Generator._from_table.__func__
+    monkeypatch.setattr(Generator, "_from_table",
+                        classmethod(lambda cls, n, table: built.append(table) or from_table(cls, n, table)))
+    p = image(5)[12345]
+    g = lift(p)
+    assert built == [g.table] and list(projection._lifted(5)) == [p.bits]  # no eager build
+    assert lift(p) is g and lift(ProjPoint(5, p.bits)) is g and len(built) == 1
+    assert project(embed(g)) == p
+    # the enumeration builds the rest through the same memo, and shares its objects
+    gens = enumerate_generators.__wrapped__(4)
+    assert len(built) == 1 + len(gens) == 1 + len(image(4))
+    assert {id(g) for g in gens} == {id(lift(q)) for q in image(4)}
+
+
+def test_lift_outside_the_image_or_the_range_caches_nothing():
+    bad = ProjPoint.from_display_bits((1, 0, 0, 0, 1, 0, 0, 0))
+    lift(image(3)[0])
+    size = len(projection._lifted(3))
+    with pytest.raises(NotInImageError, match=re.escape("[1:0:0:0:1:0:0:0] is not in the image")):
+        lift(bad)
+    assert len(projection._lifted(3)) == size
+    caches = projection._lifted.cache_info().currsize, lift_table.cache_info().currsize
+    with pytest.raises(ValueError, match=re.escape("supported qubit range is 1..5")) as info:
+        lift(ProjPoint(6, 1))
+    assert type(info.value) is ValueError
+    assert (projection._lifted.cache_info().currsize, lift_table.cache_info().currsize) == caches
 
 
 def test_lift_table_checks_its_size(monkeypatch):
