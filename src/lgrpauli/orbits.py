@@ -17,13 +17,7 @@ from typing import Optional
 
 from .gf2 import SWAP, Gate, apply_gate, byte_tables, gate, rank
 from .pauli import PauliPoint
-from .projection import (
-    ProjPoint,
-    clifford_gates,
-    lift,
-    lift_table,
-    to_observable,
-)
+from .projection import NotInImageError, ProjPoint, _image_bits, clifford_gates, lift, to_observable
 
 
 class MixedOrbitError(RuntimeError):
@@ -126,9 +120,10 @@ def e_rank(p: ProjPoint) -> int:
     rank, and on the graph rows e_i + sum_j a_ij e_{N+j} of a chart point
     the cut X has rank rank A[X^c, X]; a cut and its complement have equal
     rank, so the cuts omitting qubit N suffice."""
-    if p.bits not in lift_table(p.n_source):
-        raise ValueError("exclusive rank is defined only on the image")
-    n, rows = p.n_source, lift(p).rows
+    try:
+        n, rows = p.n_source, lift(p).rows
+    except NotInImageError:
+        raise ValueError("exclusive rank is defined only on the image") from None
     return max(rank([r & (x | x << n) for r in rows]) - x.bit_count() for x in range(1 << n - 1))
 
 
@@ -193,7 +188,7 @@ def orbit_partition(n: int) -> tuple[OrbitRecord, ...]:
     """Every nonzero point assigned to exactly one orbit; orbits sorted by
     (size, canonical representative) and numbered from 1."""
     assign, orbits = _orbit_data(n)
-    img = lift_table(n)  # keyed by the points' bits
+    img = set(_image_bits(n))
     trank = _orbit_t_ranks(n)
     ref_by_bits = {}
     for row in CLASS_TABLE.get(n, ()):

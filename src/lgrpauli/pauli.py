@@ -182,14 +182,14 @@ def generator_from_operators(ops: list[PauliPoint]) -> Generator:
 @lru_cache(maxsize=None)
 def enumerate_generators(n_qubits: int) -> tuple[Generator, ...]:
     """All generators of W(2N-1,2), sorted by canonical basis matrix: the
-    lifts of the projected image, which is one Clifford orbit, each built
-    and checked by ``lift``'s own path, so ``lift`` returns the same objects.
+    lifts of the image points, read from the chart cells, each built and
+    checked by ``lift``'s own path, so ``lift`` returns the same objects.
 
     The count is (2+1)(2^2+1)...(2^N+1).
     """
-    from .projection import _lift_points, lift_table
+    from .projection import _image_bits, _lift_points
 
-    gens = _lift_points(n_qubits, lift_table(n_qubits))
+    gens = _lift_points(n_qubits, _image_bits(n_qubits))
     # packed rows order as the row tuples do, and take less memory
     return tuple(sorted(gens, key=lambda g: packed_rref(g.table, 2 * n_qubits)))
 

@@ -5,6 +5,8 @@ a point of PG(2^N - 1, 2).  On the chart where the empty minor is 1, the
 subspace is the graph of a symmetric matrix A and the coordinates are the
 principal minors of A; over GF(2) those determine A (and hence the whole
 subspace) uniquely, so the projection is a bijection onto its image.
+``lift`` inverts it: H_T, for T the lowest subset with x_T = 1, moves an
+image point onto that chart, and the chart point's code gives A.
 
 Coordinates are indexed internally by subsets I of {1..N} (element j at
 bit j-1).  The display order used for bit strings and observables puts
@@ -18,7 +20,6 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from types import MappingProxyType
 from typing import Iterable
 
 from .gf2 import LOWER, SWAP, Gate, Tables, apply_gate, apply_tables, byte_tables, gate
@@ -216,40 +217,39 @@ def _chart_cell(n: int, t: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def lift_table(n_qubits: int) -> MappingProxyType[int, int]:
-    """Every image point, keyed by its packed bits, with the chart address
-    ``T << e | code`` (e = N(N+1)/2) of the generator projecting to it, in
-    point order.  ``lift`` builds that generator from its address.
+def _image_bits(n_qubits: int) -> tuple[int, ...]:
+    """The packed bits of every image point, sorted, checked to be
+    prod (2^i + 1) distinct points.
 
-    Each image point is H_T q for one chart point q and the lowest subset T
-    with x_T = 1: q vanishes on {S ^ T : S < T}, the nonempty U with max U
-    in T.  As q holds the principal minors of A, that is a_ij = 0 whenever
-    max(i, j) is in T (row max U of A[U, U] is then zero, and U = {k}, {j, k}
-    give a_kk, a_jk), T's ``_chart_cell``.  The table is checked to hold
-    exactly prod (2^i + 1) points, one per address.
-    """
+    Each image point is H_T q for one chart point q and its lowest subset T
+    with x_T = 1, so q vanishes on {S ^ T : S < T}, the nonempty U with max U
+    in T: as q holds the principal minors of A, that is a_ij = 0 whenever
+    max(i, j) is in T, T's ``_chart_cell`` (row max U of A[U, U] is then
+    zero, and U = {k}, {j, k} give a_kk, a_jk)."""
     n = n_qubits
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"supported qubit range is 1..{MAX_QUBITS}")
-    points = chart_points(n)
-    e = n * (n + 1) // 2
-    hits = []  # bits << (e + N) | T << e | code, so that sorting puts them in point order
+    points, hits = chart_points(n), []
     for t in range(1 << n):
         h = _hadamard(n, t)
-        hits += [apply_tables(h, points[code]) << e + n | t << e | code for code in _chart_cell(n, t)]
-    hits.sort()
-    table = {hit >> e + n: hit & (1 << e + n) - 1 for hit in hits}
-    if not len(hits) == len(table) == generator_count(n):
-        raise RuntimeError(f"lift table: {len(table)} points from {len(hits)} hits,"
-                           f" expected {generator_count(n)}")
-    return MappingProxyType(table)
+        hits += [apply_tables(h, points[code]) for code in _chart_cell(n, t)]
+    bits = sorted(set(hits))
+    if not len(hits) == len(bits) == generator_count(n):
+        raise RuntimeError(f"image: {len(bits)} points from {len(hits)} hits, expected {generator_count(n)}")
+    return tuple(bits)
 
 
 @lru_cache(maxsize=None)
 def image(n_qubits: int) -> tuple[ProjPoint, ...]:
     """The projected images of all generators, sorted: one per generator (the
-    projection is injective), read from the keys of ``lift_table``."""
-    return tuple(ProjPoint(n_qubits, bits) for bits in lift_table(n_qubits))  # keys in point order
+    projection is injective)."""
+    return tuple(ProjPoint(n_qubits, bits) for bits in _image_bits(n_qubits))
+
+
+@lru_cache(maxsize=None)
+def _chart_codes(n: int) -> dict[int, int]:
+    """Each chart point's bits with its code (the principal minors determine A)."""
+    return {q: code for code, q in enumerate(chart_points(n))}
 
 
 @lru_cache(maxsize=None)
@@ -275,25 +275,27 @@ def _lifted(n_qubits: int) -> dict[int, Generator]:
 
 
 def _lift_points(n: int, points: Iterable[int]) -> list[Generator]:
-    """``lift`` of each point, given by its bits: its memo entry, or else the
-    graph of A at its chart address with the columns i <-> N+i exchanged for
-    i in T, checked to have exactly the principal coordinates of the point
-    by one masked compare and to be isotropic, then kept in the memo."""
-    memo, table = _lifted(n), lift_table(n)
-    graphs, swaps, spread, mask = _graphs(n)
-    e = n * (n + 1) // 2
+    """``lift`` of each point, given by its bits: its memo entry, or else,
+    with T its lowest subset with x_T = 1, the graph of A at the code of the
+    chart point H_T p (p is in the image exactly when H_T p is a chart point)
+    with the columns i <-> N+i exchanged for i in T, checked to have exactly
+    the principal coordinates of the point by one masked compare and to be
+    isotropic, then kept in the memo."""
+    memo, codes = _lifted(n), _chart_codes(n)
     out = []
     for bits in points:
         g = memo.get(bits)
         if g is None:
-            address = table.get(bits)
-            if address is None:
+            t = (bits & -bits).bit_length() - 1
+            code = codes.get(apply_tables(_hadamard(n, t), bits))
+            if code is None:
                 raise NotInImageError(f"{ProjPoint(n, bits).display_str()} is not in the image")
-            v = graphs[address & (1 << e) - 1]
-            for sw in swaps[address >> e]:
+            graphs, swaps, spread, mask = _graphs(n)
+            v = graphs[code]
+            for sw in swaps[t]:
                 v = apply_gate(sw, v)
             if v & mask != apply_tables(spread, bits):
-                raise RuntimeError(f"lift table: {ProjPoint(n, bits).display_str()} does not round-trip")
+                raise RuntimeError(f"lift: {ProjPoint(n, bits).display_str()} does not round-trip")
             g = memo[bits] = Generator._from_table(n, v)
         out.append(g)
     return out

@@ -17,7 +17,7 @@ from functools import lru_cache
 from .gf2 import SWAP, Gate, absent_masks, apply_gate, gate, kernel, rank
 from .orbits import local_gates
 from .pluecker import principal_keys
-from .projection import ProjPoint, display_masks, lift_table
+from .projection import ProjPoint, _image_bits, display_masks
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +159,7 @@ def verify_variety(n_qubits: int) -> VarietyReport:
     if n not in (2, 3, 4):
         raise ValueError("verification supports N in {2, 3, 4}")
     zeros = _zero_set(n)
-    img = sum(1 << bits for bits in lift_table(n))  # the table is keyed by the points' bits
+    img = sum(1 << bits for bits in _image_bits(n))
     return VarietyReport(n, len(variety_quadrics(n)), zeros.bit_count(), img.bit_count(), zeros == img)
 
 

@@ -31,7 +31,9 @@ from lgrpauli.projection import (
     NotInImageError,
     ProjPoint,
     _chart_cell,
+    _chart_codes,
     _hadamard,
+    _image_bits,
     _pluecker_gates,
     _principal_bits,
     chart_points,
@@ -39,7 +41,6 @@ from lgrpauli.projection import (
     display_masks,
     image,
     lift,
-    lift_table,
     project,
     to_observable,
 )
@@ -109,9 +110,9 @@ def chart_matrix(p: ProjPoint) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def lift_table_per_entry(n: int) -> dict[int, tuple[int, Generator]]:
-    """Oracle: the lift table built entry by entry, from the same chart hits
-    H_T q in point order: the chart address T << e | code, and the graph
+def lift_per_entry(n: int) -> dict[int, tuple[int, int, Generator]]:
+    """Oracle: every lift built entry by entry, from the chart hits H_T q
+    in point order: T, the chart code of q, and the graph
     rows e_i + sum_j a_ij e_{N+j} of A, decoded from the code (bit k flips
     entry k, a_ii first, then a_ij for i < j), the columns i <-> N+i swapped
     for i in T, ``Generator(n, rows)`` and ``project(embed(g))`` checked
@@ -136,7 +137,7 @@ def lift_table_per_entry(n: int) -> dict[int, tuple[int, Generator]]:
         g = Generator(n, rows)
         p = project(embed(g))
         assert p.bits == bits
-        table[p.bits] = (t << len(entries) | code, g)
+        table[p.bits] = (t, code, g)
     return table
 
 
@@ -426,7 +427,7 @@ def test_projection_injective(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lift_table_matches_sweep_oracle(n):
     oracle = {project(embed(g)): g for g in sweep_generators(n)}
-    assert {bits: lift(ProjPoint(n, bits)) for bits in lift_table(n)} == {p.bits: g for p, g in oracle.items()}
+    assert {bits: lift(ProjPoint(n, bits)) for bits in _image_bits(n)} == {p.bits: g for p, g in oracle.items()}
     assert image(n) == tuple(sorted(oracle))
     assert enumerate_generators(n) == sweep_generators(n)
 
@@ -445,7 +446,7 @@ def test_clifford_gates_equivariant(n):
         for (gt, on_row), step in zip(cases + transposition_cases(n), steps, strict=True):
             moved = Generator(n, [on_row(r) for r in g.rows])
             assert project(embed(moved)).bits == apply_gate(gt, p.bits)
-            if step:  # the same gate on the Plucker vector, as the lift table walks it
+            if step:  # the same gate on the Plucker vector, as the graph walk takes it
                 assert reduce(lambda v, gp: apply_gate(gp, v), step, g.table) == moved.table
 
 
@@ -467,7 +468,7 @@ def test_gate_rejects_overlapping_or_unordered_masks():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lift_table_matches_clifford_orbit_oracle(n):
-    assert set(lift_table(n)) == clifford_orbit(n)
+    assert set(_image_bits(n)) == clifford_orbit(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -488,10 +489,14 @@ def test_chart_points_are_the_principal_minors_of_each_code(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lift_table_matches_per_entry_oracle(n):
-    # keys, chart addresses and their order, and the generator lifted from each key
-    oracle = lift_table_per_entry(n)
-    assert list(lift_table(n).items()) == [(bits, address) for bits, (address, _) in oracle.items()]
-    assert [lift(ProjPoint(n, bits)) for bits in lift_table(n)] == [g for _, g in oracle.values()]
+    # the image points in order, T as each point's lowest subset, the code
+    # of its chart point H_T p, and the generator lifted from each point
+    oracle = lift_per_entry(n)
+    assert list(_image_bits(n)) == list(oracle)
+    codes = _chart_codes(n)
+    for bits, (t, code, _) in oracle.items():
+        assert bits & -bits == 1 << t and codes[apply_tables(_hadamard(n, t), bits)] == code
+    assert [lift(ProjPoint(n, bits)) for bits in _image_bits(n)] == [g for *_, g in oracle.values()]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -511,14 +516,14 @@ def test_chart_cells_match_the_lowest_subset_filter(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_masked_compare_agrees_with_the_principal_slice(n):
-    # the lift table's round-trip check, v & mask == spread(bits) with bit m
+    # lift's round-trip check, v & mask == spread(bits) with bit m
     # spread to the principal key of subset m, against project's strided
     # slice, on every entry (a seeded sample at N = 5): for the entry's own
     # bits and with one point bit flipped, on its vector and with one
     # principal or arbitrary key flipped
     keys = principal_keys(n)
     spread, mask = byte_tables([1 << k for k in keys]), sum(1 << k for k in keys)
-    points = list(lift_table(n))
+    points = list(_image_bits(n))
     rng = random.Random(90 + n)
     if n == 5:
         points = rng.sample(points, 3000)
@@ -548,8 +553,9 @@ def test_project_checks_every_vector_not_from_embed():
 
 
 def fresh_lift_caches(monkeypatch):
-    """Empty caches of the lift memo and of the graph walk, for this test only."""
-    for name in ("_lifted", "_graphs"):
+    """Empty caches of the lift memo, the chart codes and the graph walk, for
+    this test only."""
+    for name in ("_lifted", "_chart_codes", "_graphs"):
         monkeypatch.setattr(projection, name, lru_cache(maxsize=None)(getattr(projection, name).__wrapped__))
 
 
@@ -560,7 +566,7 @@ def test_lift_table_checks_each_round_trip(monkeypatch):
     gates = projection._pluecker_gates
     monkeypatch.setattr(projection, "_pluecker_gates", lambda n: [gates(n)[1], *gates(n)[1:]])
     fresh_lift_caches(monkeypatch)
-    error = re.escape("lift table: [0:0:0:0:0:0:0:1] does not round-trip")
+    error = re.escape("lift: [0:0:0:0:0:0:0:1] does not round-trip")
     assert lift(ProjPoint(3, 1)).table == 1 << 0b000111  # T = {}, A = 0: e_1 ^ e_2 ^ e_3
     with pytest.raises(RuntimeError, match=error):
         lift(ProjPoint(3, 1 << 0b001))
@@ -593,18 +599,66 @@ def test_lift_outside_the_image_or_the_range_caches_nothing():
     with pytest.raises(NotInImageError, match=re.escape("[1:0:0:0:1:0:0:0] is not in the image")):
         lift(bad)
     assert len(projection._lifted(3)) == size
-    caches = projection._lifted.cache_info().currsize, lift_table.cache_info().currsize
+    caches = projection._lifted.cache_info().currsize, _chart_codes.cache_info().currsize
     with pytest.raises(ValueError, match=re.escape("supported qubit range is 1..5")) as info:
         lift(ProjPoint(6, 1))
     assert type(info.value) is ValueError
-    assert (projection._lifted.cache_info().currsize, lift_table.cache_info().currsize) == caches
+    assert (projection._lifted.cache_info().currsize, _chart_codes.cache_info().currsize) == caches
+
+
+def test_first_lift_outside_the_image_builds_no_graph_walk(monkeypatch):
+    fresh_lift_caches(monkeypatch)
+    with pytest.raises(NotInImageError):
+        lift(ProjPoint(5, 1 | 1 << 31))  # x_{} = x_{12345} = 1 only: A = 0, yet det A = 1
+    assert projection._graphs.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lift_rejects_exactly_the_points_outside_the_image(n):
+    # every nonzero point at N <= 3 against the Clifford orbit of x_{} = 1;
+    # at N = 4 and 5, 5,000 seeded points against the image bits: image
+    # points, image points with one coordinate flipped, and uniform ones
+    size = 1 << n
+    if n <= 3:
+        points, inside = range(1, 1 << size), clifford_orbit(n)
+    else:
+        rng = random.Random(110 + n)
+        img = _image_bits(n)
+        points = [rng.choice(img) for _ in range(2000)]
+        points += [rng.choice(img) ^ 1 << rng.randrange(size) for _ in range(2000)]
+        points += [rng.randrange(1, 1 << size) for _ in range(1000)]
+        inside = set(img)
+    points = [bits for bits in points if bits]
+    rejected = 0
+    for bits in points:
+        p = ProjPoint(n, bits)
+        try:
+            g = lift(p)
+        except NotInImageError as e:
+            assert bits not in inside and str(e) == f"{p.display_str()} is not in the image"
+            rejected += 1
+        else:
+            assert bits in inside and project(embed(g)) == p
+    assert (rejected > 0) == (n >= 3)  # at N <= 2 the image is the whole space
+
+
+def test_lift_builds_no_image(monkeypatch):
+    def no_image(n):
+        raise AssertionError("lift built the image")
+
+    monkeypatch.setattr(projection, "_image_bits", no_image)
+    fresh_lift_caches(monkeypatch)
+    p = ProjPoint.from_string(5, "0x6167d7a7")
+    assert project(embed(lift(p))) == p
+    with pytest.raises(NotInImageError):
+        lift(ProjPoint(5, 1 | 1 << 31))
 
 
 def test_lift_table_checks_its_size(monkeypatch):
-    assert len(lift_table(1)) == 3
+    assert len(_image_bits(1)) == 3
     monkeypatch.setattr(projection, "generator_count", lambda n: generator_count(n) + 1)
-    with pytest.raises(RuntimeError, match="15 points from 15 hits, expected 16"):
-        lift_table.__wrapped__(2)
+    with pytest.raises(RuntimeError, match=re.escape("image: 15 points from 15 hits, expected 16")):
+        _image_bits.__wrapped__(2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -626,7 +680,7 @@ def test_to_chart_reaches_the_chart_by_hadamards():
     for p in image(4):
         t, q = to_chart(p)
         assert (p.bits >> t) & 1 and not p.bits & ((1 << t) - 1)
-        assert q.bits & 1 and q.bits in lift_table(4)
+        assert q.bits & 1 and q.bits in _chart_codes(4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
