@@ -6,7 +6,8 @@ subspace is the graph of a symmetric matrix A and the coordinates are the
 principal minors of A; over GF(2) those determine A (and hence the whole
 subspace) uniquely, so the projection is a bijection onto its image.
 ``lift`` inverts it: H_T, for T the lowest subset with x_T = 1, moves an
-image point onto that chart, and the chart point's code gives A.
+image point onto that chart, and S_d, for d its singleton coordinates (the
+diagonal of A), onto the graph slice, whose point's code gives the rest of A.
 
 Coordinates are indexed internally by subsets I of {1..N} (element j at
 bit j-1).  The display order used for bit strings and observables puts
@@ -247,21 +248,28 @@ def image(n_qubits: int) -> tuple[ProjPoint, ...]:
 
 
 @lru_cache(maxsize=None)
-def _chart_codes(n: int) -> dict[int, int]:
-    """Each chart point's bits with its code (the principal minors determine A)."""
-    return {q: code for code, q in enumerate(chart_points(n))}
+def _graph_points(n: int) -> tuple[dict[int, int], list[list[Gate]], Tables]:
+    """The graph slice x_{i} = 0 of the chart (zero-diagonal A): each point's
+    bits with its code, bit k the a_ij = a_ji flipped by CZ gate k of
+    ``clifford_gates(n)``, walked from x_{} = 1; the S_i of each diagonal d;
+    and a byte table reading the singletons x_{i} (A's diagonal) to bit i."""
+    gates = clifford_gates(n)
+    return ({q: code for code, q in enumerate(_gray_walk([(g,) for g in gates[2 * n:]], 1))},
+            [[g for i, g in enumerate(gates[n:2 * n]) if d >> i & 1] for d in range(1 << n)],
+            byte_tables([m if m.bit_count() == 1 else 0 for m in range(1 << n)]))
 
 
 @lru_cache(maxsize=None)
-def _graphs(n: int) -> tuple[list[int], list[list[Gate]], Tables, int]:
-    """The Plucker vector of the graph of A by chart code, walked alongside
-    ``chart_points`` from e_1 ^ ... ^ e_N (A = 0); the H_i of each T; and a
-    byte table spreading bit m of a point to the principal key of subset m,
-    with the mask of those keys."""
+def _graphs(n: int) -> tuple[list[int], list[list[list[Gate]]], Tables, int]:
+    """The Plucker vector of the graph of A by graph-slice code, walked from
+    e_1 ^ ... ^ e_N (A = 0); the S_i for i in d, then the H_i for i in T, by
+    d and T; and a byte table spreading bit m of a point to the principal key
+    of subset m, with the mask of those keys."""
     gates = _pluecker_gates(n)
     keys = principal_keys(n)
-    return (_gray_walk(gates[n:], 1 << (1 << n) - 1),
-            [[g for i, (g,) in enumerate(gates[:n]) if t >> i & 1] for t in range(1 << n)],
+    hs = [[g for i, (g,) in enumerate(gates[:n]) if t >> i & 1] for t in range(1 << n)]
+    return (_gray_walk(gates[2 * n:], 1 << (1 << n) - 1),
+            [[[g for i, (g,) in enumerate(gates[n:2 * n]) if d >> i & 1] + h for h in hs] for d in range(1 << n)],
             byte_tables([1 << k for k in keys]), sum(1 << k for k in keys))
 
 
@@ -275,25 +283,27 @@ def _lifted(n_qubits: int) -> dict[int, Generator]:
 
 
 def _lift_points(n: int, points: Iterable[int]) -> list[Generator]:
-    """``lift`` of each point, given by its bits: its memo entry, or else,
-    with T its lowest subset with x_T = 1, the graph of A at the code of the
-    chart point H_T p (p is in the image exactly when H_T p is a chart point)
-    with the columns i <-> N+i exchanged for i in T, checked to have exactly
-    the principal coordinates of the point by one masked compare and to be
-    isotropic, then kept in the memo."""
-    memo, codes = _lifted(n), _chart_codes(n)
+    """``lift`` of each point p, given by its bits: its memo entry, or else the
+    graph at the code of S_d H_T p (T the lowest subset with x_T = 1, d the
+    diagonal of H_T p; p is in the image exactly when it has a code) moved by
+    S_d, then H_T, checked against p's principal coordinates and for isotropy."""
+    memo, (codes, s_gates, singles) = _lifted(n), _graph_points(n)
     out = []
     for bits in points:
         g = memo.get(bits)
         if g is None:
             t = (bits & -bits).bit_length() - 1
-            code = codes.get(apply_tables(_hadamard(n, t), bits))
+            q = apply_tables(_hadamard(n, t), bits)
+            d = apply_tables(singles, q)
+            for s in s_gates[d]:
+                q = apply_gate(s, q)
+            code = codes.get(q)
             if code is None:
                 raise NotInImageError(f"{ProjPoint(n, bits).display_str()} is not in the image")
-            graphs, swaps, spread, mask = _graphs(n)
+            graphs, moves, spread, mask = _graphs(n)
             v = graphs[code]
-            for sw in swaps[t]:
-                v = apply_gate(sw, v)
+            for m in moves[d][t]:
+                v = apply_gate(m, v)
             if v & mask != apply_tables(spread, bits):
                 raise RuntimeError(f"lift: {ProjPoint(n, bits).display_str()} does not round-trip")
             g = memo[bits] = Generator._from_table(n, v)
@@ -302,9 +312,9 @@ def _lift_points(n: int, points: Iterable[int]) -> list[Generator]:
 
 
 def lift(p: ProjPoint) -> Generator:
-    """The unique generator projecting to ``p``, built on the first lift of
-    ``p`` and the same object on every later one.  It has passed the masked
-    compare and the isotropy check before it is first returned."""
+    """The unique generator projecting to ``p``, built through the graph slice
+    on the first lift of ``p`` and the same object on every later one.  It has
+    passed the masked compare and the isotropy check before it is returned."""
     try:
         return _lifted(p.n_source)[p.bits]
     except KeyError:

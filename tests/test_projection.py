@@ -31,7 +31,6 @@ from lgrpauli.projection import (
     NotInImageError,
     ProjPoint,
     _chart_cell,
-    _chart_codes,
     _hadamard,
     _image_bits,
     _pluecker_gates,
@@ -493,7 +492,7 @@ def test_lift_table_matches_per_entry_oracle(n):
     # of its chart point H_T p, and the generator lifted from each point
     oracle = lift_per_entry(n)
     assert list(_image_bits(n)) == list(oracle)
-    codes = _chart_codes(n)
+    codes = {q: code for code, q in enumerate(chart_points(n))}
     for bits, (t, code, _) in oracle.items():
         assert bits & -bits == 1 << t and codes[apply_tables(_hadamard(n, t), bits)] == code
     assert [lift(ProjPoint(n, bits)) for bits in _image_bits(n)] == [g for *_, g in oracle.values()]
@@ -553,9 +552,9 @@ def test_project_checks_every_vector_not_from_embed():
 
 
 def fresh_lift_caches(monkeypatch):
-    """Empty caches of the lift memo, the chart codes and the graph walk, for
-    this test only."""
-    for name in ("_lifted", "_chart_codes", "_graphs"):
+    """Empty caches of the lift memo, the graph-slice points and the graph
+    vectors, for this test only."""
+    for name in ("_lifted", "_graph_points", "_graphs"):
         monkeypatch.setattr(projection, name, lru_cache(maxsize=None)(getattr(projection, name).__wrapped__))
 
 
@@ -599,11 +598,11 @@ def test_lift_outside_the_image_or_the_range_caches_nothing():
     with pytest.raises(NotInImageError, match=re.escape("[1:0:0:0:1:0:0:0] is not in the image")):
         lift(bad)
     assert len(projection._lifted(3)) == size
-    caches = projection._lifted.cache_info().currsize, _chart_codes.cache_info().currsize
+    caches = projection._lifted.cache_info().currsize, projection._graph_points.cache_info().currsize
     with pytest.raises(ValueError, match=re.escape("supported qubit range is 1..5")) as info:
         lift(ProjPoint(6, 1))
     assert type(info.value) is ValueError
-    assert (projection._lifted.cache_info().currsize, _chart_codes.cache_info().currsize) == caches
+    assert (projection._lifted.cache_info().currsize, projection._graph_points.cache_info().currsize) == caches
 
 
 def test_first_lift_outside_the_image_builds_no_graph_walk(monkeypatch):
@@ -654,6 +653,37 @@ def test_lift_builds_no_image(monkeypatch):
         lift(ProjPoint(5, 1 | 1 << 31))
 
 
+def test_lift_walks_only_the_graph_slice(monkeypatch):
+    def no_chart(n):
+        raise AssertionError("lift walked the chart")
+
+    monkeypatch.setattr(projection, "chart_points", no_chart)
+    fresh_lift_caches(monkeypatch)
+    for text in ("0xa2d33ede", "0x6167d7a7"):  # a chart and an off-chart image point
+        p = ProjPoint.from_string(5, text)
+        assert project(embed(lift(p))) == p
+    assert len(projection._graph_points(5)[0]) == len(projection._graphs(5)[0]) == 1 << 10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_graph_slice_matches_the_chart_and_the_wedge_oracle(n):
+    # graph code o flips a_ij = a_ji for bit k of o, the pairs i < j in order:
+    # its point is the chart point of code o << N (zero diagonal), and its
+    # vector the wedge of the graph rows e_i + sum_j a_ij e_{N+j}
+    pairs = list(itertools.combinations(range(n), 2))
+    codes, points = projection._graph_points(n)[0], chart_points(n)
+    vectors = projection._graphs(n)[0]
+    assert len(codes) == len(vectors) == 1 << len(pairs)
+    for q, o in codes.items():
+        assert q == points[o << n]
+        rows = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if o >> k & 1:
+                rows[i] ^= 1 << n + j
+                rows[j] ^= 1 << n + i
+        assert vectors[o] == wedge(rows, 2 * n)[0]
+
+
 def test_lift_table_checks_its_size(monkeypatch):
     assert len(_image_bits(1)) == 3
     monkeypatch.setattr(projection, "generator_count", lambda n: generator_count(n) + 1)
@@ -677,10 +707,11 @@ def test_hadamard_tables_match_the_gate_product(n):
 
 
 def test_to_chart_reaches_the_chart_by_hadamards():
+    chart = set(chart_points(4))
     for p in image(4):
         t, q = to_chart(p)
         assert (p.bits >> t) & 1 and not p.bits & ((1 << t) - 1)
-        assert q.bits & 1 and q.bits in _chart_codes(4)
+        assert q.bits & 1 and q.bits in chart
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
