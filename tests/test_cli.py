@@ -319,6 +319,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_RUNS = [f"{cmd} --n {n} --format {fmt}" for cmd in ("cayley", "verify")
                for n in (3, 4) for fmt in ("text", "csv", "json")]
 GOLDEN_RUNS.append("verify --n 2 --suite variety --format text")
+# the outputs of the GF(2) eliminator: the independent Plucker relations and
+# the isotropy constraints with their rank
+GOLDEN_RUNS += [f"relations --n 3 --format {fmt}" for fmt in ("text", "csv", "json")]
+GOLDEN_RUNS += ["relations --n 4 --format text", "constraints --n 4 --format text"]
 
 
 # argv -> exit code of the `project` and `map` cases: the README examples
