@@ -2,7 +2,7 @@
 
 A matrix is a sequence of Python integers, one per row, with column j
 (1-based) at bit j-1.  All arithmetic is exact; there is no floating
-point anywhere.
+point anywhere.  Every elimination goes through ``reduce_row``.
 """
 
 from __future__ import annotations
@@ -19,47 +19,22 @@ SWAP: Mat2 = ((0, 1), (1, 0))
 LOWER: Mat2 = ((1, 0), (1, 1))
 
 
-def rref(rows: Iterable[int]) -> list[int]:
-    """Reduced row echelon form: the nonzero rows sorted by pivot column,
-    the canonical form used for subspace equality."""
-    pivots: list[tuple[int, int]] = []  # (pivot bit index, row)
-    for r in rows:
-        for pc, pr in pivots:
-            if (r >> pc) & 1:
-                r ^= pr
-        if r:
-            pc = (r & -r).bit_length() - 1
-            for k, (pc2, pr2) in enumerate(pivots):
-                if (pr2 >> pc) & 1:
-                    pivots[k] = (pc2, pr2 ^ r)
-            pivots.append((pc, r))
-    pivots.sort()
-    return [pr for _, pr in pivots]
+def reduce_row(pivots: dict[int, int], row: int) -> int:
+    """``row`` reduced against ``pivots`` (bit length -> row of that length)
+    by XORing in the pivot matching its top bit until none does: 0 exactly
+    when ``row`` lies in their span, else a new pivot for its bit length."""
+    while p := pivots.get(row.bit_length()):
+        row ^= p
+    return row
 
 
 def rank(rows: Iterable[int]) -> int:
-    """GF(2) row rank."""
-    return len(rref(rows))
-
-
-def kernel(rows: Sequence[int], n_cols: int) -> list[int]:
-    """A basis of the right null space of a matrix with ``n_cols``
-    columns: ``n_cols - rank`` packed vectors."""
-    if any(r >> n_cols for r in rows):
-        raise ValueError(f"row wider than {n_cols} columns")
-    reduced = rref(rows)
-    pivot_cols = [(r & -r).bit_length() - 1 for r in reduced]
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for pc, r in zip(pivot_cols, reduced):
-            if (r >> free) & 1:
-                vec |= 1 << pc
-        basis.append(vec)
-    return basis
+    """GF(2) row rank: the number of rows that reduce to nonzero."""
+    pivots: dict[int, int] = {}
+    for r in rows:
+        if r := reduce_row(pivots, r):
+            pivots[r.bit_length()] = r
+    return len(pivots)
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import rank
+from .gf2 import rank, reduce_row
 from .pauli import MAX_QUBITS, Generator
 
 
@@ -102,23 +102,16 @@ def pluecker_relations(n_qubits: int) -> tuple[PlueckerRelation, ...]:
     if not 2 <= n <= MAX_QUBITS:
         raise ValueError(f"supported qubit range is 2..{MAX_QUBITS}")
     mono_pos: dict[tuple[int, int], int] = {}
-    pivots: dict[int, int] = {}  # top bit -> kept row with that top bit
+    pivots: dict[int, int] = {}
     kept = []
     for r in _relation_candidates(n):
         row = 0
         for mono in r.term_keys:
-            if mono not in mono_pos:
-                mono_pos[mono] = len(mono_pos)
-            row |= 1 << mono_pos[mono]
-        while row:
-            top = row.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = row
-                kept.append(r)
-                break
-            row ^= pivots[top]
-    kept.sort()
-    return tuple(kept)
+            row |= 1 << mono_pos.setdefault(mono, len(mono_pos))
+        if row := reduce_row(pivots, row):
+            pivots[row.bit_length()] = row
+            kept.append(r)
+    return tuple(sorted(kept))
 
 
 @dataclass(frozen=True, order=True)

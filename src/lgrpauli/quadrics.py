@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import SWAP, Gate, absent_masks, apply_gate, gate, kernel, rank
+from .gf2 import SWAP, Gate, absent_masks, apply_gate, gate, reduce_row
 from .orbits import local_gates
 from .pluecker import principal_keys
 from .projection import ProjPoint, _image_bits, display_masks
@@ -165,24 +165,39 @@ def verify_variety(n_qubits: int) -> VarietyReport:
 
 def vanishing_quadrics(points) -> list[QuadForm]:
     """A GF(2) basis of the quadratic forms (x^2 identified with x) that
-    vanish at every given point."""
+    vanish at every given point: each monomial's column of values at the
+    points, tagged with the monomial's bit, is reduced in increasing
+    monomial index, and one that reduces to zero leaves in its tags the
+    kernel vector of that free column."""
     points = list(points)
     if not points:
         raise ValueError("need at least one point")
     n = points[0].n_source
-    diag, upper = _upper(n)
-    rows = [_monomials_at(n, p.bits) for p in points]
-    # a column (a << N) | b with a > b is no monomial: its unit vector is in
-    # the kernel and is dropped
-    forms = [QuadForm(n, k) for k in kernel(rows, 1 << (2 * n)) if k & (diag | upper)]
+    if any(p.n_source != n for p in points):
+        raise ValueError("coordinate count mismatch")
+    cols = [int("".join("1" if p.bits >> a & 1 else "0" for p in points), 2) for a in range(1 << n)]
+    shift = 1 << (2 * n)
+    pivots: dict[int, int] = {}
+    forms = []
+    for a, b in _pairs(n, sum(_upper(n))):
+        r = reduce_row(pivots, (cols[a] & cols[b]) << shift | _monomial(n, a, b))
+        if r >> shift:
+            pivots[r.bit_length()] = r
+        else:
+            forms.append(QuadForm(n, r))
     forms.sort(key=lambda q: q.sorted_monomials())
     return forms
 
 
 def spans(basis_forms, q: QuadForm) -> bool:
     """Whether ``q`` lies in the GF(2) span of ``basis_forms``."""
-    rows = [f.bits for f in basis_forms]
-    return rank(rows + [q.bits]) == rank(rows)
+    pivots: dict[int, int] = {}
+    for f in basis_forms:
+        if f.n_qubits != q.n_qubits:
+            raise ValueError("variable count mismatch")
+        if r := reduce_row(pivots, f.bits):
+            pivots[r.bit_length()] = r
+    return not reduce_row(pivots, q.bits)
 
 
 def cayley_quadric(n_qubits: int) -> QuadForm:
@@ -281,8 +296,10 @@ def quadric_orbit(q: QuadForm, n_qubits: int) -> set[QuadForm]:
             span |= {g ^ f.bits for g in span}
     elems = sorted((QuadForm(n_qubits, b) for b in span if b),
                    key=lambda f: (f.bits.bit_count(), f.sorted_monomials()))
-    chosen: list[QuadForm] = []
+    pivots: dict[int, int] = {}
+    chosen = set()
     for f in elems:
-        if rank([c.bits for c in chosen] + [f.bits]) > len(chosen):
-            chosen.append(f)
-    return set(chosen)
+        if r := reduce_row(pivots, f.bits):
+            pivots[r.bit_length()] = r
+            chosen.add(f)
+    return chosen

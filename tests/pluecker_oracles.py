@@ -7,9 +7,9 @@ rows to RREF and checked isotropy pair by pair."""
 from dataclasses import dataclass
 from functools import lru_cache
 
-from lgrpauli.gf2 import rref
 from lgrpauli.pauli import NotMaximalError
 from lgrpauli.pluecker import LinearConstraint, PlueckerRelation, PlueckerVec, principal_keys
+from gf2_oracles import rref
 
 
 @dataclass(frozen=True, order=True)

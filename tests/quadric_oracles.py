@@ -8,10 +8,11 @@ packed point has variable k at bit k-1.
 
 import itertools
 
-from lgrpauli.gf2 import apply_gate, kernel
+from lgrpauli.gf2 import apply_gate
 from lgrpauli.orbits import local_gates
 from lgrpauli.projection import display_masks
-from lgrpauli.quadrics import QuadForm, _form
+from lgrpauli.quadrics import QuadForm, _form, _monomials_at, _upper
+from gf2_oracles import kernel
 
 
 def monomials(q: QuadForm) -> frozenset:
@@ -109,3 +110,19 @@ def vanishing_basis(points, n: int) -> list[frozenset]:
                         if evaluate_display([mono], x)))
     return [frozenset(basis[c] for c in range(len(basis)) if k >> c & 1)
             for k in kernel(rows, len(basis))]
+
+
+def kernel_vanishing_quadrics(points) -> list[QuadForm]:
+    """The row-wise basis that the column path replaced: the kernel of one
+    row per point over all 2^(2N) packed columns, the columns (a << N) | b
+    with a > b (no monomial, so their unit vectors) dropped, sorted by
+    monomial list."""
+    points = list(points)
+    if not points:
+        raise ValueError("need at least one point")
+    n = points[0].n_source
+    diag, upper = _upper(n)
+    rows = [_monomials_at(n, p.bits) for p in points]
+    forms = [QuadForm(n, k) for k in kernel(rows, 1 << (2 * n)) if k & (diag | upper)]
+    forms.sort(key=lambda q: q.sorted_monomials())
+    return forms

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lgrpauli.gf2 import apply_tables, byte_tables, kernel, packed_rref, rank, rref, wedge
+from lgrpauli.gf2 import apply_tables, byte_tables, packed_rref, rank, reduce_row, wedge
+from gf2_oracles import kernel, rref
 from orbit_oracles import minor
 from pluecker_oracles import bitwise_wedge
 
@@ -115,6 +116,31 @@ def test_wedge_rejects_rows_wider_than_its_columns():
 @given(mats())
 def test_rank_matches_reference(m):
     assert rank(m[0]) == ref_rank(*m)
+
+
+@given(mats(max_rows=8))
+def test_rank_matches_the_rref_oracle(m):
+    # zero and repeated rows included: they reduce to zero and do not count
+    rows, _ = m
+    for rs in (rows, rows + rows[:1] + (0,), (0,) + rows + rows):
+        assert rank(rs) == len(rref(rs))
+
+
+@given(mats(max_rows=8), st.integers(0, (1 << 6) - 1))
+def test_reduce_row_is_zero_exactly_on_the_span(m, row):
+    # pivots built from the rows; a row is in their span iff adding it to
+    # them leaves the rank of the oracle unchanged, and the reduction only
+    # adds span elements, so the row space with either is the same
+    rows, _ = m
+    pivots = {}
+    for r in rows:
+        if r := reduce_row(pivots, r):
+            pivots[r.bit_length()] = r
+    assert all(k == p.bit_length() for k, p in pivots.items())
+    for x in (row, *rows, 0, rows[0] ^ rows[-1]):
+        reduced = reduce_row(pivots, x)
+        assert (reduced == 0) == (len(rref(rows + (x,))) == len(rref(rows)))
+        assert rref(rows + (reduced,)) == rref(rows + (x,))
 
 
 @given(mats())

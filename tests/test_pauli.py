@@ -20,8 +20,9 @@ from lgrpauli.pauli import (
     generator_from_operators,
     symplectic_product,
 )
-from lgrpauli.gf2 import rank, rref
+from lgrpauli.gf2 import rank
 from lgrpauli.pluecker import embed
+from gf2_oracles import rref
 from pauli_helpers import (all_points, from_label_oracle, from_label_outcome, generator_points, label_oracle,
                            quad_form, y_count)
 from pluecker_oracles import bitwise_wedge, rref_generator_rows

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lgrpauli import projection
-from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, byte_tables, gate, rref, wedge
+from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, byte_tables, gate, wedge
 from lgrpauli.pauli import (
     BITS_LETTER,
     Generator,
@@ -43,6 +43,7 @@ from lgrpauli.projection import (
     project,
     to_observable,
 )
+from gf2_oracles import rref
 from orbit_oracles import minor, to_chart
 from pauli_helpers import principal_bits, subset_keys, y_count
 from pluecker_oracles import SubsetIndex, constraint_value

@@ -26,6 +26,7 @@ from lgrpauli.quadrics import (
 from quadric_oracles import (
     display_rows,
     from_monomials,
+    kernel_vanishing_quadrics,
     monomials,
     orbit_closure,
     substitute,
@@ -176,3 +177,30 @@ def test_vanishing_quadrics_span_the_rowwise_basis(n):
     assert len(got) == len(want)
     assert all(spans(want, q) for q in got)
     assert all(spans(got, q) for q in want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_vanishing_quadrics_equal_the_kernel_oracle_on_the_image(n):
+    assert vanishing_quadrics(image(n)) == kernel_vanishing_quadrics(image(n))
+
+
+@pytest.mark.parametrize("seed, count", [(1, 12), (2, 40)])
+def test_vanishing_quadrics_equal_the_kernel_oracle_off_the_image(seed, count):
+    # seeded random point sets at N = 3, each with points outside the image
+    rng = random.Random(seed)
+    points = [ProjPoint(3, rng.randrange(1, 1 << 8)) for _ in range(count)]
+    assert not {p.bits for p in points} <= {p.bits for p in image(3)}
+    got = vanishing_quadrics(points)
+    assert got and got == kernel_vanishing_quadrics(points)
+
+
+def test_quadric_helpers_reject_no_points_and_mixed_qubit_counts():
+    with pytest.raises(ValueError, match="need at least one point"):
+        vanishing_quadrics([])
+    with pytest.raises(ValueError, match="coordinate count mismatch"):
+        vanishing_quadrics([ProjPoint(3, 5), ProjPoint(4, 0x8000)])
+    q3 = cayley_quadric(3)
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        spans([q3], QuadForm(4, q3.bits))
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        spans([q3, cayley_quadric(4)], cayley_quadric(4))
