@@ -323,6 +323,9 @@ GOLDEN_RUNS.append("verify --n 2 --suite variety --format text")
 # the isotropy constraints with their rank
 GOLDEN_RUNS += [f"relations --n 3 --format {fmt}" for fmt in ("text", "csv", "json")]
 GOLDEN_RUNS += ["relations --n 4 --format text", "constraints --n 4 --format text"]
+# the generators in their listed order, and the counts at every N
+GOLDEN_RUNS += [f"generators --n {n} --format {fmt}" for n in (2, 3) for fmt in ("text", "csv", "json")]
+GOLDEN_RUNS += [f"counts --n {n} --format text" for n in (2, 3, 4, 5)]
 
 
 # argv -> exit code of the `project` and `map` cases: the README examples
