@@ -28,13 +28,21 @@ def reduce_row(pivots: dict[int, int], row: int) -> int:
     return row
 
 
-def rank(rows: Iterable[int]) -> int:
-    """GF(2) row rank: the number of rows that reduce to nonzero."""
+def independent(rows: Iterable[int]) -> list[int]:
+    """The indices of the rows outside the span of the earlier ones (each
+    reduced against those kept before it): the first basis among them."""
     pivots: dict[int, int] = {}
-    for r in rows:
+    kept = []
+    for k, r in enumerate(rows):
         if r := reduce_row(pivots, r):
             pivots[r.bit_length()] = r
-    return len(pivots)
+            kept.append(k)
+    return kept
+
+
+def rank(rows: Iterable[int]) -> int:
+    """GF(2) row rank: the number of rows that reduce to nonzero."""
+    return len(independent(rows))
 
 
 @lru_cache(maxsize=None)
@@ -125,17 +133,19 @@ def apply_gate(g: Gate, bits: int) -> int:
     return bits ^ (bits & n00 ^ hi & n01) ^ (bits & n10 ^ hi & n11) << shift
 
 
+def span(rows: Iterable[int]) -> list[int]:
+    """Every sum of ``rows``: entry c is the XOR of row k over the bits k of c."""
+    out = [0]
+    for r in rows:
+        out += [v ^ r for v in out]
+    return out
+
+
 def byte_tables(images: Sequence[int]) -> Tables:
     """The linear map sending bit k to ``images[k]``, as one table per input
-    byte: entry v of table b is the image of v << 8b, and a byte of k <= 8
-    images gets the 2^k entries doubled over them."""
-    tables = []
-    for lo in range(0, len(images), 8):
-        table = [0]
-        for im in images[lo:lo + 8]:
-            table += [v ^ im for v in table]
-        tables.append(tuple(table))
-    return tuple(tables)
+    byte: entry v of table b is the image of v << 8b, the ``span`` of the
+    byte's images."""
+    return tuple(tuple(span(images[lo:lo + 8])) for lo in range(0, len(images), 8))
 
 
 def apply_tables(tables: Tables, x: int) -> int:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import rank, reduce_row
+from .gf2 import independent, rank
 from .pauli import MAX_QUBITS, Generator
 
 
@@ -102,16 +102,13 @@ def pluecker_relations(n_qubits: int) -> tuple[PlueckerRelation, ...]:
     if not 2 <= n <= MAX_QUBITS:
         raise ValueError(f"supported qubit range is 2..{MAX_QUBITS}")
     mono_pos: dict[tuple[int, int], int] = {}
-    pivots: dict[int, int] = {}
-    kept = []
-    for r in _relation_candidates(n):
+    cands, rows = _relation_candidates(n), []
+    for r in cands:
         row = 0
         for mono in r.term_keys:
             row |= 1 << mono_pos.setdefault(mono, len(mono_pos))
-        if row := reduce_row(pivots, row):
-            pivots[row.bit_length()] = row
-            kept.append(r)
-    return tuple(sorted(kept))
+        rows.append(row)
+    return tuple(sorted(cands[k] for k in independent(rows)))
 
 
 @dataclass(frozen=True, order=True)

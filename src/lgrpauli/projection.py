@@ -4,10 +4,12 @@ Keeping only the 2^N Plucker coordinates indexed by principal minors gives
 a point of PG(2^N - 1, 2).  On the chart where the empty minor is 1, the
 subspace is the graph of a symmetric matrix A and the coordinates are the
 principal minors of A; over GF(2) those determine A (and hence the whole
-subspace) uniquely, so the projection is a bijection onto its image.
-``lift`` inverts it: H_T, for T the lowest subset with x_T = 1, moves an
-image point onto that chart, and S_d, for d its singleton coordinates (the
-diagonal of A), onto the graph slice, whose point's code gives the rest of A.
+subspace) uniquely, so the projection is a bijection onto its image, walked
+by ``image`` one cell per T (its points lowest at x_T) from x_T by the chart
+gates conjugated by H_T.  ``lift`` inverts it: H_T, for T the lowest subset
+with x_T = 1, moves an image point onto that chart, and S_d, for d its
+singleton coordinates (the diagonal of A), onto the graph slice, whose
+point's code gives the rest of A.
 
 Coordinates are indexed internally by subsets I of {1..N} (element j at
 bit j-1).  The display order used for bit strings and observables puts
@@ -160,16 +162,18 @@ def to_observable(p: ProjPoint) -> PauliPoint:
     return PauliPoint(1 << (p.n_source - 1), apply_tables(_display_order(p.n_source)[0], p.bits))
 
 
+def _entries(n: int) -> list[int]:
+    """A symmetric A's entries as masks: {i} for a_ii, then {i, j} for a_ij (i < j)."""
+    return [1 << i for i in range(n)] + [1 << i | 1 << j for i, j in itertools.combinations(range(n), 2)]
+
+
 @lru_cache(maxsize=None)
 def clifford_gates(n_qubits: int) -> tuple[Gate, ...]:
     """H_i for each qubit, then S_i, then CZ_ij (i < j):
     H_i: x_S <-> x_{S ^ {i}};  S_i: x_S += x_{S - {i}} for i in S;
     CZ_ij: x_S += x_{S - {i,j}} for {i,j} in S."""
-    n = n_qubits
-    singles = [1 << i for i in range(n)]
-    pairs = [a | b for a, b in itertools.combinations(singles, 2)]
-    return tuple([gate(n, 0, t, SWAP) for t in singles]
-                 + [gate(n, 0, t, LOWER) for t in singles + pairs])
+    n, entries = n_qubits, _entries(n_qubits)
+    return tuple([gate(n, 0, e, SWAP) for e in entries[:n]] + [gate(n, 0, e, LOWER) for e in entries])
 
 
 @lru_cache(maxsize=None)
@@ -190,13 +194,6 @@ def _gray_walk(steps: list[tuple[Gate, ...]], start: int) -> list[int]:
     return out
 
 
-def chart_points(n_qubits: int) -> list[int]:
-    """Entry c is the chart point of the symmetric matrix A with code c,
-    bit k of c the entry flipped by gate k of ``clifford_gates(n)[n:]``
-    (a_ii by S_i, then a_ij = a_ji by CZ_ij), walked from x_{} = 1."""
-    return _gray_walk([(g,) for g in clifford_gates(n_qubits)[n_qubits:]], 1)
-
-
 def _pluecker_gates(n: int) -> list[tuple[Gate, ...]]:
     """``clifford_gates(n)`` on Plucker vectors: each is a column map of the
     basis rows, one gate on 2N columns per column operation.  H_i swaps
@@ -208,15 +205,6 @@ def _pluecker_gates(n: int) -> list[tuple[Gate, ...]]:
             + [tuple(gate(2 * n, 1 << i, 1 << n + j, LOWER) for i, j in a) for a in adds])
 
 
-def _chart_cell(n: int, t: int) -> list[int]:
-    """The codes of the symmetric A with a_ij = 0 whenever max(i, j) is in T."""
-    cell = [0]
-    for k, top in enumerate([*range(n), *(j for _, j in itertools.combinations(range(n), 2))]):
-        if not t >> top & 1:
-            cell += [c | 1 << k for c in cell]  # doubled over the free entries
-    return cell
-
-
 @lru_cache(maxsize=None)
 def _image_bits(n_qubits: int) -> tuple[int, ...]:
     """The packed bits of every image point, sorted, checked to be
@@ -225,15 +213,17 @@ def _image_bits(n_qubits: int) -> tuple[int, ...]:
     Each image point is H_T q for one chart point q and its lowest subset T
     with x_T = 1, so q vanishes on {S ^ T : S < T}, the nonempty U with max U
     in T: as q holds the principal minors of A, that is a_ij = 0 whenever
-    max(i, j) is in T, T's ``_chart_cell`` (row max U of A[U, U] is then
-    zero, and U = {k}, {j, k} give a_kk, a_jk)."""
+    max(i, j) is in T (row max U of A[U, U] is then zero, and U = {k},
+    {j, k} give a_kk, a_jk).  So T's cell is H_T of the walk from x_{} = 1
+    (A = 0) by the chart gates g_e = gate(n, {}, e, LOWER) of the entries e
+    with max e not in T, or the walk from x_T by the H_T g_e H_T: as H_T
+    moves the pair (x_S, x_{S | e}) that g_e acts on to (x_{U | (e & T)},
+    x_{U | (e - T)}), U = (S ^ T) - e, that is gate(n, e & T, e - T, LOWER)."""
     n = n_qubits
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"supported qubit range is 1..{MAX_QUBITS}")
-    points, hits = chart_points(n), []
-    for t in range(1 << n):
-        h = _hadamard(n, t)
-        hits += [apply_tables(h, points[code]) for code in _chart_cell(n, t)]
+    hits = [bits for t in range(1 << n) for bits in _gray_walk(
+        [(gate(n, e & t, e & ~t, LOWER),) for e in _entries(n) if not t >> e.bit_length() - 1 & 1], 1 << t)]
     bits = sorted(set(hits))
     if not len(hits) == len(bits) == generator_count(n):
         raise RuntimeError(f"image: {len(bits)} points from {len(hits)} hits, expected {generator_count(n)}")

@@ -12,12 +12,14 @@ display numbering x_1..x_{2^N} is used only to read and print forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .gf2 import SWAP, Gate, absent_masks, apply_gate, gate, reduce_row
+from .gf2 import SWAP, Gate, absent_masks, apply_gate, gate, independent, reduce_row, span
 from .orbits import local_gates
 from .pluecker import principal_keys
 from .projection import ProjPoint, _image_bits, display_masks
+
+MAX_ORBIT_SPAN = 16  # the largest span dimension ``quadric_orbit`` enumerates
 
 
 @lru_cache(maxsize=None)
@@ -27,6 +29,13 @@ def _upper(n: int) -> tuple[int, int]:
     diag = sum(1 << ((a << n) | a) for a in range(1 << n))
     upper = sum(1 << ((a << n) | b) for a in range(1 << n) for b in range(a + 1, 1 << n))
     return diag, upper
+
+
+@lru_cache(maxsize=None)
+def _display_monomials(n: int) -> tuple[tuple[int, ...], ...]:
+    """Entry (a << N) | b is x_a x_b in display numbering, as ``sorted_monomials`` lists it."""
+    pos = {m: k + 1 for k, m in enumerate(display_masks(n))}
+    return tuple(tuple(sorted({pos[a], pos[b]})) for a in range(1 << n) for b in range(1 << n))
 
 
 def _monomial(n: int, a: int, b: int) -> int:
@@ -55,6 +64,8 @@ class QuadForm:
     bits: int
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ValueError(f"qubit count {self.n_qubits} is below 1")
         diag, upper = _upper(self.n_qubits)
         if self.bits < 0 or self.bits & ~(diag | upper):
             raise ValueError("bits outside the monomials x_a x_b with a <= b")
@@ -67,9 +78,8 @@ class QuadForm:
     def sorted_monomials(self) -> list[tuple[int, ...]]:
         """The monomials in display numbering, (i,) for the square of x_i and
         (i, j) with i < j otherwise: squares first, then ascending."""
-        pos = {m: k + 1 for k, m in enumerate(display_masks(self.n_qubits))}
-        monos = [tuple(sorted({pos[a], pos[b]})) for a, b in _pairs(self.n_qubits, self.bits)]
-        return sorted(monos, key=lambda m: (len(m), m))
+        n, display = self.n_qubits, _display_monomials(self.n_qubits)
+        return sorted((display[a << n | b] for a, b in _pairs(n, self.bits)), key=lambda m: (len(m), m))
 
     def evaluate(self, p: ProjPoint) -> int:
         if p.n_source != self.n_qubits:
@@ -86,8 +96,8 @@ def _form(n_vars: int, *pairs) -> QuadForm:
     """The sum of x_i x_j over display-numbered pairs (i, j); (i, i) is the
     square term."""
     n = n_vars.bit_length() - 1
-    if n_vars != 1 << n:
-        raise ValueError(f"the variable count {n_vars} is not a power of two")
+    if n_vars < 2 or n_vars != 1 << n:
+        raise ValueError(f"the variable count {n_vars} is not 2^N with N >= 1")
     bits = 0
     for pair in pairs:
         if not all(1 <= v <= n_vars for v in pair):
@@ -191,13 +201,10 @@ def vanishing_quadrics(points) -> list[QuadForm]:
 
 def spans(basis_forms, q: QuadForm) -> bool:
     """Whether ``q`` lies in the GF(2) span of ``basis_forms``."""
-    pivots: dict[int, int] = {}
-    for f in basis_forms:
-        if f.n_qubits != q.n_qubits:
-            raise ValueError("variable count mismatch")
-        if r := reduce_row(pivots, f.bits):
-            pivots[r.bit_length()] = r
-    return not reduce_row(pivots, q.bits)
+    basis_forms = list(basis_forms)
+    if any(f.n_qubits != q.n_qubits for f in basis_forms):
+        raise ValueError("variable count mismatch")
+    return len(basis_forms) not in independent([*(f.bits for f in basis_forms), q.bits])
 
 
 def cayley_quadric(n_qubits: int) -> QuadForm:
@@ -261,9 +268,7 @@ def _transpose(n: int) -> tuple[Gate, ...]:
 def _act(n: int, g: tuple[Gate, Gate], bits: int) -> int:
     """The packed form of Q(g x), folded back to one bit per monomial."""
     c = apply_gate(g[1], apply_gate(g[0], bits))
-    ct = c
-    for t in _transpose(n):
-        ct = apply_gate(t, ct)
+    ct = reduce(lambda v, t: apply_gate(t, v), _transpose(n), c)
     diag, upper = _upper(n)
     return (c ^ ct) & upper | c & diag
 
@@ -271,6 +276,8 @@ def _act(n: int, g: tuple[Gate, Gate], bits: int) -> int:
 def quadric_orbit_raw(q: QuadForm, n_qubits: int) -> set[QuadForm]:
     """Closure of ``q`` under the local gates acting on quadratic forms;
     the gates are involutions, so the closure is the orbit."""
+    if q.n_qubits != n_qubits:
+        raise ValueError("variable count mismatch")
     gates = _form_gates(n_qubits)
     seen, frontier = {q.bits}, {q.bits}
     while frontier:
@@ -288,18 +295,13 @@ def quadric_orbit(q: QuadForm, n_qubits: int) -> set[QuadForm]:
     minimal-weight canonical spanning set of the smallest group-stable
     linear space containing ``q``: enumerate that space, sort its nonzero
     elements by (monomial count, monomial list), and greedily keep each
-    element that is independent of the ones already kept.
+    element that is independent of the ones already kept.  A space of
+    dimension above ``MAX_ORBIT_SPAN`` raises instead.
     """
-    span = {0}
-    for f in quadric_orbit_raw(q, n_qubits):
-        if f.bits not in span:
-            span |= {g ^ f.bits for g in span}
-    elems = sorted((QuadForm(n_qubits, b) for b in span if b),
+    raw = [f.bits for f in quadric_orbit_raw(q, n_qubits)]
+    basis = [raw[k] for k in independent(raw)]
+    if len(basis) > MAX_ORBIT_SPAN:
+        raise ValueError(f"quadric orbit spans dimension {len(basis)}, above {MAX_ORBIT_SPAN}")
+    elems = sorted((QuadForm(n_qubits, b) for b in span(basis)[1:]),
                    key=lambda f: (f.bits.bit_count(), f.sorted_monomials()))
-    pivots: dict[int, int] = {}
-    chosen = set()
-    for f in elems:
-        if r := reduce_row(pivots, f.bits):
-            pivots[r.bit_length()] = r
-            chosen.add(f)
-    return chosen
+    return {elems[k] for k in independent(f.bits for f in elems)}

@@ -2,12 +2,14 @@
 
 import itertools
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lgrpauli.gf2 import apply_tables, byte_tables, packed_rref, rank, reduce_row, wedge
+from lgrpauli.gf2 import apply_tables, byte_tables, independent, packed_rref, rank, reduce_row, span, wedge
 from gf2_oracles import kernel, rref
 from orbit_oracles import minor
 from pluecker_oracles import bitwise_wedge
@@ -124,6 +126,23 @@ def test_rank_matches_the_rref_oracle(m):
     rows, _ = m
     for rs in (rows, rows + rows[:1] + (0,), (0,) + rows + rows):
         assert rank(rs) == len(rref(rs))
+
+
+@given(mats(max_rows=8))
+def test_independent_keeps_the_rows_outside_the_earlier_span(m):
+    # row k is kept iff it raises the oracle rank of rows[:k]; the span of
+    # the kept rows is the row space, each sum listed once, entry c the
+    # XOR of the kept rows at the bits of c
+    rows, _ = m
+    for rs in (rows, rows + rows[:1] + (0,), (0,) + rows + rows):
+        kept = independent(rs)
+        assert kept == [k for k in range(len(rs)) if len(rref(rs[:k + 1])) > len(rref(rs[:k]))]
+        basis = [rs[k] for k in kept]
+        sums = span(basis)
+        assert len(set(sums)) == len(sums) == 1 << len(kept)
+        assert rref(sums) == rref(rs)
+        assert all(sums[c] == reduce(xor, [r for k, r in enumerate(basis) if c >> k & 1], 0)
+                   for c in range(len(sums)))
 
 
 @given(mats(max_rows=8), st.integers(0, (1 << 6) - 1))

@@ -30,12 +30,10 @@ from lgrpauli.pluecker import (
 from lgrpauli.projection import (
     NotInImageError,
     ProjPoint,
-    _chart_cell,
     _hadamard,
     _image_bits,
     _pluecker_gates,
     _principal_bits,
-    chart_points,
     clifford_gates,
     display_masks,
     image,
@@ -47,6 +45,7 @@ from gf2_oracles import rref
 from orbit_oracles import minor, to_chart
 from pauli_helpers import principal_bits, subset_keys, y_count
 from pluecker_oracles import SubsetIndex, constraint_value
+from projection_oracles import _chart_cell, chart_points
 
 
 @lru_cache(maxsize=None)
@@ -654,16 +653,45 @@ def test_lift_builds_no_image(monkeypatch):
         lift(ProjPoint(5, 1 | 1 << 31))
 
 
-def test_lift_walks_only_the_graph_slice(monkeypatch):
-    def no_chart(n):
-        raise AssertionError("lift walked the chart")
+def recorded_walks(monkeypatch) -> list[tuple[int, list[int]]]:
+    """Each ``_gray_walk`` run from now on in this test, as its start and
+    its entries."""
+    walks, walk = [], projection._gray_walk
 
-    monkeypatch.setattr(projection, "chart_points", no_chart)
+    def recording(steps, start):
+        walks.append((start, walk(steps, start)))
+        return walks[-1][1]
+
+    monkeypatch.setattr(projection, "_gray_walk", recording)
+    return walks
+
+
+def test_lift_walks_only_the_graph_slice(monkeypatch):
+    # the graph-slice points and their vectors: two walks of 2^(N(N-1)/2)
+    # entries, no chart cell of 2^(N(N+1)/2 - sum_{k in T} (k+1)) entries
     fresh_lift_caches(monkeypatch)
+    walks = recorded_walks(monkeypatch)
     for text in ("0xa2d33ede", "0x6167d7a7"):  # a chart and an off-chart image point
         p = ProjPoint.from_string(5, text)
         assert project(embed(lift(p))) == p
+    assert [len(entries) for _, entries in walks] == [1 << 10, 1 << 10]
     assert len(projection._graph_points(5)[0]) == len(projection._graphs(5)[0]) == 1 << 10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_image_cells_are_the_chart_cells_moved_by_hadamards(n, monkeypatch):
+    # T's walk starts at x_T and holds H_T q for exactly the chart points q
+    # of T's oracle cell, 2^(N(N+1)/2 - sum_{k in T} (k+1)) of them, all
+    # lowest at x_T
+    walks = recorded_walks(monkeypatch)
+    _image_bits.__wrapped__(n)
+    points = chart_points(n)
+    assert [start for start, _ in walks] == [1 << t for t in range(1 << n)]
+    for t, (_, entries) in enumerate(walks):
+        h = _hadamard(n, t)
+        assert sorted(entries) == sorted(apply_tables(h, points[code]) for code in _chart_cell(n, t))
+        assert len(entries) == 1 << n * (n + 1) // 2 - sum(k + 1 for k in range(n) if t >> k & 1)
+        assert all(bits & -bits == 1 << t for bits in entries)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

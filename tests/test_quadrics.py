@@ -2,12 +2,14 @@
 reduced closure of the distinguished four-monomial quadric."""
 
 import random
+import re
 
 import pytest
 
 from lgrpauli.orbits import local_gates
 from lgrpauli.projection import ProjPoint, image
 from lgrpauli.quadrics import (
+    MAX_ORBIT_SPAN,
     QuadForm,
     _act,
     _form,
@@ -23,6 +25,7 @@ from lgrpauli.quadrics import (
     variety_quadrics,
     verify_variety,
 )
+from gf2_oracles import rref
 from quadric_oracles import (
     display_rows,
     from_monomials,
@@ -139,6 +142,49 @@ def test_raw_closure_spans_same_space_and_misses_q9_q10():
 
 def test_quadric_orbit_n3_is_singleton():
     assert quadric_orbit(cayley_quadric(3), 3) == {hyperbolic_form(8)}
+
+
+def test_quadric_orbit_rejects_a_form_on_another_qubit_count():
+    # read at N = 4, the N = 3 Cayley quadric has a 15,552-form raw orbit
+    for orbit in (quadric_orbit, quadric_orbit_raw):
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            orbit(cayley_quadric(3), 4)
+
+
+def test_quadric_orbit_rejects_a_span_above_its_bound():
+    # the Cayley quadric plus x1*x2: a 648-form raw orbit whose span, of
+    # dimension 80 by the oracle, has 2^80 elements; the Cayley span has 9
+    q = cayley_quadric(4) + _form(16, (1, 2))
+    raw = quadric_orbit_raw(q, 4)
+    assert len(raw) == 648 and len(rref(f.bits for f in raw)) == 80
+    assert len(rref(f.bits for f in quadric_orbit_raw(cayley_quadric(4), 4))) == 9 <= MAX_ORBIT_SPAN
+    with pytest.raises(ValueError, match=f"quadric orbit spans dimension 80, above {MAX_ORBIT_SPAN}"):
+        quadric_orbit(q, 4)
+
+
+@pytest.mark.parametrize("make, arg, message", [
+    (lambda n: QuadForm(n, 0), -1, "qubit count -1 is below 1"),
+    (lambda n: QuadForm(n, 1), 0, "qubit count 0 is below 1"),
+    (hyperbolic_form, 0, "the variable count 0 is not 2^N with N >= 1"),
+    (hyperbolic_form, 1, "the variable count 1 is not 2^N with N >= 1"),
+    (_form, 0, "the variable count 0 is not 2^N with N >= 1"),
+    (_form, 1, "the variable count 1 is not 2^N with N >= 1"),
+    (_form, 6, "the variable count 6 is not 2^N with N >= 1"),
+])
+def test_forms_name_a_bad_qubit_or_variable_count(make, arg, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(arg)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sorted_monomials_read_back_through_the_display_numbering(n):
+    # the cached display numbering against ``_form``'s, on seeded random
+    # forms: distinct monomials, squares first, then ascending
+    for q in _random_forms(n, 20):
+        monos = q.sorted_monomials()
+        assert len(set(monos)) == len(monos) == q.bits.bit_count()
+        assert monos == sorted(monos, key=lambda m: (len(m), m))
+        assert from_monomials(n, monos) == q
 
 
 def _random_forms(n, count):
