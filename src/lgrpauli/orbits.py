@@ -11,12 +11,11 @@ families meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Optional
 
 from .gf2 import SWAP, Gate, apply_gate, byte_tables, gate, rank
-from .pauli import PauliPoint
+from .pauli import PauliPoint, _Value
 from .projection import NotInImageError, ProjPoint, _image_bits, clifford_gates, lift, to_observable
 
 
@@ -171,16 +170,20 @@ CLASS_TABLE: dict[int, list[dict]] = {
 _NON_IMAGE_LABELS = {3: {108: "O3", 12: "O5"}}
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    orbit_id: int
-    size: int
-    representative: ProjPoint
-    in_image: bool
-    t_rank: int
-    e_rank: Optional[int]
-    observable: Optional[str]
-    reference_label: Optional[str]
+class OrbitRecord(_Value):
+    __slots__ = ("orbit_id", "size", "representative", "in_image", "t_rank", "e_rank", "observable",
+                 "reference_label")
+
+    def __init__(self, orbit_id: int, size: int, representative: ProjPoint, in_image: bool, t_rank: int,
+                 e_rank: Optional[int], observable: Optional[str], reference_label: Optional[str]):
+        self._set_orbit_id(self, orbit_id)
+        self._set_size(self, size)
+        self._set_representative(self, representative)
+        self._set_in_image(self, in_image)
+        self._set_t_rank(self, t_rank)
+        self._set_e_rank(self, e_rank)
+        self._set_observable(self, observable)
+        self._set_reference_label(self, reference_label)
 
 
 @lru_cache(maxsize=None)

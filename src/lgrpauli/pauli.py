@@ -15,8 +15,8 @@ which is canonical and reads back as the reduced-row-echelon basis.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter, eq, ge, gt, le, lt
 from typing import Iterable
 
 from .gf2 import absent_masks, packed_rref, wedge
@@ -30,6 +30,50 @@ _LABEL_CHUNKS = tuple("".join(BITS_LETTER[(c >> 4 + k & 1, c >> k & 1)] for k in
                       for c in range(256))
 # translate tables from a label's bytes to the digits x_i and x_{N+i}, 2 off "IXYZ"
 _LOW_DIGITS, _HIGH_DIGITS = (bytes(48 + LETTER_BITS.get(chr(c), (2, 2))[k] for c in range(256)) for k in (0, 1))
+
+
+def _compare(op):
+    """The comparison ``op`` of two values of one class by their fields."""
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return op(self._key(self), self._key(other))
+        return NotImplemented
+    return compare
+
+
+class _Value:
+    """An immutable value whose public ``__slots__`` are its fields: equal and
+    hashed as their tuple within one class, ordered by it if declared with
+    ``order=True``, shown as ``Name(field=value, ...)``, and copied and
+    pickled through its constructor.  Assignment raises AttributeError, so a
+    constructor writes slot s through ``_set_<s without leading underscores>``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, order: bool = False):
+        cls._fields = tuple(s for s in cls.__slots__ if s[0] != "_")
+        cls._key = attrgetter(*cls._fields)
+        for s in cls.__slots__:
+            setattr(cls, "_set_" + s.lstrip("_"), cls.__dict__[s].__set__)
+        if order:
+            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_compare, (lt, le, gt, ge))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    __eq__ = _compare(eq)
 
 
 class LabelError(ValueError):
@@ -48,19 +92,19 @@ class NotMaximalError(ValueError):
     """Raised when a commuting set does not span an N-dimensional subspace."""
 
 
-@dataclass(frozen=True, order=True)
-class PauliPoint:
+class PauliPoint(_Value, order=True):
     """A nonzero N-qubit Pauli operator modulo sign: bit i-1 of ``bits`` is
     x_i and bit N+i-1 is x_{N+i}."""
 
-    n_qubits: int
-    bits: int
+    __slots__ = ("n_qubits", "bits")
 
-    def __post_init__(self):
-        if self.n_qubits < 1:
+    def __init__(self, n_qubits: int, bits: int):
+        if n_qubits < 1:
             raise ValueError("need at least one qubit")
-        if not 0 < self.bits < 1 << (2 * self.n_qubits):
-            raise ValueError(f"bits must be in 1..4^N-1 for N={self.n_qubits}, got {self.bits}")
+        if not 0 < bits < 1 << (2 * n_qubits):
+            raise ValueError(f"bits must be in 1..4^N-1 for N={n_qubits}, got {bits}")
+        self._set_n_qubits(self, n_qubits)
+        self._set_bits(self, bits)
 
     @classmethod
     def from_label(cls, s: str) -> "PauliPoint":
@@ -83,8 +127,8 @@ class PauliPoint:
     def label(self) -> str:
         n, b = self.n_qubits, self.bits
         x = b >> n
-        return "".join(_LABEL_CHUNKS[(b >> i & 15) << 4 | x >> i & 15]
-                       for i in range(0, n, 4))[:n]
+        return "".join([_LABEL_CHUNKS[(b >> i & 15) << 4 | x >> i & 15]
+                        for i in range(0, n, 4)])[:n]
 
 
 def symplectic_product(a: PauliPoint, b: PauliPoint) -> int:
@@ -116,8 +160,7 @@ def omega_contraction(n: int, table: int) -> int:
     return s
 
 
-@dataclass(frozen=True, init=False)
-class Generator:
+class Generator(_Value):
     """A maximal totally isotropic subspace, held as its Plucker vector:
     bit m of ``table`` is the minor on the columns of subset mask m.  The
     constructor takes any spanning rows of at most 2N bits; the vector
@@ -125,8 +168,7 @@ class Generator:
     spaces are, and ``rows`` reads the canonical RREF basis back from it.
     """
 
-    n_qubits: int
-    table: int
+    __slots__ = ("n_qubits", "table")
 
     def __init__(self, n_qubits: int, rows: Iterable[int]):
         n = n_qubits
@@ -144,11 +186,14 @@ class Generator:
         g._store(n_qubits, table)
         return g
 
+    def __reduce__(self):
+        return self._from_table, self._key(self)
+
     def _store(self, n: int, table: int) -> None:
         if omega_contraction(n, table):
             raise ValueError("basis is not totally isotropic")
-        object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "table", table)
+        self._set_n_qubits(self, n)
+        self._set_table(self, table)
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -196,6 +241,8 @@ def enumerate_generators(n_qubits: int) -> tuple[Generator, ...]:
 
 def generator_count(n_qubits: int) -> int:
     """The closed-form count of generators, prod_{i=1..N} (2^i + 1)."""
+    if n_qubits < 1:
+        raise ValueError(f"qubit count {n_qubits} is below 1")
     out = 1
     for i in range(1, n_qubits + 1):
         out *= (1 << i) + 1

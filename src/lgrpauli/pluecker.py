@@ -10,11 +10,10 @@ of basis has determinant 1, so the vector depends only on the subspace.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf2 import independent, rank
-from .pauli import MAX_QUBITS, Generator
+from .pauli import MAX_QUBITS, Generator, _Value
 
 
 @lru_cache(maxsize=None)
@@ -25,16 +24,30 @@ def _key_label(n_ambient: int, key: int) -> str:
     return "p" + "".join(members) if n_ambient < 10 else "p{" + ",".join(members) + "}"
 
 
-@dataclass(frozen=True, order=True)
-class PlueckerVec:
+class PlueckerVec(_Value, order=True):
     """Plucker coordinates of a generator: one bit per N-subset of {1..2N}.
 
-    ``table`` packs the coordinate of subset-mask m at bit m.
+    ``table`` packs the coordinate of subset-mask m at bit m.  ``_isotropic``,
+    no field, is True only for the vectors of ``embed``, whose generators
+    checked it.
     """
 
-    n_qubits: int
-    table: int
-    _isotropic = False  # no field: set by ``embed``, whose generators checked it
+    __slots__ = ("n_qubits", "table", "_isotropic")
+
+    def __init__(self, n_qubits: int, table: int):
+        if n_qubits < 1:
+            raise ValueError("need at least one qubit")
+        self._set_n_qubits(self, n_qubits)
+        self._set_table(self, table)
+        self._set_isotropic(self, False)
+
+    @classmethod
+    def _embedded(cls, g: Generator) -> "PlueckerVec":
+        v = object.__new__(cls)
+        v._set_n_qubits(v, g.n_qubits)
+        v._set_table(v, g.table)
+        v._set_isotropic(v, True)
+        return v
 
     def coord_key(self, key: int) -> int:
         return (self.table >> key) & 1
@@ -42,18 +55,18 @@ class PlueckerVec:
 
 def embed(g: Generator) -> PlueckerVec:
     """Plucker embedding of a generator: the vector it already holds."""
-    v = PlueckerVec(g.n_qubits, g.table)
-    object.__setattr__(v, "_isotropic", True)
-    return v
+    return PlueckerVec._embedded(g)
 
 
-@dataclass(frozen=True, order=True)
-class PlueckerRelation:
+class PlueckerRelation(_Value, order=True):
     """A quadratic relation sum p_S p_T = 0 over GF(2); terms are unordered
     pairs of subset keys, deduplicated and cancellation-free."""
 
-    n_qubits: int
-    term_keys: tuple[tuple[int, int], ...]
+    __slots__ = ("n_qubits", "term_keys")
+
+    def __init__(self, n_qubits: int, term_keys: tuple[tuple[int, int], ...]):
+        self._set_n_qubits(self, n_qubits)
+        self._set_term_keys(self, term_keys)
 
     def __str__(self) -> str:
         two_n = 2 * self.n_qubits
@@ -111,12 +124,14 @@ def pluecker_relations(n_qubits: int) -> tuple[PlueckerRelation, ...]:
     return tuple(sorted(cands[k] for k in independent(rows)))
 
 
-@dataclass(frozen=True, order=True)
-class LinearConstraint:
+class LinearConstraint(_Value, order=True):
     """A linear isotropy condition: the listed coordinates sum to zero."""
 
-    n_qubits: int
-    term_keys: tuple[int, ...]
+    __slots__ = ("n_qubits", "term_keys")
+
+    def __init__(self, n_qubits: int, term_keys: tuple[int, ...]):
+        self._set_n_qubits(self, n_qubits)
+        self._set_term_keys(self, term_keys)
 
     def __str__(self) -> str:
         two_n = 2 * self.n_qubits

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable
 
 from .gf2 import LOWER, SWAP, Gate, Tables, apply_gate, apply_tables, byte_tables, gate
-from .pauli import MAX_QUBITS, Generator, PauliPoint, generator_count, omega_contraction
+from .pauli import MAX_QUBITS, Generator, PauliPoint, _Value, generator_count, omega_contraction
 from .pluecker import PlueckerVec, lagrangian_constraints, principal_keys
 
 
@@ -56,21 +55,21 @@ def _display_order(n_qubits: int) -> tuple[Tables, Tables]:
 _HEX = re.compile(r"0[xX][0-9a-fA-F]+")
 
 
-@dataclass(frozen=True, order=True)
-class ProjPoint:
+class ProjPoint(_Value, order=True):
     """A nonzero point of PG(2^N - 1, 2) in principal-minor coordinates.
 
     ``bits`` packs the coordinate of subset-mask m at bit m.
     """
 
-    n_source: int
-    bits: int
+    __slots__ = ("n_source", "bits")
 
-    def __post_init__(self):
-        if not 1 <= self.n_source:
+    def __init__(self, n_source: int, bits: int):
+        if not 1 <= n_source:
             raise ValueError("source qubit count must be positive")
-        if self.bits <= 0 or self.bits >> (1 << self.n_source):
+        if bits <= 0 or bits >> (1 << n_source):
             raise ValueError("point must be nonzero and within 2^N coordinates")
+        self._set_n_source(self, n_source)
+        self._set_bits(self, bits)
 
     def display_bits(self) -> tuple[int, ...]:
         return tuple(map(int, self.bit_string()))

@@ -11,11 +11,11 @@ display numbering x_1..x_{2^N} is used only to read and print forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .gf2 import SWAP, Gate, absent_masks, apply_gate, gate, independent, reduce_row, span
 from .orbits import local_gates
+from .pauli import _Value
 from .pluecker import principal_keys
 from .projection import ProjPoint, _image_bits, display_masks
 
@@ -55,20 +55,20 @@ def _monomials_at(n: int, x: int) -> int:
     return sum((x & -(1 << a)) << (a << n) for a in range(1 << n) if x >> a & 1)
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(_Value):
     """A quadratic form on the 2^N principal minors, packed as above;
     addition is XOR."""
 
-    n_qubits: int
-    bits: int
+    __slots__ = ("n_qubits", "bits")
 
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"qubit count {self.n_qubits} is below 1")
-        diag, upper = _upper(self.n_qubits)
-        if self.bits < 0 or self.bits & ~(diag | upper):
+    def __init__(self, n_qubits: int, bits: int):
+        if n_qubits < 1:
+            raise ValueError(f"qubit count {n_qubits} is below 1")
+        diag, upper = _upper(n_qubits)
+        if bits < 0 or bits & ~(diag | upper):
             raise ValueError("bits outside the monomials x_a x_b with a <= b")
+        self._set_n_qubits(self, n_qubits)
+        self._set_bits(self, bits)
 
     def __add__(self, other: "QuadForm") -> "QuadForm":
         if self.n_qubits != other.n_qubits:
@@ -100,6 +100,8 @@ def _form(n_vars: int, *pairs) -> QuadForm:
         raise ValueError(f"the variable count {n_vars} is not 2^N with N >= 1")
     bits = 0
     for pair in pairs:
+        if len(pair) != 2:
+            raise ValueError(f"expected a pair of variables, got {pair}")
         if not all(1 <= v <= n_vars for v in pair):
             raise ValueError(f"variable out of range 1..{n_vars} in {pair}")
         bits ^= _monomial(n, *(display_masks(n)[v - 1] for v in pair))
@@ -138,13 +140,15 @@ def variety_quadrics(n_qubits: int) -> tuple[QuadForm, ...]:
     raise ValueError("explicit quadrics are available for N in {2, 3, 4}")
 
 
-@dataclass(frozen=True)
-class VarietyReport:
-    n_qubits: int
-    quadric_count: int
-    zero_set_size: int
-    image_size: int
-    matches: bool
+class VarietyReport(_Value):
+    __slots__ = ("n_qubits", "quadric_count", "zero_set_size", "image_size", "matches")
+
+    def __init__(self, n_qubits: int, quadric_count: int, zero_set_size: int, image_size: int, matches: bool):
+        self._set_n_qubits(self, n_qubits)
+        self._set_quadric_count(self, quadric_count)
+        self._set_zero_set_size(self, zero_set_size)
+        self._set_image_size(self, image_size)
+        self._set_matches(self, matches)
 
 
 def _zero_set(n: int) -> int:

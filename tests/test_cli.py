@@ -4,7 +4,10 @@ codes."""
 
 import ast
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +68,16 @@ def test_no_module_imports_an_unused_name():
                     if bound not in used:
                         unused.append(f"{path.name}: {bound}")
     assert unused == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the value types are plain classes; a cold start would pay for both
+    code = "import sys; bare = set(sys.modules); import lgrpauli.cli; print(' '.join(set(sys.modules) - bare))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            check=True, timeout=60).stdout.split()
+    assert "lgrpauli.cli" in loaded
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
 
 
 def test_every_module_level_definition_is_used_or_exported():

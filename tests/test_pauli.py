@@ -162,6 +162,12 @@ def test_count_formula_is_product_of_shifted_powers():
         assert generator_count(n) == prod
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_count_rejects_fewer_than_one_qubit(n):
+    with pytest.raises(ValueError, match=f"^qubit count {n} is below 1$"):
+        generator_count(n)
+
+
 def test_generators_are_maximal_isotropic():
     for g in enumerate_generators(3):
         pts = generator_points(g)

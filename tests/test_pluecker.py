@@ -7,6 +7,7 @@ import pytest
 
 from lgrpauli.pauli import enumerate_generators, generator_from_operators, PauliPoint
 from lgrpauli.pluecker import (
+    PlueckerVec,
     constraint_rank,
     embed,
     lagrangian_constraints,
@@ -176,3 +177,10 @@ def test_sample_embedding_value():
     nz = {SubsetIndex.from_key(6, k).label() for k in subset_keys(6, 3) if v.coord_key(k)}
     # the two nonzero retained coordinates recorded for this family
     assert {"p246", "p156"} <= nz
+
+
+@pytest.mark.parametrize("n", [-2, 0])
+def test_pluecker_vec_rejects_fewer_than_one_qubit(n):
+    # the message PauliPoint and Generator give
+    with pytest.raises(ValueError, match="^need at least one qubit$"):
+        PlueckerVec(n, 1)

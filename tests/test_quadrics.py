@@ -176,6 +176,12 @@ def test_forms_name_a_bad_qubit_or_variable_count(make, arg, message):
         make(arg)
 
 
+@pytest.mark.parametrize("pair", [(1, 2, 3), (), (3,)])
+def test_form_names_a_pair_of_another_length(pair):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'expected a pair of variables, got {pair}')}$"):
+        _form(4, (1, 2), pair)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_sorted_monomials_read_back_through_the_display_numbering(n):
     # the cached display numbering against ``_form``'s, on seeded random
