@@ -7,6 +7,7 @@ point anywhere.  Every elimination goes through ``reduce_row``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -14,6 +15,7 @@ from typing import Iterable, Sequence
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 Gate = tuple[int, int, int, int, int]
 Tables = tuple[tuple[int, ...], ...]
+RowEntry = tuple[int, tuple[tuple[int, int], ...]]
 
 SWAP: Mat2 = ((0, 1), (1, 0))
 LOWER: Mat2 = ((1, 0), (1, 1))
@@ -61,14 +63,19 @@ def absent_masks(n_cols: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@lru_cache(maxsize=None)
-def _row_terms(n_cols: int, r: int) -> tuple[tuple[int, int], ...]:
-    """The terms of wedging row r onto a product: the (absent_masks entry,
-    shift) pair of each of its columns."""
+# per column width, each row seen so far with its ``_row_entry``, filled lazily
+_row_memo: defaultdict[int, dict[int, RowEntry]] = defaultdict(dict)
+
+
+def _row_entry(n_cols: int, r: int) -> RowEntry:
+    """Row r's product with 1 (sum of 1 << 2^j over its columns j), and the
+    terms of wedging it onto a product: each column's (absent_masks entry,
+    shift) pair."""
     if r >> n_cols:
         raise ValueError(f"basis rows must have at most {n_cols} bits")
     absent = absent_masks(n_cols)
-    return tuple((absent[j], 1 << j) for j in range(n_cols) if r >> j & 1)
+    cols = [j for j in range(n_cols) if r >> j & 1]
+    return sum(1 << (1 << j) for j in cols), tuple((absent[j], 1 << j) for j in cols)
 
 
 def wedge(rows: Iterable[int], n_cols: int) -> tuple[int, int]:
@@ -76,14 +83,18 @@ def wedge(rows: Iterable[int], n_cols: int) -> tuple[int, int]:
     m of ``table`` the minor on the columns of subset mask m; a change of
     basis has determinant 1, so it depends only on the span.  A row whose
     product with the kept rows vanishes lies in their span and is skipped,
-    so ``rank`` rows are kept.  A row wider than ``n_cols`` bits raises."""
+    so ``rank`` rows are kept; the first kept row's product is read from
+    its memo entry.  A row wider than ``n_cols`` bits raises."""
+    memo = _row_memo[n_cols]
     w, kept = 1, 0
     for r in rows:
-        nw = 0
-        for m, s in _row_terms(n_cols, r):
-            nw ^= (w & m) << s
-        if nw:
-            w = nw
+        product, terms = memo.get(r) or memo.setdefault(r, _row_entry(n_cols, r))
+        if kept:
+            product = 0
+            for m, s in terms:
+                product ^= (w & m) << s
+        if product:
+            w = product
             kept += 1
     return w, kept
 

@@ -212,11 +212,11 @@ def generator_from_operators(ops: list[PauliPoint]) -> Generator:
     if not ops:
         raise ValueError("need at least one operator")
     n = ops[0].n_qubits
-    for p in ops:
-        if p.n_qubits != n:
-            raise ValueError("mixed qubit counts")
+    rows = [p.bits for p in ops if p.n_qubits == n]
+    if len(rows) != len(ops):
+        raise ValueError("mixed qubit counts")
     try:
-        return Generator(n, [p.bits for p in ops])
+        return Generator(n, rows)
     except ValueError:
         for a, b in itertools.combinations(ops, 2):
             if symplectic_product(a, b):

@@ -149,10 +149,24 @@ def project(v: PlueckerVec) -> ProjPoint:
     return ProjPoint(n, bits)
 
 
+@lru_cache(maxsize=None)
+def _principal_folds(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """For ``_principal_bits``: the mask of the bits m(2^N - 1), and each
+    fold's (shift, mask).  Fold i moves the odd groups of 2^i bits,
+    2^i(2^N - 1) apart, down onto the end of the even ones."""
+    step = (1 << n) - 1
+    masks = [sum(((1 << (1 << i)) - 1) << k for k in range(0, step << n, step << i)) for i in range(n + 1)]
+    return masks[0], tuple((step - 1 << i, masks[i + 1]) for i in range(n))
+
+
 def _principal_bits(n: int, table: int) -> int:
-    """Subset m's principal coordinate, at key (m + 1)(2^N - 1), to bit m."""
-    step = (1 << n) - 1  # one strided slice reads them all, high m first
-    return int(format(table, f"0{1 << 2 * n}b")[-1 - (step << n):-1:step], 2)
+    """Subset m's principal coordinate, at key (m + 1)(2^N - 1), to bit m:
+    one shift and mask moves it to bit m(2^N - 1), and N folds close the gaps."""
+    mask, folds = _principal_folds(n)
+    t = table >> (1 << n) - 1 & mask
+    for shift, keep in folds:
+        t = (t | t >> shift) & keep
+    return t
 
 
 def to_observable(p: ProjPoint) -> PauliPoint:
@@ -262,13 +276,8 @@ def _graphs(n: int) -> tuple[list[int], list[list[list[Gate]]], Tables, int]:
             byte_tables([1 << k for k in keys]), sum(1 << k for k in keys))
 
 
-@lru_cache(maxsize=None)
-def _lifted(n_qubits: int) -> dict[int, Generator]:
-    """The generators lifted so far at N, keyed by their points' bits; an N
-    out of range raises, so it caches nothing."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"supported qubit range is 1..{MAX_QUBITS}")
-    return {}
+# the generators lifted so far at each N, keyed by their points' bits
+_lifted: dict[int, dict[int, Generator]] = {n: {} for n in range(1, MAX_QUBITS + 1)}
 
 
 def _lift_points(n: int, points: Iterable[int]) -> list[Generator]:
@@ -276,7 +285,10 @@ def _lift_points(n: int, points: Iterable[int]) -> list[Generator]:
     graph at the code of S_d H_T p (T the lowest subset with x_T = 1, d the
     diagonal of H_T p; p is in the image exactly when it has a code) moved by
     S_d, then H_T, checked against p's principal coordinates and for isotropy."""
-    memo, (codes, s_gates, singles) = _lifted(n), _graph_points(n)
+    memo = _lifted.get(n)
+    if memo is None:
+        raise ValueError(f"supported qubit range is 1..{MAX_QUBITS}")
+    codes, s_gates, singles = _graph_points(n)
     out = []
     for bits in points:
         g = memo.get(bits)
@@ -305,7 +317,7 @@ def lift(p: ProjPoint) -> Generator:
     on the first lift of ``p`` and the same object on every later one.  It has
     passed the masked compare and the isotropy check before it is returned."""
     try:
-        return _lifted(p.n_source)[p.bits]
+        return _lifted[p.n_source][p.bits]
     except KeyError:
         pass
     return _lift_points(p.n_source, (p.bits,))[0]

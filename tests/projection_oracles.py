@@ -1,6 +1,8 @@
-"""Reference implementations of the image walk, kept for the tests to compare
-against: the whole chart walked once, indexed by chart codes, and each
-T's cell read from it by code (``_image_bits`` walks each cell in place)."""
+"""Reference implementations kept for the tests to compare against: the
+image walk, as the whole chart walked once, indexed by chart codes, and
+each T's cell read from it by code (``_image_bits`` walks each cell in
+place); and the principal coordinates read by one strided slice of the
+table's bit string (``_principal_bits`` folds them together)."""
 
 import itertools
 
@@ -21,3 +23,9 @@ def _chart_cell(n: int, t: int) -> list[int]:
         if not t >> top & 1:
             cell += [c | 1 << k for c in cell]  # doubled over the free entries
     return cell
+
+
+def principal_bits_by_slice(n: int, table: int) -> int:
+    """Subset m's principal coordinate, at key (m + 1)(2^N - 1), to bit m."""
+    step = (1 << n) - 1  # one strided slice reads them all, high m first
+    return int(format(table, f"0{1 << 2 * n}b")[-1 - (step << n):-1:step], 2)

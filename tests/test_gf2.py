@@ -1,7 +1,10 @@
 """Property tests for the packed-row GF(2) linear algebra kernel."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from functools import reduce
 from operator import xor
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lgrpauli import gf2
 from lgrpauli.gf2 import apply_tables, byte_tables, independent, packed_rref, rank, reduce_row, span, wedge
 from gf2_oracles import kernel, rref
 from orbit_oracles import minor
@@ -110,9 +114,47 @@ def test_wedge_keeps_a_basis_and_reads_back_as_rref(m):
 
 
 def test_wedge_rejects_rows_wider_than_its_columns():
-    for row in (0b1000, -1):
-        with pytest.raises(ValueError, match="at most 3 bits"):
-            wedge((1, row), 3)
+    # wide and negative rows, first, after a zero row or after kept rows;
+    # none is memoized
+    for cols in range(1, 11):
+        for row in (1 << cols, (1 << cols + 3) | 1, -1, -(1 << cols)):
+            for rows in ((row,), (0, row), (1, row), (1, 1, row)):
+                with pytest.raises(ValueError, match=f"basis rows must have at most {cols} bits"):
+                    wedge(rows, cols)
+            assert row not in gf2._row_memo[cols]
+
+
+def kept_by_bitwise_wedge(rows, cols: int) -> list[int]:
+    """Oracle: each row whose bitwise wedge with the rows kept before it is
+    nonzero, in order."""
+    kept = []
+    for r in rows:
+        if bitwise_wedge(kept + [r], cols):
+            kept.append(r)
+    return kept
+
+
+@pytest.mark.parametrize("cols", range(1, 11))
+def test_wedge_row_memo_matches_the_bitwise_wedge(cols):
+    # seeded rows, with leading zero rows, a repeated first row and rows
+    # dependent on earlier ones, given as a list and as an iterator
+    rng = random.Random(cols)
+    for _ in range(100):
+        rows = [rng.getrandbits(cols) for _ in range(rng.randrange(1, min(cols, 6) + 1))]
+        for rs in ([0] + rows, [0, 0, 0] + rows, rows[:1] + rows, rows + [reduce(xor, rows)],
+                   rows[:1] + [0] + rows[:2] + [rows[0] ^ rows[-1]] + rows):
+            kept = kept_by_bitwise_wedge(rs, cols)
+            expected = (bitwise_wedge(kept, cols), len(kept))
+            assert wedge(rs, cols) == wedge(iter(rs), cols) == expected
+
+
+def test_wedge_fills_its_row_memo_lazily():
+    # in a fresh process one wedge of one row memoizes that row alone
+    code = "from lgrpauli import gf2; gf2.wedge([5], 10); print({c: list(m) for c, m in gf2._row_memo.items()})"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gf2.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "{10: [5]}\n"
 
 
 @given(mats())

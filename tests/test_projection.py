@@ -44,7 +44,7 @@ from gf2_oracles import rref
 from orbit_oracles import minor, to_chart
 from pauli_helpers import principal_bits, subset_keys, y_count
 from pluecker_oracles import SubsetIndex, constraint_value
-from projection_oracles import _chart_cell, chart_points
+from projection_oracles import _chart_cell, chart_points, principal_bits_by_slice
 
 
 @lru_cache(maxsize=None)
@@ -515,8 +515,8 @@ def test_chart_cells_match_the_lowest_subset_filter(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_masked_compare_agrees_with_the_principal_slice(n):
     # lift's round-trip check, v & mask == spread(bits) with bit m
-    # spread to the principal key of subset m, against project's strided
-    # slice, on every entry (a seeded sample at N = 5): for the entry's own
+    # spread to the principal key of subset m, against project's principal
+    # folds, on every entry (a seeded sample at N = 5): for the entry's own
     # bits and with one point bit flipped, on its vector and with one
     # principal or arbitrary key flipped
     keys = principal_keys(n)
@@ -536,6 +536,33 @@ def test_masked_compare_agrees_with_the_principal_slice(n):
     assert agreed[True] >= len(entries) and agreed[False] >= 3 * len(entries)
 
 
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, (1 << (1 << 2 * n)) - 1) | st.integers(0, (1 << (1 << 2 * n + 1)) - 1))))
+def test_principal_folds_match_the_string_slice(case):
+    # tables of up to 2^(2N) bits, and wider ones, as a hand-built vector
+    # may carry bits above its keys
+    n, table = case
+    assert _principal_bits(n, table) == principal_bits_by_slice(n, table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_principal_folds_match_the_string_slice_on_generators_and_seeded_tables(n):
+    # every generator's table at N <= 4; 2,000 seeded tables at N = 5
+    if n <= 4:
+        tables = [g.table for g in enumerate_generators(n)]
+    else:
+        rng = random.Random(23)
+        tables = [rng.getrandbits(1 << 2 * n) for _ in range(2000)]
+    assert [_principal_bits(n, t) for t in tables] == [principal_bits_by_slice(n, t) for t in tables]
+
+
+def test_pluecker_vec_rejects_a_negative_table():
+    # its bits would read as two's complement; embed's vectors are never negative
+    with pytest.raises(ValueError, match="Plucker table must be nonnegative, got -5"):
+        PlueckerVec(2, -5)
+    assert project(PlueckerVec(2, 1 << 0b0011)) == ProjPoint(2, 1)  # x_{} = p12
+
+
 def test_project_checks_every_vector_not_from_embed():
     # embed marks a checked generator's vector, which compares and hashes as
     # the same vector built by hand; a hand-built one is checked
@@ -552,7 +579,8 @@ def test_project_checks_every_vector_not_from_embed():
 def fresh_lift_caches(monkeypatch):
     """Empty caches of the lift memo, the graph-slice points and the graph
     vectors, for this test only."""
-    for name in ("_lifted", "_graph_points", "_graphs"):
+    monkeypatch.setattr(projection, "_lifted", {n: {} for n in projection._lifted})
+    for name in ("_graph_points", "_graphs"):
         monkeypatch.setattr(projection, name, lru_cache(maxsize=None)(getattr(projection, name).__wrapped__))
 
 
@@ -567,7 +595,7 @@ def test_lift_table_checks_each_round_trip(monkeypatch):
     assert lift(ProjPoint(3, 1)).table == 1 << 0b000111  # T = {}, A = 0: e_1 ^ e_2 ^ e_3
     with pytest.raises(RuntimeError, match=error):
         lift(ProjPoint(3, 1 << 0b001))
-    assert len(projection._lifted(3)) == 1
+    assert len(projection._lifted[3]) == 1
     with pytest.raises(RuntimeError, match=error):
         enumerate_generators.__wrapped__(3)
 
@@ -580,7 +608,7 @@ def test_lift_builds_each_generator_once_on_its_first_lift(monkeypatch):
                         classmethod(lambda cls, n, table: built.append(table) or from_table(cls, n, table)))
     p = image(5)[12345]
     g = lift(p)
-    assert built == [g.table] and list(projection._lifted(5)) == [p.bits]  # no eager build
+    assert built == [g.table] and list(projection._lifted[5]) == [p.bits]  # no eager build
     assert lift(p) is g and lift(ProjPoint(5, p.bits)) is g and len(built) == 1
     assert project(embed(g)) == p
     # the enumeration builds the rest through the same memo, and shares its objects
@@ -592,15 +620,15 @@ def test_lift_builds_each_generator_once_on_its_first_lift(monkeypatch):
 def test_lift_outside_the_image_or_the_range_caches_nothing():
     bad = ProjPoint.from_display_bits((1, 0, 0, 0, 1, 0, 0, 0))
     lift(image(3)[0])
-    size = len(projection._lifted(3))
+    size = len(projection._lifted[3])
     with pytest.raises(NotInImageError, match=re.escape("[1:0:0:0:1:0:0:0] is not in the image")):
         lift(bad)
-    assert len(projection._lifted(3)) == size
-    caches = projection._lifted.cache_info().currsize, projection._graph_points.cache_info().currsize
+    assert len(projection._lifted[3]) == size
+    caches = {n: len(m) for n, m in projection._lifted.items()}, projection._graph_points.cache_info().currsize
     with pytest.raises(ValueError, match=re.escape("supported qubit range is 1..5")) as info:
         lift(ProjPoint(6, 1))
     assert type(info.value) is ValueError
-    assert (projection._lifted.cache_info().currsize, projection._graph_points.cache_info().currsize) == caches
+    assert ({n: len(m) for n, m in projection._lifted.items()}, projection._graph_points.cache_info().currsize) == caches
 
 
 def test_first_lift_outside_the_image_builds_no_graph_walk(monkeypatch):
