@@ -101,6 +101,8 @@ class PauliPoint(_Value, order=True):
     def __init__(self, n_qubits: int, bits: int):
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
+        if not isinstance(bits, int):
+            raise ValueError(f"bits must be an int, got {bits!r}")
         if not 0 < bits < 1 << (2 * n_qubits):
             raise ValueError(f"bits must be in 1..4^N-1 for N={n_qubits}, got {bits}")
         self._set_n_qubits(self, n_qubits)
@@ -108,7 +110,18 @@ class PauliPoint(_Value, order=True):
 
     @classmethod
     def from_label(cls, s: str) -> "PauliPoint":
-        """Parse a label such as ``"IYZX"``; an optional leading sign is ignored."""
+        """Parse a label such as ``"IYZX"``; an optional leading sign is ignored.
+
+        Each accepted label of at most ``MAX_QUBITS`` letters after its sign
+        is parsed once: its point is kept in ``_parsed``, keyed by the label
+        as given, and every later call returns that same immutable object.
+        The memo is bounded by that domain, 4 sign forms x 1,359 labels
+        (5,436 points, about 0.8 MB); longer labels and rejected ones are
+        parsed on every call and never stored.
+        """
+        if p := _parsed.get(s):
+            return p
+        label = s
         if s and s[0] in "+-−":
             s = s[1:]
         if not s:
@@ -122,13 +135,20 @@ class PauliPoint(_Value, order=True):
             raise LabelError(f"bad character {bad!r} in label {s!r}") from None
         if bits == 0:
             raise LabelError("the all-identity label has no point")
-        return cls(n, bits)
+        p = cls(n, bits)
+        if n <= MAX_QUBITS:
+            _parsed[label] = p
+        return p
 
     def label(self) -> str:
         n, b = self.n_qubits, self.bits
         x = b >> n
         return "".join([_LABEL_CHUNKS[(b >> i & 15) << 4 | x >> i & 15]
                         for i in range(0, n, 4)])[:n]
+
+
+# label as given -> its point, for labels of at most MAX_QUBITS letters; filled by from_label
+_parsed: dict[str, PauliPoint] = {}
 
 
 def symplectic_product(a: PauliPoint, b: PauliPoint) -> int:

@@ -37,6 +37,8 @@ class PlueckerVec(_Value, order=True):
     def __init__(self, n_qubits: int, table: int):
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
+        if not isinstance(table, int):
+            raise ValueError(f"Plucker table must be an int, got {table!r}")
         if table < 0:
             raise ValueError(f"Plucker table must be nonnegative, got {table}")
         self._set_n_qubits(self, n_qubits)

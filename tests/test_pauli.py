@@ -2,12 +2,17 @@
 maximal commuting families."""
 
 import itertools
+import os
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lgrpauli import pauli
 from lgrpauli.pauli import (
     CommutationError,
     Generator,
@@ -51,11 +56,13 @@ def test_label_matches_letter_loop_oracle():
             assert PauliPoint.from_label(p.label()) == p
 
 
-def test_from_label_matches_letter_loop_oracle():
+def test_from_label_matches_letter_loop_oracle(monkeypatch):
     # every label of length 1-5 over IXYZ (the all-identity ones included),
     # the short ones signed, and seeded labels with bad characters: ASCII,
     # whitespace, digits, signs inside a label and non-ASCII ones such as
-    # the minus sign U+2212
+    # the minus sign U+2212; parsed from an empty memo, then from the
+    # memo the first pass filled
+    monkeypatch.setattr(pauli, "_parsed", {})
     labels = ["".join(t) for k in range(1, 6) for t in itertools.product("IXYZ", repeat=k)]
     labels += [sign + s for sign in ("+", "-", "\u2212") for s in labels[:84]]
     labels += ["", "+", "-", "\u2212", "--X", "+\u2212X", "X\u2212Y", "0b1", "1", "_X", " X", "X "]
@@ -66,9 +73,64 @@ def test_from_label_matches_letter_loop_oracle():
         for _ in range(rng.randrange(1, 3)):
             s.insert(rng.randrange(len(s) + 1), rng.choice(bad))
         labels.append("".join(s))
+    expected = [from_label_oracle(s) for s in labels]
     outcomes = [from_label_outcome(s) for s in labels]
-    assert outcomes == [from_label_oracle(s) for s in labels]
+    assert outcomes == expected
+    assert [from_label_outcome("".join(list(s))) for s in labels] == expected
     assert sum(isinstance(o, str) and o.startswith("bad character") for o in outcomes) > 2500
+    # the memo holds exactly the accepted labels of at most 5 letters after
+    # the sign, each parsed to its point; no rejected label is stored
+    memo = pauli._parsed
+    short = {s for s, o in zip(labels, expected) if isinstance(o, PauliPoint) and o.n_qubits <= 5}
+    assert set(memo) == short
+    assert all(len(s) - (s[0] in "+-\u2212") <= 5 and from_label_oracle(s) == p for s, p in memo.items())
+    assert len(memo) <= 4 * 1359
+
+
+def test_from_label_returns_one_object_per_short_label(monkeypatch):
+    # labels of up to 5 letters are parsed once; a 6-letter label and a
+    # 16-letter observable label are parsed on every call and not stored
+    monkeypatch.setattr(pauli, "_parsed", {})
+    short = ("X", "-XY", "\u2212IZ", "+YYZZX")
+    points = [PauliPoint.from_label(s) for s in short]
+    assert all(PauliPoint.from_label("".join(list(s))) is p for s, p in zip(short, points))
+    assert pauli._parsed == dict(zip(short, points))
+    obs = PauliPoint(16, 0x8000_0001).label()
+    for s in ("XYZIXY", obs, "-" + obs):
+        p = PauliPoint.from_label(s)
+        assert p == from_label_oracle(s) and p.label() == s.lstrip("-")
+        assert s not in pauli._parsed
+    assert len(pauli._parsed) == 4
+
+
+def test_from_label_memo_fills_lazily():
+    # in a fresh process importing the CLI parses no label, and one parse
+    # stores that label alone
+    code = ("from lgrpauli import cli, pauli; print(len(pauli._parsed)); "
+            "pauli.PauliPoint.from_label('XZ'); print(pauli._parsed)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pauli.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "0\n{'XZ': PauliPoint(n_qubits=2, bits=6)}\n"
+
+
+@pytest.mark.parametrize("s, error", [(None, LabelError), (5, TypeError), (b"XY", TypeError),
+                                      (b"", LabelError), (["X"], TypeError)])
+def test_from_label_rejects_and_never_stores_a_non_string(monkeypatch, s, error):
+    # None and an empty bytes string read as an empty label; a list is
+    # unhashable, so the memo lookup raises
+    monkeypatch.setattr(pauli, "_parsed", {})
+    for _ in range(2):
+        with pytest.raises(error):
+            PauliPoint.from_label(s)
+    assert pauli._parsed == {}
+
+
+@pytest.mark.parametrize("bits", [1.5, 3.0, "3", None])
+def test_pauli_point_rejects_bits_that_are_not_an_int(bits):
+    # a float in range used to construct and fail later in label()
+    with pytest.raises(ValueError, match=f"^bits must be an int, got {re.escape(repr(bits))}$"):
+        PauliPoint(2, bits)
 
 
 def test_bad_labels():

@@ -2,6 +2,7 @@
 relations, and the linear isotropy constraints."""
 
 import itertools
+import re
 
 import pytest
 
@@ -184,3 +185,10 @@ def test_pluecker_vec_rejects_fewer_than_one_qubit(n):
     # the message PauliPoint and Generator give
     with pytest.raises(ValueError, match="^need at least one qubit$"):
         PlueckerVec(n, 1)
+
+
+@pytest.mark.parametrize("table", [1.5, 3.0, "3", None])
+def test_pluecker_vec_rejects_a_table_that_is_not_an_int(table):
+    # a float table used to construct and fail later in >> with a bare TypeError
+    with pytest.raises(ValueError, match=f"^Plucker table must be an int, got {re.escape(repr(table))}$"):
+        PlueckerVec(2, table)
