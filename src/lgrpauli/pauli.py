@@ -76,6 +76,12 @@ class _Value:
     __eq__ = _compare(eq)
 
 
+def _require_int(name: str, value) -> None:
+    """Raise a ValueError naming ``value`` unless it is an int."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 class LabelError(ValueError):
     """Raised for malformed operator labels."""
 
@@ -99,10 +105,10 @@ class PauliPoint(_Value, order=True):
     __slots__ = ("n_qubits", "bits")
 
     def __init__(self, n_qubits: int, bits: int):
+        _require_int("qubit count", n_qubits)
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
-        if not isinstance(bits, int):
-            raise ValueError(f"bits must be an int, got {bits!r}")
+        _require_int("bits", bits)
         if not 0 < bits < 1 << (2 * n_qubits):
             raise ValueError(f"bits must be in 1..4^N-1 for N={n_qubits}, got {bits}")
         self._set_n_qubits(self, n_qubits)
@@ -119,8 +125,13 @@ class PauliPoint(_Value, order=True):
         (5,436 points, about 0.8 MB); longer labels and rejected ones are
         parsed on every call and never stored.
         """
-        if p := _parsed.get(s):
-            return p
+        try:
+            if p := _parsed.get(s):
+                return p
+        except TypeError:  # unhashable: rejected below
+            pass
+        if not isinstance(s, str):
+            raise LabelError(f"label must be a str, got {type(s).__name__}")
         label = s
         if s and s[0] in "+-−":
             s = s[1:]
@@ -192,28 +203,19 @@ class Generator(_Value):
 
     def __init__(self, n_qubits: int, rows: Iterable[int]):
         n = n_qubits
+        _require_int("qubit count", n)
         if n < 1:
             raise ValueError("need at least one qubit")
         table, rank = wedge(rows, 2 * n)  # ValueError for a row wider than 2N bits
         if rank != n:
             raise NotMaximalError(f"subspace has rank {rank}, expected {n}")
-        self._store(n, table)
-
-    @classmethod
-    def _from_table(cls, n_qubits: int, table: int) -> "Generator":
-        """The generator of a rank-N wedge by construction; checks its isotropy."""
-        g = object.__new__(cls)
-        g._store(n_qubits, table)
-        return g
-
-    def __reduce__(self):
-        return self._from_table, self._key(self)
-
-    def _store(self, n: int, table: int) -> None:
         if omega_contraction(n, table):
             raise ValueError("basis is not totally isotropic")
         self._set_n_qubits(self, n)
         self._set_table(self, table)
+
+    def __reduce__(self):
+        return type(self), (self.n_qubits, self.rows)
 
     @property
     def rows(self) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ import itertools
 from functools import lru_cache
 
 from .gf2 import independent, rank
-from .pauli import MAX_QUBITS, Generator, _Value
+from .pauli import MAX_QUBITS, Generator, _require_int, _Value
 
 
 @lru_cache(maxsize=None)
@@ -24,23 +24,32 @@ def _key_label(n_ambient: int, key: int) -> str:
     return "p" + "".join(members) if n_ambient < 10 else "p{" + ",".join(members) + "}"
 
 
+@lru_cache(maxsize=None)
+def _subset_mask(n_qubits: int) -> int:
+    """The mask of the keys of the N-subsets of {1..2N}."""
+    return sum(1 << k for k in range(1 << 2 * n_qubits) if k.bit_count() == n_qubits)
+
+
 class PlueckerVec(_Value, order=True):
     """Plucker coordinates of a generator: one bit per N-subset of {1..2N}.
 
-    ``table`` packs the coordinate of subset-mask m at bit m.  ``_isotropic``,
-    no field, is True only for the vectors of ``embed``, whose generators
-    checked it.
+    ``table`` packs the coordinate of subset-mask m at bit m; a bit at any
+    other key is rejected.  ``_isotropic``, no field, is True only for the
+    vectors of ``embed``, whose generators checked it (and their keys).
     """
 
     __slots__ = ("n_qubits", "table", "_isotropic")
 
     def __init__(self, n_qubits: int, table: int):
+        _require_int("qubit count", n_qubits)
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
-        if not isinstance(table, int):
-            raise ValueError(f"Plucker table must be an int, got {table!r}")
+        _require_int("Plucker table", table)
         if table < 0:
             raise ValueError(f"Plucker table must be nonnegative, got {table}")
+        if bad := table & ~_subset_mask(n_qubits):
+            key = (bad & -bad).bit_length() - 1
+            raise ValueError(f"Plucker key {key} is not a {n_qubits}-subset of 1..{2 * n_qubits}")
         self._set_n_qubits(self, n_qubits)
         self._set_table(self, table)
         self._set_isotropic(self, False)

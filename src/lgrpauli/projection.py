@@ -7,9 +7,9 @@ principal minors of A; over GF(2) those determine A (and hence the whole
 subspace) uniquely, so the projection is a bijection onto its image, walked
 by ``image`` one cell per T (its points lowest at x_T) from x_T by the chart
 gates conjugated by H_T.  ``lift`` inverts it: H_T, for T the lowest subset
-with x_T = 1, moves an image point onto that chart, and S_d, for d its
-singleton coordinates (the diagonal of A), onto the graph slice, whose
-point's code gives the rest of A.
+with x_T = 1, moves a point onto that chart, where its 1- and 2-minors give
+A, and the point is in the image exactly when the graph of A, its columns
+swapped back by T, projects to it.
 
 Coordinates are indexed internally by subsets I of {1..N} (element j at
 bit j-1).  The display order used for bit strings and observables puts
@@ -25,8 +25,8 @@ from functools import lru_cache, reduce
 from typing import Iterable
 
 from .gf2 import LOWER, SWAP, Gate, Tables, apply_gate, apply_tables, byte_tables, gate
-from .pauli import MAX_QUBITS, Generator, PauliPoint, _Value, generator_count, omega_contraction
-from .pluecker import PlueckerVec, lagrangian_constraints, principal_keys
+from .pauli import MAX_QUBITS, Generator, PauliPoint, _require_int, _Value, generator_count, omega_contraction
+from .pluecker import PlueckerVec, lagrangian_constraints
 
 
 class NotInImageError(ValueError):
@@ -64,6 +64,7 @@ class ProjPoint(_Value, order=True):
     __slots__ = ("n_source", "bits")
 
     def __init__(self, n_source: int, bits: int):
+        _require_int("source qubit count", n_source)
         if not 1 <= n_source:
             raise ValueError("source qubit count must be positive")
         if bits <= 0 or bits >> (1 << n_source):
@@ -103,6 +104,7 @@ class ProjPoint(_Value, order=True):
     def from_string(cls, n_qubits: int, text: str) -> "ProjPoint":
         """Parse a display bit string ("0010"), colon form ("[0:0:1:0]") or
         hex ("0x4", ASCII hex digits only)."""
+        _require_int("source qubit count", n_qubits)
         if n_qubits < 1:
             raise ValueError("source qubit count must be positive")
         text = text.strip()
@@ -189,12 +191,6 @@ def clifford_gates(n_qubits: int) -> tuple[Gate, ...]:
     return tuple([gate(n, 0, e, SWAP) for e in entries[:n]] + [gate(n, 0, e, LOWER) for e in entries])
 
 
-@lru_cache(maxsize=None)
-def _hadamard(n_qubits: int, t: int) -> Tables:
-    """H_T = prod_{i in T} H_i as byte tables: it maps x_S to x_{S ^ T}."""
-    return byte_tables([1 << (m ^ t) for m in range(1 << n_qubits)])
-
-
 def _gray_walk(steps: list[tuple[Gate, ...]], start: int) -> list[int]:
     """Entry c is ``start`` moved by step k's gates for each bit k of c (the
     steps commute), one step per move of a Gray-code walk."""
@@ -205,17 +201,6 @@ def _gray_walk(steps: list[tuple[Gate, ...]], start: int) -> list[int]:
             bits = apply_gate(g, bits)
         out[k ^ k >> 1] = bits
     return out
-
-
-def _pluecker_gates(n: int) -> list[tuple[Gate, ...]]:
-    """``clifford_gates(n)`` on Plucker vectors: each is a column map of the
-    basis rows, one gate on 2N columns per column operation.  H_i swaps
-    columns i and N+i, S_i adds column i to N+i and CZ_ij adds i to N+j and
-    j to N+i; on the graph of A, rows e_i + sum_j a_ij e_{N+j}, S_i and
-    CZ_ij flip a_ii and a_ij = a_ji."""
-    adds = [[(i, i)] for i in range(n)] + [[(i, j), (j, i)] for i, j in itertools.combinations(range(n), 2)]
-    return ([(gate(2 * n, 1 << i, 1 << n + i, SWAP),) for i in range(n)]
-            + [tuple(gate(2 * n, 1 << i, 1 << n + j, LOWER) for i, j in a) for a in adds])
 
 
 @lru_cache(maxsize=None)
@@ -251,29 +236,27 @@ def image(n_qubits: int) -> tuple[ProjPoint, ...]:
 
 
 @lru_cache(maxsize=None)
-def _graph_points(n: int) -> tuple[dict[int, int], list[list[Gate]], Tables]:
-    """The graph slice x_{i} = 0 of the chart (zero-diagonal A): each point's
-    bits with its code, bit k the a_ij = a_ji flipped by CZ gate k of
-    ``clifford_gates(n)``, walked from x_{} = 1; the S_i of each diagonal d;
-    and a byte table reading the singletons x_{i} (A's diagonal) to bit i."""
-    gates = clifford_gates(n)
-    return ({q: code for code, q in enumerate(_gray_walk([(g,) for g in gates[2 * n:]], 1))},
-            [[g for i, g in enumerate(gates[n:2 * n]) if d >> i & 1] for d in range(1 << n)],
-            byte_tables([m if m.bit_count() == 1 else 0 for m in range(1 << n)]))
+def _readout(n: int, t: int) -> tuple[Tables, tuple[int, ...]]:
+    """For the points p lowest at x_T: byte tables reading p to its packed
+    graph rows less the products a_ii a_jj, with the diagonal d of A above
+    them (a_ii at bit 2N^2 + i), and by d the rest of the rows, with d
+    itself to clear it.
 
+    On the chart q = H_T p, q_S = p_{S ^ T}, and as a^2 = a the 1- and
+    2-minors give A: a_ii = q_{i} and a_ij = q_{ij} + a_ii a_jj.  Row i of
+    the graph, e_i + sum_j a_ij e_{N+j} with columns k and N+k swapped for
+    k in T, is packed at bit 2N i."""
+    def at(i: int, c: int) -> int:  # column c of row i, after the swaps
+        return 1 << 2 * n * i + ((c + n) % (2 * n) if t >> c % n & 1 else c)
 
-@lru_cache(maxsize=None)
-def _graphs(n: int) -> tuple[list[int], list[list[list[Gate]]], Tables, int]:
-    """The Plucker vector of the graph of A by graph-slice code, walked from
-    e_1 ^ ... ^ e_N (A = 0); the S_i for i in d, then the H_i for i in T, by
-    d and T; and a byte table spreading bit m of a point to the principal key
-    of subset m, with the mask of those keys."""
-    gates = _pluecker_gates(n)
-    keys = principal_keys(n)
-    hs = [[g for i, (g,) in enumerate(gates[:n]) if t >> i & 1] for t in range(1 << n)]
-    return (_gray_walk(gates[2 * n:], 1 << (1 << n) - 1),
-            [[[g for i, (g,) in enumerate(gates[n:2 * n]) if d >> i & 1] + h for h in hs] for d in range(1 << n)],
-            byte_tables([1 << k for k in keys]), sum(1 << k for k in keys))
+    entries, top = _entries(n), 2 * n * n
+    images = [0] * (1 << n)  # entry e = {i, j} (i = j for a_ii) is read from bit e ^ T of p
+    for e in entries:
+        i, j = (e & -e).bit_length() - 1, e.bit_length() - 1
+        images[e ^ t] = at(i, n + j) | at(j, n + i) | (e << top if i == j else 0)
+    ones = sum(at(i, i) for i in range(n))
+    return byte_tables(images), tuple(d << top | ones | sum(images[e ^ t] for e in entries[n:] if e & d == e)
+                                      for d in range(1 << n))
 
 
 # the generators lifted so far at each N, keyed by their points' bits
@@ -281,41 +264,34 @@ _lifted: dict[int, dict[int, Generator]] = {n: {} for n in range(1, MAX_QUBITS +
 
 
 def _lift_points(n: int, points: Iterable[int]) -> list[Generator]:
-    """``lift`` of each point p, given by its bits: its memo entry, or else the
-    graph at the code of S_d H_T p (T the lowest subset with x_T = 1, d the
-    diagonal of H_T p; p is in the image exactly when it has a code) moved by
-    S_d, then H_T, checked against p's principal coordinates and for isotropy."""
+    """``lift`` of each point p, given by its bits: its memo entry, or else
+    the generator of the graph rows that ``_readout`` reads off p for T, the
+    lowest subset with x_T = 1.  Their entries are forced, so p is in the
+    image exactly when that generator's principal coordinates are p."""
     memo = _lifted.get(n)
     if memo is None:
         raise ValueError(f"supported qubit range is 1..{MAX_QUBITS}")
-    codes, s_gates, singles = _graph_points(n)
+    width = 2 * n
     out = []
     for bits in points:
         g = memo.get(bits)
         if g is None:
-            t = (bits & -bits).bit_length() - 1
-            q = apply_tables(_hadamard(n, t), bits)
-            d = apply_tables(singles, q)
-            for s in s_gates[d]:
-                q = apply_gate(s, q)
-            code = codes.get(q)
-            if code is None:
+            tables, constant = _readout(n, (bits & -bits).bit_length() - 1)
+            rows = apply_tables(tables, bits)
+            rows ^= constant[rows >> width * n]
+            g = Generator(n, [rows >> width * i & (1 << width) - 1 for i in range(n)])
+            if _principal_bits(n, g.table) != bits:
                 raise NotInImageError(f"{ProjPoint(n, bits).display_str()} is not in the image")
-            graphs, moves, spread, mask = _graphs(n)
-            v = graphs[code]
-            for m in moves[d][t]:
-                v = apply_gate(m, v)
-            if v & mask != apply_tables(spread, bits):
-                raise RuntimeError(f"lift: {ProjPoint(n, bits).display_str()} does not round-trip")
-            g = memo[bits] = Generator._from_table(n, v)
+            memo[bits] = g
         out.append(g)
     return out
 
 
 def lift(p: ProjPoint) -> Generator:
-    """The unique generator projecting to ``p``, built through the graph slice
-    on the first lift of ``p`` and the same object on every later one.  It has
-    passed the masked compare and the isotropy check before it is returned."""
+    """The unique generator projecting to ``p``, read off its 1- and 2-minors
+    on the first lift of ``p`` and the same object on every later one.  It
+    has passed the rank and isotropy checks of ``Generator`` and projects
+    back to ``p``."""
     try:
         return _lifted[p.n_source][p.bits]
     except KeyError:

@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 
 from .gf2 import SWAP, Gate, absent_masks, apply_gate, gate, independent, reduce_row, span
 from .orbits import local_gates
-from .pauli import _Value
+from .pauli import _require_int, _Value
 from .pluecker import principal_keys
 from .projection import ProjPoint, _image_bits, display_masks
 
@@ -62,6 +62,7 @@ class QuadForm(_Value):
     __slots__ = ("n_qubits", "bits")
 
     def __init__(self, n_qubits: int, bits: int):
+        _require_int("qubit count", n_qubits)
         if n_qubits < 1:
             raise ValueError(f"qubit count {n_qubits} is below 1")
         diag, upper = _upper(n_qubits)

@@ -1,11 +1,14 @@
 """Reference implementations kept for the tests to compare against: the
 image walk, as the whole chart walked once, indexed by chart codes, and
 each T's cell read from it by code (``_image_bits`` walks each cell in
-place); and the principal coordinates read by one strided slice of the
-table's bit string (``_principal_bits`` folds them together)."""
+place); H_T as byte tables (``lift`` folds it into its readout); and the
+principal coordinates read by one strided slice of the table's bit string
+(``_principal_bits`` folds them together)."""
 
 import itertools
+from functools import lru_cache
 
+from lgrpauli.gf2 import Tables, byte_tables
 from lgrpauli.projection import _gray_walk, clifford_gates
 
 
@@ -23,6 +26,12 @@ def _chart_cell(n: int, t: int) -> list[int]:
         if not t >> top & 1:
             cell += [c | 1 << k for c in cell]  # doubled over the free entries
     return cell
+
+
+@lru_cache(maxsize=None)
+def hadamard(n_qubits: int, t: int) -> Tables:
+    """H_T = prod_{i in T} H_i as byte tables: it maps x_S to x_{S ^ T}."""
+    return byte_tables([1 << (m ^ t) for m in range(1 << n_qubits)])
 
 
 def principal_bits_by_slice(n: int, table: int) -> int:

@@ -81,13 +81,19 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_every_module_level_definition_is_used_or_exported():
-    # a function or class that no module names and the package does not
-    # export is dead code
+    # a function, class or assigned name (dunders aside) that no module
+    # reads and the package does not export is dead code
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
-    used = {node.id for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     defined = [(name, node.name) for name, tree in trees.items() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    assert defined
+    assigned = [(name, target.id) for name, tree in trees.items() for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for top in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                for target in ast.walk(top) if isinstance(target, ast.Name) and not target.id.startswith("__")]
+    assert defined and assigned
+    defined += assigned
     assert [f"{name}: {d}" for name, d in defined if d not in used and d not in lgrpauli.__all__] == []
 
 

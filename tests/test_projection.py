@@ -4,14 +4,14 @@ observable map, and the chart-based inverse."""
 import itertools
 import random
 import re
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lgrpauli import projection
-from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, byte_tables, gate, wedge
+from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, gate
 from lgrpauli.pauli import (
     BITS_LETTER,
     Generator,
@@ -29,9 +29,7 @@ from lgrpauli.pluecker import (
 from lgrpauli.projection import (
     NotInImageError,
     ProjPoint,
-    _hadamard,
     _image_bits,
-    _pluecker_gates,
     _principal_bits,
     clifford_gates,
     display_masks,
@@ -44,7 +42,7 @@ from gf2_oracles import rref
 from orbit_oracles import minor, to_chart
 from pauli_helpers import principal_bits, subset_keys, y_count
 from pluecker_oracles import SubsetIndex, constraint_value
-from projection_oracles import _chart_cell, chart_points, principal_bits_by_slice
+from projection_oracles import _chart_cell, chart_points, hadamard, principal_bits_by_slice
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +117,7 @@ def lift_per_entry(n: int) -> dict[int, tuple[int, int, Generator]]:
     points, hits = chart_points(n), []
     for t in range(1 << n):
         below = sum(1 << (s ^ t) for s in range(t))
-        hits += [(apply_tables(_hadamard(n, t), q), t, code)
+        hits += [(apply_tables(hadamard(n, t), q), t, code)
                  for code, q in enumerate(points) if not q & below]
     table = {}
     for bits, t, code in sorted(hits):
@@ -227,20 +225,6 @@ def clifford_cases(n: int):
                lambda r, i=i, j=j: add_column(add_column(r, j, n + i), i, n + j))
               for i, j in itertools.combinations(range(n), 2)]
     return cases
-
-
-def pluecker_gate_cases(n: int):
-    """The gates of ``_pluecker_gates``, flattened in order, each with the
-    column map on one basis row that it is the exterior power of: H_i swaps
-    columns i and N+i, S_i adds column i to N+i, CZ_ij adds column i to N+j
-    and then column j to N+i."""
-    maps = [lambda r, i=i: swap_columns(r, i, n + i) for i in range(n)]
-    maps += [lambda r, i=i: add_column(r, i, n + i) for i in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        maps += [lambda r, i=i, j=j: add_column(r, i, n + j), lambda r, i=i, j=j: add_column(r, j, n + i)]
-    gates = [g for step in _pluecker_gates(n) for g in step]
-    assert len(gates) == len(maps)
-    return list(zip(gates, maps))
 
 
 def transposition_cases(n: int):
@@ -373,21 +357,27 @@ def test_from_string_fuzz(n, text):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_project_names_the_first_violated_constraint(n):
-    # sparse tables on the N-subset keys, or on keys of any size, where bits
-    # off the N-subsets must not count as violations
+    # sparse tables on the N-subset keys, or on keys of any size: the vector
+    # refuses a key off the N-subsets, naming the lowest, and the table
+    # without those keys is projected
     rng = random.Random(n)
     pools = (subset_keys(2 * n, n), range(1 << (2 * n)))
     masks = {c: sum(1 << k for k in c.term_keys) for c in lagrangian_constraints(n)}
-    rejected = vanished = 0
+    rejected = vanished = refused = 0
     for _ in range(2000):
         bits = rng.sample(pools[rng.randrange(2)], rng.randrange(1, 6))
-        v = PlueckerVec(n, sum(1 << k for k in bits))
+        off = [k for k in bits if k.bit_count() != n]
+        if off:
+            with pytest.raises(ValueError, match=f"^Plucker key {min(off)} is not a {n}-subset of 1..{2 * n}$"):
+                PlueckerVec(n, sum(1 << k for k in bits))
+            refused += 1
+        v = PlueckerVec(n, sum(1 << k for k in bits if k not in off))
         expected = project_oracle(v)
         assert project_outcome(v) == expected
         assert all((v.table & m).bit_count() & 1 == constraint_value(c, v) for c, m in masks.items())
         rejected += isinstance(expected, str) and "isotropy" in expected
         vanished += isinstance(expected, str) and "vanish" in expected
-    assert 0 < rejected < 2000 and vanished > 0
+    assert 0 < rejected < 2000 and vanished > 0 and refused > 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -438,24 +428,11 @@ def test_clifford_gates_equivariant(n):
     cases = clifford_cases(n)
     assert clifford_gates(n) == tuple(g for g, _ in cases)
     assert len(cases) == n + n + n * (n - 1) // 2
-    steps = _pluecker_gates(n) + [()] * (n - 1)
     for g in sweep_generators(n):
         p = project(embed(g))
-        for (gt, on_row), step in zip(cases + transposition_cases(n), steps, strict=True):
+        for gt, on_row in cases + transposition_cases(n):
             moved = Generator(n, [on_row(r) for r in g.rows])
             assert project(embed(moved)).bits == apply_gate(gt, p.bits)
-            if step:  # the same gate on the Plucker vector, as the graph walk takes it
-                assert reduce(lambda v, gp: apply_gate(gp, v), step, g.table) == moved.table
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_pluecker_gates_are_exterior_powers_of_their_column_maps(n):
-    # on each unit vector e_K of the N-subset keys, a gate gives the wedge of
-    # the unit rows of K after its column map
-    for gp, on_row in pluecker_gate_cases(n):
-        for key in subset_keys(2 * n, n):
-            rows = [on_row(1 << k) for k in range(2 * n) if key >> k & 1]
-            assert apply_gate(gp, 1 << key) == wedge(rows, 2 * n)[0]
 
 
 def test_gate_rejects_overlapping_or_unordered_masks():
@@ -493,7 +470,7 @@ def test_lift_table_matches_per_entry_oracle(n):
     assert list(_image_bits(n)) == list(oracle)
     codes = {q: code for code, q in enumerate(chart_points(n))}
     for bits, (t, code, _) in oracle.items():
-        assert bits & -bits == 1 << t and codes[apply_tables(_hadamard(n, t), bits)] == code
+        assert bits & -bits == 1 << t and codes[apply_tables(hadamard(n, t), bits)] == code
     assert [lift(ProjPoint(n, bits)) for bits in _image_bits(n)] == [g for *_, g in oracle.values()]
 
 
@@ -510,30 +487,6 @@ def test_chart_cells_match_the_lowest_subset_filter(n):
         assert len(cell) == 1 << n * (n + 1) // 2 - sum(k + 1 for k in range(n) if t >> k & 1)
         total += len(cell)
     assert total == generator_count(n)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_masked_compare_agrees_with_the_principal_slice(n):
-    # lift's round-trip check, v & mask == spread(bits) with bit m
-    # spread to the principal key of subset m, against project's principal
-    # folds, on every entry (a seeded sample at N = 5): for the entry's own
-    # bits and with one point bit flipped, on its vector and with one
-    # principal or arbitrary key flipped
-    keys = principal_keys(n)
-    spread, mask = byte_tables([1 << k for k in keys]), sum(1 << k for k in keys)
-    points = list(_image_bits(n))
-    rng = random.Random(90 + n)
-    if n == 5:
-        points = rng.sample(points, 3000)
-    entries = [(bits, lift(ProjPoint(n, bits))) for bits in points]
-    agreed = [0, 0]
-    for bits, g in entries:
-        for v in (g.table, g.table ^ 1 << rng.choice(keys), g.table ^ 1 << rng.randrange(1 << 2 * n)):
-            for b in (bits, bits ^ 1 << rng.randrange(1 << n)):
-                same = v & mask == apply_tables(spread, b)
-                assert same == (_principal_bits(n, v) == b)
-                agreed[same] += 1
-    assert agreed[True] >= len(entries) and agreed[False] >= 3 * len(entries)
 
 
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
@@ -563,6 +516,13 @@ def test_pluecker_vec_rejects_a_negative_table():
     assert project(PlueckerVec(2, 1 << 0b0011)) == ProjPoint(2, 1)  # x_{} = p12
 
 
+def test_pluecker_vec_rejects_a_key_off_the_n_subsets():
+    # key 40 lies above the 16 keys of N = 2; project used to read past it
+    g = enumerate_generators(2)[3]
+    with pytest.raises(ValueError, match="^Plucker key 40 is not a 2-subset of 1..4$"):
+        PlueckerVec(2, g.table | 1 << 40)
+
+
 def test_project_checks_every_vector_not_from_embed():
     # embed marks a checked generator's vector, which compares and hashes as
     # the same vector built by hand; a hand-built one is checked
@@ -577,38 +537,34 @@ def test_project_checks_every_vector_not_from_embed():
 
 
 def fresh_lift_caches(monkeypatch):
-    """Empty caches of the lift memo, the graph-slice points and the graph
-    vectors, for this test only."""
+    """Empty caches of the lift memo and the readouts, for this test only."""
     monkeypatch.setattr(projection, "_lifted", {n: {} for n in projection._lifted})
-    for name in ("_graph_points", "_graphs"):
-        monkeypatch.setattr(projection, name, lru_cache(maxsize=None)(getattr(projection, name).__wrapped__))
+    monkeypatch.setattr(projection, "_readout", lru_cache(maxsize=None)(projection._readout.__wrapped__))
 
 
 def test_lift_table_checks_each_round_trip(monkeypatch):
-    # H_1 read as H_2 on the Plucker vectors makes every generator built
-    # with 1 in T disagree with its point; the first in point order is x_{1}
-    # (T = {1}, A = 0), lifted alone or by enumerating
-    gates = projection._pluecker_gates
-    monkeypatch.setattr(projection, "_pluecker_gates", lambda n: [gates(n)[1], *gates(n)[1:]])
+    # the readout of T - {1} in place of T's makes every candidate with 1 in
+    # T disagree with its point, which is then refused; the first in point
+    # order is x_{1} (T = {1}, A = 0), lifted alone or by enumerating
     fresh_lift_caches(monkeypatch)
-    error = re.escape("lift: [0:0:0:0:0:0:0:1] does not round-trip")
+    readout = projection._readout
+    monkeypatch.setattr(projection, "_readout", lambda n, t: readout(n, t & ~1))
+    error = re.escape("[0:0:0:0:0:0:0:1] is not in the image")
     assert lift(ProjPoint(3, 1)).table == 1 << 0b000111  # T = {}, A = 0: e_1 ^ e_2 ^ e_3
-    with pytest.raises(RuntimeError, match=error):
+    with pytest.raises(NotInImageError, match=error):
         lift(ProjPoint(3, 1 << 0b001))
     assert len(projection._lifted[3]) == 1
-    with pytest.raises(RuntimeError, match=error):
+    with pytest.raises(NotInImageError, match=error):
         enumerate_generators.__wrapped__(3)
 
 
 def test_lift_builds_each_generator_once_on_its_first_lift(monkeypatch):
     fresh_lift_caches(monkeypatch)
     built = []
-    from_table = Generator._from_table.__func__
-    monkeypatch.setattr(Generator, "_from_table",
-                        classmethod(lambda cls, n, table: built.append(table) or from_table(cls, n, table)))
+    monkeypatch.setattr(projection, "Generator", lambda n, rows: built.append(g := Generator(n, rows)) or g)
     p = image(5)[12345]
     g = lift(p)
-    assert built == [g.table] and list(projection._lifted[5]) == [p.bits]  # no eager build
+    assert built == [g] and list(projection._lifted[5]) == [p.bits]  # no eager build
     assert lift(p) is g and lift(ProjPoint(5, p.bits)) is g and len(built) == 1
     assert project(embed(g)) == p
     # the enumeration builds the rest through the same memo, and shares its objects
@@ -624,18 +580,11 @@ def test_lift_outside_the_image_or_the_range_caches_nothing():
     with pytest.raises(NotInImageError, match=re.escape("[1:0:0:0:1:0:0:0] is not in the image")):
         lift(bad)
     assert len(projection._lifted[3]) == size
-    caches = {n: len(m) for n, m in projection._lifted.items()}, projection._graph_points.cache_info().currsize
+    caches = {n: len(m) for n, m in projection._lifted.items()}, projection._readout.cache_info().currsize
     with pytest.raises(ValueError, match=re.escape("supported qubit range is 1..5")) as info:
         lift(ProjPoint(6, 1))
     assert type(info.value) is ValueError
-    assert ({n: len(m) for n, m in projection._lifted.items()}, projection._graph_points.cache_info().currsize) == caches
-
-
-def test_first_lift_outside_the_image_builds_no_graph_walk(monkeypatch):
-    fresh_lift_caches(monkeypatch)
-    with pytest.raises(NotInImageError):
-        lift(ProjPoint(5, 1 | 1 << 31))  # x_{} = x_{12345} = 1 only: A = 0, yet det A = 1
-    assert projection._graphs.cache_info().currsize == 0
+    assert ({n: len(m) for n, m in projection._lifted.items()}, projection._readout.cache_info().currsize) == caches
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -692,16 +641,17 @@ def recorded_walks(monkeypatch) -> list[tuple[int, list[int]]]:
     return walks
 
 
-def test_lift_walks_only_the_graph_slice(monkeypatch):
-    # the graph-slice points and their vectors: two walks of 2^(N(N-1)/2)
-    # entries, no chart cell of 2^(N(N+1)/2 - sum_{k in T} (k+1)) entries
+def test_lift_runs_no_walk(monkeypatch):
+    # a chart and an off-chart image point, and a point outside the image,
+    # each read off its own coordinates on its first lift
     fresh_lift_caches(monkeypatch)
     walks = recorded_walks(monkeypatch)
-    for text in ("0xa2d33ede", "0x6167d7a7"):  # a chart and an off-chart image point
+    for text in ("0xa2d33ede", "0x6167d7a7"):
         p = ProjPoint.from_string(5, text)
         assert project(embed(lift(p))) == p
-    assert [len(entries) for _, entries in walks] == [1 << 10, 1 << 10]
-    assert len(projection._graph_points(5)[0]) == len(projection._graphs(5)[0]) == 1 << 10
+    with pytest.raises(NotInImageError):
+        lift(ProjPoint(5, 1 | 1 << 31))  # x_{} = x_{12345} = 1 only: A = 0, yet det A = 1
+    assert walks == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -714,29 +664,10 @@ def test_image_cells_are_the_chart_cells_moved_by_hadamards(n, monkeypatch):
     points = chart_points(n)
     assert [start for start, _ in walks] == [1 << t for t in range(1 << n)]
     for t, (_, entries) in enumerate(walks):
-        h = _hadamard(n, t)
+        h = hadamard(n, t)
         assert sorted(entries) == sorted(apply_tables(h, points[code]) for code in _chart_cell(n, t))
         assert len(entries) == 1 << n * (n + 1) // 2 - sum(k + 1 for k in range(n) if t >> k & 1)
         assert all(bits & -bits == 1 << t for bits in entries)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_graph_slice_matches_the_chart_and_the_wedge_oracle(n):
-    # graph code o flips a_ij = a_ji for bit k of o, the pairs i < j in order:
-    # its point is the chart point of code o << N (zero diagonal), and its
-    # vector the wedge of the graph rows e_i + sum_j a_ij e_{N+j}
-    pairs = list(itertools.combinations(range(n), 2))
-    codes, points = projection._graph_points(n)[0], chart_points(n)
-    vectors = projection._graphs(n)[0]
-    assert len(codes) == len(vectors) == 1 << len(pairs)
-    for q, o in codes.items():
-        assert q == points[o << n]
-        rows = [1 << i for i in range(n)]
-        for k, (i, j) in enumerate(pairs):
-            if o >> k & 1:
-                rows[i] ^= 1 << n + j
-                rows[j] ^= 1 << n + i
-        assert vectors[o] == wedge(rows, 2 * n)[0]
 
 
 def test_lift_table_checks_its_size(monkeypatch):
@@ -758,7 +689,7 @@ def test_hadamard_tables_match_the_gate_product(n):
             for i, h in enumerate(hadamards):
                 if t >> i & 1:
                     want = apply_gate(h, want)
-            assert apply_tables(_hadamard(n, t), bits) == want
+            assert apply_tables(hadamard(n, t), bits) == want
 
 
 def test_to_chart_reaches_the_chart_by_hadamards():

@@ -4,6 +4,7 @@ field tuple within one class, ordered by it only where declared, with a
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -22,7 +23,7 @@ CASES = {
     "PauliPoint": (lambda: PauliPoint(1, 2), ("n_qubits", "bits"), (1, 2), PauliPoint(1, 3),
                    "PauliPoint(n_qubits=1, bits=2)"),
     "Generator": (lambda: Generator(1, [1]), ("n_qubits", "table"), (1, 2), None, "Generator(1, (1,))"),
-    "PlueckerVec": (lambda: PlueckerVec(1, 2), ("n_qubits", "table"), (1, 2), PlueckerVec(2, 1),
+    "PlueckerVec": (lambda: PlueckerVec(1, 2), ("n_qubits", "table"), (1, 2), PlueckerVec(2, 8),
                     "PlueckerVec(n_qubits=1, table=2)"),
     "ProjPoint": (lambda: ProjPoint(1, 2), ("n_source", "bits"), (1, 2), ProjPoint(1, 3),
                   "ProjPoint(n_source=1, bits=2)"),
@@ -79,3 +80,18 @@ def test_value_types_are_frozen_field_tuples(name):
     for c in [copy.copy(v), copy.deepcopy(v)] + [pickle.loads(pickle.dumps(v, p))
                                                  for p in range(pickle.HIGHEST_PROTOCOL + 1)]:
         assert type(c) is type(v) and c == v and hash(c) == hash(v) and repr(c) == text
+
+
+@pytest.mark.parametrize("count", [2.0, "2", None])
+@pytest.mark.parametrize("make, what", [
+    (lambda n: PauliPoint(n, 3), "qubit count"),
+    (lambda n: Generator(n, [1, 8]), "qubit count"),
+    (lambda n: PlueckerVec(n, 8), "qubit count"),
+    (lambda n: ProjPoint(n, 3), "source qubit count"),
+    (lambda n: ProjPoint.from_string(n, "0010"), "source qubit count"),
+    (lambda n: QuadForm(n, 1), "qubit count"),
+])
+def test_value_types_name_a_qubit_count_that_is_not_an_int(make, what, count):
+    # each used to fail with a bare TypeError from a comparison or a shift
+    with pytest.raises(ValueError, match=f"^{what} must be an int, got {re.escape(repr(count))}$"):
+        make(count)
