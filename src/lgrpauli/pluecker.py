@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import attrgetter
 
 from .gf2 import independent, rank
 from .pauli import MAX_QUBITS, Generator, _require_int, _Value
@@ -44,6 +45,8 @@ class PlueckerVec(_Value, order=True):
         _require_int("qubit count", n_qubits)
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
+        if n_qubits > MAX_QUBITS:
+            raise ValueError(f"qubit count {n_qubits} is outside 1..{MAX_QUBITS}")
         _require_int("Plucker table", table)
         if table < 0:
             raise ValueError(f"Plucker table must be nonnegative, got {table}")
@@ -134,7 +137,7 @@ def pluecker_relations(n_qubits: int) -> tuple[PlueckerRelation, ...]:
         for mono in r.term_keys:
             row |= 1 << mono_pos.setdefault(mono, len(mono_pos))
         rows.append(row)
-    return tuple(sorted(cands[k] for k in independent(rows)))
+    return tuple(sorted((cands[k] for k in independent(rows)), key=attrgetter("term_keys")))
 
 
 class LinearConstraint(_Value, order=True):
@@ -174,7 +177,7 @@ def lagrangian_constraints(n_qubits: int) -> tuple[LinearConstraint, ...]:
             terms.append(k_key | pair)
         if len(terms) >= 2:
             out.append(LinearConstraint(n, tuple(sorted(terms))))
-    out.sort()
+    out.sort(key=attrgetter("term_keys"))
     return tuple(out)
 
 
@@ -188,6 +191,8 @@ def principal_keys(n_qubits: int) -> tuple[int, ...]:
     """Entry m is the key of the Plucker index whose minor is the principal
     minor on the subset mask m of {1..N}: ({1..N} minus m) together with
     {N+i : i in m}."""
+    if n_qubits < 1:
+        raise ValueError(f"qubit count {n_qubits} is below 1")
     full = (1 << n_qubits) - 1
     return tuple((full & ~m) | (m << n_qubits) for m in range(1 << n_qubits))
 

@@ -37,6 +37,8 @@ class NotInImageError(ValueError):
 def display_masks(n_qubits: int) -> tuple[int, ...]:
     """Internal subset masks in display order (length 2^N)."""
     n = n_qubits
+    if n < 1:
+        raise ValueError(f"qubit count {n} is below 1")
     # the N-1 bits of d, reversed, are elements 2..N
     first = [int(format(d, f"0{n - 1}b")[::-1], 2) << 1 for d in range(1 << n - 1)]
     full = (1 << n) - 1
@@ -187,6 +189,8 @@ def clifford_gates(n_qubits: int) -> tuple[Gate, ...]:
     """H_i for each qubit, then S_i, then CZ_ij (i < j):
     H_i: x_S <-> x_{S ^ {i}};  S_i: x_S += x_{S - {i}} for i in S;
     CZ_ij: x_S += x_{S - {i,j}} for {i,j} in S."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"qubit count {n_qubits} is outside 1..{MAX_QUBITS}")
     n, entries = n_qubits, _entries(n_qubits)
     return tuple([gate(n, 0, e, SWAP) for e in entries[:n]] + [gate(n, 0, e, LOWER) for e in entries])
 

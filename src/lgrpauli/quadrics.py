@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 
 from .gf2 import SWAP, Gate, absent_masks, apply_gate, gate, independent, reduce_row, span
 from .orbits import local_gates
-from .pauli import _require_int, _Value
+from .pauli import MAX_QUBITS, _require_int, _Value
 from .pluecker import principal_keys
 from .projection import ProjPoint, _image_bits, display_masks
 
@@ -65,6 +65,8 @@ class QuadForm(_Value):
         _require_int("qubit count", n_qubits)
         if n_qubits < 1:
             raise ValueError(f"qubit count {n_qubits} is below 1")
+        if n_qubits > MAX_QUBITS:
+            raise ValueError(f"qubit count {n_qubits} is outside 1..{MAX_QUBITS}")
         diag, upper = _upper(n_qubits)
         if bits < 0 or bits & ~(diag | upper):
             raise ValueError("bits outside the monomials x_a x_b with a <= b")
@@ -247,21 +249,16 @@ def cayley_quadric(n_qubits: int) -> QuadForm:
 
 
 @lru_cache(maxsize=None)
-def _form_gates(n: int) -> tuple[tuple[Gate, Gate], ...]:
-    """Each local gate g as the pair of gates applying g^T to the low and to
+def _lift(n: int, g: Gate) -> tuple[Gate, Gate]:
+    """The point gate g as the pair of gates applying g^T to the low and to
     the high half of the monomial index: together they take the
     coefficient matrix B of Q to g^T B g, the matrix of Q(g x)."""
     rows = sum(1 << (a << n) for a in range(1 << n))
     row = (1 << (1 << n)) - 1
-
-    def spread(mask):
-        return sum(row << (a << n) for a in range(1 << n) if mask >> a & 1)
-
-    out = []
-    for shift, n00, n01, n10, n11 in local_gates(n):
-        masks = (n00, n10, n01, n11)  # the transpose swaps n01 and n10
-        out.append(((shift, *(m * rows for m in masks)), (shift << n, *map(spread, masks))))
-    return tuple(out)
+    shift, n00, n01, n10, n11 = g
+    masks = (n00, n10, n01, n11)  # the transpose swaps n01 and n10
+    spread = (sum(row << (a << n) for a in range(1 << n) if m >> a & 1) for m in masks)
+    return (shift, *(m * rows for m in masks)), (shift << n, *spread)
 
 
 @lru_cache(maxsize=None)
@@ -270,41 +267,40 @@ def _transpose(n: int) -> tuple[Gate, ...]:
     return tuple(gate(2 * n, 1 << k, 1 << (n + k), SWAP) for k in range(n))
 
 
-def _act(n: int, g: tuple[Gate, Gate], bits: int) -> int:
-    """The packed form of Q(g x), folded back to one bit per monomial."""
-    c = apply_gate(g[1], apply_gate(g[0], bits))
+def _act(n: int, g: Gate, bits: int) -> int:
+    """The packed form of Q(g x) for the point gate g, folded back to one
+    bit per monomial."""
+    low, high = _lift(n, g)
+    c = apply_gate(high, apply_gate(low, bits))
     ct = reduce(lambda v, t: apply_gate(t, v), _transpose(n), c)
     diag, upper = _upper(n)
     return (c ^ ct) & upper | c & diag
 
 
-def quadric_orbit_raw(q: QuadForm, n_qubits: int) -> set[QuadForm]:
-    """Closure of ``q`` under the local gates acting on quadratic forms;
-    the gates are involutions, so the closure is the orbit."""
-    if q.n_qubits != n_qubits:
-        raise ValueError("variable count mismatch")
-    gates = _form_gates(n_qubits)
-    seen, frontier = {q.bits}, {q.bits}
-    while frontier:
-        frontier = {_act(n_qubits, g, f) for f in frontier for g in gates} - seen
-        seen |= frontier
-    return {QuadForm(n_qubits, b) for b in seen}
+def _span_closure(n: int, bits: int) -> list[int]:
+    """A basis of the smallest space of forms that holds ``bits`` and is
+    mapped into itself by every gate of ``local_gates``: each basis form,
+    ``bits`` first, is acted on once by each gate, and what
+    ``gf2.reduce_row`` leaves is a new basis form."""
+    basis = [bits] if bits else []
+    pivots = {f.bit_length(): f for f in basis}
+    for f in basis:  # grows while walked
+        for g in local_gates(n):
+            if r := reduce_row(pivots, _act(n, g, f)):
+                pivots[r.bit_length()] = r
+                basis.append(r)
+    return basis
 
 
 def quadric_orbit(q: QuadForm, n_qubits: int) -> set[QuadForm]:
-    """Canonical reduced closure of ``q`` under the group action.
-
-    The raw closure can contain forms that are GF(2) sums of simpler
-    members of the same invariant subspace (e.g. an image g.f returned as
-    f' + f'' + f''' with the same span).  This returns the unique
-    minimal-weight canonical spanning set of the smallest group-stable
-    linear space containing ``q``: enumerate that space, sort its nonzero
-    elements by (monomial count, monomial list), and greedily keep each
-    element that is independent of the ones already kept.  A space of
-    dimension above ``MAX_ORBIT_SPAN`` raises instead.
-    """
-    raw = [f.bits for f in quadric_orbit_raw(q, n_qubits)]
-    basis = [raw[k] for k in independent(raw)]
+    """Canonical reduced closure of ``q`` under the group action, the
+    minimal-weight spanning set of the space of ``_span_closure``: its
+    nonzero elements sorted by (monomial count, monomial list), each kept if
+    independent of those kept before.  A space of dimension above
+    ``MAX_ORBIT_SPAN`` raises instead."""
+    if q.n_qubits != n_qubits:
+        raise ValueError("variable count mismatch")
+    basis = _span_closure(n_qubits, q.bits)
     if len(basis) > MAX_ORBIT_SPAN:
         raise ValueError(f"quadric orbit spans dimension {len(basis)}, above {MAX_ORBIT_SPAN}")
     elems = sorted((QuadForm(n_qubits, b) for b in span(basis)[1:]),

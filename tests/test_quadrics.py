@@ -3,23 +3,25 @@ reduced closure of the distinguished four-monomial quadric."""
 
 import random
 import re
+from functools import lru_cache
+from math import comb
 
 import pytest
 
+from lgrpauli.gf2 import rank
 from lgrpauli.orbits import local_gates
-from lgrpauli.projection import ProjPoint, image
+from lgrpauli.projection import ProjPoint, clifford_gates, image
 from lgrpauli.quadrics import (
     MAX_ORBIT_SPAN,
     QuadForm,
     _act,
     _form,
-    _form_gates,
+    _span_closure,
     _upper,
     _zero_set,
     cayley_quadric,
     hyperbolic_form,
     quadric_orbit,
-    quadric_orbit_raw,
     spans,
     vanishing_quadrics,
     variety_quadrics,
@@ -131,8 +133,9 @@ def test_reduced_closure_is_q0_through_q8():
 
 
 def test_raw_closure_spans_same_space_and_misses_q9_q10():
+    # the raw orbit, from the substitution oracle
     quads = variety_quadrics(4)
-    raw = quadric_orbit_raw(cayley_quadric(4), 4)
+    raw = {from_monomials(4, monos) for monos in orbit_closure(cayley_quadric(4), 4)}
     assert set(quads[:8]) <= raw
     raw_basis = list(raw)
     assert spans(raw_basis, quads[8] + quads[9])  # Q0 in the span
@@ -144,22 +147,63 @@ def test_quadric_orbit_n3_is_singleton():
     assert quadric_orbit(cayley_quadric(3), 3) == {hyperbolic_form(8)}
 
 
+def test_quadric_orbit_of_the_zero_form_is_empty():
+    assert quadric_orbit(QuadForm(4, 0), 4) == set()
+    assert _span_closure(4, 0) == []
+
+
 def test_quadric_orbit_rejects_a_form_on_another_qubit_count():
-    # read at N = 4, the N = 3 Cayley quadric has a 15,552-form raw orbit
-    for orbit in (quadric_orbit, quadric_orbit_raw):
-        with pytest.raises(ValueError, match="variable count mismatch"):
-            orbit(cayley_quadric(3), 4)
+    # read at N = 4, the N = 3 Cayley quadric's bits are another form
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        quadric_orbit(cayley_quadric(3), 4)
+
+
+# the Cayley quadric plus x1*x2: its span, of dimension 80, has 2^80
+# elements; the Cayley span has 9
+DIM80 = cayley_quadric(4) + _form(16, (1, 2))
 
 
 def test_quadric_orbit_rejects_a_span_above_its_bound():
-    # the Cayley quadric plus x1*x2: a 648-form raw orbit whose span, of
-    # dimension 80 by the oracle, has 2^80 elements; the Cayley span has 9
-    q = cayley_quadric(4) + _form(16, (1, 2))
-    raw = quadric_orbit_raw(q, 4)
-    assert len(raw) == 648 and len(rref(f.bits for f in raw)) == 80
-    assert len(rref(f.bits for f in quadric_orbit_raw(cayley_quadric(4), 4))) == 9 <= MAX_ORBIT_SPAN
-    with pytest.raises(ValueError, match=f"quadric orbit spans dimension 80, above {MAX_ORBIT_SPAN}"):
-        quadric_orbit(q, 4)
+    assert len(_span_closure(4, DIM80.bits)) == 80
+    assert len(_span_closure(4, cayley_quadric(4).bits)) == 9 <= MAX_ORBIT_SPAN
+    with pytest.raises(ValueError, match=f"^quadric orbit spans dimension 80, above {MAX_ORBIT_SPAN}$"):
+        quadric_orbit(DIM80, 4)
+
+
+@pytest.mark.parametrize("q, n, orbit_size", [
+    (cayley_quadric(3), 3, 1), (cayley_quadric(4), 4, 12), (DIM80, 4, 648)], ids=["cayley3", "cayley4", "dim80"])
+def test_span_closure_spans_the_oracle_orbit(q, n, orbit_size):
+    # the closure reduces as it goes and lists no orbit; its basis spans
+    # what the oracle's whole orbit spans, and so does quadric_orbit's
+    orbit = [from_monomials(n, monos).bits for monos in orbit_closure(q, n)]
+    basis = _span_closure(n, q.bits)
+    assert len(orbit) == orbit_size and basis[0] == q.bits
+    assert len(rref(basis)) == len(basis) == len(rref(orbit)) == len(rref(basis + orbit))
+    if len(basis) <= MAX_ORBIT_SPAN:
+        assert len(rref([f.bits for f in quadric_orbit(q, n)] + orbit)) == len(basis)
+
+
+@lru_cache(maxsize=None)
+def image_quadrics(n):
+    return vanishing_quadrics(image(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_vanishing_quadric_count_is_closed_form(n):
+    # C(2^N + 1, 2) monomials, of rank C(2N + 1, N) on the image: 0, 1, 10, 66
+    assert len(image_quadrics(n)) == comb((1 << n) + 1, 2) - comb(2 * n + 1, n)
+
+
+def test_span_closures_of_the_n5_vanishing_quadrics():
+    # each closure holds its seed and is mapped into itself by every local
+    # gate; under the local group alone the 66 forms span 15 to 66 dimensions
+    dims = set()
+    for q in image_quadrics(5):
+        basis = _span_closure(5, q.bits)
+        moved = [_act(5, g, f) for f in basis for g in local_gates(5)]
+        assert basis[0] == q.bits and rank(basis) == len(basis) == rank(basis + moved)
+        dims.add(len(basis))
+    assert dims == {15, 51, 65, 66}
 
 
 @pytest.mark.parametrize("make, arg, message", [
@@ -201,17 +245,13 @@ def _random_forms(n, count):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_gate_action_matches_substitution_oracle(n):
-    gates = list(zip(local_gates(n), _form_gates(n)))
+    # the local gates and the CZ gates of clifford_gates: _act takes any gate
+    gates = dict.fromkeys(local_gates(n) + clifford_gates(n)[2 * n:])
+    assert len(gates) == len(local_gates(n)) + n * (n - 1) // 2
     for q in _random_forms(n, 100):
-        for g, lifted in gates:
-            moved = QuadForm(n, _act(n, lifted, q.bits))
+        for g in gates:
+            moved = QuadForm(n, _act(n, g, q.bits))
             assert monomials(moved) == substitute(monomials(q), display_rows(n, g))
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_raw_orbit_matches_oracle_closure(n):
-    raw = quadric_orbit_raw(cayley_quadric(n), n)
-    assert {monomials(f) for f in raw} == orbit_closure(cayley_quadric(n), n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

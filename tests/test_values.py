@@ -8,10 +8,10 @@ import re
 
 import pytest
 
-from lgrpauli.orbits import OrbitRecord
-from lgrpauli.pauli import Generator, PauliPoint
-from lgrpauli.pluecker import LinearConstraint, PlueckerRelation, PlueckerVec
-from lgrpauli.projection import ProjPoint
+from lgrpauli.orbits import OrbitRecord, local_gates
+from lgrpauli.pauli import Generator, PauliPoint, generator_count
+from lgrpauli.pluecker import LinearConstraint, PlueckerRelation, PlueckerVec, principal_keys
+from lgrpauli.projection import ProjPoint, clifford_gates, display_masks
 from lgrpauli.quadrics import QuadForm, VarietyReport
 
 REP = ProjPoint(2, 1)
@@ -95,3 +95,39 @@ def test_value_types_name_a_qubit_count_that_is_not_an_int(make, what, count):
     # each used to fail with a bare TypeError from a comparison or a shift
     with pytest.raises(ValueError, match=f"^{what} must be an int, got {re.escape(repr(count))}$"):
         make(count)
+
+
+@pytest.mark.parametrize("n", [6, 10])
+@pytest.mark.parametrize("make", [lambda n: QuadForm(n, 1), lambda n: PlueckerVec(n, 1 << ((1 << n) - 1))],
+                         ids=["QuadForm", "PlueckerVec"])
+def test_form_and_pluecker_types_bound_the_qubit_count(make, n):
+    # both used to build a 2^(2N)-bit mask first: 9.1 s and 5.5 s at N = 10
+    with pytest.raises(ValueError, match=f"^qubit count {n} is outside 1..5$"):
+        make(n)
+
+
+def test_points_and_generator_counts_keep_their_wider_range():
+    # an N = 5 observable is a 16-qubit point; ProjPoint and generator_count take N = 6
+    assert PauliPoint(16, 1 << 31).n_qubits == 16
+    assert ProjPoint(6, 1 << 63).n_source == 6
+    assert generator_count(6) == 3 * 5 * 9 * 17 * 33 * 65
+
+
+@pytest.mark.parametrize("func, n, message", [
+    (clifford_gates, -1, "qubit count -1 is outside 1..5"),
+    (clifford_gates, 0, "qubit count 0 is outside 1..5"),
+    (clifford_gates, 6, "qubit count 6 is outside 1..5"),
+    (local_gates, -1, "qubit count -1 is outside 1..5"),
+    (local_gates, 0, "qubit count 0 is outside 1..5"),
+    (local_gates, 6, "qubit count 6 is outside 1..5"),
+    (display_masks, -1, "qubit count -1 is below 1"),
+    (display_masks, 0, "qubit count 0 is below 1"),
+    (principal_keys, -1, "qubit count -1 is below 1"),
+    (principal_keys, 0, "qubit count 0 is below 1"),
+])
+def test_gate_lists_and_coordinate_orders_name_a_bad_qubit_count(func, n, message):
+    # the gate lists returned () for N = -1 and 0, display_masks and
+    # principal_keys(-1) raised a bare "negative shift count", and
+    # principal_keys(0) returned (0,)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        func(n)
