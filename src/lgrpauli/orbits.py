@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 from typing import Optional
 
 from .gf2 import SWAP, Gate, apply_gate, byte_tables, gate, rank
-from .pauli import PauliPoint, _Value
+from .pauli import PauliPoint, _require_qubits, _Value
 from .projection import NotInImageError, ProjPoint, _image_bits, clifford_gates, lift, to_observable
 
 
@@ -44,8 +44,7 @@ def _generator_pair(n: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
 def _orbit_data(n: int) -> tuple[list[int], list[list[int]]]:
     """(assignment point -> orbit id, orbit member lists), ids ordered by
     (size, minimal member); each orbit is a closure under _generator_pair."""
-    if not 2 <= n <= 4:
-        raise ValueError("orbit partition supports 2 <= N <= 4")
+    _require_qubits(n, 2, 4)
     size = 1 << (1 << n)
     # each element is linear, so a point's image is the XOR of the images
     # of its low and high bytes (points have at most 16 bits)
@@ -104,11 +103,8 @@ def _orbit_t_ranks(n: int) -> list[int]:
 def t_rank(p: ProjPoint) -> int:
     """Minimal k with p a sum of k separable tensors (the T-rank of its
     orbit)."""
-    n = p.n_source
-    if not 2 <= n <= 4:
-        raise ValueError("tensor rank supports 2 <= N <= 4")
-    assign, _ = _orbit_data(n)
-    return _orbit_t_ranks(n)[assign[p.bits]]
+    assign, _ = _orbit_data(p.n_source)  # which checks 2 <= N <= 4
+    return _orbit_t_ranks(p.n_source)[assign[p.bits]]
 
 
 def e_rank(p: ProjPoint) -> int:

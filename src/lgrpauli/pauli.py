@@ -82,6 +82,13 @@ def _require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def _require_qubits(n, lo: int = 1, hi: int = MAX_QUBITS) -> None:
+    """Raise a ValueError naming ``n`` unless it is an int qubit count in lo..hi."""
+    _require_int("qubit count", n)
+    if not lo <= n <= hi:
+        raise ValueError(f"qubit count {n} is outside {lo}..{hi}")
+
+
 class LabelError(ValueError):
     """Raised for malformed operator labels."""
 
@@ -165,7 +172,7 @@ _parsed: dict[str, PauliPoint] = {}
 def symplectic_product(a: PauliPoint, b: PauliPoint) -> int:
     """The alternating form sum_i (x_i y_{N+i} + x_{N+i} y_i); 0 iff a, b commute."""
     if a.n_qubits != b.n_qubits:
-        raise ValueError("qubit count mismatch")
+        raise ValueError(f"qubit count mismatch: {a.n_qubits} and {b.n_qubits}")
     n, x, y = a.n_qubits, a.bits, b.bits
     return ((x & (y >> n)).bit_count() + ((x >> n) & y & ((1 << n) - 1)).bit_count()) & 1
 
@@ -236,7 +243,7 @@ def generator_from_operators(ops: list[PauliPoint]) -> Generator:
     n = ops[0].n_qubits
     rows = [p.bits for p in ops if p.n_qubits == n]
     if len(rows) != len(ops):
-        raise ValueError("mixed qubit counts")
+        raise ValueError(f"mixed qubit counts: {n} and {next(p.n_qubits for p in ops if p.n_qubits != n)}")
     try:
         return Generator(n, rows)
     except ValueError:
@@ -263,6 +270,7 @@ def enumerate_generators(n_qubits: int) -> tuple[Generator, ...]:
 
 def generator_count(n_qubits: int) -> int:
     """The closed-form count of generators, prod_{i=1..N} (2^i + 1)."""
+    _require_int("qubit count", n_qubits)
     if n_qubits < 1:
         raise ValueError(f"qubit count {n_qubits} is below 1")
     out = 1

@@ -14,7 +14,7 @@ from functools import lru_cache
 from operator import attrgetter
 
 from .gf2 import independent, rank
-from .pauli import MAX_QUBITS, Generator, _require_int, _Value
+from .pauli import MAX_QUBITS, Generator, _require_int, _require_qubits, _Value
 
 
 @lru_cache(maxsize=None)
@@ -128,8 +128,7 @@ def pluecker_relations(n_qubits: int) -> tuple[PlueckerRelation, ...]:
     earlier ones are removed: the result is an independent system.
     """
     n = n_qubits
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"supported qubit range is 2..{MAX_QUBITS}")
+    _require_qubits(n, 2)
     mono_pos: dict[tuple[int, int], int] = {}
     cands, rows = _relation_candidates(n), []
     for r in cands:
@@ -163,8 +162,7 @@ def lagrangian_constraints(n_qubits: int) -> tuple[LinearConstraint, ...]:
     for N = 1, where every line is isotropic).
     """
     n = n_qubits
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"supported qubit range is 1..{MAX_QUBITS}")
+    _require_qubits(n)
     two_n = 2 * n
     out = []
     for k_set in itertools.combinations(range(1, two_n + 1), max(n - 2, 0)):

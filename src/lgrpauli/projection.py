@@ -25,7 +25,8 @@ from functools import lru_cache, reduce
 from typing import Iterable
 
 from .gf2 import LOWER, SWAP, Gate, Tables, apply_gate, apply_tables, byte_tables, gate
-from .pauli import MAX_QUBITS, Generator, PauliPoint, _require_int, _Value, generator_count, omega_contraction
+from .pauli import (MAX_QUBITS, Generator, PauliPoint, _require_int, _require_qubits, _Value, generator_count,
+                    omega_contraction)
 from .pluecker import PlueckerVec, lagrangian_constraints
 
 
@@ -37,6 +38,7 @@ class NotInImageError(ValueError):
 def display_masks(n_qubits: int) -> tuple[int, ...]:
     """Internal subset masks in display order (length 2^N)."""
     n = n_qubits
+    _require_int("qubit count", n)
     if n < 1:
         raise ValueError(f"qubit count {n} is below 1")
     # the N-1 bits of d, reversed, are elements 2..N
@@ -189,8 +191,7 @@ def clifford_gates(n_qubits: int) -> tuple[Gate, ...]:
     """H_i for each qubit, then S_i, then CZ_ij (i < j):
     H_i: x_S <-> x_{S ^ {i}};  S_i: x_S += x_{S - {i}} for i in S;
     CZ_ij: x_S += x_{S - {i,j}} for {i,j} in S."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"qubit count {n_qubits} is outside 1..{MAX_QUBITS}")
+    _require_qubits(n_qubits)
     n, entries = n_qubits, _entries(n_qubits)
     return tuple([gate(n, 0, e, SWAP) for e in entries[:n]] + [gate(n, 0, e, LOWER) for e in entries])
 
@@ -222,8 +223,7 @@ def _image_bits(n_qubits: int) -> tuple[int, ...]:
     moves the pair (x_S, x_{S | e}) that g_e acts on to (x_{U | (e & T)},
     x_{U | (e - T)}), U = (S ^ T) - e, that is gate(n, e & T, e - T, LOWER)."""
     n = n_qubits
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"supported qubit range is 1..{MAX_QUBITS}")
+    _require_qubits(n)
     hits = [bits for t in range(1 << n) for bits in _gray_walk(
         [(gate(n, e & t, e & ~t, LOWER),) for e in _entries(n) if not t >> e.bit_length() - 1 & 1], 1 << t)]
     bits = sorted(set(hits))
@@ -272,9 +272,8 @@ def _lift_points(n: int, points: Iterable[int]) -> list[Generator]:
     the generator of the graph rows that ``_readout`` reads off p for T, the
     lowest subset with x_T = 1.  Their entries are forced, so p is in the
     image exactly when that generator's principal coordinates are p."""
-    memo = _lifted.get(n)
-    if memo is None:
-        raise ValueError(f"supported qubit range is 1..{MAX_QUBITS}")
+    _require_qubits(n)
+    memo = _lifted[n]
     width = 2 * n
     out = []
     for bits in points:

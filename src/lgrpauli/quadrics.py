@@ -13,13 +13,11 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from .gf2 import SWAP, Gate, absent_masks, apply_gate, gate, independent, reduce_row, span
+from .gf2 import SWAP, Gate, absent_masks, apply_gate, gate, independent, reduce_row
 from .orbits import local_gates
-from .pauli import MAX_QUBITS, _require_int, _Value
+from .pauli import MAX_QUBITS, _require_int, _require_qubits, _Value
 from .pluecker import principal_keys
 from .projection import ProjPoint, _image_bits, display_masks
-
-MAX_ORBIT_SPAN = 16  # the largest span dimension ``quadric_orbit`` enumerates
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +73,7 @@ class QuadForm(_Value):
 
     def __add__(self, other: "QuadForm") -> "QuadForm":
         if self.n_qubits != other.n_qubits:
-            raise ValueError("variable count mismatch")
+            raise ValueError(f"variable count mismatch: {self.n_qubits} and {other.n_qubits}")
         return QuadForm(self.n_qubits, self.bits ^ other.bits)
 
     def sorted_monomials(self) -> list[tuple[int, ...]]:
@@ -86,7 +84,7 @@ class QuadForm(_Value):
 
     def evaluate(self, p: ProjPoint) -> int:
         if p.n_source != self.n_qubits:
-            raise ValueError("point/form dimension mismatch")
+            raise ValueError(f"point/form dimension mismatch: {p.n_source} and {self.n_qubits}")
         return (self.bits & _monomials_at(self.n_qubits, p.bits)).bit_count() & 1
 
     def __str__(self) -> str:
@@ -113,6 +111,7 @@ def _form(n_vars: int, *pairs) -> QuadForm:
 
 def hyperbolic_form(n_vars: int) -> QuadForm:
     """The standard pairing sum_k x_k x_{k + n/2}."""
+    _require_int("variable count", n_vars)
     half = n_vars // 2
     return _form(n_vars, *[(k, k + half) for k in range(1, half + 1)])
 
@@ -122,25 +121,24 @@ def variety_quadrics(n_qubits: int) -> tuple[QuadForm, ...]:
     """The explicit quadrics whose common zero set is the projected image:
     none for N=2 (the image is the whole space), a single form for N=3,
     ten forms for N=4."""
+    _require_qubits(n_qubits, 2, 4)
     if n_qubits == 2:
         return ()
     if n_qubits == 3:
         return (hyperbolic_form(8),)
-    if n_qubits == 4:
-        v = 16
-        return (
-            _form(v, (12, 13), (11, 14), (10, 15), (9, 16)),
-            _form(v, (1, 13), (2, 14), (3, 15), (4, 16)),
-            _form(v, (1, 11), (2, 12), (5, 15), (6, 16)),
-            _form(v, (4, 5), (3, 6), (2, 7), (1, 8)),
-            _form(v, (1, 10), (3, 12), (5, 14), (7, 16)),
-            _form(v, (5, 9), (6, 10), (7, 11), (8, 12)),
-            _form(v, (3, 9), (4, 10), (7, 13), (8, 14)),
-            _form(v, (2, 9), (4, 11), (6, 13), (8, 15)),
-            _form(v, (1, 9), (4, 12), (6, 14), (7, 15)),
-            _form(v, (2, 10), (3, 11), (5, 13), (8, 16)),
-        )
-    raise ValueError("explicit quadrics are available for N in {2, 3, 4}")
+    v = 16
+    return (
+        _form(v, (12, 13), (11, 14), (10, 15), (9, 16)),
+        _form(v, (1, 13), (2, 14), (3, 15), (4, 16)),
+        _form(v, (1, 11), (2, 12), (5, 15), (6, 16)),
+        _form(v, (4, 5), (3, 6), (2, 7), (1, 8)),
+        _form(v, (1, 10), (3, 12), (5, 14), (7, 16)),
+        _form(v, (5, 9), (6, 10), (7, 11), (8, 12)),
+        _form(v, (3, 9), (4, 10), (7, 13), (8, 14)),
+        _form(v, (2, 9), (4, 11), (6, 13), (8, 15)),
+        _form(v, (1, 9), (4, 12), (6, 14), (7, 15)),
+        _form(v, (2, 10), (3, 11), (5, 13), (8, 16)),
+    )
 
 
 class VarietyReport(_Value):
@@ -173,8 +171,7 @@ def verify_variety(n_qubits: int) -> VarietyReport:
     """Compare the common zero set of the explicit quadrics with the
     projected image over the whole projective space."""
     n = n_qubits
-    if n not in (2, 3, 4):
-        raise ValueError("verification supports N in {2, 3, 4}")
+    _require_qubits(n, 2, 4)
     zeros = _zero_set(n)
     img = sum(1 << bits for bits in _image_bits(n))
     return VarietyReport(n, len(variety_quadrics(n)), zeros.bit_count(), img.bit_count(), zeros == img)
@@ -190,8 +187,8 @@ def vanishing_quadrics(points) -> list[QuadForm]:
     if not points:
         raise ValueError("need at least one point")
     n = points[0].n_source
-    if any(p.n_source != n for p in points):
-        raise ValueError("coordinate count mismatch")
+    if other := next((p.n_source for p in points if p.n_source != n), None):
+        raise ValueError(f"coordinate count mismatch: {n} and {other}")
     cols = [int("".join("1" if p.bits >> a & 1 else "0" for p in points), 2) for a in range(1 << n)]
     shift = 1 << (2 * n)
     pivots: dict[int, int] = {}
@@ -209,8 +206,8 @@ def vanishing_quadrics(points) -> list[QuadForm]:
 def spans(basis_forms, q: QuadForm) -> bool:
     """Whether ``q`` lies in the GF(2) span of ``basis_forms``."""
     basis_forms = list(basis_forms)
-    if any(f.n_qubits != q.n_qubits for f in basis_forms):
-        raise ValueError("variable count mismatch")
+    if other := next((f.n_qubits for f in basis_forms if f.n_qubits != q.n_qubits), None):
+        raise ValueError(f"variable count mismatch: {other} and {q.n_qubits}")
     return len(basis_forms) not in independent([*(f.bits for f in basis_forms), q.bits])
 
 
@@ -224,8 +221,7 @@ def cayley_quadric(n_qubits: int) -> QuadForm:
     it is the eighth form of the explicit list.
     """
     n = n_qubits
-    if n not in (3, 4):
-        raise ValueError("the Cayley quadric is provided for N in {3, 4}")
+    _require_qubits(n, 3, 4)
 
     def bar(k):
         return n + k
@@ -293,16 +289,16 @@ def _span_closure(n: int, bits: int) -> list[int]:
 
 
 def quadric_orbit(q: QuadForm, n_qubits: int) -> set[QuadForm]:
-    """Canonical reduced closure of ``q`` under the group action, the
-    minimal-weight spanning set of the space of ``_span_closure``: its
-    nonzero elements sorted by (monomial count, monomial list), each kept if
-    independent of those kept before.  A space of dimension above
-    ``MAX_ORBIT_SPAN`` raises instead."""
+    """Canonical reduced closure of ``q`` under the group action: the
+    reduced echelon basis of the space of ``_span_closure`` (no form holds
+    another's highest monomial), the convention of ``vanishing_quadrics``;
+    each closure form, ascending, is cleared of the top bits of those kept."""
     if q.n_qubits != n_qubits:
-        raise ValueError("variable count mismatch")
-    basis = _span_closure(n_qubits, q.bits)
-    if len(basis) > MAX_ORBIT_SPAN:
-        raise ValueError(f"quadric orbit spans dimension {len(basis)}, above {MAX_ORBIT_SPAN}")
-    elems = sorted((QuadForm(n_qubits, b) for b in span(basis)[1:]),
-                   key=lambda f: (f.bits.bit_count(), f.sorted_monomials()))
-    return {elems[k] for k in independent(f.bits for f in elems)}
+        raise ValueError(f"variable count mismatch: {q.n_qubits} and {n_qubits}")
+    kept: list[int] = []
+    for f in sorted(_span_closure(n_qubits, q.bits)):  # distinct top bits
+        for k in kept:
+            if f >> (k.bit_length() - 1) & 1:
+                f ^= k
+        kept.append(f)
+    return {QuadForm(n_qubits, f) for f in kept}

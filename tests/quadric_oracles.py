@@ -8,7 +8,7 @@ packed point has variable k at bit k-1.
 
 import itertools
 
-from lgrpauli.gf2 import apply_gate
+from lgrpauli.gf2 import apply_gate, independent, span
 from lgrpauli.orbits import local_gates
 from lgrpauli.projection import display_masks
 from lgrpauli.quadrics import QuadForm, _form, _monomials_at, _upper
@@ -73,6 +73,16 @@ def orbit_closure(q: QuadForm, n: int) -> set[frozenset]:
                     nxt.append(g)
         frontier = nxt
     return seen
+
+
+def min_weight_basis(n: int, rows) -> set[QuadForm]:
+    """The canonical basis that the reduced echelon basis replaced: every
+    nonzero element of the span of ``rows`` (2^dim of them), sorted by
+    (monomial count, monomial list), each kept if independent of those
+    kept before."""
+    elems = sorted((QuadForm(n, b) for b in span(rows)[1:]),
+                   key=lambda f: (f.bits.bit_count(), f.sorted_monomials()))
+    return {elems[k] for k in independent(f.bits for f in elems)}
 
 
 def evaluate_display(monos, x: int) -> int:

@@ -12,7 +12,6 @@ from lgrpauli.gf2 import rank
 from lgrpauli.orbits import local_gates
 from lgrpauli.projection import ProjPoint, clifford_gates, image
 from lgrpauli.quadrics import (
-    MAX_ORBIT_SPAN,
     QuadForm,
     _act,
     _form,
@@ -32,6 +31,7 @@ from quadric_oracles import (
     display_rows,
     from_monomials,
     kernel_vanishing_quadrics,
+    min_weight_basis,
     monomials,
     orbit_closure,
     substitute,
@@ -147,6 +147,21 @@ def test_quadric_orbit_n3_is_singleton():
     assert quadric_orbit(cayley_quadric(3), 3) == {hyperbolic_form(8)}
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_quadric_orbit_is_the_minimal_weight_basis_of_the_cayley_span(n):
+    # the Cayley forms have pairwise disjoint supports, so the reduced
+    # echelon basis is also the enumerated minimal-weight one
+    q = cayley_quadric(n)
+    assert quadric_orbit(q, n) == min_weight_basis(n, _span_closure(n, q.bits))
+
+
+def _is_reduced(forms) -> bool:
+    """The highest monomials are distinct and no form holds another's."""
+    forms = list(forms)
+    tops = [1 << f.bits.bit_length() - 1 for f in forms]
+    return len(set(tops)) == len(tops) and all(f.bits & sum(tops) == top for f, top in zip(forms, tops))
+
+
 def test_quadric_orbit_of_the_zero_form_is_empty():
     assert quadric_orbit(QuadForm(4, 0), 4) == set()
     assert _span_closure(4, 0) == []
@@ -163,11 +178,11 @@ def test_quadric_orbit_rejects_a_form_on_another_qubit_count():
 DIM80 = cayley_quadric(4) + _form(16, (1, 2))
 
 
-def test_quadric_orbit_rejects_a_span_above_its_bound():
+def test_quadric_orbit_reduces_a_span_of_dimension_80():
     assert len(_span_closure(4, DIM80.bits)) == 80
-    assert len(_span_closure(4, cayley_quadric(4).bits)) == 9 <= MAX_ORBIT_SPAN
-    with pytest.raises(ValueError, match=f"^quadric orbit spans dimension 80, above {MAX_ORBIT_SPAN}$"):
-        quadric_orbit(DIM80, 4)
+    assert len(_span_closure(4, cayley_quadric(4).bits)) == 9
+    orb = quadric_orbit(DIM80, 4)
+    assert len(orb) == 80 and _is_reduced(orb)
 
 
 @pytest.mark.parametrize("q, n, orbit_size", [
@@ -179,8 +194,7 @@ def test_span_closure_spans_the_oracle_orbit(q, n, orbit_size):
     basis = _span_closure(n, q.bits)
     assert len(orbit) == orbit_size and basis[0] == q.bits
     assert len(rref(basis)) == len(basis) == len(rref(orbit)) == len(rref(basis + orbit))
-    if len(basis) <= MAX_ORBIT_SPAN:
-        assert len(rref([f.bits for f in quadric_orbit(q, n)] + orbit)) == len(basis)
+    assert len(rref([f.bits for f in quadric_orbit(q, n)] + orbit)) == len(basis)
 
 
 @lru_cache(maxsize=None)
@@ -196,12 +210,19 @@ def test_vanishing_quadric_count_is_closed_form(n):
 
 def test_span_closures_of_the_n5_vanishing_quadrics():
     # each closure holds its seed and is mapped into itself by every local
-    # gate; under the local group alone the 66 forms span 15 to 66 dimensions
+    # gate; under the local group alone the 66 forms span 15 to 66 dimensions.
+    # quadric_orbit reduces each closure; a 66-dimensional one is the whole
+    # vanishing space, whose reduced basis vanishing_quadrics already is
+    assert _is_reduced(image_quadrics(5))
     dims = set()
     for q in image_quadrics(5):
         basis = _span_closure(5, q.bits)
         moved = [_act(5, g, f) for f in basis for g in local_gates(5)]
         assert basis[0] == q.bits and rank(basis) == len(basis) == rank(basis + moved)
+        orb = quadric_orbit(q, 5)
+        assert _is_reduced(orb) and len(orb) == len(basis) == rank([f.bits for f in orb] + basis)
+        if len(basis) == 66:
+            assert orb == set(image_quadrics(5))
         dims.add(len(basis))
     assert dims == {15, 51, 65, 66}
 

@@ -8,11 +8,14 @@ import re
 
 import pytest
 
-from lgrpauli.orbits import OrbitRecord, local_gates
-from lgrpauli.pauli import Generator, PauliPoint, generator_count
-from lgrpauli.pluecker import LinearConstraint, PlueckerRelation, PlueckerVec, principal_keys
-from lgrpauli.projection import ProjPoint, clifford_gates, display_masks
-from lgrpauli.quadrics import QuadForm, VarietyReport
+from lgrpauli.orbits import OrbitRecord, local_gates, orbit_partition, t_rank
+from lgrpauli.pauli import (Generator, PauliPoint, enumerate_generators, generator_count, generator_from_operators,
+                            symplectic_product)
+from lgrpauli.pluecker import (LinearConstraint, PlueckerRelation, PlueckerVec, lagrangian_constraints,
+                               pluecker_relations, principal_keys)
+from lgrpauli.projection import ProjPoint, clifford_gates, display_masks, image
+from lgrpauli.quadrics import (QuadForm, VarietyReport, cayley_quadric, hyperbolic_form, quadric_orbit, spans,
+                               vanishing_quadrics, variety_quadrics, verify_variety)
 
 REP = ProjPoint(2, 1)
 # each type: a builder of two equal values, its field names and values, a
@@ -90,6 +93,9 @@ def test_value_types_are_frozen_field_tuples(name):
     (lambda n: ProjPoint(n, 3), "source qubit count"),
     (lambda n: ProjPoint.from_string(n, "0010"), "source qubit count"),
     (lambda n: QuadForm(n, 1), "qubit count"),
+    (generator_count, "qubit count"),
+    (display_masks, "qubit count"),
+    (hyperbolic_form, "variable count"),
 ])
 def test_value_types_name_a_qubit_count_that_is_not_an_int(make, what, count):
     # each used to fail with a bare TypeError from a comparison or a shift
@@ -131,3 +137,41 @@ def test_gate_lists_and_coordinate_orders_name_a_bad_qubit_count(func, n, messag
     # principal_keys(0) returned (0,)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         func(n)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 6, 3.0])
+@pytest.mark.parametrize("func, lo, hi", [
+    (image, 1, 5), (enumerate_generators, 1, 5), (lagrangian_constraints, 1, 5), (clifford_gates, 1, 5),
+    (pluecker_relations, 2, 5), (orbit_partition, 2, 4), (variety_quadrics, 2, 4), (verify_variety, 2, 4),
+    (cayley_quadric, 3, 4),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_functions_on_a_qubit_range_name_a_bad_qubit_count(func, lo, hi, n):
+    # the messages named no N, a float N gave a bare TypeError, and
+    # variety_quadrics(3.0) returned the N = 3 forms
+    if isinstance(n, float):
+        message = f"qubit count must be an int, got {n!r}"
+    else:
+        message = f"qubit count {n} is outside {lo}..{hi}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        func(n)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_tensor_rank_names_a_bad_qubit_count(n):
+    with pytest.raises(ValueError, match=f"^qubit count {n} is outside 2..4$"):
+        t_rank(ProjPoint(n, 1))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: QuadForm(3, 1) + QuadForm(4, 1), "variable count mismatch: 3 and 4"),
+    (lambda: spans([QuadForm(4, 1), QuadForm(3, 1)], QuadForm(4, 1)), "variable count mismatch: 3 and 4"),
+    (lambda: quadric_orbit(cayley_quadric(3), 4), "variable count mismatch: 3 and 4"),
+    (lambda: QuadForm(2, 1).evaluate(ProjPoint(3, 1)), "point/form dimension mismatch: 3 and 2"),
+    (lambda: vanishing_quadrics([ProjPoint(3, 5), ProjPoint(4, 1)]), "coordinate count mismatch: 3 and 4"),
+    (lambda: symplectic_product(PauliPoint(1, 1), PauliPoint(2, 1)), "qubit count mismatch: 1 and 2"),
+    (lambda: generator_from_operators([PauliPoint(2, 1), PauliPoint(3, 1)]), "mixed qubit counts: 2 and 3"),
+], ids=["add", "spans", "quadric_orbit", "evaluate", "vanishing_quadrics", "symplectic_product",
+        "generator_from_operators"])
+def test_mixed_counts_are_named(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
