@@ -12,7 +12,6 @@ families meaningful.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from typing import Optional
 
 from .gf2 import SWAP, Gate, apply_gate, byte_tables, gate, rank
 from .pauli import PauliPoint, _require_qubits, _Value
@@ -170,17 +169,6 @@ class OrbitRecord(_Value):
     __slots__ = ("orbit_id", "size", "representative", "in_image", "t_rank", "e_rank", "observable",
                  "reference_label")
 
-    def __init__(self, orbit_id: int, size: int, representative: ProjPoint, in_image: bool, t_rank: int,
-                 e_rank: Optional[int], observable: Optional[str], reference_label: Optional[str]):
-        self._set_orbit_id(self, orbit_id)
-        self._set_size(self, size)
-        self._set_representative(self, representative)
-        self._set_in_image(self, in_image)
-        self._set_t_rank(self, t_rank)
-        self._set_e_rank(self, e_rank)
-        self._set_observable(self, observable)
-        self._set_reference_label(self, reference_label)
-
 
 @lru_cache(maxsize=None)
 def orbit_partition(n: int) -> tuple[OrbitRecord, ...]:
@@ -205,18 +193,8 @@ def orbit_partition(n: int) -> tuple[OrbitRecord, ...]:
         label = ref_by_bits.get(i)
         if label is None and not inside:
             label = _NON_IMAGE_LABELS.get(n, {}).get(len(members))
-        records.append(
-            OrbitRecord(
-                orbit_id=i + 1,
-                size=len(members),
-                representative=rep,
-                in_image=inside,
-                t_rank=trank[i],
-                e_rank=e_rank(rep) if inside else None,
-                observable=to_observable(rep).label() if inside else None,
-                reference_label=label,
-            )
-        )
+        records.append(OrbitRecord(i + 1, len(members), rep, inside, trank[i], e_rank(rep) if inside else None,
+                                   to_observable(rep).label() if inside else None, label))
     return tuple(records)
 
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import attrgetter
 
 from .gf2 import independent, rank
-from .pauli import MAX_QUBITS, Generator, _require_int, _require_qubits, _Value
+from .pauli import Generator, _require_int, _require_qubits, _Value
 
 
 @lru_cache(maxsize=None)
@@ -42,27 +41,25 @@ class PlueckerVec(_Value, order=True):
     __slots__ = ("n_qubits", "table", "_isotropic")
 
     def __init__(self, n_qubits: int, table: int):
-        _require_int("qubit count", n_qubits)
-        if n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        if n_qubits > MAX_QUBITS:
-            raise ValueError(f"qubit count {n_qubits} is outside 1..{MAX_QUBITS}")
+        _require_qubits(n_qubits)
         _require_int("Plucker table", table)
         if table < 0:
             raise ValueError(f"Plucker table must be nonnegative, got {table}")
         if bad := table & ~_subset_mask(n_qubits):
             key = (bad & -bad).bit_length() - 1
             raise ValueError(f"Plucker key {key} is not a {n_qubits}-subset of 1..{2 * n_qubits}")
-        self._set_n_qubits(self, n_qubits)
-        self._set_table(self, table)
-        self._set_isotropic(self, False)
+        set_n, set_table, set_isotropic = self._setters
+        set_n(self, n_qubits)
+        set_table(self, table)
+        set_isotropic(self, False)
 
     @classmethod
     def _embedded(cls, g: Generator) -> "PlueckerVec":
         v = object.__new__(cls)
-        v._set_n_qubits(v, g.n_qubits)
-        v._set_table(v, g.table)
-        v._set_isotropic(v, True)
+        set_n, set_table, set_isotropic = cls._setters
+        set_n(v, g.n_qubits)
+        set_table(v, g.table)
+        set_isotropic(v, True)
         return v
 
     def coord_key(self, key: int) -> int:
@@ -80,44 +77,32 @@ class PlueckerRelation(_Value, order=True):
 
     __slots__ = ("n_qubits", "term_keys")
 
-    def __init__(self, n_qubits: int, term_keys: tuple[tuple[int, int], ...]):
-        self._set_n_qubits(self, n_qubits)
-        self._set_term_keys(self, term_keys)
-
     def __str__(self) -> str:
         two_n = 2 * self.n_qubits
         return " + ".join(f"{_key_label(two_n, a)}*{_key_label(two_n, b)}"
                           for a, b in self.term_keys) + " = 0"
 
 
-def _relation_candidates(n_qubits: int) -> list[PlueckerRelation]:
-    """One relation per choice of an (N-1)-sequence i and an (N+1)-sequence
-    j: sum_a p_{i,j_a} p_{j \\ j_a} = 0, with repeated-index coordinates
-    dropped, GF(2) cancellation applied and equal monomial supports merged;
-    shorter relations first, then ascending key order."""
+def _relation_candidates(n_qubits: int) -> list[tuple[tuple[int, int], ...]]:
+    """The sorted terms of one relation per choice of an (N-1)-sequence i
+    and an (N+1)-sequence j: sum_a p_{i,j_a} p_{j \\ j_a} = 0, with
+    repeated-index coordinates dropped, GF(2) cancellation applied and equal
+    monomial supports merged; shorter relations first, then ascending key
+    order."""
     n = n_qubits
-    two_n = 2 * n
-    seen: set[frozenset[tuple[int, int]]] = set()
-    for i_set in itertools.combinations(range(1, two_n + 1), n - 1):
-        i_key = sum(1 << (x - 1) for x in i_set)
-        for j_set in itertools.combinations(range(1, two_n + 1), n + 1):
-            j_key = sum(1 << (x - 1) for x in j_set)
+    units = [1 << x for x in range(2 * n)]
+    j_sets = [(sum(j_bits), j_bits) for j_bits in itertools.combinations(units, n + 1)]
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    for i_key in map(sum, itertools.combinations(units, n - 1)):
+        for j_key, j_bits in j_sets:
             monomials: set[tuple[int, int]] = set()
-            for ja in j_set:
-                bit = 1 << (ja - 1)
-                if i_key & bit:
-                    continue  # repeated index: coordinate is zero
-                a = i_key | bit
-                b = j_key ^ bit
-                mono = (a, b) if a <= b else (b, a)
-                monomials ^= {mono}
+            for bit in j_bits:
+                if not i_key & bit:  # else a repeated index: the coordinate is zero
+                    a, b = i_key | bit, j_key ^ bit
+                    monomials ^= {(a, b) if a <= b else (b, a)}
             if monomials:
-                seen.add(frozenset(monomials))
-    rels = [
-        PlueckerRelation(n, tuple(sorted(mono_set))) for mono_set in seen
-    ]
-    rels.sort(key=lambda r: (len(r.term_keys), r.term_keys))
-    return rels
+                seen.add(tuple(sorted(monomials)))
+    return sorted(seen, key=lambda terms: (len(terms), terms))
 
 
 @lru_cache(maxsize=None)
@@ -125,28 +110,25 @@ def pluecker_relations(n_qubits: int) -> tuple[PlueckerRelation, ...]:
     """The deduplicated quadratic relations cutting out Gr(N,2N).
 
     The candidates of ``_relation_candidates`` that are GF(2) sums of
-    earlier ones are removed: the result is an independent system.
+    earlier ones are removed: the result is an independent system, ordered
+    by terms.
     """
     n = n_qubits
     _require_qubits(n, 2)
     mono_pos: dict[tuple[int, int], int] = {}
     cands, rows = _relation_candidates(n), []
-    for r in cands:
+    for terms in cands:
         row = 0
-        for mono in r.term_keys:
+        for mono in terms:
             row |= 1 << mono_pos.setdefault(mono, len(mono_pos))
         rows.append(row)
-    return tuple(sorted((cands[k] for k in independent(rows)), key=attrgetter("term_keys")))
+    return tuple(PlueckerRelation(n, terms) for terms in sorted(cands[k] for k in independent(rows)))
 
 
 class LinearConstraint(_Value, order=True):
     """A linear isotropy condition: the listed coordinates sum to zero."""
 
     __slots__ = ("n_qubits", "term_keys")
-
-    def __init__(self, n_qubits: int, term_keys: tuple[int, ...]):
-        self._set_n_qubits(self, n_qubits)
-        self._set_term_keys(self, term_keys)
 
     def __str__(self) -> str:
         two_n = 2 * self.n_qubits
@@ -174,9 +156,8 @@ def lagrangian_constraints(n_qubits: int) -> tuple[LinearConstraint, ...]:
                 continue
             terms.append(k_key | pair)
         if len(terms) >= 2:
-            out.append(LinearConstraint(n, tuple(sorted(terms))))
-    out.sort(key=attrgetter("term_keys"))
-    return tuple(out)
+            out.append(tuple(sorted(terms)))
+    return tuple(LinearConstraint(n, terms) for terms in sorted(out))
 
 
 def constraint_rank(n_qubits: int) -> int:
@@ -189,8 +170,7 @@ def principal_keys(n_qubits: int) -> tuple[int, ...]:
     """Entry m is the key of the Plucker index whose minor is the principal
     minor on the subset mask m of {1..N}: ({1..N} minus m) together with
     {N+i : i in m}."""
-    if n_qubits < 1:
-        raise ValueError(f"qubit count {n_qubits} is below 1")
+    _require_qubits(n_qubits, 1, None)
     full = (1 << n_qubits) - 1
     return tuple((full & ~m) | (m << n_qubits) for m in range(1 << n_qubits))
 

@@ -25,7 +25,7 @@ from functools import lru_cache, reduce
 from typing import Iterable
 
 from .gf2 import LOWER, SWAP, Gate, Tables, apply_gate, apply_tables, byte_tables, gate
-from .pauli import (MAX_QUBITS, Generator, PauliPoint, _require_int, _require_qubits, _Value, generator_count,
+from .pauli import (MAX_QUBITS, Generator, PauliPoint, _require_qubits, _Value, generator_count,
                     omega_contraction)
 from .pluecker import PlueckerVec, lagrangian_constraints
 
@@ -38,9 +38,7 @@ class NotInImageError(ValueError):
 def display_masks(n_qubits: int) -> tuple[int, ...]:
     """Internal subset masks in display order (length 2^N)."""
     n = n_qubits
-    _require_int("qubit count", n)
-    if n < 1:
-        raise ValueError(f"qubit count {n} is below 1")
+    _require_qubits(n, 1, None)
     # the N-1 bits of d, reversed, are elements 2..N
     first = [int(format(d, f"0{n - 1}b")[::-1], 2) << 1 for d in range(1 << n - 1)]
     full = (1 << n) - 1
@@ -68,13 +66,12 @@ class ProjPoint(_Value, order=True):
     __slots__ = ("n_source", "bits")
 
     def __init__(self, n_source: int, bits: int):
-        _require_int("source qubit count", n_source)
-        if not 1 <= n_source:
-            raise ValueError("source qubit count must be positive")
+        _require_qubits(n_source, 1, None, "source qubit count")
         if bits <= 0 or bits >> (1 << n_source):
             raise ValueError("point must be nonzero and within 2^N coordinates")
-        self._set_n_source(self, n_source)
-        self._set_bits(self, bits)
+        set_n, set_bits = self._setters
+        set_n(self, n_source)
+        set_bits(self, bits)
 
     def display_bits(self) -> tuple[int, ...]:
         return tuple(map(int, self.bit_string()))
@@ -108,9 +105,7 @@ class ProjPoint(_Value, order=True):
     def from_string(cls, n_qubits: int, text: str) -> "ProjPoint":
         """Parse a display bit string ("0010"), colon form ("[0:0:1:0]") or
         hex ("0x4", ASCII hex digits only)."""
-        _require_int("source qubit count", n_qubits)
-        if n_qubits < 1:
-            raise ValueError("source qubit count must be positive")
+        _require_qubits(n_qubits, 1, None, "source qubit count")
         text = text.strip()
         size = 1 << n_qubits
         if text.startswith("[") and text.endswith("]"):
@@ -128,13 +123,13 @@ class ProjPoint(_Value, order=True):
 
 
 @lru_cache(maxsize=None)
-def _contraction(n_qubits: int) -> tuple[int, tuple[tuple[int, str], ...]]:
-    """Each constraint's key K (the meet of its terms K | p_i), as a mask and
-    with its message: bit K of the contraction with omega (``omega_contraction``)
-    is the sum of the constraint's terms."""
-    named = tuple((reduce(int.__and__, c.term_keys), f"input violates isotropy constraint {c}")
-                  for c in lagrangian_constraints(n_qubits))
-    return sum(1 << k for k, _ in named), named
+def _contraction(n_qubits: int) -> tuple[tuple[int, str], ...]:
+    """Each constraint's key K (the meet of its terms K | p_i) with its
+    message: bit K of the contraction with omega (``omega_contraction``) is
+    the sum of the constraint's terms.  The K are exactly the bits the
+    contraction of a table on the N-subset keys can set."""
+    return tuple((reduce(int.__and__, c.term_keys), f"input violates isotropy constraint {c}")
+                 for c in lagrangian_constraints(n_qubits))
 
 
 def project(v: PlueckerVec) -> ProjPoint:
@@ -145,10 +140,8 @@ def project(v: PlueckerVec) -> ProjPoint:
     """
     n = v.n_qubits
     if not v._isotropic:  # the vectors from ``embed`` were checked as generators
-        targets, named = _contraction(n)
-        s = omega_contraction(n, v.table)
-        if s & targets:
-            raise ValueError(next(msg for k, msg in named if s >> k & 1))
+        if s := omega_contraction(n, v.table):
+            raise ValueError(next(msg for k, msg in _contraction(n) if s >> k & 1))
     bits = _principal_bits(n, v.table)
     if bits == 0:
         raise ValueError("all principal coordinates vanish: input not Lagrangian")

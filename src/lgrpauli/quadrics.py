@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 
 from .gf2 import SWAP, Gate, absent_masks, apply_gate, gate, independent, reduce_row
 from .orbits import local_gates
-from .pauli import MAX_QUBITS, _require_int, _require_qubits, _Value
+from .pauli import _require_int, _require_qubits, _Value
 from .pluecker import principal_keys
 from .projection import ProjPoint, _image_bits, display_masks
 
@@ -60,16 +60,13 @@ class QuadForm(_Value):
     __slots__ = ("n_qubits", "bits")
 
     def __init__(self, n_qubits: int, bits: int):
-        _require_int("qubit count", n_qubits)
-        if n_qubits < 1:
-            raise ValueError(f"qubit count {n_qubits} is below 1")
-        if n_qubits > MAX_QUBITS:
-            raise ValueError(f"qubit count {n_qubits} is outside 1..{MAX_QUBITS}")
+        _require_qubits(n_qubits)
         diag, upper = _upper(n_qubits)
         if bits < 0 or bits & ~(diag | upper):
             raise ValueError("bits outside the monomials x_a x_b with a <= b")
-        self._set_n_qubits(self, n_qubits)
-        self._set_bits(self, bits)
+        set_n, set_bits = self._setters
+        set_n(self, n_qubits)
+        set_bits(self, bits)
 
     def __add__(self, other: "QuadForm") -> "QuadForm":
         if self.n_qubits != other.n_qubits:
@@ -143,13 +140,6 @@ def variety_quadrics(n_qubits: int) -> tuple[QuadForm, ...]:
 
 class VarietyReport(_Value):
     __slots__ = ("n_qubits", "quadric_count", "zero_set_size", "image_size", "matches")
-
-    def __init__(self, n_qubits: int, quadric_count: int, zero_set_size: int, image_size: int, matches: bool):
-        self._set_n_qubits(self, n_qubits)
-        self._set_quadric_count(self, quadric_count)
-        self._set_zero_set_size(self, zero_set_size)
-        self._set_image_size(self, image_size)
-        self._set_matches(self, matches)
 
 
 def _zero_set(n: int) -> int:

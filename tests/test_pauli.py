@@ -26,6 +26,7 @@ from lgrpauli.pauli import (
     generator_from_operators,
     symplectic_product,
 )
+from lgrpauli.cli import main
 from lgrpauli.gf2 import rank
 from lgrpauli.pluecker import embed
 from gf2_oracles import rref
@@ -223,6 +224,17 @@ def test_generator_lists_keep_their_digest(n, digest):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize("command, digest", [
+    ("relations", "60ad1b9985f4be645253a25abee9b6a9c28258b0a233b4c93c7e89e19713ac86"),
+    ("constraints", "68092863e992a656416f3855f1e5e16a020b5fd6562e47e2d0e91a301ff67fea"),
+])
+def test_n5_listings_keep_their_digest(capsys, command, digest):
+    # the SHA-256 of the stdout of `<command> --n 5`: no golden file holds
+    # the N = 5 listings
+    assert main([command, "--n", "5"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n", [0, 6])
 def test_enumeration_outside_one_to_five_rejected(n):
     with pytest.raises(ValueError):
@@ -314,7 +326,7 @@ def test_generator_edge_inputs():
 @pytest.mark.parametrize("n, rows", [(0, ()), (0, (1,)), (-1, ()), (-1, (1,))])
 def test_generator_rejects_fewer_than_one_qubit(n, rows):
     # the message PauliPoint gives, before any row is read
-    with pytest.raises(ValueError, match="^need at least one qubit$") as ei:
+    with pytest.raises(ValueError, match=f"^qubit count {n} is below 1$") as ei:
         Generator(n, rows)
     assert type(ei.value) is ValueError
 

@@ -8,6 +8,7 @@ import pytest
 
 from lgrpauli.pauli import enumerate_generators, generator_from_operators, PauliPoint
 from lgrpauli.pluecker import (
+    PlueckerRelation,
     PlueckerVec,
     constraint_rank,
     embed,
@@ -103,16 +104,16 @@ def min_reduction_relations(n):
     mono_pos = {}
     basis = []
     kept = []
-    for r in _relation_candidates(n):
+    for terms in _relation_candidates(n):
         row = 0
-        for mono in r.term_keys:
+        for mono in terms:
             row |= 1 << mono_pos.setdefault(mono, len(mono_pos))
         for b in basis:
             row = min(row, row ^ b)
         if row:
             basis.append(row)
             basis.sort(reverse=True)
-            kept.append(r)
+            kept.append(PlueckerRelation(n, terms))
     return tuple(sorted(kept))
 
 
@@ -182,8 +183,8 @@ def test_sample_embedding_value():
 
 @pytest.mark.parametrize("n", [-2, 0])
 def test_pluecker_vec_rejects_fewer_than_one_qubit(n):
-    # the message PauliPoint and Generator give
-    with pytest.raises(ValueError, match="^need at least one qubit$"):
+    # the bounded form of the message PauliPoint and Generator give
+    with pytest.raises(ValueError, match=f"^qubit count {n} is outside 1..5$"):
         PlueckerVec(n, 1)
 
 

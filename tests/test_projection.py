@@ -19,9 +19,11 @@ from lgrpauli.pauli import (
     enumerate_generators,
     generator_count,
     generator_from_operators,
+    omega_masks,
 )
 from lgrpauli.pluecker import (
     PlueckerVec,
+    _subset_mask,
     embed,
     lagrangian_constraints,
     principal_keys,
@@ -312,8 +314,8 @@ def test_display_forms_match_the_per_mask_oracle_and_parse_back(n):
     (ProjPoint.from_display_bits, ((0, 2, 0, 0),), "display coordinates must be 0 or 1"),
     (ProjPoint.from_display_bits, ((1, 0, -1, 0),), "display coordinates must be 0 or 1"),
     (ProjPoint.from_display_bits, ((0, 0, 0, 0),), "point must be nonzero and within 2^N coordinates"),
-    (ProjPoint.from_string, (0, "1"), "source qubit count must be positive"),
-    (ProjPoint.from_string, (-1, "1"), "source qubit count must be positive"),
+    (ProjPoint.from_string, (0, "1"), "source qubit count 0 is below 1"),
+    (ProjPoint.from_string, (-1, "1"), "source qubit count -1 is below 1"),
     (ProjPoint.from_display_bits, ((1,),), "display length 1 is below 2"),
     (ProjPoint.from_display_bits, ((),), "display length 0 is below 2"),
 ])
@@ -388,6 +390,19 @@ def test_contraction_matches_constraint_oracle_on_single_bit_flips(n):
         for k in keys:
             v = PlueckerVec(n, t ^ (1 << k))
             assert project_outcome(v) == project_oracle(v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_constraint_keys_are_every_bit_the_contraction_can_set(n):
+    # ``project`` rejects a table whose contraction is nonzero, naming the
+    # constraint of a set bit: the keys K must be exactly the bits that the
+    # contraction of a table on the N-subset keys can set, and those are the
+    # (N-2)-subset keys (none at N = 1)
+    reach = 0
+    for pair, m in omega_masks(n):
+        reach |= (_subset_mask(n) & m) >> pair
+    keys = sum(1 << k for k, _ in projection._contraction(n))
+    assert keys == reach == sum(1 << k for k in range(1 << 2 * n) if k.bit_count() == n - 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

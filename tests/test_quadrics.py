@@ -228,8 +228,8 @@ def test_span_closures_of_the_n5_vanishing_quadrics():
 
 
 @pytest.mark.parametrize("make, arg, message", [
-    (lambda n: QuadForm(n, 0), -1, "qubit count -1 is below 1"),
-    (lambda n: QuadForm(n, 1), 0, "qubit count 0 is below 1"),
+    (lambda n: QuadForm(n, 0), -1, "qubit count -1 is outside 1..5"),
+    (lambda n: QuadForm(n, 1), 0, "qubit count 0 is outside 1..5"),
     (hyperbolic_form, 0, "the variable count 0 is not 2^N with N >= 1"),
     (hyperbolic_form, 1, "the variable count 1 is not 2^N with N >= 1"),
     (_form, 0, "the variable count 0 is not 2^N with N >= 1"),

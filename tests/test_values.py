@@ -8,12 +8,12 @@ import re
 
 import pytest
 
-from lgrpauli.orbits import OrbitRecord, local_gates, orbit_partition, t_rank
+from lgrpauli.orbits import OrbitRecord, _orbit_data, local_gates, orbit_partition, t_rank
 from lgrpauli.pauli import (Generator, PauliPoint, enumerate_generators, generator_count, generator_from_operators,
                             symplectic_product)
 from lgrpauli.pluecker import (LinearConstraint, PlueckerRelation, PlueckerVec, lagrangian_constraints,
                                pluecker_relations, principal_keys)
-from lgrpauli.projection import ProjPoint, clifford_gates, display_masks, image
+from lgrpauli.projection import ProjPoint, _image_bits, _lift_points, clifford_gates, display_masks, image
 from lgrpauli.quadrics import (QuadForm, VarietyReport, cayley_quadric, hyperbolic_form, quadric_orbit, spans,
                                vanishing_quadrics, variety_quadrics, verify_variety)
 
@@ -175,3 +175,54 @@ def test_tensor_rank_names_a_bad_qubit_count(n):
 def test_mixed_counts_are_named(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+UNBOUNDED, BOUNDED = "{name} {n} is below 1", "{name} {n} is outside {lo}..{hi}"
+
+
+@pytest.mark.parametrize("n", [-1, 0])
+@pytest.mark.parametrize("func, name, lo, hi", [
+    (lambda n: PauliPoint(n, 1), "qubit count", 1, None),
+    (lambda n: Generator(n, ()), "qubit count", 1, None),
+    (generator_count, "qubit count", 1, None),
+    (display_masks, "qubit count", 1, None),
+    (principal_keys, "qubit count", 1, None),
+    (lambda n: ProjPoint(n, 1), "source qubit count", 1, None),
+    (lambda n: ProjPoint.from_string(n, "1"), "source qubit count", 1, None),
+    (lambda n: QuadForm(n, 0), "qubit count", 1, 5),
+    (lambda n: PlueckerVec(n, 0), "qubit count", 1, 5),
+    (clifford_gates, "qubit count", 1, 5),
+    (local_gates, "qubit count", 1, 5),
+    (image, "qubit count", 1, 5),
+    (_image_bits, "qubit count", 1, 5),
+    (lambda n: _lift_points(n, ()), "qubit count", 1, 5),
+    (enumerate_generators, "qubit count", 1, 5),
+    (lagrangian_constraints, "qubit count", 1, 5),
+    (pluecker_relations, "qubit count", 2, 5),
+    (orbit_partition, "qubit count", 2, 4),
+    (_orbit_data, "qubit count", 2, 4),
+    (variety_quadrics, "qubit count", 2, 4),
+    (verify_variety, "qubit count", 2, 4),
+    (cayley_quadric, "qubit count", 3, 4),
+], ids=["PauliPoint", "Generator", "generator_count", "display_masks", "principal_keys", "ProjPoint",
+        "ProjPoint.from_string", "QuadForm", "PlueckerVec", "clifford_gates", "local_gates", "image", "_image_bits",
+        "_lift_points", "enumerate_generators", "lagrangian_constraints", "pluecker_relations", "orbit_partition",
+        "_orbit_data", "variety_quadrics", "verify_variety", "cayley_quadric"])
+def test_every_qubit_count_check_gives_one_of_two_wordings(func, name, lo, hi, n):
+    # one rule: "below LO" where N has no upper bound, "outside LO..HI" where it has
+    message = (UNBOUNDED if hi is None else BOUNDED).format(name=name, n=n, lo=lo, hi=hi)
+    with pytest.raises(ValueError) as info:
+        func(n)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["PlueckerRelation", "LinearConstraint", "VarietyReport", "OrbitRecord"])
+def test_records_take_their_fields_positionally(name):
+    make, names, fields, _, _ = CASES[name]
+    cls = type(make())
+    assert cls(*fields) == make()
+    message = f"^{name} takes its {len(fields)} fields positionally$"
+    for args, named in [(fields[:-1], {}), (fields + fields[:1], {}), ((), {}), (fields, {names[0]: fields[0]}),
+                        (fields[:-1], {names[-1]: fields[-1]}), ((), dict(zip(names, fields)))]:
+        with pytest.raises(TypeError, match=message):
+            cls(*args, **named)
