@@ -11,6 +11,7 @@ families meaningful.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache, reduce
 
 from .gf2 import SWAP, Gate, apply_gate, byte_tables, gate, rank
@@ -40,38 +41,45 @@ def _generator_pair(n: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _orbit_data(n: int) -> tuple[list[int], list[list[int]]]:
-    """(assignment point -> orbit id, orbit member lists), ids ordered by
-    (size, minimal member); each orbit is a closure under _generator_pair."""
+def _orbit_data(n: int) -> tuple[bytes, list[Sequence[int]]]:
+    """(orbit id of each point, orbit member arrays), ids ordered by
+    (size, minimal member); each orbit is a closure under _generator_pair.
+
+    The ids are one byte per point of the 2^(2^N) (at most 29 orbits), 255
+    for point 0.  Each orbit is an ``array('H')`` of its members in
+    ascending order; its first member is also its search start, as starts
+    ascend."""
     _require_qubits(n, 2, 4)
+    # imported here: loading the array extension adds about 0.3 MB to the
+    # peak RSS of every command that imports this module
+    from array import array
     size = 1 << (1 << n)
     # each element is linear, so a point's image is the XOR of the images
     # of its low and high bytes (points have at most 16 bits)
     (al, ah), (bl, bh) = [byte_tables([reduce(lambda v, h: apply_gate(h, v), seq, 1 << k) for k in range(16)])
                           for seq in _generator_pair(n)]
-    oid = [-1] * size
-    raw: list[list[int]] = []
+    oid = bytearray(b"\xff") * size  # 255: not reached yet
+    raw = []
     for start in range(1, size):
-        if oid[start] >= 0:
+        if oid[start] != 255:
             continue
         members = [start]
         oid[start] = k = len(raw)
         for v in members:  # grows while walked: each member is visited once
             w = al[v & 255] ^ ah[v >> 8]
-            if oid[w] < 0:
+            if oid[w] == 255:
                 oid[w] = k
                 members.append(w)
             w = bl[v & 255] ^ bh[v >> 8]
-            if oid[w] < 0:
+            if oid[w] == 255:
                 oid[w] = k
                 members.append(w)
-        raw.append(members)
-    # starts ascend, so each orbit's start is its minimal member
+        raw.append(array("H", sorted(members)))
     order = sorted(range(len(raw)), key=lambda i: (len(raw[i]), raw[i][0]))
-    relabel = sorted(range(len(raw)), key=order.__getitem__) + [-1]  # new id by old; -1 stays
-    assign = list(map(relabel.__getitem__, oid))
-    orbits = [sorted(raw[old]) for old in order]
-    return assign, orbits
+    relabel = bytearray(range(256))  # new id by old; 255 stays
+    for new, old in enumerate(order):
+        relabel[old] = new
+    return bytes(oid).translate(relabel), [raw[old] for old in order]
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +183,9 @@ def orbit_partition(n: int) -> tuple[OrbitRecord, ...]:
     """Every nonzero point assigned to exactly one orbit; orbits sorted by
     (size, canonical representative) and numbered from 1."""
     assign, orbits = _orbit_data(n)
-    img = set(_image_bits(n))
+    hits = [0] * len(orbits)  # image points per orbit
+    for b in _image_bits(n):
+        hits[assign[b]] += 1
     trank = _orbit_t_ranks(n)
     ref_by_bits = {}
     for row in CLASS_TABLE.get(n, ()):
@@ -184,12 +194,12 @@ def orbit_partition(n: int) -> tuple[OrbitRecord, ...]:
     records = []
     for i, members in enumerate(orbits):
         rep = ProjPoint(n, members[0])
-        inside = members[0] in img
-        hit = sum(1 for v in members if v in img)
+        hit = hits[i]
         if 0 < hit < len(members):
             raise MixedOrbitError(
                 f"orbit {i + 1} meets the image in {hit} of {len(members)} points"
             )
+        inside = hit > 0
         label = ref_by_bits.get(i)
         if label is None and not inside:
             label = _NON_IMAGE_LABELS.get(n, {}).get(len(members))

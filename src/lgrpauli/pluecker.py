@@ -118,10 +118,11 @@ def pluecker_relations(n_qubits: int) -> tuple[PlueckerRelation, ...]:
     mono_pos: dict[tuple[int, int], int] = {}
     cands, rows = _relation_candidates(n), []
     for terms in cands:
-        row = 0
-        for mono in terms:
-            row |= 1 << mono_pos.setdefault(mono, len(mono_pos))
-        rows.append(row)
+        # a row's positions lie close together in the 28,476-wide index at
+        # N = 5: build the row from its lowest one and widen it once
+        pos = [mono_pos.setdefault(mono, len(mono_pos)) for mono in terms]
+        lo = min(pos)
+        rows.append(sum(1 << p - lo for p in pos) << lo)
     return tuple(PlueckerRelation(n, terms) for terms in sorted(cands[k] for k in independent(rows)))
 
 

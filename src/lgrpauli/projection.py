@@ -25,8 +25,8 @@ from functools import lru_cache, reduce
 from typing import Iterable
 
 from .gf2 import LOWER, SWAP, Gate, Tables, apply_gate, apply_tables, byte_tables, gate
-from .pauli import (MAX_QUBITS, Generator, PauliPoint, _require_qubits, _Value, generator_count,
-                    omega_contraction)
+from .pauli import (MAX_QUBITS, Generator, PauliPoint, _require_int, _require_qubits, _Value,
+                    generator_count, omega_contraction)
 from .pluecker import PlueckerVec, lagrangian_constraints
 
 
@@ -67,7 +67,8 @@ class ProjPoint(_Value, order=True):
 
     def __init__(self, n_source: int, bits: int):
         _require_qubits(n_source, 1, None, "source qubit count")
-        if bits <= 0 or bits >> (1 << n_source):
+        if not isinstance(bits, int) or bits <= 0 or bits >> (1 << n_source):  # one call on the hot path
+            _require_int("bits", bits)
             raise ValueError("point must be nonzero and within 2^N coordinates")
         set_n, set_bits = self._setters
         set_n(self, n_source)

@@ -62,7 +62,8 @@ class QuadForm(_Value):
     def __init__(self, n_qubits: int, bits: int):
         _require_qubits(n_qubits)
         diag, upper = _upper(n_qubits)
-        if bits < 0 or bits & ~(diag | upper):
+        if not isinstance(bits, int) or bits < 0 or bits & ~(diag | upper):
+            _require_int("bits", bits)
             raise ValueError("bits outside the monomials x_a x_b with a <= b")
         set_n, set_bits = self._setters
         set_n(self, n_qubits)

@@ -4,6 +4,7 @@ orbit partition's per-orbit records.  The exclusive-minor E-rank reads the
 chart matrix through ``to_chart`` and takes its minors with ``minor``."""
 
 import itertools
+from array import array
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -12,8 +13,8 @@ from lgrpauli.orbits import _orbit_data, local_gates
 from lgrpauli.projection import ProjPoint, lift
 
 
-def orbit_data_by_local_gates(n: int) -> tuple[list[int], list[list[int]]]:
-    """(assignment, member lists) as ``_orbit_data`` returns them, found by
+def orbit_data_by_local_gates(n: int) -> tuple[bytes, list[array]]:
+    """(assignment, member arrays) as ``_orbit_data`` returns them, found by
     closing each point under all the gates of ``local_gates(n)``."""
     size = 1 << (1 << n)
     # the action is linear, so a point's image is the XOR of the images of
@@ -42,8 +43,8 @@ def orbit_data_by_local_gates(n: int) -> tuple[list[int], list[list[int]]]:
         raw.append(members)
     order = sorted(range(len(raw)), key=lambda i: (len(raw[i]), min(raw[i])))
     relabel = {old: new for new, old in enumerate(order)}
-    assign = [relabel[x] if x >= 0 else -1 for x in oid]
-    orbits = [sorted(raw[old]) for old in order]
+    assign = bytes(relabel[x] if x >= 0 else 255 for x in oid)
+    orbits = [array("H", sorted(raw[old])) for old in order]
     return assign, orbits
 
 

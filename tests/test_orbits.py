@@ -4,13 +4,17 @@ rank invariants."""
 import itertools
 import math
 import random
+import tracemalloc
+from array import array
 from functools import lru_cache, reduce
 
 import pytest
 
+from lgrpauli import orbits
 from lgrpauli.gf2 import apply_gate
 from lgrpauli.orbits import (
     CLASS_TABLE,
+    MixedOrbitError,
     _generator_pair,
     _orbit_data,
     classify_image,
@@ -23,7 +27,7 @@ from lgrpauli.orbits import (
 )
 from lgrpauli.pauli import PauliPoint, generator_from_operators
 from lgrpauli.pluecker import embed
-from lgrpauli.projection import ProjPoint, image, project, to_observable
+from lgrpauli.projection import ProjPoint, _image_bits, image, project, to_observable
 from orbit_oracles import (
     chart_points_of_orbit,
     exclusive_minor_e_rank,
@@ -118,6 +122,29 @@ def test_generator_pair_generates_the_local_group(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_orbit_data_matches_the_local_gates_oracle(n):
     assert _orbit_data(n) == orbit_data_by_local_gates(n)
+
+
+def test_orbit_data_is_one_byte_per_point_and_two_per_member():
+    # as lists of ints the N = 4 partition peaked at about 4 MB
+    tracemalloc.start()
+    try:
+        assign, members = _orbit_data.__wrapped__(4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert type(assign) is bytes and len(assign) == 1 << 16 and assign[0] == 255
+    assert all(type(m) is array and m.typecode == "H" for m in members)
+
+
+def test_orbit_partition_rejects_an_orbit_that_meets_the_image_in_part(monkeypatch):
+    # no real orbit does; drop one image point so that its orbit does
+    dropped, *kept = _image_bits(3)
+    rec = orbit_of_point(ProjPoint(3, dropped))
+    monkeypatch.setattr(orbits, "_image_bits", lambda n: kept)
+    message = f"^orbit {rec.orbit_id} meets the image in {rec.size - 1} of {rec.size} points$"
+    with pytest.raises(MixedOrbitError, match=message):
+        orbit_partition.__wrapped__(3)  # the cached partition stays the real one
 
 
 def test_group_generators_are_involutions():

@@ -103,6 +103,14 @@ def test_value_types_name_a_qubit_count_that_is_not_an_int(make, what, count):
         make(count)
 
 
+@pytest.mark.parametrize("bits", [3.0, 1.5, "3", None])
+@pytest.mark.parametrize("make", [ProjPoint, QuadForm])
+def test_points_and_forms_name_bits_that_are_not_an_int(make, bits):
+    # each used to fail with a bare TypeError from a shift, a mask or a comparison
+    with pytest.raises(ValueError, match=f"^bits must be an int, got {re.escape(repr(bits))}$"):
+        make(2, bits)
+
+
 @pytest.mark.parametrize("n", [6, 10])
 @pytest.mark.parametrize("make", [lambda n: QuadForm(n, 1), lambda n: PlueckerVec(n, 1 << ((1 << n) - 1))],
                          ids=["QuadForm", "PlueckerVec"])
