@@ -67,15 +67,21 @@ def absent_masks(n_cols: int) -> tuple[int, ...]:
 _row_memo: defaultdict[int, dict[int, RowEntry]] = defaultdict(dict)
 
 
+@lru_cache(maxsize=None)
+def _column_terms(n_cols: int) -> tuple[tuple[int, int], ...]:
+    """Each column j's term of wedging a row onto a product: its
+    (absent_masks entry, shift) pair, one tuple shared by every memo row."""
+    return tuple((m, 1 << j) for j, m in enumerate(absent_masks(n_cols)))
+
+
 def _row_entry(n_cols: int, r: int) -> RowEntry:
     """Row r's product with 1 (sum of 1 << 2^j over its columns j), and the
-    terms of wedging it onto a product: each column's (absent_masks entry,
-    shift) pair."""
+    terms of wedging it onto a product: its columns' ``_column_terms``."""
     if r >> n_cols:
         raise ValueError(f"basis rows must have at most {n_cols} bits")
-    absent = absent_masks(n_cols)
+    terms = _column_terms(n_cols)
     cols = [j for j in range(n_cols) if r >> j & 1]
-    return sum(1 << (1 << j) for j in cols), tuple((absent[j], 1 << j) for j in cols)
+    return sum(1 << (1 << j) for j in cols), tuple(terms[j] for j in cols)
 
 
 def wedge(rows: Iterable[int], n_cols: int) -> tuple[int, int]:

@@ -116,14 +116,17 @@ def pluecker_relations(n_qubits: int) -> tuple[PlueckerRelation, ...]:
     n = n_qubits
     _require_qubits(n, 2)
     mono_pos: dict[tuple[int, int], int] = {}
-    cands, rows = _relation_candidates(n), []
-    for terms in cands:
+
+    def row(terms: tuple[tuple[int, int], ...]) -> int:
         # a row's positions lie close together in the 28,476-wide index at
         # N = 5: build the row from its lowest one and widen it once
         pos = [mono_pos.setdefault(mono, len(mono_pos)) for mono in terms]
         lo = min(pos)
-        rows.append(sum(1 << p - lo for p in pos) << lo)
-    return tuple(PlueckerRelation(n, terms) for terms in sorted(cands[k] for k in independent(rows)))
+        return sum(1 << p - lo for p in pos) << lo
+
+    # each row is built as ``independent`` consumes it, so only the kept rows stay
+    cands = _relation_candidates(n)
+    return tuple(PlueckerRelation(n, terms) for terms in sorted(cands[k] for k in independent(map(row, cands))))
 
 
 class LinearConstraint(_Value, order=True):

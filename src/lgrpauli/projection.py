@@ -234,27 +234,25 @@ def image(n_qubits: int) -> tuple[ProjPoint, ...]:
 
 
 @lru_cache(maxsize=None)
-def _readout(n: int, t: int) -> tuple[Tables, tuple[int, ...]]:
-    """For the points p lowest at x_T: byte tables reading p to its packed
-    graph rows less the products a_ii a_jj, with the diagonal d of A above
-    them (a_ii at bit 2N^2 + i), and by d the rest of the rows, with d
-    itself to clear it.
+def _readout(n: int) -> tuple[Tables, tuple[int, ...], int]:
+    """Byte tables reading a chart point q to its packed graph rows less the
+    products a_ii a_jj, with the diagonal d of A above them (a_ii at bit
+    2N^2 + i); by d the rest of the rows, with d itself to clear it; and
+    the mask of each row's first column, whose product with T masks the
+    columns k in T of every row.
 
-    On the chart q = H_T p, q_S = p_{S ^ T}, and as a^2 = a the 1- and
-    2-minors give A: a_ii = q_{i} and a_ij = q_{ij} + a_ii a_jj.  Row i of
-    the graph, e_i + sum_j a_ij e_{N+j} with columns k and N+k swapped for
-    k in T, is packed at bit 2N i."""
-    def at(i: int, c: int) -> int:  # column c of row i, after the swaps
-        return 1 << 2 * n * i + ((c + n) % (2 * n) if t >> c % n & 1 else c)
-
+    As a^2 = a the 1- and 2-minors of q give A: a_ii = q_{i} and a_ij =
+    q_{ij} + a_ii a_jj.  Row i of the graph, e_i + sum_j a_ij e_{N+j}, is
+    packed at bit 2N i."""
     entries, top = _entries(n), 2 * n * n
-    images = [0] * (1 << n)  # entry e = {i, j} (i = j for a_ii) is read from bit e ^ T of p
+    images = [0] * (1 << n)  # entry e = {i, j} (i = j for a_ii) is read from bit e of q
     for e in entries:
         i, j = (e & -e).bit_length() - 1, e.bit_length() - 1
-        images[e ^ t] = at(i, n + j) | at(j, n + i) | (e << top if i == j else 0)
-    ones = sum(at(i, i) for i in range(n))
-    return byte_tables(images), tuple(d << top | ones | sum(images[e ^ t] for e in entries[n:] if e & d == e)
-                                      for d in range(1 << n))
+        images[e] = 1 << 2 * n * i + n + j | 1 << 2 * n * j + n + i | (e << top if i == j else 0)
+    firsts = sum(1 << 2 * n * i for i in range(n))
+    ones = sum(1 << (2 * n + 1) * i for i in range(n))
+    return byte_tables(images), tuple(d << top | ones | sum(images[e] for e in entries[n:] if e & d == e)
+                                      for d in range(1 << n)), firsts
 
 
 # the generators lifted so far at each N, keyed by their points' bits
@@ -263,19 +261,31 @@ _lifted: dict[int, dict[int, Generator]] = {n: {} for n in range(1, MAX_QUBITS +
 
 def _lift_points(n: int, points: Iterable[int]) -> list[Generator]:
     """``lift`` of each point p, given by its bits: its memo entry, or else
-    the generator of the graph rows that ``_readout`` reads off p for T, the
-    lowest subset with x_T = 1.  Their entries are forced, so p is in the
+    the generator of its graph rows.  For T, the lowest subset with x_T = 1,
+    the H_i for i in T move p onto the chart, q_S = p_{S ^ T}; ``_readout``
+    reads the rows off q, and one masked exchange swaps columns k and N+k
+    of every row for k in T.  Their entries are forced, so p is in the
     image exactly when that generator's principal coordinates are p."""
     _require_qubits(n)
     memo = _lifted[n]
+    tables, constant, firsts = _readout(n)
+    hadamards = clifford_gates(n)[:n]
     width = 2 * n
     out = []
     for bits in points:
         g = memo.get(bits)
         if g is None:
-            tables, constant = _readout(n, (bits & -bits).bit_length() - 1)
-            rows = apply_tables(tables, bits)
+            q = bits
+            t = s = (bits & -bits).bit_length() - 1
+            while s:  # H_i for i in T: its SWAP gate (shift, 0, low, low, 0) exchanges each pair
+                shift, _, low, _, _ = hadamards[(s & -s).bit_length() - 1]
+                x = (q >> shift ^ q) & low
+                q ^= x | x << shift
+                s &= s - 1
+            rows = apply_tables(tables, q)
             rows ^= constant[rows >> width * n]
+            x = (rows >> n ^ rows) & t * firsts  # columns k and N+k of every row, k in T
+            rows ^= x | x << n
             g = Generator(n, [rows >> width * i & (1 << width) - 1 for i in range(n)])
             if _principal_bits(n, g.table) != bits:
                 raise NotInImageError(f"{ProjPoint(n, bits).display_str()} is not in the image")

@@ -2,8 +2,12 @@
 observable map, and the chart-based inverse."""
 
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
+from collections import defaultdict
 from functools import lru_cache
 
 import pytest
@@ -44,7 +48,8 @@ from gf2_oracles import rref
 from orbit_oracles import minor, to_chart
 from pauli_helpers import principal_bits, subset_keys, y_count
 from pluecker_oracles import SubsetIndex, constraint_value
-from projection_oracles import _chart_cell, chart_points, hadamard, principal_bits_by_slice
+from projection_oracles import (_chart_cell, chart_points, graph_rows_by_cell, hadamard,
+                                principal_bits_by_slice)
 
 
 @lru_cache(maxsize=None)
@@ -552,18 +557,20 @@ def test_project_checks_every_vector_not_from_embed():
 
 
 def fresh_lift_caches(monkeypatch):
-    """Empty caches of the lift memo and the readouts, for this test only."""
+    """Empty caches of the lift memo and the per-N readout, for this test only."""
     monkeypatch.setattr(projection, "_lifted", {n: {} for n in projection._lifted})
     monkeypatch.setattr(projection, "_readout", lru_cache(maxsize=None)(projection._readout.__wrapped__))
 
 
 def test_lift_table_checks_each_round_trip(monkeypatch):
-    # the readout of T - {1} in place of T's makes every candidate with 1 in
-    # T disagree with its point, which is then refused; the first in point
-    # order is x_{1} (T = {1}, A = 0), lifted alone or by enumerating
+    # with H_1 skipped on the way to the chart, every candidate with 1 in T
+    # is read off q with q_{} = 0, so a_11 = q_{1} = 1 while its point's
+    # chart has x_{1} = q_{} = 0: it disagrees with its point, which is then
+    # refused; the first in point order is x_{1} (T = {1}, A = 0), lifted
+    # alone or by enumerating
     fresh_lift_caches(monkeypatch)
-    readout = projection._readout
-    monkeypatch.setattr(projection, "_readout", lambda n, t: readout(n, t & ~1))
+    skip = (1, 0, 0, 0, 0)  # a gate that changes no pair
+    monkeypatch.setattr(projection, "clifford_gates", lambda n: (skip,) + clifford_gates(n)[1:])
     error = re.escape("[0:0:0:0:0:0:0:1] is not in the image")
     assert lift(ProjPoint(3, 1)).table == 1 << 0b000111  # T = {}, A = 0: e_1 ^ e_2 ^ e_3
     with pytest.raises(NotInImageError, match=error):
@@ -571,6 +578,73 @@ def test_lift_table_checks_each_round_trip(monkeypatch):
     assert len(projection._lifted[3]) == 1
     with pytest.raises(NotInImageError, match=error):
         enumerate_generators.__wrapped__(3)
+    assert len(projection._lifted[3]) == 1 and projection._readout.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lift_reads_the_rows_of_the_per_cell_readout_oracle(n, monkeypatch):
+    # for every T, seeded points of T's cell and seeded points lowest at x_T
+    # outside the image (none at N <= 2, where the image is the whole
+    # space): each is read to the oracle's rows, then lifted to their
+    # generator or refused exactly when the oracle's rows project elsewhere
+    fresh_lift_caches(monkeypatch)
+    read = []
+    monkeypatch.setattr(projection, "Generator", lambda n, rows: read.append(rows) or Generator(n, rows))
+    rng = random.Random(320 + n)
+    size = 1 << n
+    cells = defaultdict(list)
+    for bits in _image_bits(n):
+        cells[bits & -bits].append(bits)
+    refused = 0
+    for t in range(size):
+        low = 1 << t
+        inside = rng.sample(cells[low], min(len(cells[low]), 8))
+        draws = {rng.getrandbits(size - t - 1) << t + 1 | low for _ in range(40)}
+        outside = sorted(draws - set(cells[low]))[:8]
+        for bits in inside + outside:
+            read.clear()
+            p = ProjPoint(n, bits)
+            rows = graph_rows_by_cell(n, bits)
+            g = Generator(n, rows)
+            try:
+                got = lift(p)
+            except NotInImageError as e:
+                assert str(e) == f"{p.display_str()} is not in the image"
+                assert bits in outside and _principal_bits(n, g.table) != bits
+                refused += 1
+            else:
+                assert bits in inside and got == g and _principal_bits(n, g.table) == bits
+            assert read == [rows]
+    assert projection._readout.cache_info().currsize == 1
+    assert (refused > 0) == (n >= 3)
+
+
+def test_lift_keeps_one_readout_per_n_and_shares_the_wedge_terms():
+    # in a fresh process, the first point of each of the 32 cells at N = 5
+    # (x_T itself, A = 0) is lifted through one readout, in under 100 KB of
+    # traced memory, and every row the wedges memoized holds its columns'
+    # shared term pairs
+    code = """if True:
+        import tracemalloc
+        from lgrpauli import gf2, projection
+        from lgrpauli.projection import ProjPoint, lift
+        tracemalloc.start()
+        for t in range(32):
+            lift(ProjPoint(5, 1 << t))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        shared = [len(terms) == bin(r).count("1") and all(
+                      term is gf2._column_terms(w)[j] for term, j in zip(terms, (j for j in range(w) if r >> j & 1)))
+                  for w, memo in gf2._row_memo.items() for r, (_, terms) in memo.items()]
+        print(projection._readout.cache_info().currsize, peak, len(shared), all(shared))
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(projection.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout.split()
+    readouts, peak, rows, shared = int(out[0]), int(out[1]), int(out[2]), out[3]
+    assert readouts == 1
+    assert peak < 100 * 1024, f"lifting one point per cell peaked at {peak} bytes"
+    assert rows > 0 and shared == "True"
 
 
 def test_lift_builds_each_generator_once_on_its_first_lift(monkeypatch):
