@@ -31,7 +31,8 @@ from .pluecker import (
     pluecker_relations,
     principal_keys,
 )
-from .projection import NotInImageError, ProjPoint, image, lift, project, to_observable
+from .projection import (NotInImageError, ProjPoint, _image_bits, _lift_points, image, lift, project,
+                         to_observable)
 from .quadrics import cayley_quadric, hyperbolic_form, quadric_orbit, variety_quadrics, verify_variety
 from .orbits import (
     CLASS_TABLE,
@@ -118,10 +119,10 @@ def cmd_counts(args) -> str:
 
 
 def cmd_generators(args) -> str:
-    rows = []
-    for i, g in enumerate(enumerate_generators(args.n), 1):
-        labels = [PauliPoint(args.n, r).label() for r in g.rows]
-        rows.append({"index": i, "basis": labels})
+    n = args.n
+    labels = [""] + [PauliPoint(n, r).label() for r in range(1, 1 << 2 * n)]  # by row value
+    rows = [{"index": i, "basis": [labels[r] for r in g.rows]}
+            for i, g in enumerate(enumerate_generators(n), 1)]
     return _emit(rows, args.format, title=f"{len(rows)} generators (canonical bases)")
 
 
@@ -219,16 +220,13 @@ def cmd_rank(args) -> str:
 
 
 def _suite_bijection(n: int) -> list[tuple[str, bool]]:
-    gens = enumerate_generators(n)
     img = image(n)
-    checks = [(f"generator count {len(gens)} == {generator_count(n)}",
-               len(gens) == generator_count(n)),
-              (f"projection injective: image {len(img)} == generators {len(gens)}",
-               len(img) == len(gens))]
-    if n <= 4:
-        round_trip = all(project(embed(lift(p))) == p for p in img)
-        checks.append((f"lift round-trips on all {len(img)} image points", round_trip))
-    return checks
+    gens = _lift_points(n, _image_bits(n))
+    count = len(set(gens))
+    return [(f"generator count {count} == {generator_count(n)}", count == generator_count(n)),
+            (f"projection injective: image {len(img)} == generators {count}", len(img) == count),
+            (f"lift round-trips on all {len(img)} image points",
+             all(project(embed(g)) == p for g, p in zip(gens, img)))]
 
 
 def _suite_variety(n: int) -> list[tuple[str, bool]]:

@@ -128,6 +128,21 @@ def packed_rref(table: int, n_cols: int) -> int:
     return int("".join(_rref_reader(n_cols, pivots)(bin(table | 1 << (1 << n_cols)))), 2)
 
 
+# per bit k, a translate table from a byte to the digit "0" or "1" of its bit k
+_BIT_DIGITS = tuple((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8))
+
+
+def columns(rows: Sequence[int], n_cols: int) -> list[int]:
+    """The transpose of one or more rows of ``n_cols`` bits: entry j holds
+    bit j of every row, the first row at the top bit.  Each byte lane of
+    the rows, packed little-endian, is read by ``bytes.translate`` as one
+    binary digit per row for each of its bits."""
+    width = (n_cols + 7) // 8
+    packed = b"".join([r.to_bytes(width, "little") for r in rows])
+    lanes = [packed[b::width] for b in range(width)]
+    return [int(lanes[j >> 3].translate(_BIT_DIGITS[j & 7]), 2) for j in range(n_cols)]
+
+
 def gate(n_qubits: int, frm: int, to: int, mat: Mat2) -> Gate:
     """The linear map applying ``mat`` to every coordinate pair
     (x_{S|frm}, x_{S|to}) with S disjoint from frm|to, fixing the other

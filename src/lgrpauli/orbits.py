@@ -11,8 +11,8 @@ families meaningful.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import lru_cache, reduce
+from itertools import compress
 
 from .gf2 import SWAP, Gate, apply_gate, byte_tables, gate, rank
 from .pauli import PauliPoint, _require_qubits, _Value
@@ -41,18 +41,15 @@ def _generator_pair(n: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _orbit_data(n: int) -> tuple[bytes, list[Sequence[int]]]:
-    """(orbit id of each point, orbit member arrays), ids ordered by
-    (size, minimal member); each orbit is a closure under _generator_pair.
+def _orbit_data(n: int) -> tuple[bytes, list[tuple[int, int]]]:
+    """(orbit id of each point, (size, least member) of each orbit), ids
+    ordered by (size, least member); each orbit is a closure under
+    _generator_pair.
 
     The ids are one byte per point of the 2^(2^N) (at most 29 orbits), 255
-    for point 0.  Each orbit is an ``array('H')`` of its members in
-    ascending order; its first member is also its search start, as starts
+    for point 0.  An orbit's least member is its search start, as starts
     ascend."""
     _require_qubits(n, 2, 4)
-    # imported here: loading the array extension adds about 0.3 MB to the
-    # peak RSS of every command that imports this module
-    from array import array
     size = 1 << (1 << n)
     # each element is linear, so a point's image is the XOR of the images
     # of its low and high bytes (points have at most 16 bits)
@@ -74,8 +71,8 @@ def _orbit_data(n: int) -> tuple[bytes, list[Sequence[int]]]:
             if oid[w] == 255:
                 oid[w] = k
                 members.append(w)
-        raw.append(array("H", sorted(members)))
-    order = sorted(range(len(raw)), key=lambda i: (len(raw[i]), raw[i][0]))
+        raw.append((len(members), start))
+    order = sorted(range(len(raw)), key=raw.__getitem__)
     relabel = bytearray(range(256))  # new id by old; 255 stays
     for new, old in enumerate(order):
         relabel[old] = new
@@ -94,7 +91,7 @@ def _orbit_t_ranks(n: int) -> list[int]:
     are those of rep + s over the separable s, read from one
     representative."""
     assign, orbits = _orbit_data(n)
-    seps = orbits[assign[1]]
+    seps = list(compress(range(len(assign)), map(assign[1].__eq__, assign)))
     ranks = [0] * len(orbits)
     frontier = {assign[1]}
     depth = 1
@@ -102,7 +99,7 @@ def _orbit_t_ranks(n: int) -> list[int]:
         for o in frontier:
             ranks[o] = depth
         depth += 1
-        reached = {assign[w] for o in frontier for s in seps if (w := orbits[o][0] ^ s)}
+        reached = {assign[w] for o in frontier for s in seps if (w := orbits[o][1] ^ s)}
         frontier = {o for o in reached if not ranks[o]}
     return ranks
 
@@ -192,18 +189,18 @@ def orbit_partition(n: int) -> tuple[OrbitRecord, ...]:
         p = ProjPoint.from_string(n, row["representative"])
         ref_by_bits[assign[p.bits]] = row["label"]
     records = []
-    for i, members in enumerate(orbits):
-        rep = ProjPoint(n, members[0])
+    for i, (size, least) in enumerate(orbits):
+        rep = ProjPoint(n, least)
         hit = hits[i]
-        if 0 < hit < len(members):
+        if 0 < hit < size:
             raise MixedOrbitError(
-                f"orbit {i + 1} meets the image in {hit} of {len(members)} points"
+                f"orbit {i + 1} meets the image in {hit} of {size} points"
             )
         inside = hit > 0
         label = ref_by_bits.get(i)
         if label is None and not inside:
-            label = _NON_IMAGE_LABELS.get(n, {}).get(len(members))
-        records.append(OrbitRecord(i + 1, len(members), rep, inside, trank[i], e_rank(rep) if inside else None,
+            label = _NON_IMAGE_LABELS.get(n, {}).get(size)
+        records.append(OrbitRecord(i + 1, size, rep, inside, trank[i], e_rank(rep) if inside else None,
                                    to_observable(rep).label() if inside else None, label))
     return tuple(records)
 

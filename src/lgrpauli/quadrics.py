@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from .gf2 import SWAP, Gate, absent_masks, apply_gate, gate, independent, reduce_row
+from .gf2 import SWAP, Gate, absent_masks, apply_gate, columns, gate, independent, reduce_row
 from .orbits import local_gates
 from .pauli import _require_int, _require_qubits, _Value
 from .pluecker import principal_keys
@@ -180,7 +180,7 @@ def vanishing_quadrics(points) -> list[QuadForm]:
     n = points[0].n_source
     if other := next((p.n_source for p in points if p.n_source != n), None):
         raise ValueError(f"coordinate count mismatch: {n} and {other}")
-    cols = [int("".join("1" if p.bits >> a & 1 else "0" for p in points), 2) for a in range(1 << n)]
+    cols = columns([p.bits for p in points], 1 << n)
     shift = 1 << (2 * n)
     pivots: dict[int, int] = {}
     forms = []

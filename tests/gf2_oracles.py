@@ -41,3 +41,9 @@ def kernel(rows: Sequence[int], n_cols: int) -> list[int]:
                 vec |= 1 << pc
         basis.append(vec)
     return basis
+
+
+def columns_by_string_joins(rows: Sequence[int], n_cols: int) -> list[int]:
+    """The transpose of ``rows``, first row at the top bit, one string join
+    of binary digits per column."""
+    return [int("".join("1" if r >> j & 1 else "0" for r in rows), 2) for j in range(n_cols)]

@@ -4,7 +4,6 @@ orbit partition's per-orbit records.  The exclusive-minor E-rank reads the
 chart matrix through ``to_chart`` and takes its minors with ``minor``."""
 
 import itertools
-from array import array
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -13,9 +12,10 @@ from lgrpauli.orbits import _orbit_data, local_gates
 from lgrpauli.projection import ProjPoint, lift
 
 
-def orbit_data_by_local_gates(n: int) -> tuple[bytes, list[array]]:
-    """(assignment, member arrays) as ``_orbit_data`` returns them, found by
-    closing each point under all the gates of ``local_gates(n)``."""
+def orbit_data_by_local_gates(n: int) -> tuple[bytes, list[tuple[int, int]]]:
+    """(assignment, (size, least member) of each orbit) as ``_orbit_data``
+    returns them, found by closing each point under all the gates of
+    ``local_gates(n)``."""
     size = 1 << (1 << n)
     # the action is linear, so a point's image is the XOR of the images of
     # its low and high bytes
@@ -44,8 +44,7 @@ def orbit_data_by_local_gates(n: int) -> tuple[bytes, list[array]]:
     order = sorted(range(len(raw)), key=lambda i: (len(raw[i]), min(raw[i])))
     relabel = {old: new for new, old in enumerate(order)}
     assign = bytes(relabel[x] if x >= 0 else 255 for x in oid)
-    orbits = [array("H", sorted(raw[old])) for old in order]
-    return assign, orbits
+    return assign, [(len(raw[old]), min(raw[old])) for old in order]
 
 
 @lru_cache(maxsize=None)
@@ -107,18 +106,22 @@ def is_separable_by_flattenings(p: ProjPoint) -> bool:
     return True
 
 
+def _members(n: int, orbit_index: int) -> list[int]:
+    """The bits of the points whose orbit id is ``orbit_index``, ascending."""
+    assign, _ = _orbit_data(n)
+    return [v for v, o in enumerate(assign) if o == orbit_index]
+
+
 def orbit_members(n: int, orbit_id: int) -> list[ProjPoint]:
     """The points of the orbit numbered ``orbit_id``, in point order."""
-    _, orbits = _orbit_data(n)
-    return [ProjPoint(n, v) for v in orbits[orbit_id - 1]]
+    return [ProjPoint(n, v) for v in _members(n, orbit_id - 1)]
 
 
 def chart_points_of_orbit(p: ProjPoint) -> list[ProjPoint]:
     """Orbit members with empty-set coordinate 1."""
     n = p.n_source
-    assign, orbits = _orbit_data(n)
-    members = orbits[assign[p.bits]]
-    return [ProjPoint(n, v) for v in members if v & 1]
+    assign, _ = _orbit_data(n)
+    return [ProjPoint(n, v) for v in _members(n, assign[p.bits]) if v & 1]
 
 
 def minor(rows: Sequence[int], n_cols: int, row_set: Iterable[int], col_set: Iterable[int]) -> int:

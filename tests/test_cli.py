@@ -275,8 +275,21 @@ def test_verify_n5_runs_the_suites_supporting_n5(capsys):
     code, out, err = run(capsys, "verify", "--n", "5")
     assert code == 0 and err == ""
     lines = out.splitlines()
-    assert len(lines) == 2 and all(line.startswith("[bijection] ") for line in lines)
+    assert len(lines) == 3 and all(line.startswith("[bijection] ") for line in lines)
     assert all(line.endswith(": PASS") for line in lines)
+    assert lines[2] == "[bijection] lift round-trips on all 75735 image points: PASS"
+
+
+def test_verify_bijection_counts_lifts_without_enumerating(capsys, monkeypatch):
+    def no_enumeration(n):
+        raise AssertionError("verify must not enumerate the generators")
+
+    monkeypatch.setattr(cli, "enumerate_generators", no_enumeration)
+    code, out, err = run(capsys, "verify", "--n", "4", "--suite", "bijection")
+    assert code == 0 and err == ""
+    assert out == ("[bijection] generator count 2295 == 2295: PASS\n"
+                   "[bijection] projection injective: image 2295 == generators 2295: PASS\n"
+                   "[bijection] lift round-trips on all 2295 image points: PASS\n")
 
 
 def test_verify_json_one_record_per_check(capsys):

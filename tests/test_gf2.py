@@ -13,8 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lgrpauli import gf2
-from lgrpauli.gf2 import apply_tables, byte_tables, independent, packed_rref, rank, reduce_row, span, wedge
-from gf2_oracles import kernel, rref
+from lgrpauli.gf2 import (apply_tables, byte_tables, columns, independent, packed_rref, rank, reduce_row, span,
+                          wedge)
+from lgrpauli.projection import _image_bits
+from gf2_oracles import columns_by_string_joins, kernel, rref
 from orbit_oracles import minor
 from pluecker_oracles import bitwise_wedge
 
@@ -296,3 +298,20 @@ def test_byte_tables_match_the_bit_loop_oracle(size):
 def test_byte_tables_of_no_images_map_to_zero():
     assert byte_tables([]) == ()
     assert apply_tables((), 0) == 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_columns_match_the_string_join_oracle_on_the_image(n):
+    # the value columns of ``vanishing_quadrics(image(n))``
+    bits = _image_bits(n)
+    assert columns(bits, 1 << n) == columns_by_string_joins(bits, 1 << n)
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 7, 8, 9, 16, 23, 40])
+def test_columns_match_the_string_join_oracle(n_cols):
+    # widths within one byte lane, at its edge and across several, with
+    # 1, 2 and many seeded rows, zero rows among them
+    rng = random.Random(2000 + n_cols)
+    for count in (1, 2, 300):
+        rows = [rng.getrandbits(n_cols) * rng.randrange(2) for _ in range(count)]
+        assert columns(rows, n_cols) == columns_by_string_joins(rows, n_cols)

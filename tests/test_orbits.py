@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 import tracemalloc
-from array import array
 from functools import lru_cache, reduce
 
 import pytest
@@ -124,17 +123,20 @@ def test_orbit_data_matches_the_local_gates_oracle(n):
     assert _orbit_data(n) == orbit_data_by_local_gates(n)
 
 
-def test_orbit_data_is_one_byte_per_point_and_two_per_member():
-    # as lists of ints the N = 4 partition peaked at about 4 MB
+def test_orbit_data_is_one_byte_per_point_and_a_pair_per_orbit():
+    # sorted member arrays per orbit held about 0.2 MB and peaked at about
+    # 0.6 MB; as lists of ints the partition peaked at about 4 MB
+    _orbit_data(4)  # the gates and their tables are cached outside the trace
     tracemalloc.start()
     try:
-        assign, members = _orbit_data.__wrapped__(4)
-        _, peak = tracemalloc.get_traced_memory()
+        assign, orbit_pairs = _orbit_data.__wrapped__(4)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 512 << 10 and held < 100 << 10
     assert type(assign) is bytes and len(assign) == 1 << 16 and assign[0] == 255
-    assert all(type(m) is array and m.typecode == "H" for m in members)
+    assert all(type(pair) is tuple and len(pair) == 2 for pair in orbit_pairs)
+    assert sum(size for size, _ in orbit_pairs) == (1 << 16) - 1
 
 
 def test_orbit_partition_rejects_an_orbit_that_meets_the_image_in_part(monkeypatch):
