@@ -12,57 +12,36 @@ The image is cut out by explicit quadrics and is stratified into orbits of
 the local symmetry group with tensor-rank and exclusive-rank invariants.
 """
 
-from .pauli import (
-    CommutationError,
-    Generator,
-    LabelError,
-    NotMaximalError,
-    PauliPoint,
-    commute,
-    enumerate_generators,
-    generator_count,
-    generator_from_operators,
-    symplectic_product,
-)
-from .pluecker import (
-    PlueckerVec,
-    constraint_rank,
-    embed,
-    lagrangian_constraints,
-    pluecker_relations,
-)
-from .projection import NotInImageError, ProjPoint, image, lift, project, to_observable
-from .quadrics import (
-    cayley_quadric,
-    hyperbolic_form,
-    quadric_orbit,
-    spans,
-    vanishing_quadrics,
-    variety_quadrics,
-    verify_variety,
-)
-from .orbits import (
-    MixedOrbitError,
-    classify_image,
-    e_rank,
-    emit_tables,
-    orbit_of_point,
-    orbit_partition,
-    t_rank,
-)
+import importlib
+
+# each public name -> the module defining it, imported on the name's first
+# use (PEP 562), so importing the package or one module loads no other
+_MODULE_OF = {
+    **dict.fromkeys(("PauliPoint", "Generator", "LabelError", "CommutationError", "NotMaximalError",
+                     "commute", "symplectic_product", "generator_from_operators",
+                     "enumerate_generators", "generator_count"), "pauli"),
+    **dict.fromkeys(("PlueckerVec", "embed", "pluecker_relations", "lagrangian_constraints",
+                     "constraint_rank"), "pluecker"),
+    **dict.fromkeys(("ProjPoint", "NotInImageError", "project", "to_observable", "lift", "image"),
+                    "projection"),
+    **dict.fromkeys(("variety_quadrics", "verify_variety", "hyperbolic_form", "cayley_quadric",
+                     "quadric_orbit", "vanishing_quadrics", "spans"), "quadrics"),
+    **dict.fromkeys(("MixedOrbitError", "orbit_partition", "classify_image", "orbit_of_point",
+                     "t_rank", "e_rank", "emit_tables"), "orbits"),
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "PauliPoint", "Generator", "PlueckerVec", "ProjPoint",
-    "LabelError", "CommutationError", "NotMaximalError", "NotInImageError",
-    "MixedOrbitError",
-    "commute", "symplectic_product", "generator_from_operators",
-    "enumerate_generators", "generator_count",
-    "embed", "pluecker_relations", "lagrangian_constraints", "constraint_rank",
-    "project", "to_observable", "lift", "image",
-    "variety_quadrics", "verify_variety", "hyperbolic_form", "cayley_quadric",
-    "quadric_orbit", "vanishing_quadrics", "spans",
-    "orbit_partition", "classify_image", "orbit_of_point", "t_rank", "e_rank",
-    "emit_tables",
-]
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

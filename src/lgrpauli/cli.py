@@ -9,7 +9,6 @@ non-commuting input, 4 non-maximal input, 5 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -33,16 +32,6 @@ from .pluecker import (
 )
 from .projection import (NotInImageError, ProjPoint, _image_bits, _lift_points, image, lift, project,
                          to_observable)
-from .quadrics import cayley_quadric, hyperbolic_form, quadric_orbit, variety_quadrics, verify_variety
-from .orbits import (
-    CLASS_TABLE,
-    classify_image,
-    e_rank,
-    emit_tables,
-    orbit_of_point,
-    orbit_partition,
-    t_rank,
-)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -84,6 +73,8 @@ def _emit(rows: list[dict], fmt: str, title: str | None = None) -> str:
     if fmt == "json":
         return json.dumps(rows, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         if rows:
             w = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -113,6 +104,8 @@ def cmd_counts(args) -> str:
         "image": generator_count(n),
     }
     if 2 <= n <= 4:
+        from .orbits import classify_image, orbit_partition
+
         row["orbits"] = len(orbit_partition(n))
         row["image_orbits"] = len(classify_image(n))
     return _emit([row], args.format)
@@ -184,6 +177,8 @@ def cmd_constraints(args) -> str:
 
 
 def cmd_orbits(args) -> str:
+    from .orbits import orbit_partition
+
     rows = []
     for rec in orbit_partition(args.n):
         rows.append({
@@ -200,11 +195,15 @@ def cmd_orbits(args) -> str:
 
 
 def cmd_tables(args) -> str:
+    from .orbits import emit_tables
+
     return _emit(emit_tables(args.n), args.format,
                  title=f"image classes for N={args.n}")
 
 
 def cmd_rank(args) -> str:
+    from .orbits import orbit_of_point
+
     p = _parse_point(args.n, args.point)
     rec = orbit_of_point(p)
     row = {
@@ -234,16 +233,18 @@ def _suite_variety(n: int) -> list[tuple[str, bool]]:
         img = image(2)
         return [(f"image is all of the ambient projective space: {len(img)} == 15",
                  len(img) == 15)]
+    from .quadrics import hyperbolic_form, vanishes_on_image, verify_variety
+
     rep = verify_variety(n)
     checks = [(f"zero-set {rep.zero_set_size} == image {rep.image_size}", rep.matches)]
     if n == 4:
-        pairing = hyperbolic_form(16)
-        ok = all(pairing.evaluate(p) == 0 for p in image(4))
-        checks.append(("pairing quadric vanishes on the image", ok))
+        checks.append(("pairing quadric vanishes on the image", vanishes_on_image(hyperbolic_form(16))))
     return checks
 
 
 def _suite_tables(n: int) -> list[tuple[str, bool]]:
+    from .orbits import CLASS_TABLE, e_rank, orbit_of_point, t_rank
+
     checks = []
     for row in CLASS_TABLE.get(n, ()):
         p = ProjPoint.from_string(n, row["representative"])
@@ -256,6 +257,8 @@ def _suite_tables(n: int) -> list[tuple[str, bool]]:
 
 
 def _suite_cayley(n: int) -> list[tuple[str, bool]]:
+    from .quadrics import cayley_quadric, hyperbolic_form, quadric_orbit, variety_quadrics
+
     if n == 3:
         return [("Cayley quadric equals the pairing quadric on 8 variables",
                  cayley_quadric(3) == hyperbolic_form(8))]
@@ -302,6 +305,8 @@ def cmd_verify(args) -> str:
 
 
 def cmd_cayley(args) -> str:
+    from .quadrics import cayley_quadric, quadric_orbit
+
     q = cayley_quadric(args.n)
     rows = [{"quadric": str(q)}]
     if args.n == 4:
@@ -335,14 +340,21 @@ _FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every command if it names
+    none; the usage line lists every command either way."""
     parser = argparse.ArgumentParser(
         prog="lgrpauli",
         description="Commuting Pauli families, their exterior-algebra "
                     "coordinates, and the projection onto single observables.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_fn, (lo, hi), flags) in _COMMANDS.items():
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # the usage line lists every command: the full parser derives the list,
+    # and naming it there too would replace "command" in its error messages
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None)
+    for name in names:
+        _fn, (lo, hi), flags = _COMMANDS[name]
         sp = sub.add_parser(name)
         sp.add_argument("--n", type=int, required=True,
                         help=f"number of qubits ({lo}..{hi})")
@@ -354,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     fn, (lo, hi), _flags = _COMMANDS[args.command]
     try:
         if not lo <= args.n <= hi:

@@ -12,7 +12,6 @@ families meaningful.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import compress
 
 from .gf2 import SWAP, Gate, apply_gate, byte_tables, gate, rank
 from .pauli import PauliPoint, _require_qubits, _Value
@@ -57,9 +56,8 @@ def _orbit_data(n: int) -> tuple[bytes, list[tuple[int, int]]]:
                           for seq in _generator_pair(n)]
     oid = bytearray(b"\xff") * size  # 255: not reached yet
     raw = []
-    for start in range(1, size):
-        if oid[start] != 255:
-            continue
+    start = 0
+    while (start := oid.find(255, start + 1)) > 0:  # the least point not reached yet
         members = [start]
         oid[start] = k = len(raw)
         for v in members:  # grows while walked: each member is visited once
@@ -79,6 +77,15 @@ def _orbit_data(n: int) -> tuple[bytes, list[tuple[int, int]]]:
     return bytes(oid).translate(relabel), [raw[old] for old in order]
 
 
+def _points_in(assign: bytes, orbit: int) -> list[int]:
+    """The points whose id in ``assign`` is ``orbit``, ascending."""
+    points, p = [], assign.find(orbit)
+    while p >= 0:
+        points.append(p)
+        p = assign.find(orbit, p + 1)
+    return points
+
+
 @lru_cache(maxsize=None)
 def _orbit_t_ranks(n: int) -> list[int]:
     """T-rank of each orbit id: the minimal number of separable tensors
@@ -91,7 +98,7 @@ def _orbit_t_ranks(n: int) -> list[int]:
     are those of rep + s over the separable s, read from one
     representative."""
     assign, orbits = _orbit_data(n)
-    seps = list(compress(range(len(assign)), map(assign[1].__eq__, assign)))
+    seps = _points_in(assign, assign[1])
     ranks = [0] * len(orbits)
     frontier = {assign[1]}
     depth = 1

@@ -143,19 +143,41 @@ class VarietyReport(_Value):
     __slots__ = ("n_qubits", "quadric_count", "zero_set_size", "image_size", "matches")
 
 
-def _zero_set(n: int) -> int:
-    """The common zero set of ``variety_quadrics(n)`` in PG(2^N - 1, 2),
-    bitsliced: bit p is set iff the point with packed coordinates p is a
-    zero, and a column holds a form's value at every point."""
+def _values(q: QuadForm) -> int:
+    """q at every point of PG(2^N - 1, 2), bitsliced: bit p is its value at
+    the point with packed coordinates p, XORed from the columns of x_a."""
+    n = q.n_qubits
     full = (1 << (1 << (1 << n))) - 1
     cols = [full ^ m for m in absent_masks(1 << n)]
-    zeros = full ^ 1  # the nonzero points
+    col = 0
+    for a, b in _pairs(n, q.bits):
+        col ^= cols[a] & cols[b]
+    return col
+
+
+def _zero_set(n: int) -> int:
+    """The common zero set of ``variety_quadrics(n)``, bitsliced as in
+    ``_values``."""
+    zeros = (1 << (1 << (1 << n))) - 2  # the nonzero points
     for q in variety_quadrics(n):
-        col = 0
-        for a, b in _pairs(n, q.bits):
-            col ^= cols[a] & cols[b]
-        zeros &= ~col
+        zeros &= ~_values(q)
     return zeros
+
+
+@lru_cache(maxsize=None)
+def _image_set(n: int) -> int:
+    """The projected image, bitsliced as in ``_values``: bit p is set iff
+    the point with packed coordinates p is in it."""
+    marks = bytearray(1 << (1 << n) - 3)
+    for bits in _image_bits(n):
+        marks[bits >> 3] |= 1 << (bits & 7)
+    return int.from_bytes(marks, "little")
+
+
+def vanishes_on_image(q: QuadForm) -> bool:
+    """Whether q is zero at every point of the projected image."""
+    _require_qubits(q.n_qubits, 2, 4)
+    return not _values(q) & _image_set(q.n_qubits)
 
 
 def verify_variety(n_qubits: int) -> VarietyReport:
@@ -163,8 +185,7 @@ def verify_variety(n_qubits: int) -> VarietyReport:
     projected image over the whole projective space."""
     n = n_qubits
     _require_qubits(n, 2, 4)
-    zeros = _zero_set(n)
-    img = sum(1 << bits for bits in _image_bits(n))
+    zeros, img = _zero_set(n), _image_set(n)
     return VarietyReport(n, len(variety_quadrics(n)), zeros.bit_count(), img.bit_count(), zeros == img)
 
 

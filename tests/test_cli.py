@@ -8,12 +8,13 @@ import os
 import re
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import lgrpauli
-from lgrpauli import cli
+from lgrpauli import cli, projection, quadrics
 from lgrpauli.cli import (
     EXIT_INTERNAL,
     EXIT_NONCOMMUTING,
@@ -22,7 +23,7 @@ from lgrpauli.cli import (
     EXIT_VERIFY,
     main,
 )
-from lgrpauli.pauli import PauliPoint, generator_from_operators
+from lgrpauli.pauli import PauliPoint, generator_count, generator_from_operators
 from lgrpauli.pluecker import embed
 from lgrpauli.projection import image, project
 
@@ -70,24 +71,70 @@ def test_no_module_imports_an_unused_name():
     assert unused == []
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # the value types are plain classes; a cold start would pay for both
-    code = "import sys; bare = set(sys.modules); import lgrpauli.cli; print(' '.join(set(sys.modules) - bare))"
+def fresh_stdout(code: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter on this
+    package."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                            check=True, timeout=60).stdout.split()
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60).stdout
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter loads to run ``code``, beyond those
+    it starts with."""
+    out = fresh_stdout(f"import sys\nbare = set(sys.modules)\n{code}\n"
+                       "print('\\n' + ' '.join(set(sys.modules) - bare))")
+    return set(out.splitlines()[-1].split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the value types are plain classes; a cold start would pay for both,
+    # and for csv, which only --format csv reads
+    loaded = loaded_modules("import lgrpauli.cli")
     assert "lgrpauli.cli" in loaded
-    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+    assert {"dataclasses", "inspect", "csv"}.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("code", [
+    "import lgrpauli", "import lgrpauli.pauli", "import lgrpauli.cli",
+    *(f"from lgrpauli.cli import main\nmain({argv.split()!r})" for argv in (
+        "relations --n 4", "constraints --n 4", "lift --n 4 --point 0x4571",
+        "map --n 4 --ops ZZII,XXII,IIZZ,IIXX", "counts --n 5")),
+])
+def test_cold_paths_load_neither_quadrics_nor_orbits(code):
+    assert {"lgrpauli.quadrics", "lgrpauli.orbits"}.isdisjoint(loaded_modules(code))
+
+
+def test_commands_load_the_modules_they_print_from():
+    code = "from lgrpauli.cli import main\nmain(['cayley', '--n', '3', '--format', 'csv'])"
+    assert {"lgrpauli.quadrics", "lgrpauli.orbits", "csv"} <= loaded_modules(code)
+
+
+def test_exports_resolve_on_first_use_in_a_fresh_interpreter():
+    # dir lists every public name before any is used, and each resolves to
+    # the object of the module that defines it
+    out = fresh_stdout("import json, sys, lgrpauli\n"
+                       "unlisted = sorted(set(lgrpauli.__all__) - set(dir(lgrpauli)))\n"
+                       "homes = {n: getattr(lgrpauli, n).__module__ for n in lgrpauli.__all__}\n"
+                       "moved = [n for n, m in homes.items() if getattr(sys.modules[m], n) is not getattr(lgrpauli, n)]\n"
+                       "print(json.dumps([unlisted, moved, sorted(set(homes.values()))]))")
+    unlisted, moved, homes = json.loads(out)
+    assert unlisted == [] and moved == []
+    assert homes == [f"lgrpauli.{m}" for m in ("orbits", "pauli", "pluecker", "projection", "quadrics")]
+    with pytest.raises(AttributeError, match="module 'lgrpauli' has no attribute 'nope'"):
+        lgrpauli.nope
 
 
 def test_every_module_level_definition_is_used_or_exported():
-    # a function, class or assigned name (dunders aside) that no module
-    # reads and the package does not export is dead code
+    # a function, class or assigned name (dunders and the package's PEP 562
+    # hooks, which the interpreter calls, aside) that no module reads and
+    # the package does not export is dead code
+    hooks = {("__init__.py", "__getattr__"), ("__init__.py", "__dir__")}
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     used = {node.id for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     defined = [(name, node.name) for name, tree in trees.items() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (name, node.name) not in hooks]
     assigned = [(name, target.id) for name, tree in trees.items() for node in tree.body
                 if isinstance(node, (ast.Assign, ast.AnnAssign))
                 for top in (node.targets if isinstance(node, ast.Assign) else [node.target])
@@ -333,6 +380,66 @@ def test_subcommands_reject_flags_of_other_subcommands(capsys):
             main(argv)
         assert exc.value.code == EXIT_PARSE
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# argv that end in argparse: help, usage errors and parse errors
+PARSE_EXITS = [[name, "--help"] for name in cli._COMMANDS] + [
+    ["--help"], [], ["bogus"], ["verify", "--bogus"], ["verify", "--n", "4", "--bogus"],
+    ["project", "--n", "3"], ["map", "--n", "3"], ["lift", "--n", "3"], ["rank", "--n", "3"],
+    ["counts", "--n", "x"], ["counts", "--n", "3", "extra"], ["orbits", "--n", "3", "--point", "0010"]]
+
+
+@pytest.mark.parametrize("argv", PARSE_EXITS, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_one_command_parser_matches_the_full_parser(capsys, argv):
+    # main builds the parser of the command it is given; its help, usage and
+    # errors, and its exit code, are those of the parser of every command
+    outcomes = []
+    for parse in (main, cli.build_parser(None).parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        outcomes.append((exc.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (0 if "--help" in argv else EXIT_PARSE)
+
+
+def test_parse_errors_name_the_command_argument(capsys):
+    for argv, message in (([], "error: the following arguments are required: command\n"),
+                          (["bogus"], "error: argument command: invalid choice: 'bogus' (choose from 'counts', ")):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert message in capsys.readouterr().err
+
+
+def test_build_parser_builds_the_named_command_alone(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser("verify").parse_args(["counts", "--n", "2"])
+    assert "invalid choice: 'counts' (choose from 'verify')" in capsys.readouterr().err
+
+
+def test_verify_reports_a_generator_count_mismatch_as_a_failure(capsys, monkeypatch):
+    # the closed-form count is off by one wherever the package binds it, and
+    # the image is walked afresh under it: verify alone compares the two
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lgrpauli" and vars(module).get("generator_count") is generator_count:
+            monkeypatch.setattr(module, "generator_count", lambda n: generator_count(n) + 1)
+    fresh = lru_cache(maxsize=None)(projection._image_bits.__wrapped__)
+    monkeypatch.setattr(projection, "_image_bits", fresh)
+    monkeypatch.setattr(cli, "_image_bits", fresh)
+    monkeypatch.setattr(cli, "image", projection.image.__wrapped__)
+    code, out, err = run(capsys, "verify", "--n", "4", "--suite", "bijection")
+    assert (code, out) == (EXIT_VERIFY, "")
+    assert err == ("[bijection] generator count 2295 == 2296: FAIL\n"
+                   "[bijection] projection injective: image 2295 == generators 2295: PASS\n"
+                   "[bijection] lift round-trips on all 2295 image points: PASS\n")
+
+
+def test_verify_reports_a_pairing_quadric_that_misses_the_image(capsys, monkeypatch):
+    # x_1^2 = x_1 is 1 on part of the image
+    monkeypatch.setattr(quadrics, "hyperbolic_form", lambda n_vars: quadrics._form(n_vars, (1, 1)))
+    code, out, err = run(capsys, "verify", "--n", "4", "--suite", "variety")
+    assert (code, out) == (EXIT_VERIFY, "")
+    assert err == ("[variety] zero-set 2295 == image 2295: PASS\n"
+                   "[variety] pairing quadric vanishes on the image: FAIL\n")
 
 
 def test_verify_cayley_n4(capsys):

@@ -16,6 +16,7 @@ from lgrpauli.orbits import (
     MixedOrbitError,
     _generator_pair,
     _orbit_data,
+    _points_in,
     classify_image,
     e_rank,
     emit_tables,
@@ -203,6 +204,18 @@ def test_separable_vectors_census():
             ProjPoint(n, v) for v in seps}
         for v in seps:
             assert is_separable_by_flattenings(ProjPoint(n, v))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_points_in_an_orbit_are_its_members(n):
+    # the byte scan for the ids equal to that of x_{} = 1 yields the 3^N
+    # separable tensors, ascending; the scan for 255 yields point 0 alone
+    assign, _ = _orbit_data(n)
+    assert _points_in(assign, assign[1]) == list(separable_tensors(n))
+    assert len(separable_tensors(n)) == 3**n
+    assert _points_in(assign, 255) == [0]
+    for o in (0, assign[-1]):
+        assert _points_in(assign, o) == [v for v, k in enumerate(assign) if k == o]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

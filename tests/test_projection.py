@@ -759,13 +759,6 @@ def test_image_cells_are_the_chart_cells_moved_by_hadamards(n, monkeypatch):
         assert all(bits & -bits == 1 << t for bits in entries)
 
 
-def test_lift_table_checks_its_size(monkeypatch):
-    assert len(_image_bits(1)) == 3
-    monkeypatch.setattr(projection, "generator_count", lambda n: generator_count(n) + 1)
-    with pytest.raises(RuntimeError, match=re.escape("image: 15 points from 15 hits, expected 16")):
-        _image_bits.__wrapped__(2)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_hadamard_tables_match_the_gate_product(n):
     # H_T against the gates H_i for i in T applied in turn, on the unit

@@ -15,6 +15,7 @@ from lgrpauli.quadrics import (
     QuadForm,
     _act,
     _form,
+    _image_set,
     _span_closure,
     _upper,
     _zero_set,
@@ -22,6 +23,7 @@ from lgrpauli.quadrics import (
     hyperbolic_form,
     quadric_orbit,
     spans,
+    vanishes_on_image,
     vanishing_quadrics,
     variety_quadrics,
     verify_variety,
@@ -281,6 +283,29 @@ def test_zero_set_matches_pointwise_scan(n):
     got = {p for p in range(bits.bit_length()) if bits >> p & 1}
     assert got == zero_set(variety_quadrics(n), n)
     assert got == {p.bits for p in image(n)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_image_set_holds_the_image_points(n):
+    bits = _image_set(n)
+    assert {p for p in range(bits.bit_length()) if bits >> p & 1} == {p.bits for p in image(n)}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_vanishes_on_image_matches_pointwise_evaluation(n):
+    # the pairing quadric and the defining forms vanish there; a square
+    # x_i^2 = x_i and random forms mostly do not
+    forms = [hyperbolic_form(1 << n), *variety_quadrics(n), _form(1 << n, (1, 1)), *_random_forms(n, 12)]
+    got = [vanishes_on_image(q) for q in forms]
+    assert got == [all(q.evaluate(p) == 0 for p in image(n)) for q in forms]
+    assert got[:2] == [True, True] and got[-13] is False
+
+
+def test_vanishes_on_image_takes_two_to_four_qubits():
+    # checked before a 2^(2^N)-bit column is built
+    for n in (1, 5):
+        with pytest.raises(ValueError, match=f"qubit count {n} is outside 2..4"):
+            vanishes_on_image(QuadForm(n, 1))
 
 
 @pytest.mark.parametrize("n", [3, 4])
