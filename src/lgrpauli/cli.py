@@ -30,8 +30,7 @@ from .pluecker import (
     pluecker_relations,
     principal_keys,
 )
-from .projection import (NotInImageError, ProjPoint, _image_bits, _lift_points, image, lift, project,
-                         to_observable)
+from .projection import NotInImageError, ProjPoint, _image_bits, _lift_points, lift, project, to_observable
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -219,20 +218,20 @@ def cmd_rank(args) -> str:
 
 
 def _suite_bijection(n: int) -> list[tuple[str, bool]]:
-    img = image(n)
-    gens = _lift_points(n, _image_bits(n))
-    count = len(set(gens))
+    points = _image_bits(n)
+    try:  # each lift checks that its generator projects back to its point
+        count = len(set(_lift_points(n, points)))
+    except NotInImageError as e:
+        return [(f"lift round-trips: {e}", False)]
     return [(f"generator count {count} == {generator_count(n)}", count == generator_count(n)),
-            (f"projection injective: image {len(img)} == generators {count}", len(img) == count),
-            (f"lift round-trips on all {len(img)} image points",
-             all(project(embed(g)) == p for g, p in zip(gens, img)))]
+            (f"projection injective: image {len(points)} == generators {count}", len(points) == count),
+            (f"lift round-trips on all {len(points)} image points", True)]
 
 
 def _suite_variety(n: int) -> list[tuple[str, bool]]:
     if n == 2:
-        img = image(2)
-        return [(f"image is all of the ambient projective space: {len(img)} == 15",
-                 len(img) == 15)]
+        size = len(_image_bits(2))
+        return [(f"image is all of the ambient projective space: {size} == 15", size == 15)]
     from .quadrics import hyperbolic_form, vanishes_on_image, verify_variety
 
     rep = verify_variety(n)

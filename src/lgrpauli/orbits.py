@@ -2,8 +2,8 @@
 orbit stratification, and the two rank invariants.
 
 The group is one copy of GL(2,2) per tensor axis, extended by axis
-permutations, and is generated by the gates of :func:`local_gates`.  It
-acts linearly on the 2^N coordinates (indexed by subsets of {1..N}),
+permutations, and is generated by the gates of ``projection.local_gates``.
+It acts linearly on the 2^N coordinates (indexed by subsets of {1..N}),
 preserves the projected image, and preserves both the tensor rank and the
 exclusive rank, which is what makes the orbit classification of commuting
 families meaningful.
@@ -13,22 +13,14 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from .gf2 import SWAP, Gate, apply_gate, byte_tables, gate, rank
+from .gf2 import Gate, apply_gate, byte_tables, rank
 from .pauli import PauliPoint, _require_qubits, _Value
-from .projection import NotInImageError, ProjPoint, _image_bits, clifford_gates, lift, to_observable
+from .projection import NotInImageError, ProjPoint, _image_bits, lift, local_gates, to_observable
 
 
 class MixedOrbitError(RuntimeError):
     """An orbit met the image without being contained in it; this would
     contradict invariance of the image under the group."""
-
-
-@lru_cache(maxsize=None)
-def local_gates(n: int) -> tuple[Gate, ...]:
-    """Generators of the local group as gates: H_i and S_i on each axis
-    (SWAP and LOWER generate GL(2,2)), then the adjacent axis swaps
-    k <-> k+1.  Each is an involution."""
-    return clifford_gates(n)[:2 * n] + tuple(gate(n, 1 << k, 2 << k, SWAP) for k in range(n - 1))
 
 
 def _generator_pair(n: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
@@ -77,28 +69,22 @@ def _orbit_data(n: int) -> tuple[bytes, list[tuple[int, int]]]:
     return bytes(oid).translate(relabel), [raw[old] for old in order]
 
 
-def _points_in(assign: bytes, orbit: int) -> list[int]:
-    """The points whose id in ``assign`` is ``orbit``, ascending."""
-    points, p = [], assign.find(orbit)
-    while p >= 0:
-        points.append(p)
-        p = assign.find(orbit, p + 1)
-    return points
-
-
 @lru_cache(maxsize=None)
 def _orbit_t_ranks(n: int) -> list[int]:
     """T-rank of each orbit id: the minimal number of separable tensors
     summing to its points, by a layered search over orbit ids.
 
-    GL(2,2) is transitive on the nonzero vectors of GF(2)^2, so the 3^N
-    separable tensors are the orbit of x_{} = 1.  Each set {T-rank <= k} is
-    a union of orbits, and for o = g.rep, o + s = g.(rep + g^-1 s) with
+    The 3^N separable tensors are the products of one factor (1, 0),
+    (0, 1) or (1, 1) per axis; GL(2,2) is transitive on the nonzero vectors
+    of GF(2)^2, so they are the orbit of x_{} = 1.  Each set {T-rank <= k}
+    is a union of orbits, and for o = g.rep, o + s = g.(rep + g^-1 s) with
     g^-1 s separable again, so the orbits one separable step from an orbit
     are those of rep + s over the separable s, read from one
     representative."""
     assign, orbits = _orbit_data(n)
-    seps = _points_in(assign, assign[1])
+    seps = [1]  # the products over the axes below i; axis i is bit i of the subset masks
+    for i in range(n):
+        seps = [u for t in seps for u in (t, t << (1 << i), t | t << (1 << i))]
     ranks = [0] * len(orbits)
     frontier = {assign[1]}
     depth = 1

@@ -189,6 +189,14 @@ def clifford_gates(n_qubits: int) -> tuple[Gate, ...]:
     return tuple([gate(n, 0, e, SWAP) for e in entries[:n]] + [gate(n, 0, e, LOWER) for e in entries])
 
 
+@lru_cache(maxsize=None)
+def local_gates(n: int) -> tuple[Gate, ...]:
+    """Generators of the local group as gates: H_i and S_i on each axis
+    (SWAP and LOWER generate GL(2,2)), then the adjacent axis swaps
+    k <-> k+1.  Each is an involution."""
+    return clifford_gates(n)[:2 * n] + tuple(gate(n, 1 << k, 2 << k, SWAP) for k in range(n - 1))
+
+
 def _gray_walk(steps: list[tuple[Gate, ...]], start: int) -> list[int]:
     """Entry c is ``start`` moved by step k's gates for each bit k of c (the
     steps commute), one step per move of a Gray-code walk."""
@@ -273,7 +281,7 @@ def _lift_points(n: int, points: Iterable[int]) -> list[Generator]:
         if g is None:
             q = bits
             t = s = (bits & -bits).bit_length() - 1
-            while s:  # H_i for i in T: its SWAP gate (shift, 0, low, low, 0) exchanges each pair
+            while s:  # H_i for i in T: of its gate (shift, low, low, low, low), the exchange reads n01
                 shift, _, low, _, _ = hadamards[(s & -s).bit_length() - 1]
                 x = (q >> shift ^ q) & low
                 q ^= x | x << shift

@@ -14,10 +14,9 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from .gf2 import SWAP, Gate, absent_masks, apply_gate, columns, gate, independent, reduce_row
-from .orbits import local_gates
 from .pauli import _require_int, _require_qubits, _Value
 from .pluecker import principal_keys
-from .projection import ProjPoint, _image_bits, display_masks
+from .projection import ProjPoint, _image_bits, display_masks, local_gates
 
 
 @lru_cache(maxsize=None)

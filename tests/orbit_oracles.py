@@ -8,8 +8,8 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from lgrpauli.gf2 import apply_gate, rank
-from lgrpauli.orbits import _orbit_data, local_gates
-from lgrpauli.projection import ProjPoint, lift
+from lgrpauli.orbits import _orbit_data
+from lgrpauli.projection import ProjPoint, lift, local_gates
 
 
 def orbit_data_by_local_gates(n: int) -> tuple[bytes, list[tuple[int, int]]]:

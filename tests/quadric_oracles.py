@@ -9,8 +9,7 @@ packed point has variable k at bit k-1.
 import itertools
 
 from lgrpauli.gf2 import apply_gate, independent, span
-from lgrpauli.orbits import local_gates
-from lgrpauli.projection import display_masks
+from lgrpauli.projection import display_masks, local_gates
 from lgrpauli.quadrics import QuadForm, _form, _monomials_at, _upper
 from gf2_oracles import kernel
 

@@ -25,7 +25,7 @@ from lgrpauli.cli import (
 )
 from lgrpauli.pauli import PauliPoint, generator_count, generator_from_operators
 from lgrpauli.pluecker import embed
-from lgrpauli.projection import image, project
+from lgrpauli.projection import ProjPoint, image, project
 
 
 def run(capsys, *argv):
@@ -51,6 +51,22 @@ def test_public_api_matches_readme():
     assert sorted(names) == sorted(lgrpauli.__all__)
     assert not [n for n in lgrpauli.__all__
                 if getattr(getattr(lgrpauli, n), "__module__", "") == "lgrpauli.gf2"]
+
+
+def test_imports_point_down_the_layers():
+    # each module imports from the layers below it alone; the one exception
+    # is pauli.enumerate_generators, which lifts the image through projection
+    layer = {"gf2": 0, "pauli": 1, "pluecker": 2, "projection": 3, "orbits": 4, "quadrics": 4, "cli": 5}
+    assert set(layer) == {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    upward = []
+    for name, rank in layer.items():
+        for top in ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")).body:
+            scope = f"{name}.{top.name}" if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else name
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    targets = [node.module] if node.module else [alias.name for alias in node.names]
+                    upward += [f"{scope} -> {t}" for t in targets if layer[t] >= rank]
+    assert upward == ["pauli.enumerate_generators -> projection"]
 
 
 def test_no_module_imports_an_unused_name():
@@ -106,8 +122,11 @@ def test_cold_paths_load_neither_quadrics_nor_orbits(code):
 
 
 def test_commands_load_the_modules_they_print_from():
+    # quadrics reads the local gates from projection, so cayley leaves orbits unloaded
     code = "from lgrpauli.cli import main\nmain(['cayley', '--n', '3', '--format', 'csv'])"
-    assert {"lgrpauli.quadrics", "lgrpauli.orbits", "csv"} <= loaded_modules(code)
+    loaded = loaded_modules(code)
+    assert {"lgrpauli.quadrics", "csv"} <= loaded
+    assert "lgrpauli.orbits" not in loaded
 
 
 def test_exports_resolve_on_first_use_in_a_fresh_interpreter():
@@ -173,10 +192,11 @@ def test_counts_image_is_the_image_size(capsys, n):
 
 
 def test_counts_n5_builds_no_image(capsys, monkeypatch):
-    def no_image(n):
+    def no_image(*args):
         raise AssertionError("counts must not build the image")
 
-    monkeypatch.setattr(cli, "image", no_image)
+    monkeypatch.setattr(cli, "_image_bits", no_image)
+    monkeypatch.setattr(cli, "_lift_points", no_image)
     code, out, _ = run(capsys, "counts", "--n", "5")
     assert code == 0
     assert "image=75735" in out
@@ -339,6 +359,29 @@ def test_verify_bijection_counts_lifts_without_enumerating(capsys, monkeypatch):
                    "[bijection] lift round-trips on all 2295 image points: PASS\n")
 
 
+def test_verify_reports_a_point_outside_the_image_as_a_failure(capsys, monkeypatch):
+    # a point that no generator projects to fails its lift's own check
+    bad = ProjPoint.from_string(3, "[0:1:0:0:0:1:0:0]").bits
+    assert bad not in projection._image_bits(3)
+    monkeypatch.setattr(cli, "_image_bits", lambda n: projection._image_bits(n) + (bad,))
+    code, out, err = run(capsys, "verify", "--n", "3", "--suite", "bijection")
+    assert (code, out) == (EXIT_VERIFY, "")
+    assert err == "[bijection] lift round-trips: [0:1:0:0:0:1:0:0] is not in the image: FAIL\n"
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_verify_bijection_projects_nothing_twice(capsys, monkeypatch, n):
+    # the round trip is each lift's own compare with its point
+    def no_second_pass(*args):
+        raise AssertionError("the bijection suite must not project or list the image again")
+
+    monkeypatch.setattr(cli, "project", no_second_pass)
+    monkeypatch.setattr(projection, "image", no_second_pass)
+    code, out, err = run(capsys, "verify", "--n", str(n), "--suite", "bijection")
+    assert code == 0 and err == ""
+    assert out.count(": PASS\n") == 3
+
+
 def test_verify_json_one_record_per_check(capsys):
     code, out, err = run(capsys, "verify", "--n", "3", "--format", "json")
     assert code == 0 and err == ""
@@ -425,7 +468,6 @@ def test_verify_reports_a_generator_count_mismatch_as_a_failure(capsys, monkeypa
     fresh = lru_cache(maxsize=None)(projection._image_bits.__wrapped__)
     monkeypatch.setattr(projection, "_image_bits", fresh)
     monkeypatch.setattr(cli, "_image_bits", fresh)
-    monkeypatch.setattr(cli, "image", projection.image.__wrapped__)
     code, out, err = run(capsys, "verify", "--n", "4", "--suite", "bijection")
     assert (code, out) == (EXIT_VERIFY, "")
     assert err == ("[bijection] generator count 2295 == 2296: FAIL\n"

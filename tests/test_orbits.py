@@ -16,18 +16,16 @@ from lgrpauli.orbits import (
     MixedOrbitError,
     _generator_pair,
     _orbit_data,
-    _points_in,
     classify_image,
     e_rank,
     emit_tables,
-    local_gates,
     orbit_of_point,
     orbit_partition,
     t_rank,
 )
 from lgrpauli.pauli import PauliPoint, generator_from_operators
 from lgrpauli.pluecker import embed
-from lgrpauli.projection import ProjPoint, _image_bits, image, project, to_observable
+from lgrpauli.projection import ProjPoint, _image_bits, image, local_gates, project, to_observable
 from orbit_oracles import (
     chart_points_of_orbit,
     exclusive_minor_e_rank,
@@ -207,15 +205,15 @@ def test_separable_vectors_census():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_points_in_an_orbit_are_its_members(n):
-    # the byte scan for the ids equal to that of x_{} = 1 yields the 3^N
-    # separable tensors, ascending; the scan for 255 yields point 0 alone
+def test_separable_products_are_the_orbit_of_x_empty(n):
+    # _orbit_t_ranks builds the separable tensors as the products of one
+    # nonzero factor per axis and takes them to be the orbit of x_{} = 1
     assign, _ = _orbit_data(n)
-    assert _points_in(assign, assign[1]) == list(separable_tensors(n))
-    assert len(separable_tensors(n)) == 3**n
-    assert _points_in(assign, 255) == [0]
-    for o in (0, assign[-1]):
-        assert _points_in(assign, o) == [v for v, k in enumerate(assign) if k == o]
+    seps = [1]
+    for i in range(n):
+        seps = [u for t in seps for u in (t, t << (1 << i), t | t << (1 << i))]
+    assert len(seps) == len(set(seps)) == 3**n
+    assert sorted(seps) == [v for v, k in enumerate(assign) if k == assign[1]] == list(separable_tensors(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -9,8 +9,7 @@ from math import comb
 import pytest
 
 from lgrpauli.gf2 import rank
-from lgrpauli.orbits import local_gates
-from lgrpauli.projection import ProjPoint, clifford_gates, image
+from lgrpauli.projection import ProjPoint, clifford_gates, image, local_gates
 from lgrpauli.quadrics import (
     QuadForm,
     _act,
