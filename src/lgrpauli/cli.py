@@ -15,9 +15,11 @@ import sys
 
 from .pauli import (
     CommutationError,
+    Generator,
     LabelError,
     NotMaximalError,
     PauliPoint,
+    _shown,
     enumerate_generators,
     generator_count,
     generator_from_operators,
@@ -47,16 +49,32 @@ class CliError(Exception):
 
 
 def _parse_ops(n: int, text: str) -> list[PauliPoint]:
-    try:
-        ops = [PauliPoint.from_label(tok.strip()) for tok in text.split(",") if tok.strip()]
-    except LabelError as e:
-        raise CliError(EXIT_PARSE, f"bad operator label: {e}") from e
-    if not ops:
+    if not text.strip():
         raise CliError(EXIT_PARSE, "no operators given")
+    ops = []
+    for k, field in enumerate(text.split(","), 1):
+        if not (label := field.strip()):
+            raise CliError(EXIT_PARSE, f"bad operator label: field {k} of --ops is empty")
+        try:
+            ops.append(PauliPoint.from_label(label))
+        except LabelError as e:
+            raise CliError(EXIT_PARSE, f"bad operator label: {e}") from e
     for op in ops:
         if op.n_qubits != n:
-            raise CliError(EXIT_PARSE, f"operator {op.label()} has {op.n_qubits} qubits, expected {n}")
+            raise CliError(EXIT_PARSE, f"operator {_shown(op.label())} has {op.n_qubits} qubits, expected {n}")
     return ops
+
+
+def _generator(n: int, ops_text: str) -> Generator:
+    """The generator spanned by the operators of ``--ops``; exit 3 or 4 when
+    they do not commute or span fewer than N dimensions."""
+    try:
+        return generator_from_operators(_parse_ops(n, ops_text))
+    except CommutationError as e:
+        raise CliError(EXIT_NONCOMMUTING,
+                       f"operators do not commute: {e.pair[0].label()}, {e.pair[1].label()}") from e
+    except NotMaximalError as e:
+        raise CliError(EXIT_NONMAXIMAL, str(e)) from e
 
 
 def _parse_point(n: int, text: str) -> ProjPoint:
@@ -118,34 +136,23 @@ def cmd_generators(args) -> str:
     return _emit(rows, args.format, title=f"{len(rows)} generators (canonical bases)")
 
 
-def _project_rows(n: int, ops_text: str) -> list[dict]:
-    ops = _parse_ops(n, ops_text)
-    try:
-        g = generator_from_operators(ops)
-    except CommutationError as e:
-        raise CliError(EXIT_NONCOMMUTING,
-                       f"operators do not commute: {e.pair[0].label()}, {e.pair[1].label()}") from e
-    except NotMaximalError as e:
-        raise CliError(EXIT_NONMAXIMAL, str(e)) from e
-    v = embed(g)
+def cmd_project(args) -> str:
+    n = args.n
+    v = embed(_generator(n, args.ops))
     p = project(v)
     pluecker = {_key_label(2 * n, k): v.coord_key(k) for k in sorted(principal_keys(n))}
-    return [{
+    return _emit([{
         "point": p.display_str(),
         "bits": p.bit_string(),
         "hex": p.hex_string(),
         "observable": to_observable(p).label(),
         "pluecker_retained": [f"{k}={val}" for k, val in pluecker.items()],
-    }]
-
-
-def cmd_project(args) -> str:
-    return _emit(_project_rows(args.n, args.ops), args.format)
+    }], args.format)
 
 
 def cmd_map(args) -> str:
-    rows = _project_rows(args.n, args.ops)
-    return _emit([{"observable": rows[0]["observable"]}], args.format)
+    p = project(embed(_generator(args.n, args.ops)))
+    return _emit([{"observable": to_observable(p).label()}], args.format)
 
 
 def cmd_lift(args) -> str:

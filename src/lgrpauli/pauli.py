@@ -22,6 +22,7 @@ from typing import Iterable
 from .gf2 import absent_masks, packed_rref, wedge
 
 MAX_QUBITS = 5
+SHOWN_LETTERS = 40  # of a label in a message
 
 LETTER_BITS = {"I": (0, 0), "X": (0, 1), "Y": (1, 1), "Z": (1, 0)}
 BITS_LETTER = {v: k for k, v in LETTER_BITS.items()}
@@ -61,7 +62,9 @@ class _Value:
     # The checking constructors of PauliPoint, Generator, PlueckerVec,
     # ProjPoint and QuadForm unpack ``_setters`` instead of calling this: a
     # warm ``map`` builds three values, and this loop took warm N = 5 ``map``
-    # from about 12 to 20 us (in process, 2-vCPU x86_64 host).
+    # from about 12 to 20 us (in process, 2-vCPU x86_64 host).  They test
+    # the qubit count inline and call ``_require_qubits`` only to word a
+    # failure.
     def __init__(self, *fields, **named):
         if named or len(fields) != len(self._setters):
             raise TypeError(f"{type(self).__qualname__} takes its {len(self._setters)} fields positionally")
@@ -101,6 +104,14 @@ def _require_qubits(n, lo: int = 1, hi: int | None = MAX_QUBITS, name: str = "qu
         raise ValueError(f"{name} {n} is below {lo}" if hi is None else f"{name} {n} is outside {lo}..{hi}")
 
 
+def _shown(label: str, show=str) -> str:
+    """``label`` as a message shows it, through ``show``: whole up to
+    SHOWN_LETTERS letters, else its first SHOWN_LETTERS, "…" and its length."""
+    if len(label) <= SHOWN_LETTERS:
+        return show(label)
+    return f"{show(label[:SHOWN_LETTERS])}… ({len(label)} letters)"
+
+
 class LabelError(ValueError):
     """Raised for malformed operator labels."""
 
@@ -124,7 +135,8 @@ class PauliPoint(_Value, order=True):
     __slots__ = ("n_qubits", "bits")
 
     def __init__(self, n_qubits: int, bits: int):
-        _require_qubits(n_qubits, 1, None)
+        if n_qubits.__class__ is not int or n_qubits < 1:
+            _require_qubits(n_qubits, 1, None)
         if not (isinstance(bits, int) and 0 < bits < 1 << (2 * n_qubits)):  # one call on the hot path
             _require_int("bits", bits)
             raise ValueError(f"bits must be in 1..4^N-1 for N={n_qubits}, got {bits}")
@@ -161,7 +173,7 @@ class PauliPoint(_Value, order=True):
             bits = int(r.translate(_HIGH_DIGITS) + r.translate(_LOW_DIGITS), 2)
         except ValueError:  # a byte off "IXYZ" reads as the digit 2; a lone surrogate fails to encode
             bad = next(ch for ch in s if ch not in LETTER_BITS)
-            raise LabelError(f"bad character {bad!r} in label {s!r}") from None
+            raise LabelError(f"bad character {bad!r} in label {_shown(s, repr)}") from None
         if bits == 0:
             raise LabelError("the all-identity label has no point")
         p = cls(n, bits)
@@ -172,8 +184,10 @@ class PauliPoint(_Value, order=True):
     def label(self) -> str:
         n, b = self.n_qubits, self.bits
         x = b >> n
-        return "".join([_LABEL_CHUNKS[(b >> i & 15) << 4 | x >> i & 15]
-                        for i in range(0, n, 4)])[:n]
+        out = ""
+        for i in range(0, n, 4):  # a loop, not a comprehension and its frame
+            out += _LABEL_CHUNKS[(b >> i & 15) << 4 | x >> i & 15]
+        return out[:n]
 
 
 # label as given -> its point, for labels of at most MAX_QUBITS letters; filled by from_label
@@ -221,7 +235,8 @@ class Generator(_Value):
 
     def __init__(self, n_qubits: int, rows: Iterable[int]):
         n = n_qubits
-        _require_qubits(n, 1, None)
+        if n.__class__ is not int or n < 1:
+            _require_qubits(n, 1, None)
         table, rank = wedge(rows, 2 * n)  # ValueError for a row wider than 2N bits
         if rank != n:
             raise NotMaximalError(f"subspace has rank {rank}, expected {n}")
@@ -251,9 +266,11 @@ def generator_from_operators(ops: list[PauliPoint]) -> Generator:
     if not ops:
         raise ValueError("need at least one operator")
     n = ops[0].n_qubits
-    rows = [p.bits for p in ops if p.n_qubits == n]
-    if len(rows) != len(ops):
-        raise ValueError(f"mixed qubit counts: {n} and {next(p.n_qubits for p in ops if p.n_qubits != n)}")
+    rows = []
+    for p in ops:  # a loop, not a comprehension and its frame
+        if p.n_qubits != n:
+            raise ValueError(f"mixed qubit counts: {n} and {p.n_qubits}")
+        rows.append(p.bits)
     try:
         return Generator(n, rows)
     except ValueError:

@@ -13,7 +13,7 @@ import itertools
 from functools import lru_cache
 
 from .gf2 import independent, rank
-from .pauli import Generator, _require_int, _require_qubits, _Value
+from .pauli import MAX_QUBITS, Generator, _require_int, _require_qubits, _Value
 
 
 @lru_cache(maxsize=None)
@@ -41,7 +41,8 @@ class PlueckerVec(_Value, order=True):
     __slots__ = ("n_qubits", "table", "_isotropic")
 
     def __init__(self, n_qubits: int, table: int):
-        _require_qubits(n_qubits)
+        if n_qubits.__class__ is not int or not 0 < n_qubits <= MAX_QUBITS:
+            _require_qubits(n_qubits)
         _require_int("Plucker table", table)
         if table < 0:
             raise ValueError(f"Plucker table must be nonnegative, got {table}")
@@ -53,22 +54,24 @@ class PlueckerVec(_Value, order=True):
         set_table(self, table)
         set_isotropic(self, False)
 
-    @classmethod
-    def _embedded(cls, g: Generator) -> "PlueckerVec":
-        v = object.__new__(cls)
-        set_n, set_table, set_isotropic = cls._setters
-        set_n(v, g.n_qubits)
-        set_table(v, g.table)
-        set_isotropic(v, True)
-        return v
-
     def coord_key(self, key: int) -> int:
         return (self.table >> key) & 1
 
 
+# ``embed`` writes a vector's slots itself: the constructor's call chain,
+# not its checks, is what it saves.  Held here, so no call looks them up.
+_new = object.__new__
+_set_vec_n, _set_vec_table, _set_vec_isotropic = PlueckerVec._setters
+
+
 def embed(g: Generator) -> PlueckerVec:
-    """Plucker embedding of a generator: the vector it already holds."""
-    return PlueckerVec._embedded(g)
+    """Plucker embedding of a generator: the vector it already holds, which
+    its generator checked, so it is written without the constructor."""
+    v = _new(PlueckerVec)
+    _set_vec_n(v, g.n_qubits)
+    _set_vec_table(v, g.table)
+    _set_vec_isotropic(v, True)
+    return v
 
 
 class PlueckerRelation(_Value, order=True):

@@ -65,7 +65,8 @@ class ProjPoint(_Value, order=True):
     __slots__ = ("n_source", "bits")
 
     def __init__(self, n_source: int, bits: int):
-        _require_qubits(n_source, 1, None, "source qubit count")
+        if n_source.__class__ is not int or n_source < 1:
+            _require_qubits(n_source, 1, None, "source qubit count")
         if not isinstance(bits, int) or bits <= 0 or bits >> (1 << n_source):  # one call on the hot path
             _require_int("bits", bits)
             raise ValueError("point must be nonzero and within 2^N coordinates")
@@ -122,6 +123,13 @@ class ProjPoint(_Value, order=True):
         return cls(n_qubits, apply_tables(_display_order(n_qubits)[1], int(bitstr[::-1], 2)))
 
 
+# ``project`` and ``to_observable`` write their results' slots themselves,
+# after testing inline what the constructors test, which word any failure.
+_new = object.__new__
+_set_point_n, _set_point_bits = ProjPoint._setters
+_set_op_n, _set_op_bits = PauliPoint._setters
+
+
 @lru_cache(maxsize=None)
 def _contraction(n_qubits: int) -> tuple[tuple[int, str], ...]:
     """Each constraint's key K (the meet of its terms K | p_i) with its
@@ -145,7 +153,12 @@ def project(v: PlueckerVec) -> ProjPoint:
     bits = _principal_bits(n, v.table)
     if bits == 0:
         raise ValueError("all principal coordinates vanish: input not Lagrangian")
-    return ProjPoint(n, bits)
+    if n.__class__ is not int or n < 1 or bits >> (1 << n):  # ProjPoint's checks; bits is a positive int
+        return ProjPoint(n, bits)
+    p = _new(ProjPoint)
+    _set_point_n(p, n)
+    _set_point_bits(p, bits)
+    return p
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +184,17 @@ def _principal_bits(n: int, table: int) -> int:
 def to_observable(p: ProjPoint) -> PauliPoint:
     """Read the display coordinates as a Pauli operator on 2^(N-1) qubits:
     display coordinate j is bit j of the operator."""
-    return PauliPoint(1 << (p.n_source - 1), apply_tables(_display_order(p.n_source)[0], p.bits))
+    n, x, bits = p.n_source, p.bits, 0
+    for table in _display_order(n)[0]:  # apply_tables, without the call
+        bits ^= table[x & 255]
+        x >>= 8
+    m = 1 << n - 1
+    if not 0 < bits < 1 << 2 * m:  # PauliPoint's checks; m is an int >= 1
+        return PauliPoint(m, bits)
+    o = _new(PauliPoint)
+    _set_op_n(o, m)
+    _set_op_bits(o, bits)
+    return o
 
 
 def _entries(n: int) -> list[int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from .gf2 import SWAP, Gate, absent_masks, apply_gate, columns, gate, independent, reduce_row
-from .pauli import _require_int, _require_qubits, _Value
+from .pauli import MAX_QUBITS, _require_int, _require_qubits, _Value
 from .pluecker import principal_keys
 from .projection import ProjPoint, _image_bits, display_masks, local_gates
 
@@ -59,7 +59,8 @@ class QuadForm(_Value):
     __slots__ = ("n_qubits", "bits")
 
     def __init__(self, n_qubits: int, bits: int):
-        _require_qubits(n_qubits)
+        if n_qubits.__class__ is not int or not 0 < n_qubits <= MAX_QUBITS:
+            _require_qubits(n_qubits)
         diag, upper = _upper(n_qubits)
         if not isinstance(bits, int) or bits < 0 or bits & ~(diag | upper):
             _require_int("bits", bits)

@@ -4,7 +4,7 @@ under test."""
 
 import itertools
 
-from lgrpauli.pauli import BITS_LETTER, LETTER_BITS, Generator, LabelError, PauliPoint
+from lgrpauli.pauli import _LABEL_CHUNKS, BITS_LETTER, LETTER_BITS, Generator, LabelError, PauliPoint
 from lgrpauli.pluecker import PlueckerVec, principal_keys
 
 
@@ -43,6 +43,13 @@ def label_oracle(p: PauliPoint) -> str:
     """The label letter by letter, each from the qubit's bit pair."""
     n, b = p.n_qubits, p.bits
     return "".join(BITS_LETTER[((b >> i) & 1, (b >> (n + i)) & 1)] for i in range(n))
+
+
+def label_chunk_oracle(p: PauliPoint) -> str:
+    """The label four letters at a time, joined from a comprehension."""
+    n, b = p.n_qubits, p.bits
+    x = b >> n
+    return "".join([_LABEL_CHUNKS[(b >> i & 15) << 4 | x >> i & 15] for i in range(0, n, 4)])[:n]
 
 
 def from_label_oracle(s: str) -> PauliPoint | str:

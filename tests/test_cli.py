@@ -247,6 +247,35 @@ def test_wrong_qubit_count_exit_2(capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("cmd", ["map", "project"])
+@pytest.mark.parametrize("ops, field", [("ZZI,,XXI,IIX", 2), (",ZZI,XXI,IIX", 1), ("ZZI,XXI,IIX,", 4),
+                                        ("ZZI, \t,XXI,IIX", 2), ("ZZI,XXI,IIX,,QQI", 4)])
+def test_an_empty_ops_field_exits_2_naming_its_position(capsys, cmd, ops, field):
+    # an empty field used to be dropped: ZZI,,XXI,IIX printed observable=IIXZ
+    code, out, err = run(capsys, cmd, "--n", "3", "--ops", ops)
+    assert (code, out, err) == (EXIT_PARSE, "", f"bad operator label: field {field} of --ops is empty\n")
+
+
+@pytest.mark.parametrize("cmd", ["map", "project"])
+def test_spaces_around_an_ops_label_are_accepted(capsys, cmd):
+    assert run(capsys, cmd, "--n", "3", "--ops", " ZZI , XXI,\tIIX ") == run(capsys, cmd, "--n", "3", "--ops",
+                                                                             "ZZI,XXI,IIX")
+
+
+@pytest.mark.parametrize("cmd", ["map", "project"])
+@pytest.mark.parametrize("ops, message", [
+    ("X" * 40, f"operator {'X' * 40} has 40 qubits, expected 3"),
+    ("X" * 41, f"operator {'X' * 40}… (41 letters) has 41 qubits, expected 3"),
+    ("X" * 100_000, f"operator {'X' * 40}… (100000 letters) has 100000 qubits, expected 3"),
+    ("XII," + "X" * 99_999 + "Q", f"bad operator label: bad character 'Q' in label '{'X' * 40}'… (100000 letters)"),
+    ("Q" + "X" * 39, f"bad operator label: bad character 'Q' in label 'Q{'X' * 39}'"),
+], ids=["40", "41", "100000", "100000-bad", "40-bad"])
+def test_a_long_label_is_echoed_bounded(capsys, cmd, ops, message):
+    # both messages used to echo the whole label: about 100 KB on one line
+    code, out, err = run(capsys, cmd, "--n", "3", "--ops", ops)
+    assert (code, out, err) == (EXIT_PARSE, "", message + "\n")
+
+
 def test_n_out_of_range_exit_2(capsys):
     code, _, _ = run(capsys, "orbits", "--n", "5")
     assert code == EXIT_PARSE

@@ -30,8 +30,8 @@ from lgrpauli.cli import main
 from lgrpauli.gf2 import rank
 from lgrpauli.pluecker import embed
 from gf2_oracles import rref
-from pauli_helpers import (all_points, from_label_oracle, from_label_outcome, generator_points, label_oracle,
-                           quad_form, y_count)
+from pauli_helpers import (all_points, from_label_oracle, from_label_outcome, generator_points, label_chunk_oracle,
+                           label_oracle, quad_form, y_count)
 from pluecker_oracles import bitwise_wedge, rref_generator_rows
 
 
@@ -47,15 +47,23 @@ def test_label_roundtrip():
 
 
 def test_label_matches_letter_loop_oracle():
-    # four-qubit chunks, so lengths that are not multiples of 4 are included
+    # four-qubit chunks, so lengths that are not multiples of 4 are included;
+    # the chunk oracle joins the same chunks from a comprehension
     rng = random.Random(20)
-    for n in range(1, 21):
+    for n in range(1, 41):
         top = 1 << (2 * n)
         extremes = [1, top - 1, top >> 1, 1 << (n - 1), 1 << n]
         for bits in extremes + [rng.randrange(1, top) for _ in range(50)]:
             p = PauliPoint(n, bits)
-            assert p.label() == label_oracle(p)
+            assert p.label() == label_oracle(p) == label_chunk_oracle(p)
             assert PauliPoint.from_label(p.label()) == p
+
+
+def test_a_100000_qubit_label_matches_the_chunk_oracle():
+    p = PauliPoint(100_000, random.Random(36).getrandbits(200_000) | 1 << 199_999)
+    label = p.label()
+    assert len(label) == 100_000 and label == label_chunk_oracle(p)
+    assert PauliPoint.from_label(label) == p
 
 
 def test_from_label_matches_letter_loop_oracle(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lgrpauli import projection
+from lgrpauli import pauli, pluecker, projection
 from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, gate
 from lgrpauli.pauli import (
     BITS_LETTER,
@@ -36,6 +36,7 @@ from lgrpauli.projection import (
     NotInImageError,
     ProjPoint,
     _image_bits,
+    _lift_points,
     _principal_bits,
     clifford_gates,
     display_masks,
@@ -417,6 +418,51 @@ def test_to_observable_matches_letter_oracle(n):
     others = [ProjPoint(n, rng.randrange(1, 1 << size)) for _ in range(300)]
     for p in image(n) + tuple(others):
         assert to_observable(p) == observable_oracle(p)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_warm_map_builds_what_the_checking_constructors_build(n):
+    # embed, project and to_observable write their values' slots without
+    # the constructors; each value is the constructor's in type, fields and
+    # hash.  The observable's reference is PauliPoint of apply_tables.
+    image_bits = _image_bits(n)
+    points = image_bits if n < 5 else random.Random(36).sample(image_bits, 2000)
+    for bits, g in zip(points, _lift_points(n, points)):
+        v = embed(g)
+        p = project(v)
+        o = to_observable(p)
+        observable = PauliPoint(1 << n - 1, apply_tables(projection._display_order(n)[0], bits))
+        for built, checked in ((v, PlueckerVec(n, g.table)), (p, ProjPoint(n, bits)), (o, observable)):
+            assert type(built) is type(checked) and repr(built) == repr(checked)
+            assert built == checked and hash(built) == hash(checked)
+        assert project(PlueckerVec(n, g.table)) == p
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_warm_map_and_lift_make_no_qubit_count_call(monkeypatch, n):
+    # the constructors test N inline and call _require_qubits only to word
+    # a failure; project and to_observable call no constructor
+    points = random.Random(n).sample(_image_bits(n), 12)
+    families = [[PauliPoint(n, r).label() for r in lift(ProjPoint(n, bits)).rows] for bits in points]
+
+    def map_and_lift(labels):
+        p = project(embed(generator_from_operators([PauliPoint.from_label(s) for s in labels])))
+        return to_observable(p).label(), lift(p)
+
+    warm = [map_and_lift(labels) for labels in families]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return require_qubits(*args)
+
+    require_qubits = pauli._require_qubits
+    for module in (pauli, pluecker, projection):
+        monkeypatch.setattr(module, "_require_qubits", counted)
+    assert [map_and_lift(labels) for labels in families] == warm
+    assert calls == []
+    ProjPoint.from_string(n, "1" * (1 << n))  # the counter sees the calls that remain
+    assert calls == [(n, 1, None, "source qubit count")]
 
 
 def test_worked_examples():

@@ -189,7 +189,7 @@ def test_mixed_counts_are_named(make, message):
 UNBOUNDED, BOUNDED = "{name} {n} is below 1", "{name} {n} is outside {lo}..{hi}"
 
 
-@pytest.mark.parametrize("n", [-1, 0])
+@pytest.mark.parametrize("n", [-1, 0, False])
 @pytest.mark.parametrize("func, name, lo, hi", [
     (lambda n: PauliPoint(n, 1), "qubit count", 1, None),
     (lambda n: Generator(n, ()), "qubit count", 1, None),
