@@ -18,8 +18,9 @@ import importlib
 # use (PEP 562), so importing the package or one module loads no other
 _MODULE_OF = {
     **dict.fromkeys(("PauliPoint", "Generator", "LabelError", "CommutationError", "NotMaximalError",
-                     "commute", "symplectic_product", "generator_from_operators",
-                     "enumerate_generators", "generator_count"), "pauli"),
+                     "commute", "symplectic_product", "generator_from_operators"), "pauli"),
+    "enumerate_generators": "projection",  # listed among the pauli names, so __all__ keeps its order
+    "generator_count": "pauli",
     **dict.fromkeys(("PlueckerVec", "embed", "pluecker_relations", "lagrangian_constraints",
                      "constraint_rank"), "pluecker"),
     **dict.fromkeys(("ProjPoint", "NotInImageError", "project", "to_observable", "lift", "image"),

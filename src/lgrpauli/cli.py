@@ -20,7 +20,6 @@ from .pauli import (
     NotMaximalError,
     PauliPoint,
     _shown,
-    enumerate_generators,
     generator_count,
     generator_from_operators,
 )
@@ -32,7 +31,8 @@ from .pluecker import (
     pluecker_relations,
     principal_keys,
 )
-from .projection import NotInImageError, ProjPoint, _image_bits, _lift_points, lift, project, to_observable
+from .projection import (NotInImageError, ProjPoint, _image_bits, _lift_points, enumerate_generators, lift, project,
+                         to_observable)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -51,17 +51,18 @@ class CliError(Exception):
 def _parse_ops(n: int, text: str) -> list[PauliPoint]:
     if not text.strip():
         raise CliError(EXIT_PARSE, "no operators given")
-    ops = []
-    for k, field in enumerate(text.split(","), 1):
+    ops, fields = [], text.split(",")
+    for k, field in enumerate(fields, 1):
         if not (label := field.strip()):
             raise CliError(EXIT_PARSE, f"bad operator label: field {k} of --ops is empty")
         try:
             ops.append(PauliPoint.from_label(label))
         except LabelError as e:
             raise CliError(EXIT_PARSE, f"bad operator label: {e}") from e
-    for op in ops:
-        if op.n_qubits != n:
-            raise CliError(EXIT_PARSE, f"operator {_shown(op.label())} has {op.n_qubits} qubits, expected {n}")
+    for op, field in zip(ops, fields):
+        if op.n_qubits != n:  # worded from the field, sign dropped: op.label() is quadratic in N
+            label = field.strip().lstrip("+-−")
+            raise CliError(EXIT_PARSE, f"operator {_shown(label)} has {op.n_qubits} qubits, expected {n}")
     return ops
 
 

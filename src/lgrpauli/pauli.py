@@ -280,21 +280,6 @@ def generator_from_operators(ops: list[PauliPoint]) -> Generator:
         raise
 
 
-@lru_cache(maxsize=None)
-def enumerate_generators(n_qubits: int) -> tuple[Generator, ...]:
-    """All generators of W(2N-1,2), sorted by canonical basis matrix: the
-    lifts of the image points, read from the chart cells, each built and
-    checked by ``lift``'s own path, so ``lift`` returns the same objects.
-
-    The count is (2+1)(2^2+1)...(2^N+1).
-    """
-    from .projection import _image_bits, _lift_points
-
-    gens = _lift_points(n_qubits, _image_bits(n_qubits))
-    # packed rows order as the row tuples do, and take less memory
-    return tuple(sorted(gens, key=lambda g: packed_rref(g.table, 2 * n_qubits)))
-
-
 def generator_count(n_qubits: int) -> int:
     """The closed-form count of generators, prod_{i=1..N} (2^i + 1)."""
     _require_qubits(n_qubits, 1, None)

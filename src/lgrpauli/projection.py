@@ -24,7 +24,8 @@ import re
 from functools import lru_cache, reduce
 from typing import Iterable
 
-from .gf2 import LOWER, SWAP, Gate, Tables, apply_gate, apply_tables, byte_tables, gate
+from . import pauli
+from .gf2 import LOWER, SWAP, Gate, Tables, apply_gate, apply_tables, byte_tables, gate, packed_rref
 from .pauli import MAX_QUBITS, Generator, PauliPoint, _require_int, _require_qubits, _Value, omega_contraction
 from .pluecker import PlueckerVec, lagrangian_constraints
 
@@ -331,3 +332,17 @@ def lift(p: ProjPoint) -> Generator:
     except KeyError:
         pass
     return _lift_points(p.n_source, (p.bits,))[0]
+
+
+@lru_cache(maxsize=None)
+def enumerate_generators(n_qubits: int) -> tuple[Generator, ...]:
+    """All (2+1)(2^2+1)...(2^N+1) generators of W(2N-1,2), sorted by
+    canonical basis matrix: the lifts of the image points, each built and
+    checked by ``lift``'s own path, so ``lift`` returns the same objects."""
+    gens = _lift_points(n_qubits, _image_bits(n_qubits))
+    # packed rows order as the row tuples do, and take less memory
+    return tuple(sorted(gens, key=lambda g: packed_rref(g.table, 2 * n_qubits)))
+
+
+# perfbench/layers.py times the enumeration as ``pauli.enumerate_generators``
+pauli.enumerate_generators = enumerate_generators

@@ -143,50 +143,46 @@ class VarietyReport(_Value):
     __slots__ = ("n_qubits", "quadric_count", "zero_set_size", "image_size", "matches")
 
 
-def _values(q: QuadForm) -> int:
-    """q at every point of PG(2^N - 1, 2), bitsliced: bit p is its value at
-    the point with packed coordinates p, XORed from the columns of x_a."""
-    n = q.n_qubits
-    full = (1 << (1 << (1 << n))) - 1
-    cols = [full ^ m for m in absent_masks(1 << n)]
+def _values(q: QuadForm, cols: tuple[int, ...]) -> int:
+    """q on a point set given by its coordinate columns, bitsliced: bit k of
+    column a is x_a at the set's point k, and bit k of the result is q there."""
     col = 0
-    for a, b in _pairs(n, q.bits):
+    for a, b in _pairs(q.n_qubits, q.bits):
         col ^= cols[a] & cols[b]
     return col
 
 
 def _zero_set(n: int) -> int:
-    """The common zero set of ``variety_quadrics(n)``, bitsliced as in
-    ``_values``."""
-    zeros = (1 << (1 << (1 << n))) - 2  # the nonzero points
+    """The common zeros of ``variety_quadrics(n)`` in PG(2^N - 1, 2),
+    bitsliced: bit p stands for the point with packed coordinates p."""
+    full = (1 << (1 << (1 << n))) - 1
+    cols = tuple(full ^ m for m in absent_masks(1 << n))
+    zeros = full - 1  # the nonzero points
     for q in variety_quadrics(n):
-        zeros &= ~_values(q)
+        zeros &= ~_values(q, cols)
     return zeros
 
 
 @lru_cache(maxsize=None)
-def _image_set(n: int) -> int:
-    """The projected image, bitsliced as in ``_values``: bit p is set iff
-    the point with packed coordinates p is in it."""
-    marks = bytearray(1 << (1 << n) - 3)
-    for bits in _image_bits(n):
-        marks[bits >> 3] |= 1 << (bits & 7)
-    return int.from_bytes(marks, "little")
+def _image_columns(n: int) -> tuple[int, ...]:
+    """The coordinate columns of the projected image's points."""
+    return tuple(columns(_image_bits(n), 1 << n))
 
 
 def vanishes_on_image(q: QuadForm) -> bool:
     """Whether q is zero at every point of the projected image."""
     _require_qubits(q.n_qubits, 2, 4)
-    return not _values(q) & _image_set(q.n_qubits)
+    return not _values(q, _image_columns(q.n_qubits))
 
 
 def verify_variety(n_qubits: int) -> VarietyReport:
-    """Compare the common zero set of the explicit quadrics with the
-    projected image over the whole projective space."""
+    """Compare Z, the common zeros of the explicit quadrics over the whole
+    space, with the image I, whose points ``_image_bits`` lists once each:
+    Z = I exactly when |Z| = |I| and every quadric vanishes on I."""
     n = n_qubits
     _require_qubits(n, 2, 4)
-    zeros, img = _zero_set(n), _image_set(n)
-    return VarietyReport(n, len(variety_quadrics(n)), zeros.bit_count(), img.bit_count(), zeros == img)
+    quads, zeros, size = variety_quadrics(n), _zero_set(n).bit_count(), len(_image_bits(n))
+    return VarietyReport(n, len(quads), zeros, size, zeros == size and all(map(vanishes_on_image, quads)))
 
 
 def vanishing_quadrics(points) -> list[QuadForm]:

@@ -16,7 +16,6 @@ from lgrpauli.orbits import (
 )
 from lgrpauli.pauli import (
     PauliPoint,
-    enumerate_generators,
     generator_count,
     symplectic_product,
 )
@@ -26,7 +25,7 @@ from lgrpauli.pluecker import (
     lagrangian_constraints,
     pluecker_relations,
 )
-from lgrpauli.projection import ProjPoint, image, lift, project, to_observable
+from lgrpauli.projection import ProjPoint, enumerate_generators, image, lift, project, to_observable
 from lgrpauli.quadrics import (
     cayley_quadric,
     hyperbolic_form,

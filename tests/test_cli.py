@@ -54,8 +54,8 @@ def test_public_api_matches_readme():
 
 
 def test_imports_point_down_the_layers():
-    # each module imports from the layers below it alone; the one exception
-    # is pauli.enumerate_generators, which lifts the image through projection
+    # each module imports from the layers below it alone: enumerate_generators
+    # sits in projection beside the lift it reads, so pauli reads gf2 alone
     layer = {"gf2": 0, "pauli": 1, "pluecker": 2, "projection": 3, "orbits": 4, "quadrics": 4, "cli": 5}
     assert set(layer) == {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
     upward = []
@@ -66,7 +66,15 @@ def test_imports_point_down_the_layers():
                 if isinstance(node, ast.ImportFrom) and node.level:
                     targets = [node.module] if node.module else [alias.name for alias in node.names]
                     upward += [f"{scope} -> {t}" for t in targets if layer[t] >= rank]
-    assert upward == ["pauli.enumerate_generators -> projection"]
+    assert upward == []
+
+
+def test_the_enumeration_keeps_its_name_on_pauli_for_the_layer_trace():
+    # perfbench/layers.py times it as pauli.enumerate_generators, a name
+    # projection binds when it loads
+    from lgrpauli import pauli
+
+    assert pauli.enumerate_generators is projection.enumerate_generators is lgrpauli.enumerate_generators
 
 
 def test_no_module_imports_an_unused_name():
@@ -269,11 +277,33 @@ def test_spaces_around_an_ops_label_are_accepted(capsys, cmd):
     ("X" * 100_000, f"operator {'X' * 40}… (100000 letters) has 100000 qubits, expected 3"),
     ("XII," + "X" * 99_999 + "Q", f"bad operator label: bad character 'Q' in label '{'X' * 40}'… (100000 letters)"),
     ("Q" + "X" * 39, f"bad operator label: bad character 'Q' in label 'Q{'X' * 39}'"),
-], ids=["40", "41", "100000", "100000-bad", "40-bad"])
-def test_a_long_label_is_echoed_bounded(capsys, cmd, ops, message):
-    # both messages used to echo the whole label: about 100 KB on one line
+    ("ZZI,-XXII,IIX", "operator XXII has 4 qubits, expected 3"),
+    (" +XX ,XXI,IIX", "operator XX has 2 qubits, expected 3"),
+    ("XXII,IIX,QQI", "bad operator label: bad character 'Q' in label 'QQI'"),
+], ids=["40", "41", "100000", "100000-bad", "40-bad", "signed", "spaced", "count-then-bad"])
+def test_a_long_label_is_echoed_bounded(capsys, monkeypatch, cmd, ops, message):
+    # both messages used to echo the whole label: about 100 KB on one line;
+    # the count message is worded from the field, since op.label() is
+    # quadratic in the letters (about 0.3 s at 100,000), and a bad label
+    # anywhere in --ops still comes before a wrong count
+    def no_label(self):
+        raise AssertionError("label built")
+
+    monkeypatch.setattr(PauliPoint, "label", no_label)
     code, out, err = run(capsys, cmd, "--n", "3", "--ops", ops)
     assert (code, out, err) == (EXIT_PARSE, "", message + "\n")
+
+
+def test_a_sign_led_first_ops_label_needs_the_equals_form(capsys):
+    # argparse reads "-ZZI,..." after --ops as an option, so --ops has no
+    # argument; attached with "=" it is read as labels, signs dropped
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "--n", "3", "--ops", "-ZZI,+XXI,IIX"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (EXIT_PARSE, "")
+    assert err.startswith("usage: lgrpauli map ")
+    assert err.endswith("lgrpauli map: error: argument --ops: expected one argument\n")
+    assert run(capsys, "map", "--n", "3", "--ops=-ZZI,+XXI,IIX") == (0, "observable=IIXZ\n", "")
 
 
 def test_n_out_of_range_exit_2(capsys):

@@ -21,7 +21,6 @@ from lgrpauli.pauli import (
     NotMaximalError,
     PauliPoint,
     commute,
-    enumerate_generators,
     generator_count,
     generator_from_operators,
     symplectic_product,
@@ -29,6 +28,7 @@ from lgrpauli.pauli import (
 from lgrpauli.cli import main
 from lgrpauli.gf2 import rank
 from lgrpauli.pluecker import embed
+from lgrpauli.projection import enumerate_generators
 from gf2_oracles import rref
 from pauli_helpers import (all_points, from_label_oracle, from_label_outcome, generator_points, label_chunk_oracle,
                            label_oracle, quad_form, y_count)

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from lgrpauli.pauli import enumerate_generators, generator_from_operators, PauliPoint
+from lgrpauli.pauli import generator_from_operators, PauliPoint
 from lgrpauli.pluecker import (
     PlueckerRelation,
     PlueckerVec,
@@ -17,6 +17,7 @@ from lgrpauli.pluecker import (
     principal_keys,
     _relation_candidates,
 )
+from lgrpauli.projection import enumerate_generators
 from pauli_helpers import subset_keys
 from pluecker_oracles import (
     SubsetIndex,

@@ -20,7 +20,6 @@ from lgrpauli.pauli import (
     BITS_LETTER,
     Generator,
     PauliPoint,
-    enumerate_generators,
     generator_count,
     generator_from_operators,
     omega_masks,
@@ -40,6 +39,7 @@ from lgrpauli.projection import (
     _principal_bits,
     clifford_gates,
     display_masks,
+    enumerate_generators,
     image,
     lift,
     project,

@@ -8,13 +8,14 @@ from math import comb
 
 import pytest
 
+from lgrpauli import quadrics
+from lgrpauli.cli import EXIT_VERIFY, main
 from lgrpauli.gf2 import rank
 from lgrpauli.projection import ProjPoint, clifford_gates, image, local_gates
 from lgrpauli.quadrics import (
     QuadForm,
     _act,
     _form,
-    _image_set,
     _span_closure,
     _upper,
     _zero_set,
@@ -284,10 +285,16 @@ def test_zero_set_matches_pointwise_scan(n):
     assert got == {p.bits for p in image(n)}
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_image_set_holds_the_image_points(n):
-    bits = _image_set(n)
-    assert {p for p in range(bits.bit_length()) if bits >> p & 1} == {p.bits for p in image(n)}
+def test_a_form_with_as_many_zeros_as_the_image_elsewhere_fails_the_variety_check(capsys, monkeypatch):
+    # x1*x2 + x3*x4 + x5*x6 + x7*x8 has 135 zeros, as many as the N = 3
+    # image, but not the image's points: equal sizes alone must not pass
+    q = _form(8, (1, 2), (3, 4), (5, 6), (7, 8))
+    assert len(zero_set([q], 3)) == 135 and not vanishes_on_image(q)
+    monkeypatch.setattr(quadrics, "variety_quadrics", lambda n: (q,))
+    rep = verify_variety(3)
+    assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.matches) == (1, 135, 135, False)
+    assert main(["verify", "--n", "3", "--suite", "variety"]) == EXIT_VERIFY
+    assert capsys.readouterr() == ("", "[variety] zero-set 135 == image 135: FAIL\n")
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -9,12 +9,11 @@ import re
 import pytest
 
 from lgrpauli.orbits import OrbitRecord, _orbit_data, orbit_partition, t_rank
-from lgrpauli.pauli import (Generator, PauliPoint, enumerate_generators, generator_count, generator_from_operators,
-                            symplectic_product)
+from lgrpauli.pauli import Generator, PauliPoint, generator_count, generator_from_operators, symplectic_product
 from lgrpauli.pluecker import (LinearConstraint, PlueckerRelation, PlueckerVec, lagrangian_constraints,
                                pluecker_relations, principal_keys)
-from lgrpauli.projection import (ProjPoint, _image_bits, _lift_points, clifford_gates, display_masks, image,
-                                 local_gates)
+from lgrpauli.projection import (ProjPoint, _image_bits, _lift_points, clifford_gates, display_masks,
+                                 enumerate_generators, image, local_gates)
 from lgrpauli.quadrics import (QuadForm, VarietyReport, cayley_quadric, hyperbolic_form, quadric_orbit, spans,
                                vanishing_quadrics, variety_quadrics, verify_variety)
 
