@@ -124,8 +124,9 @@ class ProjPoint(_Value, order=True):
         return cls(n_qubits, apply_tables(_display_order(n_qubits)[1], int(bitstr[::-1], 2)))
 
 
-# ``project`` and ``to_observable`` write their results' slots themselves,
-# after testing inline what the constructors test, which word any failure.
+# ``project`` and ``to_observable`` write their results' slots themselves:
+# their inputs passed the constructors' checks, and ``_principal_bits`` and
+# the display order keep a nonzero point within its 2^N bits.
 _new = object.__new__
 _set_point_n, _set_point_bits = ProjPoint._setters
 _set_op_n, _set_op_bits = PauliPoint._setters
@@ -154,8 +155,6 @@ def project(v: PlueckerVec) -> ProjPoint:
     bits = _principal_bits(n, v.table)
     if bits == 0:
         raise ValueError("all principal coordinates vanish: input not Lagrangian")
-    if n.__class__ is not int or n < 1 or bits >> (1 << n):  # ProjPoint's checks; bits is a positive int
-        return ProjPoint(n, bits)
     p = _new(ProjPoint)
     _set_point_n(p, n)
     _set_point_bits(p, bits)
@@ -189,11 +188,8 @@ def to_observable(p: ProjPoint) -> PauliPoint:
     for table in _display_order(n)[0]:  # apply_tables, without the call
         bits ^= table[x & 255]
         x >>= 8
-    m = 1 << n - 1
-    if not 0 < bits < 1 << 2 * m:  # PauliPoint's checks; m is an int >= 1
-        return PauliPoint(m, bits)
     o = _new(PauliPoint)
-    _set_op_n(o, m)
+    _set_op_n(o, 1 << n - 1)
     _set_op_bits(o, bits)
     return o
 

@@ -15,7 +15,6 @@ from functools import lru_cache, reduce
 
 from .gf2 import SWAP, Gate, absent_masks, apply_gate, columns, gate, independent, reduce_row
 from .pauli import MAX_QUBITS, _require_int, _require_qubits, _Value
-from .pluecker import principal_keys
 from .projection import ProjPoint, _image_bits, display_masks, local_gates
 
 
@@ -221,35 +220,20 @@ def spans(basis_forms, q: QuadForm) -> bool:
 
 def cayley_quadric(n_qubits: int) -> QuadForm:
     """The GF(2) avatar of the 2x2x2 hyperdeterminant factor, written in the
-    retained coordinates.
+    retained coordinates: the sum of x_{S | T} x_{({1,2,3} - S) | T} over the
+    subsets S of {2,3}, for T = {4..N}.
 
-    Built from four products of Plucker coordinates on index triples
-    {1,2,3} and their partners under k -> N+k, padded with the trailing
-    indices N+4..2N.  For N=3 this is the single defining quadric; for N=4
-    it is the eighth form of the explicit list.
+    As the principal minor on a subset m is the Plucker coordinate on
+    ({1..N} - m) | {N+i : i in m}, the terms are the paper's products of
+    Plucker coordinates on the triples {1,2,3}, {1,2,N+3}, {1,3,N+2},
+    {1,N+2,N+3} and their partners under k -> N+k, padded with the
+    trailing indices N+4..2N.  For N=3 this is the single defining quadric;
+    for N=4 it is the eighth form of the explicit list.
     """
     n = n_qubits
     _require_qubits(n, 3, 4)
-
-    def bar(k):
-        return n + k
-
-    trail = [bar(k) for k in range(4, n + 1)]
-    raw_pairs = [
-        ({1, 2, 3}, {bar(1), bar(2), bar(3)}),
-        ({1, 2, bar(3)}, {3, bar(1), bar(2)}),
-        ({1, 3, bar(2)}, {2, bar(1), bar(3)}),
-        ({1, bar(2), bar(3)}, {2, 3, bar(1)}),
-    ]
-    mask = {key: m for m, key in enumerate(principal_keys(n))}
-
-    def mask_of(subset):
-        return mask[sum(1 << (j - 1) for j in subset | set(trail))]
-
-    bits = 0
-    for a, b in raw_pairs:
-        bits ^= _monomial(n, mask_of(a), mask_of(b))
-    return QuadForm(n, bits)
+    held = (1 << n) - 8  # the mask of T
+    return QuadForm(n, sum(_monomial(n, s | held, 7 ^ s | held) for s in (0, 2, 4, 6)))
 
 
 @lru_cache(maxsize=None)

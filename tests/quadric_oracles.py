@@ -1,5 +1,6 @@
 """Test-only oracles for the quadric layer: the algorithms that held forms
-as sets of display-numbered monomials, kept to check the packed forms.
+as sets of display-numbered monomials, kept to check the packed forms, and
+the Cayley quadric built from Plucker index triples.
 
 A monomial is (i,) for the square term x_i (== x_i at GF(2) points) or
 (i, j) with i < j, over the display variables x_1..x_{2^N}; a display-
@@ -9,8 +10,10 @@ packed point has variable k at bit k-1.
 import itertools
 
 from lgrpauli.gf2 import apply_gate, independent, span
+from lgrpauli.pauli import _require_qubits
+from lgrpauli.pluecker import principal_keys
 from lgrpauli.projection import display_masks, local_gates
-from lgrpauli.quadrics import QuadForm, _form, _monomials_at, _upper
+from lgrpauli.quadrics import QuadForm, _form, _monomial, _monomials_at, _upper
 from gf2_oracles import kernel
 
 
@@ -135,3 +138,32 @@ def kernel_vanishing_quadrics(points) -> list[QuadForm]:
     forms = [QuadForm(n, k) for k in kernel(rows, 1 << (2 * n)) if k & (diag | upper)]
     forms.sort(key=lambda q: q.sorted_monomials())
     return forms
+
+
+def cayley_by_pluecker_triples(n_qubits: int) -> QuadForm:
+    """The construction that the subset form replaced: four products of
+    Plucker coordinates on index triples {1,2,3} and their partners under
+    k -> N+k, padded with the trailing indices N+4..2N, each index mapped
+    back to its subset mask through ``principal_keys``."""
+    n = n_qubits
+    _require_qubits(n, 3, 4)
+
+    def bar(k):
+        return n + k
+
+    trail = [bar(k) for k in range(4, n + 1)]
+    raw_pairs = [
+        ({1, 2, 3}, {bar(1), bar(2), bar(3)}),
+        ({1, 2, bar(3)}, {3, bar(1), bar(2)}),
+        ({1, 3, bar(2)}, {2, bar(1), bar(3)}),
+        ({1, bar(2), bar(3)}, {2, 3, bar(1)}),
+    ]
+    mask = {key: m for m, key in enumerate(principal_keys(n))}
+
+    def mask_of(subset):
+        return mask[sum(1 << (j - 1) for j in subset | set(trail))]
+
+    bits = 0
+    for a, b in raw_pairs:
+        bits ^= _monomial(n, mask_of(a), mask_of(b))
+    return QuadForm(n, bits)

@@ -69,6 +69,14 @@ def test_imports_point_down_the_layers():
     assert upward == []
 
 
+def test_quadrics_imports_from_gf2_pauli_and_projection_alone():
+    # the Cayley quadric is written in subset masks, so no Plucker index
+    # needs mapping back through pluecker
+    tree = ast.parse((PACKAGE / "quadrics.py").read_text(encoding="utf-8"))
+    sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert sources == {"gf2", "pauli", "projection"}
+
+
 def test_the_enumeration_keeps_its_name_on_pauli_for_the_layer_trace():
     # perfbench/layers.py times it as pauli.enumerate_generators, a name
     # projection binds when it loads
@@ -262,6 +270,12 @@ def test_an_empty_ops_field_exits_2_naming_its_position(capsys, cmd, ops, field)
     # an empty field used to be dropped: ZZI,,XXI,IIX printed observable=IIXZ
     code, out, err = run(capsys, cmd, "--n", "3", "--ops", ops)
     assert (code, out, err) == (EXIT_PARSE, "", f"bad operator label: field {field} of --ops is empty\n")
+
+
+@pytest.mark.parametrize("cmd", ["map", "project"])
+@pytest.mark.parametrize("ops", ["", " "])
+def test_an_empty_ops_exits_2(capsys, cmd, ops):
+    assert run(capsys, cmd, "--n", "3", f"--ops={ops}") == (EXIT_PARSE, "", "no operators given\n")
 
 
 @pytest.mark.parametrize("cmd", ["map", "project"])

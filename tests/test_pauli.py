@@ -438,6 +438,11 @@ def test_non_maximal_rejected():
         generator_from_operators(ops)
 
 
+def test_no_operators_rejected():
+    with pytest.raises(ValueError, match="^need at least one operator$"):
+        generator_from_operators([])
+
+
 def test_mixed_qubit_counts_rejected():
     ops = [PauliPoint.from_label("XI"), PauliPoint.from_label("XII")]
     with pytest.raises(ValueError):

@@ -30,6 +30,7 @@ from lgrpauli.quadrics import (
 )
 from gf2_oracles import rref
 from quadric_oracles import (
+    cayley_by_pluecker_triples,
     display_rows,
     from_monomials,
     kernel_vanishing_quadrics,
@@ -123,6 +124,19 @@ def test_cayley_quadric_n3_equals_defining_quadric():
 def test_cayley_quadric_n4_is_q8():
     quads = variety_quadrics(4)
     assert cayley_quadric(4) == quads[7]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cayley_subset_form_equals_the_pluecker_triple_construction(n):
+    # the paper writes the quadric as four products of Plucker coordinates
+    # on index triples; cayley_quadric reads them off their subset masks
+    assert cayley_quadric(n) == cayley_by_pluecker_triples(n)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_cayley_quadric_is_defined_at_n_3_and_4_only(n):
+    with pytest.raises(ValueError, match=rf"^qubit count {n} is outside 3\.\.4$"):
+        cayley_quadric(n)
 
 
 def test_reduced_closure_is_q0_through_q8():
