@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 Gate = tuple[int, int, int, int, int]
 Tables = tuple[tuple[int, ...], ...]
-RowEntry = tuple[int, tuple[tuple[int, int], ...]]
+RowEntry = tuple[int, tuple[int, ...]]
 
 SWAP: Mat2 = ((0, 1), (1, 0))
 LOWER: Mat2 = ((1, 0), (1, 1))
@@ -63,25 +63,27 @@ def absent_masks(n_cols: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+@lru_cache(maxsize=None)
+def grades(n_cols: int) -> tuple[int, ...]:
+    """Entry k masks the keys of k columns, k = 0..n_cols, then one 0 entry; by
+    doubling, as k of c + 1 columns are k of the first c or k - 1 and column c + 1."""
+    g = [1]
+    for c in range(n_cols):
+        g = [a | b << (1 << c) for a, b in zip(g + [0], [0] + g)]
+    return tuple(g + [0])
+
+
 # per column width, each row seen so far with its ``_row_entry``, filled lazily
 _row_memo: defaultdict[int, dict[int, RowEntry]] = defaultdict(dict)
 
 
-@lru_cache(maxsize=None)
-def _column_terms(n_cols: int) -> tuple[tuple[int, int], ...]:
-    """Each column j's term of wedging a row onto a product: its
-    (absent_masks entry, shift) pair, one tuple shared by every memo row."""
-    return tuple((m, 1 << j) for j, m in enumerate(absent_masks(n_cols)))
-
-
 def _row_entry(n_cols: int, r: int) -> RowEntry:
     """Row r's product with 1 (sum of 1 << 2^j over its columns j), and the
-    terms of wedging it onto a product: its columns' ``_column_terms``."""
+    shifts 2^j of its columns, which wedge it onto a product."""
     if r >> n_cols:
         raise ValueError(f"basis rows must have at most {n_cols} bits")
-    terms = _column_terms(n_cols)
-    cols = [j for j in range(n_cols) if r >> j & 1]
-    return sum(1 << (1 << j) for j in cols), tuple(terms[j] for j in cols)
+    shifts = tuple(1 << j for j in range(n_cols) if r >> j & 1)
+    return sum(1 << s for s in shifts), shifts
 
 
 def wedge(rows: Iterable[int], n_cols: int) -> tuple[int, int]:
@@ -90,15 +92,20 @@ def wedge(rows: Iterable[int], n_cols: int) -> tuple[int, int]:
     basis has determinant 1, so it depends only on the span.  A row whose
     product with the kept rows vanishes lies in their span and is skipped,
     so ``rank`` rows are kept; the first kept row's product is read from
-    its memo entry.  A row wider than ``n_cols`` bits raises."""
-    memo = _row_memo[n_cols]
+    its memo entry.  A row wider than ``n_cols`` bits raises.
+
+    A shift by 2^j sends key m of k columns to m | 2^j if m omits column j,
+    else by a carry to at most k columns: so a row XORs a product's shifts by
+    its columns' 2^j and keeps grade k + 1 (``grades``) once, with no column mask."""
+    memo, grade = _row_memo[n_cols], grades(n_cols)
     w, kept = 1, 0
     for r in rows:
-        product, terms = memo.get(r) or memo.setdefault(r, _row_entry(n_cols, r))
+        product, shifts = memo.get(r) or memo.setdefault(r, _row_entry(n_cols, r))
         if kept:
             product = 0
-            for m, s in terms:
-                product ^= (w & m) << s
+            for s in shifts:
+                product ^= w << s
+            product &= grade[kept + 1]
         if product:
             w = product
             kept += 1

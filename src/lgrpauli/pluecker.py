@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .gf2 import independent, rank
-from .pauli import MAX_QUBITS, Generator, _require_int, _require_qubits, _Value
+from .gf2 import grades, independent, rank
+from .pauli import MAX_QUBITS, Generator, _require_int, _require_qubits, _Value, omega_masks
 
 
 @lru_cache(maxsize=None)
@@ -22,12 +22,6 @@ def _key_label(n_ambient: int, key: int) -> str:
     or "p{1,2,10}" once members can have two digits."""
     members = [str(j + 1) for j in range(n_ambient) if key >> j & 1]
     return "p" + "".join(members) if n_ambient < 10 else "p{" + ",".join(members) + "}"
-
-
-@lru_cache(maxsize=None)
-def _subset_mask(n_qubits: int) -> int:
-    """The mask of the keys of the N-subsets of {1..2N}."""
-    return sum(1 << k for k in range(1 << 2 * n_qubits) if k.bit_count() == n_qubits)
 
 
 class PlueckerVec(_Value, order=True):
@@ -46,7 +40,7 @@ class PlueckerVec(_Value, order=True):
         _require_int("Plucker table", table)
         if table < 0:
             raise ValueError(f"Plucker table must be nonnegative, got {table}")
-        if bad := table & ~_subset_mask(n_qubits):
+        if bad := table & ~grades(2 * n_qubits)[n_qubits]:
             key = (bad & -bad).bit_length() - 1
             raise ValueError(f"Plucker key {key} is not a {n_qubits}-subset of 1..{2 * n_qubits}")
         set_n, set_table, set_isotropic = self._setters
@@ -146,25 +140,17 @@ class LinearConstraint(_Value, order=True):
 def lagrangian_constraints(n_qubits: int) -> tuple[LinearConstraint, ...]:
     """The linear conditions isolating the totally isotropic subspaces.
 
-    For each (N-2)-subset K of {1..2N}: sum over i (with i and N+i both
-    outside K) of p_{K + {i, N+i}} = 0, degenerate sums dropped (so none
-    for N = 1, where every line is isotropic).
+    For each (N-2)-subset K of {1..2N}: sum over the pairs p_i = {i, N+i}
+    (``omega_masks``) outside K of p_{K + p_i} = 0, degenerate sums dropped
+    (so none for N = 1, where every line is isotropic).
     """
     n = n_qubits
     _require_qubits(n)
-    two_n = 2 * n
-    out = []
-    for k_set in itertools.combinations(range(1, two_n + 1), max(n - 2, 0)):
-        k_key = sum(1 << (x - 1) for x in k_set)
-        terms = []
-        for i in range(1, n + 1):
-            pair = (1 << (i - 1)) | (1 << (n + i - 1))
-            if k_key & pair:
-                continue
-            terms.append(k_key | pair)
-        if len(terms) >= 2:
-            out.append(tuple(sorted(terms)))
-    return tuple(LinearConstraint(n, terms) for terms in sorted(out))
+    keys = grades(2 * n)[max(n - 2, 0)]
+    pairs = [p for p, _ in omega_masks(n)]
+    # the pairs ascend, so each K's terms K | p_i do
+    terms = [tuple(k | p for p in pairs if not k & p) for k in range(keys.bit_length()) if keys >> k & 1]
+    return tuple(LinearConstraint(n, t) for t in sorted(terms) if len(t) >= 2)
 
 
 def constraint_rank(n_qubits: int) -> int:

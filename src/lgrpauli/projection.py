@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable
 
 from . import pauli
@@ -132,16 +132,6 @@ _set_point_n, _set_point_bits = ProjPoint._setters
 _set_op_n, _set_op_bits = PauliPoint._setters
 
 
-@lru_cache(maxsize=None)
-def _contraction(n_qubits: int) -> tuple[tuple[int, str], ...]:
-    """Each constraint's key K (the meet of its terms K | p_i) with its
-    message: bit K of the contraction with omega (``omega_contraction``) is
-    the sum of the constraint's terms.  The K are exactly the bits the
-    contraction of a table on the N-subset keys can set."""
-    return tuple((reduce(int.__and__, c.term_keys), f"input violates isotropy constraint {c}")
-                 for c in lagrangian_constraints(n_qubits))
-
-
 def project(v: PlueckerVec) -> ProjPoint:
     """Keep the principal-minor coordinates of a Plucker vector.
 
@@ -151,7 +141,9 @@ def project(v: PlueckerVec) -> ProjPoint:
     n = v.n_qubits
     if not v._isotropic:  # the vectors from ``embed`` were checked as generators
         if s := omega_contraction(n, v.table):
-            raise ValueError(next(msg for k, msg in _contraction(n) if s >> k & 1))
+            # bit K sums K's constraint, whose terms K | p_i meet in K (the p_i are disjoint)
+            c = next(c for c in lagrangian_constraints(n) if s >> (c.term_keys[0] & c.term_keys[1]) & 1)
+            raise ValueError(f"input violates isotropy constraint {c}")
     bits = _principal_bits(n, v.table)
     if bits == 0:
         raise ValueError("all principal coordinates vanish: input not Lagrangian")

@@ -13,8 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lgrpauli import gf2
-from lgrpauli.gf2 import (apply_tables, byte_tables, columns, independent, packed_rref, rank, reduce_row, span,
-                          wedge)
+from lgrpauli.gf2 import (apply_tables, byte_tables, columns, grades, independent, packed_rref, rank, reduce_row,
+                          span, wedge)
 from lgrpauli.projection import _image_bits
 from gf2_oracles import columns_by_string_joins, kernel, rref
 from orbit_oracles import minor
@@ -101,6 +101,24 @@ def test_rref_preserves_row_space(m):
         return s
 
     assert span(rows) == span(rref(rows))
+
+
+@pytest.mark.parametrize("cols", range(1, 11))
+def test_grades_mask_the_keys_by_column_count(cols):
+    # entry k is the popcount filter of the 2^cols keys, and entry cols + 1,
+    # which a row given after a full basis reads, is 0
+    g = grades(cols)
+    assert len(g) == cols + 2 and g[-1] == 0
+    assert all(g[k] == sum(1 << m for m in range(1 << cols) if m.bit_count() == k) for k in range(cols + 1))
+
+
+def test_wedge_carry_never_raises_the_column_count():
+    # the wedge shifts every key m by 2^j for each column j of a row: when m
+    # holds column j the carry must leave at most |m| columns, so that only
+    # the keys m | 2^j reach the next grade
+    for cols in range(1, 11):
+        for m in range(1 << cols):
+            assert all((m + (1 << j)).bit_count() <= m.bit_count() for j in range(cols) if m >> j & 1)
 
 
 @given(mats(max_rows=8))

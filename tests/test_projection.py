@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lgrpauli import pauli, pluecker, projection
-from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, gate
+from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, gate, grades
 from lgrpauli.pauli import (
     BITS_LETTER,
     Generator,
@@ -26,7 +26,6 @@ from lgrpauli.pauli import (
 )
 from lgrpauli.pluecker import (
     PlueckerVec,
-    _subset_mask,
     embed,
     lagrangian_constraints,
     principal_keys,
@@ -403,11 +402,12 @@ def test_constraint_keys_are_every_bit_the_contraction_can_set(n):
     # ``project`` rejects a table whose contraction is nonzero, naming the
     # constraint of a set bit: the keys K must be exactly the bits that the
     # contraction of a table on the N-subset keys can set, and those are the
-    # (N-2)-subset keys (none at N = 1)
+    # (N-2)-subset keys (none at N = 1); each constraint's K is the meet of
+    # two of its terms K | p_i
     reach = 0
     for pair, m in omega_masks(n):
-        reach |= (_subset_mask(n) & m) >> pair
-    keys = sum(1 << k for k, _ in projection._contraction(n))
+        reach |= (grades(2 * n)[n] & m) >> pair
+    keys = sum(1 << (c.term_keys[0] & c.term_keys[1]) for c in lagrangian_constraints(n))
     assert keys == reach == sum(1 << k for k in range(1 << 2 * n) if k.bit_count() == n - 2)
 
 
@@ -668,8 +668,8 @@ def test_lift_reads_the_rows_of_the_per_cell_readout_oracle(n, monkeypatch):
 def test_lift_keeps_one_readout_per_n_and_shares_the_wedge_terms():
     # in a fresh process, the first point of each of the 32 cells at N = 5
     # (x_T itself, A = 0) is lifted through one readout, in under 100 KB of
-    # traced memory, and every row the wedges memoized holds its columns'
-    # shared term pairs
+    # traced memory, and every row the wedges memoized holds the shift 2^j
+    # of each of its columns
     code = """if True:
         import tracemalloc
         from lgrpauli import gf2, projection
@@ -679,9 +679,8 @@ def test_lift_keeps_one_readout_per_n_and_shares_the_wedge_terms():
             lift(ProjPoint(5, 1 << t))
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        shared = [len(terms) == bin(r).count("1") and all(
-                      term is gf2._column_terms(w)[j] for term, j in zip(terms, (j for j in range(w) if r >> j & 1)))
-                  for w, memo in gf2._row_memo.items() for r, (_, terms) in memo.items()]
+        shared = [shifts == tuple(1 << j for j in range(w) if r >> j & 1)
+                  for w, memo in gf2._row_memo.items() for r, (_, shifts) in memo.items()]
         print(projection._readout.cache_info().currsize, peak, len(shared), all(shared))
     """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(projection.__file__)))
