@@ -250,11 +250,10 @@ def _suite_variety(n: int) -> list[tuple[str, bool]]:
 
 
 def _suite_tables(n: int) -> list[tuple[str, bool]]:
-    from .orbits import CLASS_TABLE, e_rank, orbit_of_point, t_rank
+    from .orbits import _class_points, e_rank, orbit_of_point, t_rank
 
     checks = []
-    for row in CLASS_TABLE.get(n, ()):
-        p = ProjPoint.from_string(n, row["representative"])
+    for row, p in _class_points(n):
         rec = orbit_of_point(p)
         obs, tr, er = to_observable(p).label(), t_rank(p), e_rank(p)
         ok = (rec.size, obs, tr, er) == (row["size"], row["observable"], row["t_rank"], row["e_rank"])

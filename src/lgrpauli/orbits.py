@@ -69,39 +69,10 @@ def _orbit_data(n: int) -> tuple[bytes, list[tuple[int, int]]]:
     return bytes(oid).translate(relabel), [raw[old] for old in order]
 
 
-@lru_cache(maxsize=None)
-def _orbit_t_ranks(n: int) -> list[int]:
-    """T-rank of each orbit id: the minimal number of separable tensors
-    summing to its points, by a layered search over orbit ids.
-
-    The 3^N separable tensors are the products of one factor (1, 0),
-    (0, 1) or (1, 1) per axis; GL(2,2) is transitive on the nonzero vectors
-    of GF(2)^2, so they are the orbit of x_{} = 1.  Each set {T-rank <= k}
-    is a union of orbits, and for o = g.rep, o + s = g.(rep + g^-1 s) with
-    g^-1 s separable again, so the orbits one separable step from an orbit
-    are those of rep + s over the separable s, read from one
-    representative."""
-    assign, orbits = _orbit_data(n)
-    seps = [1]  # the products over the axes below i; axis i is bit i of the subset masks
-    for i in range(n):
-        seps = [u for t in seps for u in (t, t << (1 << i), t | t << (1 << i))]
-    ranks = [0] * len(orbits)
-    frontier = {assign[1]}
-    depth = 1
-    while frontier:
-        for o in frontier:
-            ranks[o] = depth
-        depth += 1
-        reached = {assign[w] for o in frontier for s in seps if (w := orbits[o][1] ^ s)}
-        frontier = {o for o in reached if not ranks[o]}
-    return ranks
-
-
 def t_rank(p: ProjPoint) -> int:
     """Minimal k with p a sum of k separable tensors (the T-rank of its
-    orbit)."""
-    assign, _ = _orbit_data(p.n_source)  # which checks 2 <= N <= 4
-    return _orbit_t_ranks(p.n_source)[assign[p.bits]]
+    orbit, read from the orbit's record)."""
+    return orbit_of_point(p).t_rank
 
 
 def e_rank(p: ProjPoint) -> int:
@@ -169,18 +140,42 @@ class OrbitRecord(_Value):
 
 
 @lru_cache(maxsize=None)
+def _class_points(n: int) -> list[tuple[dict, ProjPoint]]:
+    """Each ``CLASS_TABLE`` row of N with its parsed representative."""
+    return [(row, ProjPoint.from_string(n, row["representative"])) for row in CLASS_TABLE.get(n, ())]
+
+
+@lru_cache(maxsize=None)
 def orbit_partition(n: int) -> tuple[OrbitRecord, ...]:
     """Every nonzero point assigned to exactly one orbit; orbits sorted by
-    (size, canonical representative) and numbered from 1."""
+    (size, canonical representative) and numbered from 1.
+
+    An orbit's T-rank is the minimal number of separable tensors summing to
+    its points, found by a layered search over orbit ids.  The 3^N
+    separable tensors are the products of one factor (1, 0), (0, 1) or
+    (1, 1) per axis; GL(2,2) is transitive on the nonzero vectors of
+    GF(2)^2, so they are the orbit of x_{} = 1.  Each set {T-rank <= k} is
+    a union of orbits, and for o = g.rep, o + s = g.(rep + g^-1 s) with
+    g^-1 s separable again, so the orbits one separable step from an orbit
+    are those of rep + s over the separable s, read from its least
+    member."""
     assign, orbits = _orbit_data(n)
     hits = [0] * len(orbits)  # image points per orbit
     for b in _image_bits(n):
         hits[assign[b]] += 1
-    trank = _orbit_t_ranks(n)
-    ref_by_bits = {}
-    for row in CLASS_TABLE.get(n, ()):
-        p = ProjPoint.from_string(n, row["representative"])
-        ref_by_bits[assign[p.bits]] = row["label"]
+    seps = [1]  # the products over the axes below i; axis i is bit i of the subset masks
+    for i in range(n):
+        seps = [u for t in seps for u in (t, t << (1 << i), t | t << (1 << i))]
+    trank = [0] * len(orbits)
+    frontier = {assign[1]}
+    depth = 1
+    while frontier:
+        for o in frontier:
+            trank[o] = depth
+        depth += 1
+        reached = {assign[w] for o in frontier for s in seps if (w := orbits[o][1] ^ s)}
+        frontier = {o for o in reached if not trank[o]}
+    ref_labels = {assign[p.bits]: row["label"] for row, p in _class_points(n)}
     records = []
     for i, (size, least) in enumerate(orbits):
         rep = ProjPoint(n, least)
@@ -190,7 +185,7 @@ def orbit_partition(n: int) -> tuple[OrbitRecord, ...]:
                 f"orbit {i + 1} meets the image in {hit} of {size} points"
             )
         inside = hit > 0
-        label = ref_by_bits.get(i)
+        label = ref_labels.get(i)
         if label is None and not inside:
             label = _NON_IMAGE_LABELS.get(n, {}).get(size)
         records.append(OrbitRecord(i + 1, size, rep, inside, trank[i], e_rank(rep) if inside else None,
@@ -212,11 +207,8 @@ def orbit_of_point(p: ProjPoint) -> OrbitRecord:
 def emit_tables(n: int) -> list[dict]:
     """Rows describing each image class: ids, sizes, representatives,
     observable, both ranks, and a sample maximal commuting set."""
+    refs = {orbit_of_point(p).orbit_id: p for _, p in _class_points(n)}
     rows = []
-    refs = {}
-    for row in CLASS_TABLE.get(n, ()):
-        p = ProjPoint.from_string(n, row["representative"])
-        refs[orbit_of_point(p).orbit_id] = p
     for rec in classify_image(n):
         ref_rep = refs.get(rec.orbit_id, rec.representative)
         g = lift(ref_rep)

@@ -235,8 +235,9 @@ class Generator(_Value):
 
     def __init__(self, n_qubits: int, rows: Iterable[int]):
         n = n_qubits
-        if n.__class__ is not int or n < 1:
-            _require_qubits(n, 1, None)
+        if n.__class__ is not int or not 0 < n <= MAX_QUBITS:
+            _require_qubits(n, 1, None)  # N < 1 or not an int: worded as PauliPoint words it
+            _require_qubits(n)
         table, rank = wedge(rows, 2 * n)  # ValueError for a row wider than 2N bits
         if rank != n:
             raise NotMaximalError(f"subspace has rank {rank}, expected {n}")

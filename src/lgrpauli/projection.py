@@ -209,14 +209,13 @@ def local_gates(n: int) -> tuple[Gate, ...]:
     return clifford_gates(n)[:2 * n] + tuple(gate(n, 1 << k, 2 << k, SWAP) for k in range(n - 1))
 
 
-def _gray_walk(steps: list[tuple[Gate, ...]], start: int) -> list[int]:
-    """Entry c is ``start`` moved by step k's gates for each bit k of c (the
-    steps commute), one step per move of a Gray-code walk."""
+def _gray_walk(steps: list[Gate], start: int) -> list[int]:
+    """Entry c is ``start`` moved by gate k for each bit k of c (the gates
+    commute), one gate per move of a Gray-code walk."""
     out = [start] * (1 << len(steps))
     bits = start
     for k in range(1, len(out)):
-        for g in steps[(k & -k).bit_length() - 1]:
-            bits = apply_gate(g, bits)
+        bits = apply_gate(steps[(k & -k).bit_length() - 1], bits)
         out[k ^ k >> 1] = bits
     return out
 
@@ -238,7 +237,7 @@ def _image_bits(n_qubits: int) -> tuple[int, ...]:
     n = n_qubits
     _require_qubits(n)
     hits = [bits for t in range(1 << n) for bits in _gray_walk(
-        [(gate(n, e & t, e & ~t, LOWER),) for e in _entries(n) if not t >> e.bit_length() - 1 & 1], 1 << t)]
+        [gate(n, e & t, e & ~t, LOWER) for e in _entries(n) if not t >> e.bit_length() - 1 & 1], 1 << t)]
     return tuple(sorted(hits))
 
 

@@ -46,11 +46,6 @@ def _pairs(n: int, bits: int):
         yield k >> n, k & ((1 << n) - 1)
 
 
-def _monomials_at(n: int, x: int) -> int:
-    """The monomials that equal 1 at the point with packed coordinates x."""
-    return sum((x & -(1 << a)) << (a << n) for a in range(1 << n) if x >> a & 1)
-
-
 class QuadForm(_Value):
     """A quadratic form on the 2^N principal minors, packed as above;
     addition is XOR."""
@@ -80,9 +75,10 @@ class QuadForm(_Value):
         return sorted((display[a << n | b] for a, b in _pairs(n, self.bits)), key=lambda m: (len(m), m))
 
     def evaluate(self, p: ProjPoint) -> int:
+        """Q at p: ``_values`` on the set of p alone, whose columns are 0 or -1."""
         if p.n_source != self.n_qubits:
             raise ValueError(f"point/form dimension mismatch: {p.n_source} and {self.n_qubits}")
-        return (self.bits & _monomials_at(self.n_qubits, p.bits)).bit_count() & 1
+        return _values(self, [-(p.bits >> a & 1) for a in range(1 << p.n_source)]) & 1
 
     def __str__(self) -> str:
         if not self.bits:
@@ -142,7 +138,7 @@ class VarietyReport(_Value):
     __slots__ = ("n_qubits", "quadric_count", "zero_set_size", "image_size", "matches")
 
 
-def _values(q: QuadForm, cols: tuple[int, ...]) -> int:
+def _values(q: QuadForm, cols: list[int] | tuple[int, ...]) -> int:
     """q on a point set given by its coordinate columns, bitsliced: bit k of
     column a is x_a at the set's point k, and bit k of the result is q there."""
     col = 0

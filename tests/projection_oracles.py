@@ -18,7 +18,7 @@ def chart_points(n_qubits: int) -> list[int]:
     """Entry c is the chart point of the symmetric matrix A with code c,
     bit k of c the entry flipped by gate k of ``clifford_gates(n)[n:]``
     (a_ii by S_i, then a_ij = a_ji by CZ_ij), walked from x_{} = 1."""
-    return _gray_walk([(g,) for g in clifford_gates(n_qubits)[n_qubits:]], 1)
+    return _gray_walk(list(clifford_gates(n_qubits)[n_qubits:]), 1)
 
 
 def _chart_cell(n: int, t: int) -> list[int]:

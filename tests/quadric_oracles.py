@@ -13,7 +13,7 @@ from lgrpauli.gf2 import apply_gate, independent, span
 from lgrpauli.pauli import _require_qubits
 from lgrpauli.pluecker import principal_keys
 from lgrpauli.projection import display_masks, local_gates
-from lgrpauli.quadrics import QuadForm, _form, _monomial, _monomials_at, _upper
+from lgrpauli.quadrics import QuadForm, _form, _monomial, _upper
 from gf2_oracles import kernel
 
 
@@ -122,6 +122,12 @@ def vanishing_basis(points, n: int) -> list[frozenset]:
                         if evaluate_display([mono], x)))
     return [frozenset(basis[c] for c in range(len(basis)) if k >> c & 1)
             for k in kernel(rows, len(basis))]
+
+
+def _monomials_at(n: int, x: int) -> int:
+    """The packed monomials that equal 1 at the point with packed
+    coordinates x: x_a x_b for a <= b both in x."""
+    return sum((x & -(1 << a)) << (a << n) for a in range(1 << n) if x >> a & 1)
 
 
 def kernel_vanishing_quadrics(points) -> list[QuadForm]:

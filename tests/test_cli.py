@@ -502,7 +502,8 @@ def test_subcommands_reject_flags_of_other_subcommands(capsys):
 PARSE_EXITS = [[name, "--help"] for name in cli._COMMANDS] + [
     ["--help"], [], ["bogus"], ["verify", "--bogus"], ["verify", "--n", "4", "--bogus"],
     ["project", "--n", "3"], ["map", "--n", "3"], ["lift", "--n", "3"], ["rank", "--n", "3"],
-    ["counts", "--n", "x"], ["counts", "--n", "3", "extra"], ["orbits", "--n", "3", "--point", "0010"]]
+    ["counts", "--n", "x"], ["counts", "--n", "3", "extra"], ["orbits", "--n", "3", "--point", "0010"],
+    ["counts", "--n", "0x3"], ["verify", "--n", "4", "--format", "xml"]]
 
 
 @pytest.mark.parametrize("argv", PARSE_EXITS, ids=lambda argv: " ".join(argv) or "no arguments")
@@ -516,6 +517,21 @@ def test_one_command_parser_matches_the_full_parser(capsys, argv):
         outcomes.append((exc.value.code, *capsys.readouterr()))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == (0 if "--help" in argv else EXIT_PARSE)
+
+
+@pytest.mark.parametrize("argv", [argv for argv in PARSE_EXITS if "--help" not in argv],
+                         ids=lambda argv: " ".join(argv) or "no arguments")
+def test_usage_errors_print_the_usage_then_one_error_line(capsys, argv):
+    # argparse's own errors keep its shape: the usage line and its indented
+    # continuations, then one "lgrpauli[ COMMAND]: error: ..." line, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    *usage, last = err.splitlines()
+    assert (exc.value.code, out) == (EXIT_PARSE, "")
+    assert usage[0].startswith("usage: lgrpauli ") and all(line.startswith(" ") for line in usage[1:])
+    assert re.fullmatch(r"lgrpauli( [a-z]+)?: error: .+", last)
+    assert err.endswith(last + "\n") and err.count("error:") == 1
 
 
 def test_parse_errors_name_the_command_argument(capsys):

@@ -206,7 +206,7 @@ def test_separable_vectors_census():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_separable_products_are_the_orbit_of_x_empty(n):
-    # _orbit_t_ranks builds the separable tensors as the products of one
+    # orbit_partition builds the separable tensors as the products of one
     # nonzero factor per axis and takes them to be the orbit of x_{} = 1
     assign, _ = _orbit_data(n)
     seps = [1]

@@ -340,6 +340,16 @@ def test_generator_rejects_fewer_than_one_qubit(n, rows):
     assert type(ei.value) is ValueError
 
 
+def test_generator_rejects_more_than_max_qubits():
+    # N = 6 would embed as a PlueckerVec its own constructor rejects
+    labels = [("I" * k + "X").ljust(6, "I") for k in range(6)]
+    for make in (lambda: Generator(6, [1 << 6 + k for k in range(6)]),
+                 lambda: generator_from_operators([PauliPoint.from_label(s) for s in labels])):
+        with pytest.raises(ValueError, match="^qubit count 6 is outside 1..5$") as ei:
+            make()
+        assert type(ei.value) is ValueError
+
+
 def rows_outcome(make, n, rows):
     try:
         return make(n, rows)
