@@ -141,7 +141,7 @@ def cmd_project(args) -> str:
     n = args.n
     v = embed(_generator(n, args.ops))
     p = project(v)
-    pluecker = {_key_label(2 * n, k): v.coord_key(k) for k in sorted(principal_keys(n))}
+    pluecker = {_key_label(2 * n, k): v.table >> k & 1 for k in sorted(principal_keys(n))}
     return _emit([{
         "point": p.display_str(),
         "bits": p.bit_string(),

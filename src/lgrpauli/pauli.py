@@ -90,15 +90,15 @@ class _Value:
 
 
 def _require_int(name: str, value) -> None:
-    """Raise a ValueError naming ``value`` unless it is an int."""
-    if not isinstance(value, int):
+    """Raise a ValueError naming ``value`` unless it is an int (a bool is not)."""
+    if value.__class__ is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _require_qubits(n, lo: int = 1, hi: int | None = MAX_QUBITS, name: str = "qubit count") -> None:
-    """Raise a ValueError naming ``n`` unless it is an int qubit count in
-    lo..hi, or at least lo if ``hi`` is None."""
-    if not isinstance(n, int):
+    """Raise a ValueError naming ``n`` unless it is an int (not a bool)
+    qubit count in lo..hi, or at least lo if ``hi`` is None."""
+    if n.__class__ is not int:
         raise ValueError(f"{name} must be an int, got {n!r}")
     if n < lo or hi is not None and n > hi:
         raise ValueError(f"{name} {n} is below {lo}" if hi is None else f"{name} {n} is outside {lo}..{hi}")
@@ -137,7 +137,7 @@ class PauliPoint(_Value, order=True):
     def __init__(self, n_qubits: int, bits: int):
         if n_qubits.__class__ is not int or n_qubits < 1:
             _require_qubits(n_qubits, 1, None)
-        if not (isinstance(bits, int) and 0 < bits < 1 << (2 * n_qubits)):  # one call on the hot path
+        if not (bits.__class__ is int and 0 < bits < 1 << (2 * n_qubits)):  # one comparison on the hot path
             _require_int("bits", bits)
             raise ValueError(f"bits must be in 1..4^N-1 for N={n_qubits}, got {bits}")
         set_n, set_bits = self._setters

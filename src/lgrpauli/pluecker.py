@@ -48,9 +48,6 @@ class PlueckerVec(_Value, order=True):
         set_table(self, table)
         set_isotropic(self, False)
 
-    def coord_key(self, key: int) -> int:
-        return (self.table >> key) & 1
-
 
 # ``embed`` writes a vector's slots itself: the constructor's call chain,
 # not its checks, is what it saves.  Held here, so no call looks them up.

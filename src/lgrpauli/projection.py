@@ -68,15 +68,12 @@ class ProjPoint(_Value, order=True):
     def __init__(self, n_source: int, bits: int):
         if n_source.__class__ is not int or n_source < 1:
             _require_qubits(n_source, 1, None, "source qubit count")
-        if not isinstance(bits, int) or bits <= 0 or bits >> (1 << n_source):  # one call on the hot path
+        if bits.__class__ is not int or bits <= 0 or bits >> (1 << n_source):  # one comparison on the hot path
             _require_int("bits", bits)
             raise ValueError("point must be nonzero and within 2^N coordinates")
         set_n, set_bits = self._setters
         set_n(self, n_source)
         set_bits(self, bits)
-
-    def display_bits(self) -> tuple[int, ...]:
-        return tuple(map(int, self.bit_string()))
 
     def display_str(self) -> str:
         return "[" + ":".join(self.bit_string()) + "]"
@@ -89,19 +86,6 @@ class ProjPoint(_Value, order=True):
     def hex_string(self) -> str:
         width = ((1 << self.n_source) + 3) // 4
         return format(int(self.bit_string(), 2), f"0{width}x")
-
-    @classmethod
-    def from_display_bits(cls, bits) -> "ProjPoint":
-        bits = tuple(int(b) for b in bits)
-        if set(bits) - {0, 1}:
-            raise ValueError("display coordinates must be 0 or 1")
-        size = len(bits)
-        if size < 2:
-            raise ValueError(f"display length {size} is below 2")
-        n = size.bit_length() - 1
-        if 1 << n != size:
-            raise ValueError("display length must be a power of two")
-        return cls(n, apply_tables(_display_order(n)[1], sum(b << j for j, b in enumerate(bits))))
 
     @classmethod
     def from_string(cls, n_qubits: int, text: str) -> "ProjPoint":
@@ -176,13 +160,10 @@ def _principal_bits(n: int, table: int) -> int:
 def to_observable(p: ProjPoint) -> PauliPoint:
     """Read the display coordinates as a Pauli operator on 2^(N-1) qubits:
     display coordinate j is bit j of the operator."""
-    n, x, bits = p.n_source, p.bits, 0
-    for table in _display_order(n)[0]:  # apply_tables, without the call
-        bits ^= table[x & 255]
-        x >>= 8
+    n = p.n_source
     o = _new(PauliPoint)
     _set_op_n(o, 1 << n - 1)
-    _set_op_bits(o, bits)
+    _set_op_bits(o, apply_tables(_display_order(n)[0], p.bits))
     return o
 
 
@@ -209,14 +190,12 @@ def local_gates(n: int) -> tuple[Gate, ...]:
     return clifford_gates(n)[:2 * n] + tuple(gate(n, 1 << k, 2 << k, SWAP) for k in range(n - 1))
 
 
-def _gray_walk(steps: list[Gate], start: int) -> list[int]:
+def _walk(steps: list[Gate], start: int) -> list[int]:
     """Entry c is ``start`` moved by gate k for each bit k of c (the gates
-    commute), one gate per move of a Gray-code walk."""
-    out = [start] * (1 << len(steps))
-    bits = start
-    for k in range(1, len(out)):
-        bits = apply_gate(steps[(k & -k).bit_length() - 1], bits)
-        out[k ^ k >> 1] = bits
+    commute): gate k moves the first 2^k entries to the next 2^k."""
+    out = [start]
+    for g in steps:
+        out += [apply_gate(g, bits) for bits in out]
     return out
 
 
@@ -236,7 +215,7 @@ def _image_bits(n_qubits: int) -> tuple[int, ...]:
     x_{U | (e - T)}), U = (S ^ T) - e, that is gate(n, e & T, e - T, LOWER)."""
     n = n_qubits
     _require_qubits(n)
-    hits = [bits for t in range(1 << n) for bits in _gray_walk(
+    hits = [bits for t in range(1 << n) for bits in _walk(
         [gate(n, e & t, e & ~t, LOWER) for e in _entries(n) if not t >> e.bit_length() - 1 & 1], 1 << t)]
     return tuple(sorted(hits))
 

@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 
 from .gf2 import SWAP, Gate, absent_masks, apply_gate, columns, gate, independent, reduce_row
 from .pauli import MAX_QUBITS, _require_int, _require_qubits, _Value
-from .projection import ProjPoint, _image_bits, display_masks, local_gates
+from .projection import _image_bits, display_masks, local_gates
 
 
 @lru_cache(maxsize=None)
@@ -56,7 +56,7 @@ class QuadForm(_Value):
         if n_qubits.__class__ is not int or not 0 < n_qubits <= MAX_QUBITS:
             _require_qubits(n_qubits)
         diag, upper = _upper(n_qubits)
-        if not isinstance(bits, int) or bits < 0 or bits & ~(diag | upper):
+        if bits.__class__ is not int or bits < 0 or bits & ~(diag | upper):
             _require_int("bits", bits)
             raise ValueError("bits outside the monomials x_a x_b with a <= b")
         set_n, set_bits = self._setters
@@ -73,12 +73,6 @@ class QuadForm(_Value):
         (i, j) with i < j otherwise: squares first, then ascending."""
         n, display = self.n_qubits, _display_monomials(self.n_qubits)
         return sorted((display[a << n | b] for a, b in _pairs(n, self.bits)), key=lambda m: (len(m), m))
-
-    def evaluate(self, p: ProjPoint) -> int:
-        """Q at p: ``_values`` on the set of p alone, whose columns are 0 or -1."""
-        if p.n_source != self.n_qubits:
-            raise ValueError(f"point/form dimension mismatch: {p.n_source} and {self.n_qubits}")
-        return _values(self, [-(p.bits >> a & 1) for a in range(1 << p.n_source)]) & 1
 
     def __str__(self) -> str:
         if not self.bits:

@@ -80,4 +80,4 @@ def from_label_outcome(s: str) -> PauliPoint | str:
 def principal_bits(v: PlueckerVec) -> int:
     """The principal coordinates of a Plucker vector, one key at a time:
     bit m is the coordinate at the key of subset m."""
-    return sum(v.coord_key(key) << m for m, key in enumerate(principal_keys(v.n_qubits)))
+    return sum((v.table >> key & 1) << m for m, key in enumerate(principal_keys(v.n_qubits)))

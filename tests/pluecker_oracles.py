@@ -44,7 +44,7 @@ def coord(v: PlueckerVec, idx: SubsetIndex) -> int:
     """The coordinate of ``v`` at an N-subset index."""
     if idx.n_ambient != 2 * v.n_qubits or len(idx.members) != v.n_qubits:
         raise ValueError("index shape mismatch")
-    return v.coord_key(idx.key)
+    return v.table >> idx.key & 1
 
 
 def relation_terms(r: PlueckerRelation) -> list[tuple[SubsetIndex, SubsetIndex]]:

@@ -11,14 +11,14 @@ import itertools
 from functools import lru_cache
 
 from lgrpauli.gf2 import Tables, apply_tables, byte_tables
-from lgrpauli.projection import _entries, _gray_walk, clifford_gates
+from lgrpauli.projection import _entries, _walk, clifford_gates
 
 
 def chart_points(n_qubits: int) -> list[int]:
     """Entry c is the chart point of the symmetric matrix A with code c,
     bit k of c the entry flipped by gate k of ``clifford_gates(n)[n:]``
     (a_ii by S_i, then a_ij = a_ji by CZ_ij), walked from x_{} = 1."""
-    return _gray_walk(list(clifford_gates(n_qubits)[n_qubits:]), 1)
+    return _walk(list(clifford_gates(n_qubits)[n_qubits:]), 1)
 
 
 def _chart_cell(n: int, t: int) -> list[int]:

@@ -130,6 +130,12 @@ def _monomials_at(n: int, x: int) -> int:
     return sum((x & -(1 << a)) << (a << n) for a in range(1 << n) if x >> a & 1)
 
 
+def value_at(q: QuadForm, x: int) -> int:
+    """q at the point with packed coordinates x, row-wise: the parity of the
+    monomials of q that equal 1 there."""
+    return (q.bits & _monomials_at(q.n_qubits, x)).bit_count() & 1
+
+
 def kernel_vanishing_quadrics(points) -> list[QuadForm]:
     """The row-wise basis that the column path replaced: the kernel of one
     row per point over all 2^(2N) packed columns, the columns (a << N) | b

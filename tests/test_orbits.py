@@ -268,7 +268,7 @@ def test_e_rank_matches_the_exclusive_minor_oracle(n):
 def test_e_rank_rejects_non_image_points():
     # at N = 5, x_{} = x_{12345} = 1 alone would need a chart matrix with
     # no nonzero 1x1 or 2x2 principal minor, so A = 0, and det A = 1
-    for bad in (ProjPoint.from_display_bits((1, 0, 0, 0, 1, 0, 0, 0)), ProjPoint(5, 1 | 1 << 31)):
+    for bad in (ProjPoint.from_string(3, "10001000"), ProjPoint(5, 1 | 1 << 31)):
         with pytest.raises(ValueError, match="exclusive rank is defined only on the image"):
             e_rank(bad)
 

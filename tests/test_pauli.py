@@ -135,7 +135,7 @@ def test_from_label_rejects_and_never_stores_a_non_string(monkeypatch, s):
     assert pauli._parsed == {}
 
 
-@pytest.mark.parametrize("bits", [1.5, 3.0, "3", None])
+@pytest.mark.parametrize("bits", [1.5, 3.0, "3", None, True])
 def test_pauli_point_rejects_bits_that_are_not_an_int(bits):
     # a float in range used to construct and fail later in label()
     with pytest.raises(ValueError, match=f"^bits must be an int, got {re.escape(repr(bits))}$"):

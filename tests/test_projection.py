@@ -198,7 +198,7 @@ def display_masks_by_elements(n: int) -> tuple[int, ...]:
 
 
 def display_bits_by_masks(p: ProjPoint) -> tuple[int, ...]:
-    """Oracle: ``display_bits`` read one subset mask at a time."""
+    """Oracle: the display coordinates read one subset mask at a time."""
     return tuple((p.bits >> m) & 1 for m in display_masks_by_elements(p.n_source))
 
 
@@ -295,13 +295,11 @@ def test_display_forms_match_the_per_mask_oracle_and_parse_back(n):
     for p in points + [ProjPoint(n, rng.randrange(1, 1 << size)) for _ in range(300)]:
         db = display_bits_by_masks(p)
         s = "".join(map(str, db))
-        assert p.display_bits() == db
         assert p.bit_string() == s
         assert p.display_str() == "[" + ":".join(s) + "]"
         assert p.hex_string() == format(int(s, 2), f"0{(size + 3) // 4}x")
         for form in (s, p.display_str(), "0x" + p.hex_string()):
             assert ProjPoint.from_string(n, form) == p
-        assert ProjPoint.from_display_bits(db) == p
 
 
 @pytest.mark.parametrize("parse, arg, message", [
@@ -315,14 +313,8 @@ def test_display_forms_match_the_per_mask_oracle_and_parse_back(n):
     (ProjPoint.from_string, (3, "[0:1:0:0:0:0:0:2]"), "expected 8 coordinates, each 0 or 1"),
     (ProjPoint.from_string, (3, "00000000"), "point must be nonzero and within 2^N coordinates"),
     (ProjPoint.from_string, (3, "0x0"), "point must be nonzero and within 2^N coordinates"),
-    (ProjPoint.from_display_bits, ((1, 0, 1),), "display length must be a power of two"),
-    (ProjPoint.from_display_bits, ((0, 2, 0, 0),), "display coordinates must be 0 or 1"),
-    (ProjPoint.from_display_bits, ((1, 0, -1, 0),), "display coordinates must be 0 or 1"),
-    (ProjPoint.from_display_bits, ((0, 0, 0, 0),), "point must be nonzero and within 2^N coordinates"),
     (ProjPoint.from_string, (0, "1"), "source qubit count 0 is below 1"),
     (ProjPoint.from_string, (-1, "1"), "source qubit count -1 is below 1"),
-    (ProjPoint.from_display_bits, ((1,),), "display length 1 is below 2"),
-    (ProjPoint.from_display_bits, ((),), "display length 0 is below 2"),
 ])
 def test_malformed_points_keep_their_messages(parse, arg, message):
     with pytest.raises(ValueError) as ei:
@@ -708,7 +700,7 @@ def test_lift_builds_each_generator_once_on_its_first_lift(monkeypatch):
 
 
 def test_lift_outside_the_image_or_the_range_caches_nothing():
-    bad = ProjPoint.from_display_bits((1, 0, 0, 0, 1, 0, 0, 0))
+    bad = ProjPoint.from_string(3, "10001000")
     lift(image(3)[0])
     size = len(projection._lifted[3])
     with pytest.raises(NotInImageError, match=re.escape("[1:0:0:0:1:0:0:0] is not in the image")):
@@ -763,15 +755,15 @@ def test_lift_builds_no_image(monkeypatch):
 
 
 def recorded_walks(monkeypatch) -> list[tuple[int, list[int]]]:
-    """Each ``_gray_walk`` run from now on in this test, as its start and
-    its entries."""
-    walks, walk = [], projection._gray_walk
+    """Each ``_walk`` run from now on in this test, as its start and its
+    entries."""
+    walks, walk = [], projection._walk
 
     def recording(steps, start):
         walks.append((start, walk(steps, start)))
         return walks[-1][1]
 
-    monkeypatch.setattr(projection, "_gray_walk", recording)
+    monkeypatch.setattr(projection, "_walk", recording)
     return walks
 
 
@@ -790,16 +782,16 @@ def test_lift_runs_no_walk(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_image_cells_are_the_chart_cells_moved_by_hadamards(n, monkeypatch):
-    # T's walk starts at x_T and holds H_T q for exactly the chart points q
-    # of T's oracle cell, 2^(N(N+1)/2 - sum_{k in T} (k+1)) of them, all
-    # lowest at x_T
+    # T's walk starts at x_T and its entry c is H_T q for the chart point q
+    # of code c of T's oracle cell, 2^(N(N+1)/2 - sum_{k in T} (k+1)) of
+    # them, all lowest at x_T
     walks = recorded_walks(monkeypatch)
     _image_bits.__wrapped__(n)
     points = chart_points(n)
     assert [start for start, _ in walks] == [1 << t for t in range(1 << n)]
     for t, (_, entries) in enumerate(walks):
         h = hadamard(n, t)
-        assert sorted(entries) == sorted(apply_tables(h, points[code]) for code in _chart_cell(n, t))
+        assert entries == [apply_tables(h, points[code]) for code in _chart_cell(n, t)]
         assert len(entries) == 1 << n * (n + 1) // 2 - sum(k + 1 for k in range(n) if t >> k & 1)
         assert all(bits & -bits == 1 << t for bits in entries)
 
@@ -861,7 +853,7 @@ def test_swap_lift_agrees_with_lift(n):
 
 def test_lift_rejects_non_image_points():
     # a point failing the variety test for N=3
-    bad = ProjPoint.from_display_bits((1, 0, 0, 0, 1, 0, 0, 0))
+    bad = ProjPoint.from_string(3, "10001000")
     with pytest.raises(NotInImageError):
         lift(bad)
 
@@ -870,13 +862,6 @@ def test_observable_even_y_count_on_image():
     for n in (3, 4):
         for p in image(n):
             assert y_count(to_observable(p)) % 2 == 0
-
-
-def test_from_display_bits_rejects_entries_other_than_0_or_1():
-    for bits in ((3, 0, 0, 0), (0, 0, 2, 0), (1, 0, -1, 0)):
-        with pytest.raises(ValueError):
-            ProjPoint.from_display_bits(bits)
-    assert ProjPoint.from_display_bits((1, 0, 0, 0)).display_str() == "[1:0:0:0]"
 
 
 def test_image_sizes():

@@ -103,7 +103,7 @@ def test_value_types_name_a_qubit_count_that_is_not_an_int(make, what, count):
         make(count)
 
 
-@pytest.mark.parametrize("bits", [3.0, 1.5, "3", None])
+@pytest.mark.parametrize("bits", [3.0, 1.5, "3", None, True])
 @pytest.mark.parametrize("make", [ProjPoint, QuadForm])
 def test_points_and_forms_name_bits_that_are_not_an_int(make, bits):
     # each used to fail with a bare TypeError from a shift, a mask or a comparison
@@ -174,11 +174,10 @@ def test_tensor_rank_names_a_bad_qubit_count(n):
     (lambda: QuadForm(3, 1) + QuadForm(4, 1), "variable count mismatch: 3 and 4"),
     (lambda: spans([QuadForm(4, 1), QuadForm(3, 1)], QuadForm(4, 1)), "variable count mismatch: 3 and 4"),
     (lambda: quadric_orbit(cayley_quadric(3), 4), "variable count mismatch: 3 and 4"),
-    (lambda: QuadForm(2, 1).evaluate(ProjPoint(3, 1)), "point/form dimension mismatch: 3 and 2"),
     (lambda: vanishing_quadrics([ProjPoint(3, 5), ProjPoint(4, 1)]), "coordinate count mismatch: 3 and 4"),
     (lambda: symplectic_product(PauliPoint(1, 1), PauliPoint(2, 1)), "qubit count mismatch: 1 and 2"),
     (lambda: generator_from_operators([PauliPoint(2, 1), PauliPoint(3, 1)]), "mixed qubit counts: 2 and 3"),
-], ids=["add", "spans", "quadric_orbit", "evaluate", "vanishing_quadrics", "symplectic_product",
+], ids=["add", "spans", "quadric_orbit", "vanishing_quadrics", "symplectic_product",
         "generator_from_operators"])
 def test_mixed_counts_are_named(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -188,7 +187,7 @@ def test_mixed_counts_are_named(make, message):
 UNBOUNDED, BOUNDED = "{name} {n} is below 1", "{name} {n} is outside {lo}..{hi}"
 
 
-@pytest.mark.parametrize("n", [-1, 0, False])
+@pytest.mark.parametrize("n", [-1, 0, False, True])
 @pytest.mark.parametrize("func, name, lo, hi", [
     (lambda n: PauliPoint(n, 1), "qubit count", 1, None),
     (lambda n: Generator(n, ()), "qubit count", 1, None),
@@ -217,8 +216,13 @@ UNBOUNDED, BOUNDED = "{name} {n} is below 1", "{name} {n} is outside {lo}..{hi}"
         "_lift_points", "enumerate_generators", "lagrangian_constraints", "pluecker_relations", "orbit_partition",
         "_orbit_data", "variety_quadrics", "verify_variety", "cayley_quadric"])
 def test_every_qubit_count_check_gives_one_of_two_wordings(func, name, lo, hi, n):
-    # one rule: "below LO" where N has no upper bound, "outside LO..HI" where it has
-    message = (UNBOUNDED if hi is None else BOUNDED).format(name=name, n=n, lo=lo, hi=hi)
+    # one rule: "below LO" where N has no upper bound, "outside LO..HI" where
+    # it has; a bool is no qubit count (True passed as N = 1, and False was
+    # worded as "below 1")
+    if n.__class__ is bool:
+        message = f"{name} must be an int, got {n!r}"
+    else:
+        message = (UNBOUNDED if hi is None else BOUNDED).format(name=name, n=n, lo=lo, hi=hi)
     with pytest.raises(ValueError) as info:
         func(n)
     assert type(info.value) is ValueError and str(info.value) == message
