@@ -85,6 +85,11 @@ def _parse_point(n: int, text: str) -> ProjPoint:
         raise CliError(EXIT_PARSE, f"bad point: {e}") from e
 
 
+def _cell(v):
+    """A list cell as its items joined by ";"; any other value as it is."""
+    return ";".join(map(str, v)) if isinstance(v, (list, tuple)) else v
+
+
 def _emit(rows: list[dict], fmt: str, title: str | None = None) -> str:
     """Serialize a list of uniform dict rows; all values are primitives or
     lists of primitives."""
@@ -97,18 +102,10 @@ def _emit(rows: list[dict], fmt: str, title: str | None = None) -> str:
         if rows:
             w = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
             w.writeheader()
-            for r in rows:
-                w.writerow({k: (";".join(map(str, v)) if isinstance(v, (list, tuple)) else v)
-                            for k, v in r.items()})
+            w.writerows({k: _cell(v) for k, v in r.items()} for r in rows)
         return buf.getvalue()
-    lines = []
-    if title:
-        lines.append(title)
-    for r in rows:
-        lines.append("  ".join(
-            f"{k}={';'.join(map(str, v)) if isinstance(v, (list, tuple)) else v}"
-            for k, v in r.items()
-        ))
+    lines = [title] if title else []
+    lines += ["  ".join(f"{k}={_cell(v)}" for k, v in r.items()) for r in rows]
     return "\n".join(lines) + "\n"
 
 

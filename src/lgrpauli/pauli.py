@@ -59,12 +59,12 @@ class _Value:
         if order:
             cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_compare, (lt, le, gt, ge))
 
-    # The checking constructors of PauliPoint, Generator, PlueckerVec,
-    # ProjPoint and QuadForm unpack ``_setters`` instead of calling this: a
-    # warm ``map`` builds three values, and this loop took warm N = 5 ``map``
-    # from about 12 to 20 us (in process, 2-vCPU x86_64 host).  They test
-    # the qubit count inline and call ``_require_qubits`` only to word a
-    # failure.
+    # Generator and ProjPoint unpack ``_setters`` instead of calling this:
+    # every warm ``map`` and lift miss builds a Generator, and ``image``
+    # builds a ProjPoint per image point (75,735 at N = 5); routed through
+    # here and ``_require_qubits``, ``image(5)`` took about twice as long
+    # (2-vCPU x86_64 host).  They test the qubit count inline and call
+    # ``_require_qubits`` only to word a failure.
     def __init__(self, *fields, **named):
         if named or len(fields) != len(self._setters):
             raise TypeError(f"{type(self).__qualname__} takes its {len(self._setters)} fields positionally")
@@ -135,14 +135,11 @@ class PauliPoint(_Value, order=True):
     __slots__ = ("n_qubits", "bits")
 
     def __init__(self, n_qubits: int, bits: int):
-        if n_qubits.__class__ is not int or n_qubits < 1:
-            _require_qubits(n_qubits, 1, None)
-        if not (bits.__class__ is int and 0 < bits < 1 << (2 * n_qubits)):  # one comparison on the hot path
+        _require_qubits(n_qubits, 1, None)
+        if not (bits.__class__ is int and 0 < bits < 1 << (2 * n_qubits)):
             _require_int("bits", bits)
             raise ValueError(f"bits must be in 1..4^N-1 for N={n_qubits}, got {bits}")
-        set_n, set_bits = self._setters
-        set_n(self, n_qubits)
-        set_bits(self, bits)
+        _Value.__init__(self, n_qubits, bits)
 
     @classmethod
     def from_label(cls, s: str) -> "PauliPoint":

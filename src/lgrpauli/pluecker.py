@@ -13,7 +13,7 @@ import itertools
 from functools import lru_cache
 
 from .gf2 import grades, independent, rank
-from .pauli import MAX_QUBITS, Generator, _require_int, _require_qubits, _Value, omega_masks
+from .pauli import Generator, _require_int, _require_qubits, _Value, omega_masks
 
 
 @lru_cache(maxsize=None)
@@ -35,18 +35,14 @@ class PlueckerVec(_Value, order=True):
     __slots__ = ("n_qubits", "table", "_isotropic")
 
     def __init__(self, n_qubits: int, table: int):
-        if n_qubits.__class__ is not int or not 0 < n_qubits <= MAX_QUBITS:
-            _require_qubits(n_qubits)
+        _require_qubits(n_qubits)
         _require_int("Plucker table", table)
         if table < 0:
             raise ValueError(f"Plucker table must be nonnegative, got {table}")
         if bad := table & ~grades(2 * n_qubits)[n_qubits]:
             key = (bad & -bad).bit_length() - 1
             raise ValueError(f"Plucker key {key} is not a {n_qubits}-subset of 1..{2 * n_qubits}")
-        set_n, set_table, set_isotropic = self._setters
-        set_n(self, n_qubits)
-        set_table(self, table)
-        set_isotropic(self, False)
+        _Value.__init__(self, n_qubits, table, False)
 
 
 # ``embed`` writes a vector's slots itself: the constructor's call chain,

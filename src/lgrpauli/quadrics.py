@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from .gf2 import SWAP, Gate, absent_masks, apply_gate, columns, gate, independent, reduce_row
-from .pauli import MAX_QUBITS, _require_int, _require_qubits, _Value
+from .pauli import _require_int, _require_qubits, _Value
 from .projection import _image_bits, display_masks, local_gates
 
 
@@ -53,15 +53,12 @@ class QuadForm(_Value):
     __slots__ = ("n_qubits", "bits")
 
     def __init__(self, n_qubits: int, bits: int):
-        if n_qubits.__class__ is not int or not 0 < n_qubits <= MAX_QUBITS:
-            _require_qubits(n_qubits)
+        _require_qubits(n_qubits)
         diag, upper = _upper(n_qubits)
         if bits.__class__ is not int or bits < 0 or bits & ~(diag | upper):
             _require_int("bits", bits)
             raise ValueError("bits outside the monomials x_a x_b with a <= b")
-        set_n, set_bits = self._setters
-        set_n(self, n_qubits)
-        set_bits(self, bits)
+        _Value.__init__(self, n_qubits, bits)
 
     def __add__(self, other: "QuadForm") -> "QuadForm":
         if self.n_qubits != other.n_qubits:

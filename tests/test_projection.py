@@ -432,8 +432,10 @@ def test_warm_map_builds_what_the_checking_constructors_build(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_warm_map_and_lift_make_no_qubit_count_call(monkeypatch, n):
-    # the constructors test N inline and call _require_qubits only to word
-    # a failure; project and to_observable call no constructor
+    # a warm map builds one Generator, which tests N inline and calls
+    # _require_qubits only to word a failure; a warm lift reads its memo;
+    # embed, project and to_observable write their values' slots, so
+    # _Value.__init__ never runs
     points = random.Random(n).sample(_image_bits(n), 12)
     families = [[PauliPoint(n, r).label() for r in lift(ProjPoint(n, bits)).rows] for bits in points]
 
@@ -442,19 +444,26 @@ def test_warm_map_and_lift_make_no_qubit_count_call(monkeypatch, n):
         return to_observable(p).label(), lift(p)
 
     warm = [map_and_lift(labels) for labels in families]
-    calls = []
+    calls, inits = [], []
 
     def counted(*args):
         calls.append(args)
         return require_qubits(*args)
 
-    require_qubits = pauli._require_qubits
+    def counted_init(self, *fields):
+        inits.append(type(self))
+        value_init(self, *fields)
+
+    require_qubits, value_init = pauli._require_qubits, pauli._Value.__init__
     for module in (pauli, pluecker, projection):
         monkeypatch.setattr(module, "_require_qubits", counted)
+    monkeypatch.setattr(pauli._Value, "__init__", counted_init)
     assert [map_and_lift(labels) for labels in families] == warm
-    assert calls == []
-    ProjPoint.from_string(n, "1" * (1 << n))  # the counter sees the calls that remain
+    assert calls == [] and inits == []
+    ProjPoint.from_string(n, "1" * (1 << n))  # the counters see the calls that remain
     assert calls == [(n, 1, None, "source qubit count")]
+    PauliPoint(n, 1)
+    assert inits == [PauliPoint]
 
 
 def test_worked_examples():

@@ -105,15 +105,16 @@ def test_all_n4_quadrics_vanish_on_image():
             assert value_at(q, p.bits) == 0
 
 
-def test_vanishing_quadrics_match_declared_generators():
-    # every declared quadric lies in the space of all quadrics vanishing
-    # on the image, and conversely that space is spanned by quadrics that
-    # vanish on all 2295 points
-    basis = vanishing_quadrics(image(4))
-    for q in variety_quadrics(4):
-        assert spans(basis, q)
-    for b in basis:
-        assert all(value_at(b, p.bits) == 0 for p in image(4))
+@pytest.mark.parametrize("n", [3, 4])
+def test_vanishing_quadrics_match_declared_generators(n):
+    # the declared quadrics and the space of all quadrics vanishing on the
+    # image span each other, and every derived basis form vanishes on
+    # every image point
+    declared, derived = variety_quadrics(n), vanishing_quadrics(image(n))
+    assert all(spans(derived, q) for q in declared)
+    assert all(spans(declared, q) for q in derived)
+    for b in derived:
+        assert all(value_at(b, p.bits) == 0 for p in image(n))
 
 
 def test_cayley_quadric_n3_equals_defining_quadric():
@@ -288,6 +289,19 @@ def test_gate_action_matches_substitution_oracle(n):
         for g in gates:
             moved = QuadForm(n, _act(n, g, q.bits))
             assert monomials(moved) == substitute(monomials(q), display_rows(n, g))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_clifford_gates_preserve_the_pairing_quadric(n):
+    # each gate of clifford_gates fixes sum_k x_k x_{k + 2^(N-1)}, save at
+    # N = 2 CZ_12, which adds the square term x1 = x_{} (display_masks(2)[0])
+    q = hyperbolic_form(1 << n)
+    moved = [QuadForm(n, _act(n, g, q.bits)) for g in clifford_gates(n)]
+    assert len(moved) == 2 * n + n * (n - 1) // 2
+    expected = [q] * len(moved)
+    if n == 2:
+        expected[4] = q + _form(4, (1, 1))
+    assert moved == expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
