@@ -234,15 +234,13 @@ def _suite_bijection(n: int) -> list[tuple[str, bool]]:
 
 
 def _suite_variety(n: int) -> list[tuple[str, bool]]:
-    if n == 2:
-        size = len(_image_bits(2))
-        return [(f"image is all of the ambient projective space: {size} == 15", size == 15)]
     from .quadrics import hyperbolic_form, vanishes_on_image, verify_variety
 
     rep = verify_variety(n)
-    checks = [(f"zero-set {rep.zero_set_size} == image {rep.image_size}", rep.matches)]
-    if n == 4:
-        checks.append(("pairing quadric vanishes on the image", vanishes_on_image(hyperbolic_form(16))))
+    checks = [(f"quadric count {rep.quadric_count}: vanish on the image, span closed under the gates", rep.closed),
+              (f"slice: zeros {rep.zero_set_size} == image {rep.image_size}", rep.zero_set_size == rep.image_size)]
+    if n >= 4:
+        checks.append(("pairing quadric vanishes on the image", vanishes_on_image(hyperbolic_form(1 << n))))
     return checks
 
 
@@ -280,7 +278,7 @@ def _suite_cayley(n: int) -> list[tuple[str, bool]]:
 # suite name -> (checks, supported N range)
 _SUITES = {
     "bijection": (_suite_bijection, (2, 5)),
-    "variety": (_suite_variety, (2, 4)),
+    "variety": (_suite_variety, (2, 5)),
     "tables": (_suite_tables, (2, 4)),
     "cayley": (_suite_cayley, (3, 4)),
 }

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from .gf2 import SWAP, Gate, absent_masks, apply_gate, columns, gate, independent, reduce_row
+from .gf2 import SWAP, Gate, absent_masks, apply_gate, columns, gate, independent, rank, reduce_row
 from .pauli import _require_int, _require_qubits, _Value
-from .projection import _image_bits, display_masks, local_gates
+from .projection import _image_bits, clifford_gates, display_masks, image, local_gates
 
 
 @lru_cache(maxsize=None)
@@ -102,12 +102,12 @@ def hyperbolic_form(n_vars: int) -> QuadForm:
 
 @lru_cache(maxsize=None)
 def variety_quadrics(n_qubits: int) -> tuple[QuadForm, ...]:
-    """The explicit quadrics whose common zero set is the projected image:
-    none for N=2 (the image is the whole space), a single form for N=3,
-    ten forms for N=4."""
-    _require_qubits(n_qubits, 2, 4)
-    if n_qubits == 2:
-        return ()
+    """The explicit quadrics whose common zero set is the projected image: the
+    paper's one form at N=3 and ten at N=4, and ``vanishing_quadrics(image(n))``
+    at N=2 (none: the image is the whole space) and N=5, where the paper has none."""
+    _require_qubits(n_qubits, 2, 5)
+    if n_qubits in (2, 5):
+        return tuple(vanishing_quadrics(image(n_qubits)))
     if n_qubits == 3:
         return (hyperbolic_form(8),)
     v = 16
@@ -126,7 +126,8 @@ def variety_quadrics(n_qubits: int) -> tuple[QuadForm, ...]:
 
 
 class VarietyReport(_Value):
-    __slots__ = ("n_qubits", "quadric_count", "zero_set_size", "image_size", "matches")
+    """Counts of zeros and image points on ``verify_variety``'s Σ; ``closed``: (a), (b)."""
+    __slots__ = ("n_qubits", "quadric_count", "zero_set_size", "image_size", "closed", "matches")
 
 
 def _values(q: QuadForm, cols: list[int] | tuple[int, ...]) -> int:
@@ -138,15 +139,25 @@ def _values(q: QuadForm, cols: list[int] | tuple[int, ...]) -> int:
     return col
 
 
-def _zero_set(n: int) -> int:
-    """The common zeros of ``variety_quadrics(n)`` in PG(2^N - 1, 2),
-    bitsliced: bit p stands for the point with packed coordinates p."""
-    full = (1 << (1 << (1 << n))) - 1
-    cols = tuple(full ^ m for m in absent_masks(1 << n))
-    zeros = full - 1  # the nonzero points
-    for q in variety_quadrics(n):
-        zeros &= ~_values(q, cols)
-    return zeros
+def _slice_zeros(n: int, forms) -> int:
+    """Count the common zeros of ``forms`` on Σ (``verify_variety``): up to 16 free
+    coordinates bitsliced, each value of the rest a block left once empty."""
+    free = [m for m in range(1 << n) if m & (m - 1)]  # the subsets of two or more
+    sliced, looped = free[:16], free[16:]
+    full = (1 << (1 << len(sliced))) - 1
+    cols = [full] + [0] * ((1 << n) - 1)
+    for m, absent in zip(sliced, absent_masks(len(sliced))):
+        cols[m] = full ^ absent
+    count = 0
+    for v in range(1 << len(looped)):
+        for k, m in enumerate(looped):
+            cols[m] = full if v >> k & 1 else 0
+        zeros = full
+        for q in forms:
+            if not (zeros := zeros & ~_values(q, cols)):
+                break
+        count += zeros.bit_count()
+    return count
 
 
 @lru_cache(maxsize=None)
@@ -157,18 +168,26 @@ def _image_columns(n: int) -> tuple[int, ...]:
 
 def vanishes_on_image(q: QuadForm) -> bool:
     """Whether q is zero at every point of the projected image."""
-    _require_qubits(q.n_qubits, 2, 4)
     return not _values(q, _image_columns(q.n_qubits))
 
 
 def verify_variety(n_qubits: int) -> VarietyReport:
-    """Compare Z, the common zeros of the explicit quadrics over the whole
-    space, with the image I, whose points ``_image_bits`` lists once each:
-    Z = I exactly when |Z| = |I| and every quadric vanishes on I."""
+    """Certify Z = I, Z the common zeros of ``variety_quadrics(n)`` and I the
+    image, on Σ = {x_{} = 1, x_{i} = 0 for each i}: Z = I iff (a) the forms
+    vanish on I, (b) each gate of ``clifford_gates`` maps their span into
+    itself, and (c) |Z ∩ Σ| = |I ∩ Σ|.  By (a) and (b), Z holds I and is
+    stable under the gates.  H_T, for a T with x_T = 1, then S_i for each i
+    with x_i = 1, moves any point of Z into Σ.  I ∩ Σ is the 2^(N(N-1)/2)
+    graph points of the zero-diagonal symmetric matrices, and the gates
+    preserve I (the projection is equivariant).  So by (c), Z = I."""
     n = n_qubits
-    _require_qubits(n, 2, 4)
-    quads, zeros, size = variety_quadrics(n), _zero_set(n).bit_count(), len(_image_bits(n))
-    return VarietyReport(n, len(quads), zeros, size, zeros == size and all(map(vanishes_on_image, quads)))
+    quads = variety_quadrics(n)  # checks n
+    bits = [q.bits for q in quads]
+    moved = [_act(n, g, b) for g in clifford_gates(n) for b in bits]
+    closed = all(map(vanishes_on_image, quads)) and rank(bits + moved) == rank(bits)
+    axes = 1 | sum(1 << (1 << i) for i in range(n))
+    zeros, size = _slice_zeros(n, quads), sum(p & axes == 1 for p in _image_bits(n))
+    return VarietyReport(n, len(quads), zeros, size, closed, closed and zeros == size)
 
 
 def vanishing_quadrics(points) -> list[QuadForm]:

@@ -8,12 +8,13 @@ packed point has variable k at bit k-1.
 """
 
 import itertools
+from functools import lru_cache
 
-from lgrpauli.gf2 import apply_gate, independent, span
+from lgrpauli.gf2 import absent_masks, apply_gate, independent, span
 from lgrpauli.pauli import _require_qubits
 from lgrpauli.pluecker import principal_keys
 from lgrpauli.projection import display_masks, local_gates
-from lgrpauli.quadrics import QuadForm, _form, _monomial, _upper
+from lgrpauli.quadrics import QuadForm, _form, _monomial, _upper, _values
 from gf2_oracles import kernel
 
 
@@ -107,6 +108,31 @@ def zero_set(forms, n: int) -> set[int]:
         if all(evaluate_display(monos, x) == 0 for monos in sets):
             zeros.add(sum(1 << m for k, m in enumerate(disp) if x >> k & 1))
     return zeros
+
+
+def whole_space_zeros(forms, n: int) -> int:
+    """The walk that the slice check replaced: the common zeros of ``forms``
+    in PG(2^N - 1, 2), N <= 4, bitsliced over the whole space: bit p
+    stands for the point with packed coordinates p."""
+    _require_qubits(n, 1, 4)
+    full = (1 << (1 << (1 << n))) - 1
+    cols = tuple(full ^ m for m in absent_masks(1 << n))
+    zeros = full - 1  # the nonzero points
+    for q in forms:
+        zeros &= ~_values(q, cols)
+    return zeros
+
+
+@lru_cache(maxsize=None)
+def _slice_mask(n: int) -> int:
+    """Bit p set for the points p of the slice x_{} = 1, x_{i} = 0 for each i."""
+    axes = 1 | sum(1 << (1 << i) for i in range(n))
+    return sum(1 << p for p in range(1 << (1 << n)) if p & axes == 1)
+
+
+def on_slice(n: int, bits: int) -> int:
+    """How many of the points in ``whole_space_zeros``-style ``bits`` lie on the slice."""
+    return (bits & _slice_mask(n)).bit_count()
 
 
 def vanishing_basis(points, n: int) -> list[frozenset]:

@@ -38,7 +38,7 @@ from lgrpauli.quadrics import (
 from orbit_oracles import chart_points_of_orbit, orbit_members, whole_space_t_ranks
 from pauli_helpers import all_points, principal_bits, quad_form, y_count
 from pluecker_oracles import constraint_terms, constraint_value, relation_terms, relation_value
-from quadric_oracles import value_at
+from quadric_oracles import value_at, whole_space_zeros
 
 
 def report(name, ok, detail=""):
@@ -85,23 +85,23 @@ def test_criterion_2_bijectivity():
 def test_criterion_3_image_identification():
     full_pg32 = {ProjPoint(2, b) for b in range(1, 16)}
     ok2 = set(image(2)) == full_pg32
-    rep3 = verify_variety(3)
-    rep4 = verify_variety(4)
+    reps = {n: verify_variety(n) for n in (2, 3, 4, 5)}
+    zeros3 = whole_space_zeros(variety_quadrics(3), 3).bit_count()
+    zeros4 = whole_space_zeros(variety_quadrics(4), 4).bit_count()
     pairing = hyperbolic_form(16)
     q0_ok = all(value_at(pairing, p.bits) == 0 for p in image(4))
     ok = (
         ok2
-        and rep3.matches
-        and rep3.zero_set_size == 135
-        and rep4.matches
-        and rep4.zero_set_size == 2295
+        and all(rep.matches and rep.zero_set_size == 1 << n * (n - 1) // 2 for n, rep in reps.items())
+        and zeros3 == 135
+        and zeros4 == 2295
         and q0_ok
     )
     report(
         "3 image identification",
         ok,
-        f"N=2 full space {ok2}; N=3 zero set {rep3.zero_set_size}; "
-        f"N=4 zero set {rep4.zero_set_size}; Q0 vanishes {q0_ok}",
+        f"N=2 full space {ok2}; N=3 zero set {zeros3}; N=4 zero set {zeros4}; "
+        f"slice zeros {[rep.zero_set_size for rep in reps.values()]}; Q0 vanishes {q0_ok}",
     )
 
 

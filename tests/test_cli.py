@@ -415,7 +415,7 @@ def test_verify_n5_runs_the_suites_supporting_n5(capsys):
     code, out, err = run(capsys, "verify", "--n", "5")
     assert code == 0 and err == ""
     lines = out.splitlines()
-    assert len(lines) == 3 and all(line.startswith("[bijection] ") for line in lines)
+    assert [line.split("] ")[0] for line in lines] == ["[bijection"] * 3 + ["[variety"] * 3
     assert all(line.endswith(": PASS") for line in lines)
     assert lines[2] == "[bijection] lift round-trips on all 75735 image points: PASS"
 
@@ -569,7 +569,8 @@ def test_verify_reports_a_pairing_quadric_that_misses_the_image(capsys, monkeypa
     monkeypatch.setattr(quadrics, "hyperbolic_form", lambda n_vars: quadrics._form(n_vars, (1, 1)))
     code, out, err = run(capsys, "verify", "--n", "4", "--suite", "variety")
     assert (code, out) == (EXIT_VERIFY, "")
-    assert err == ("[variety] zero-set 2295 == image 2295: PASS\n"
+    assert err == ("[variety] quadric count 10: vanish on the image, span closed under the gates: PASS\n"
+                   "[variety] slice: zeros 64 == image 64: PASS\n"
                    "[variety] pairing quadric vanishes on the image: FAIL\n")
 
 
@@ -588,7 +589,7 @@ def test_cayley_command(capsys):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_RUNS = [f"{cmd} --n {n} --format {fmt}" for cmd in ("cayley", "verify")
                for n in (3, 4) for fmt in ("text", "csv", "json")]
-GOLDEN_RUNS.append("verify --n 2 --suite variety --format text")
+GOLDEN_RUNS += [f"verify --n {n} --suite variety --format text" for n in (2, 5)]
 # the outputs of the GF(2) eliminator: the independent Plucker relations and
 # the isotropy constraints with their rank
 GOLDEN_RUNS += [f"relations --n 3 --format {fmt}" for fmt in ("text", "csv", "json")]

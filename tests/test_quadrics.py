@@ -16,9 +16,9 @@ from lgrpauli.quadrics import (
     QuadForm,
     _act,
     _form,
+    _slice_zeros,
     _span_closure,
     _upper,
-    _zero_set,
     cayley_quadric,
     hyperbolic_form,
     quadric_orbit,
@@ -36,10 +36,12 @@ from quadric_oracles import (
     kernel_vanishing_quadrics,
     min_weight_basis,
     monomials,
+    on_slice,
     orbit_closure,
     substitute,
     value_at,
     vanishing_basis,
+    whole_space_zeros,
     zero_set,
 )
 
@@ -77,18 +79,49 @@ def test_hyperbolic_form_pairs_opposite_halves():
 
 def test_n3_variety_is_hyperbolic_quadric():
     rep = verify_variety(3)
-    assert rep.quadric_count == 1
-    assert rep.zero_set_size == 135
-    assert rep.image_size == 135
-    assert rep.matches
+    assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (1, 8, 8, True, True)
+    assert whole_space_zeros(variety_quadrics(3), 3).bit_count() == len(image(3)) == 135
 
 
 def test_n4_variety_cut_out_by_ten_quadrics():
     rep = verify_variety(4)
-    assert rep.quadric_count == 10
-    assert rep.zero_set_size == 2295
-    assert rep.image_size == 2295
-    assert rep.matches
+    assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (10, 64, 64, True, True)
+    assert whole_space_zeros(variety_quadrics(4), 4).bit_count() == len(image(4)) == 2295
+
+
+def test_n5_variety_is_certified_by_its_66_derived_forms():
+    # 2^(N(N-1)/2) = 1024 graph points of zero-diagonal matrices on the slice
+    rep = verify_variety(5)
+    assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (
+        66, 1024, 1024, True, True)
+    assert variety_quadrics(5) == tuple(vanishing_quadrics(image(5)))
+
+
+def test_dropping_q1_fails_the_variety_check_through_the_gate_closure_alone(capsys, monkeypatch):
+    # Q2..Q10 vanish on the image and have its 64 zeros on the slice, but
+    # 2415 zeros in the whole space, not 2295: only the closure sees it
+    quads = variety_quadrics(4)[1:]
+    bits = [q.bits for q in quads]
+    assert all(map(vanishes_on_image, quads))
+    assert rank(bits + [_act(4, g, b) for g in clifford_gates(4) for b in bits]) > rank(bits)
+    assert _slice_zeros(4, quads) == 64
+    assert whole_space_zeros(quads, 4).bit_count() == 2415
+    monkeypatch.setattr(quadrics, "variety_quadrics", lambda n: quads)
+    rep = verify_variety(4)
+    assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (9, 64, 64, False, False)
+    assert main(["verify", "--n", "4", "--suite", "variety"]) == EXIT_VERIFY
+    assert capsys.readouterr() == ("", (
+        "[variety] quadric count 9: vanish on the image, span closed under the gates: FAIL\n"
+        "[variety] slice: zeros 64 == image 64: PASS\n"
+        "[variety] pairing quadric vanishes on the image: PASS\n"))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_slice_zeros_match_the_whole_space_walk_on_the_slice(n):
+    explicit = [variety_quadrics(n), (hyperbolic_form(1 << n),), (_form(1 << n, (1, 2)),)]
+    randoms = _random_forms(n, 12)
+    for forms in explicit + [randoms[k:k + 1] for k in range(6)] + [randoms[6:9], randoms[9:]]:
+        assert _slice_zeros(n, forms) == on_slice(n, whole_space_zeros(forms, n))
 
 
 def test_n4_pairing_quadric_is_sum_of_last_two():
@@ -306,7 +339,7 @@ def test_clifford_gates_preserve_the_pairing_quadric(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_zero_set_matches_pointwise_scan(n):
-    bits = _zero_set(n)
+    bits = whole_space_zeros(variety_quadrics(n), n)
     got = {p for p in range(bits.bit_length()) if bits >> p & 1}
     assert got == zero_set(variety_quadrics(n), n)
     assert got == {p.bits for p in image(n)}
@@ -314,14 +347,17 @@ def test_zero_set_matches_pointwise_scan(n):
 
 def test_a_form_with_as_many_zeros_as_the_image_elsewhere_fails_the_variety_check(capsys, monkeypatch):
     # x1*x2 + x3*x4 + x5*x6 + x7*x8 has 135 zeros, as many as the N = 3
-    # image, but not the image's points: equal sizes alone must not pass
+    # image, but not the image's points: it misses the image, and it has
+    # 12 zeros on the slice where the image has 8
     q = _form(8, (1, 2), (3, 4), (5, 6), (7, 8))
     assert len(zero_set([q], 3)) == 135 and not vanishes_on_image(q)
     monkeypatch.setattr(quadrics, "variety_quadrics", lambda n: (q,))
     rep = verify_variety(3)
-    assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.matches) == (1, 135, 135, False)
+    assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (1, 12, 8, False, False)
     assert main(["verify", "--n", "3", "--suite", "variety"]) == EXIT_VERIFY
-    assert capsys.readouterr() == ("", "[variety] zero-set 135 == image 135: FAIL\n")
+    assert capsys.readouterr() == ("", (
+        "[variety] quadric count 1: vanish on the image, span closed under the gates: FAIL\n"
+        "[variety] slice: zeros 12 == image 8: FAIL\n"))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -334,11 +370,10 @@ def test_vanishes_on_image_matches_pointwise_evaluation(n):
     assert got[:2] == [True, True] and got[-13] is False
 
 
-def test_vanishes_on_image_takes_two_to_four_qubits():
-    # checked before a 2^(2^N)-bit column is built
-    for n in (1, 5):
-        with pytest.raises(ValueError, match=f"qubit count {n} is outside 2..4"):
-            vanishes_on_image(QuadForm(n, 1))
+def test_vanishes_on_image_takes_every_qubit_count_of_a_form():
+    # it reads the image's columns, so N = 5 needs no whole-space column
+    assert vanishes_on_image(hyperbolic_form(32))
+    assert not vanishes_on_image(QuadForm(5, 1)) and not vanishes_on_image(QuadForm(1, 1))
 
 
 @pytest.mark.parametrize("n", [3, 4])

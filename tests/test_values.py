@@ -37,10 +37,11 @@ CASES = {
     "LinearConstraint": (lambda: LinearConstraint(2, ((3, 12), (5, 10), (6, 9))), ("n_qubits", "term_keys"),
                          (2, ((3, 12), (5, 10), (6, 9))), LinearConstraint(2, ((5, 10),)),
                          "LinearConstraint(n_qubits=2, term_keys=((3, 12), (5, 10), (6, 9)))"),
-    "VarietyReport": (lambda: VarietyReport(3, 1, 135, 135, True),
-                      ("n_qubits", "quadric_count", "zero_set_size", "image_size", "matches"),
-                      (3, 1, 135, 135, True), None,
-                      "VarietyReport(n_qubits=3, quadric_count=1, zero_set_size=135, image_size=135, matches=True)"),
+    "VarietyReport": (lambda: VarietyReport(3, 1, 8, 8, True, True),
+                      ("n_qubits", "quadric_count", "zero_set_size", "image_size", "closed", "matches"),
+                      (3, 1, 8, 8, True, True), None,
+                      "VarietyReport(n_qubits=3, quadric_count=1, zero_set_size=8, image_size=8, closed=True,"
+                      " matches=True)"),
     "OrbitRecord": (lambda: OrbitRecord(2, 9, REP, True, 1, 0, "ZI", "O1"),
                     ("orbit_id", "size", "representative", "in_image", "t_rank", "e_rank", "observable",
                      "reference_label"),
@@ -150,7 +151,7 @@ def test_gate_lists_and_coordinate_orders_name_a_bad_qubit_count(func, n, messag
 @pytest.mark.parametrize("n", [-1, 0, 6, 3.0])
 @pytest.mark.parametrize("func, lo, hi", [
     (image, 1, 5), (enumerate_generators, 1, 5), (lagrangian_constraints, 1, 5), (clifford_gates, 1, 5),
-    (pluecker_relations, 2, 5), (orbit_partition, 2, 4), (variety_quadrics, 2, 4), (verify_variety, 2, 4),
+    (pluecker_relations, 2, 5), (orbit_partition, 2, 4), (variety_quadrics, 2, 5), (verify_variety, 2, 5),
     (cayley_quadric, 3, 4),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_functions_on_a_qubit_range_name_a_bad_qubit_count(func, lo, hi, n):
@@ -208,8 +209,8 @@ UNBOUNDED, BOUNDED = "{name} {n} is below 1", "{name} {n} is outside {lo}..{hi}"
     (pluecker_relations, "qubit count", 2, 5),
     (orbit_partition, "qubit count", 2, 4),
     (_orbit_data, "qubit count", 2, 4),
-    (variety_quadrics, "qubit count", 2, 4),
-    (verify_variety, "qubit count", 2, 4),
+    (variety_quadrics, "qubit count", 2, 5),
+    (verify_variety, "qubit count", 2, 5),
     (cayley_quadric, "qubit count", 3, 4),
 ], ids=["PauliPoint", "Generator", "generator_count", "display_masks", "principal_keys", "ProjPoint",
         "ProjPoint.from_string", "QuadForm", "PlueckerVec", "clifford_gates", "local_gates", "image", "_image_bits",
