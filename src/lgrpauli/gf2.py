@@ -92,7 +92,7 @@ def wedge(rows: Iterable[int], n_cols: int) -> tuple[int, int]:
     basis has determinant 1, so it depends only on the span.  A row whose
     product with the kept rows vanishes lies in their span and is skipped,
     so ``rank`` rows are kept; the first kept row's product is read from
-    its memo entry.  A row wider than ``n_cols`` bits raises.
+    its memo entry.  A row not an int (a bool is not) or wider than ``n_cols`` bits raises.
 
     A shift by 2^j sends key m of k columns to m | 2^j if m omits column j,
     else by a carry to at most k columns: so a row XORs a product's shifts by
@@ -100,6 +100,8 @@ def wedge(rows: Iterable[int], n_cols: int) -> tuple[int, int]:
     memo, grade = _row_memo[n_cols], grades(n_cols)
     w, kept = 1, 0
     for r in rows:
+        if r.__class__ is not int:  # True and 1.0 would find row 1's memo entry
+            raise ValueError(f"basis rows must be ints, got {r!r}")
         product, shifts = memo.get(r) or memo.setdefault(r, _row_entry(n_cols, r))
         if kept:
             product = 0

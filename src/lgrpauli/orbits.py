@@ -92,7 +92,7 @@ def e_rank(p: ProjPoint) -> int:
 
 # Classification data for the known commuting classes: display-order
 # representative, class label in the standard orbit numbering, observable,
-# tensor/exclusive rank, orbit size, and a spanning commuting set.
+# tensor/exclusive rank, orbit size, and a commuting set that maps into the class.
 CLASS_TABLE: dict[int, list[dict]] = {
     2: [
         {"label": "O1", "representative": "0010", "observable": "XI",
@@ -207,10 +207,10 @@ def orbit_of_point(p: ProjPoint) -> OrbitRecord:
 def emit_tables(n: int) -> list[dict]:
     """Rows describing each image class: ids, sizes, representatives,
     observable, both ranks, and a sample maximal commuting set."""
-    refs = {orbit_of_point(p).orbit_id: p for _, p in _class_points(n)}
+    refs = {row["label"]: p for row, p in _class_points(n)}  # matched to orbits by ``orbit_partition``
     rows = []
     for rec in classify_image(n):
-        ref_rep = refs.get(rec.orbit_id, rec.representative)
+        ref_rep = refs.get(rec.reference_label, rec.representative)
         g = lift(ref_rep)
         sample = [PauliPoint(n, r).label() for r in g.rows]
         rows.append(

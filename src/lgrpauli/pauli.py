@@ -235,7 +235,7 @@ class Generator(_Value):
         if n.__class__ is not int or not 0 < n <= MAX_QUBITS:
             _require_qubits(n, 1, None)  # N < 1 or not an int: worded as PauliPoint words it
             _require_qubits(n)
-        table, rank = wedge(rows, 2 * n)  # ValueError for a row wider than 2N bits
+        table, rank = wedge(rows, 2 * n)  # ValueError for a row not an int or wider than 2N bits
         if rank != n:
             raise NotMaximalError(f"subspace has rank {rank}, expected {n}")
         if omega_contraction(n, table):

@@ -12,10 +12,11 @@ display numbering x_1..x_{2^N} is used only to read and print forms.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from operator import or_
 
 from .gf2 import SWAP, Gate, absent_masks, apply_gate, columns, gate, independent, rank, reduce_row
 from .pauli import _require_int, _require_qubits, _Value
-from .projection import _image_bits, clifford_gates, display_masks, image, local_gates
+from .projection import _image_bits, clifford_gates, display_masks, local_gates
 
 
 @lru_cache(maxsize=None)
@@ -103,11 +104,11 @@ def hyperbolic_form(n_vars: int) -> QuadForm:
 @lru_cache(maxsize=None)
 def variety_quadrics(n_qubits: int) -> tuple[QuadForm, ...]:
     """The explicit quadrics whose common zero set is the projected image: the
-    paper's one form at N=3 and ten at N=4, and ``vanishing_quadrics(image(n))``
+    paper's one form at N=3 and ten at N=4, and those vanishing on the image's columns
     at N=2 (none: the image is the whole space) and N=5, where the paper has none."""
     _require_qubits(n_qubits, 2, 5)
     if n_qubits in (2, 5):
-        return tuple(vanishing_quadrics(image(n_qubits)))
+        return tuple(_vanishing(n_qubits, _image_columns(n_qubits)))
     if n_qubits == 3:
         return (hyperbolic_form(8),)
     v = 16
@@ -185,8 +186,9 @@ def verify_variety(n_qubits: int) -> VarietyReport:
     bits = [q.bits for q in quads]
     moved = [_act(n, g, b) for g in clifford_gates(n) for b in bits]
     closed = all(map(vanishes_on_image, quads)) and rank(bits + moved) == rank(bits)
-    axes = 1 | sum(1 << (1 << i) for i in range(n))
-    zeros, size = _slice_zeros(n, quads), sum(p & axes == 1 for p in _image_bits(n))
+    cols = _image_columns(n)
+    axes = reduce(or_, (cols[1 << i] for i in range(n)))  # the image points with some x_{i} = 1
+    zeros, size = _slice_zeros(n, quads), (cols[0] & ~axes).bit_count()
     return VarietyReport(n, len(quads), zeros, size, closed, closed and zeros == size)
 
 
@@ -202,7 +204,11 @@ def vanishing_quadrics(points) -> list[QuadForm]:
     n = points[0].n_source
     if other := next((p.n_source for p in points if p.n_source != n), None):
         raise ValueError(f"coordinate count mismatch: {n} and {other}")
-    cols = columns([p.bits for p in points], 1 << n)
+    return _vanishing(n, columns([p.bits for p in points], 1 << n))
+
+
+def _vanishing(n: int, cols: list[int] | tuple[int, ...]) -> list[QuadForm]:
+    """``vanishing_quadrics`` on the coordinate columns (``_values``) of one or more points."""
     shift = 1 << (2 * n)
     pivots: dict[int, int] = {}
     forms = []

@@ -10,7 +10,7 @@ from functools import lru_cache, reduce
 import pytest
 
 from lgrpauli import orbits
-from lgrpauli.gf2 import apply_gate
+from lgrpauli.gf2 import apply_gate, rank
 from lgrpauli.orbits import (
     CLASS_TABLE,
     MixedOrbitError,
@@ -23,7 +23,7 @@ from lgrpauli.orbits import (
     orbit_partition,
     t_rank,
 )
-from lgrpauli.pauli import PauliPoint, generator_from_operators
+from lgrpauli.pauli import PauliPoint, commute, generator_from_operators
 from lgrpauli.pluecker import embed
 from lgrpauli.projection import ProjPoint, _image_bits, image, local_gates, project, to_observable
 from orbit_oracles import (
@@ -285,12 +285,21 @@ def test_class_table_rows():
 
 
 def test_class_table_sample_sets_project_into_the_same_orbit():
+    # each row's ops commute, span N dimensions and project into the row's
+    # orbit, onto its representative except at O14
+    off_rep = []
     for n, rows in CLASS_TABLE.items():
         for row in rows:
             ops = [PauliPoint.from_label(s) for s in row["ops"]]
+            assert len(ops) == n and all(commute(a, b) for a, b in itertools.combinations(ops, 2))
+            assert rank([op.bits for op in ops]) == n
             p = project(embed(generator_from_operators(ops)))
             rep = ProjPoint.from_string(n, row["representative"])
             assert orbit_of_point(p).orbit_id == orbit_of_point(rep).orbit_id
+            assert orbit_of_point(p).reference_label == row["label"]
+            if p != rep:
+                off_rep.append((n, row["label"], to_observable(p).label()))
+    assert off_rep == [(4, "O14", "XXXIXIIZ")]
 
 
 def test_emit_tables_covers_all_image_orbits():

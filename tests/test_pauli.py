@@ -8,12 +8,13 @@ import random
 import re
 import subprocess
 import sys
+from collections import defaultdict
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lgrpauli import pauli
+from lgrpauli import gf2, pauli
 from lgrpauli.pauli import (
     CommutationError,
     Generator,
@@ -291,6 +292,21 @@ def test_generator_rejects_rows_wider_than_2n():
     for rows in ((0b10001, 0b0010), (0b0001, -1), (0, 0, 1 << 4)):
         with pytest.raises(ValueError, match="^basis rows must have at most 4 bits$"):
             Generator(2, rows)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_generator_rejects_rows_that_are_not_ints(monkeypatch, warm):
+    # True and 1.0 equal 1, so once row 1 is in the wedge's memo they would
+    # find its entry; from an empty memo 1.0 would fail inside the shift
+    monkeypatch.setattr(gf2, "_row_memo", defaultdict(dict))
+    if warm:
+        Generator(2, (1, 2))
+    for rows in ([True, 2], [1.0, 2.0], [1, False], [1, 2.0], [1, "2"], [None, 2]):
+        bad = next(r for r in rows if r.__class__ is not int)
+        with pytest.raises(ValueError, match=f"^basis rows must be ints, got {re.escape(repr(bad))}$") as ei:
+            Generator(2, rows)
+        assert type(ei.value) is ValueError
+    assert all(r.__class__ is int for r in gf2._row_memo[4])  # no refused row is stored
 
 
 def test_generator_equal_spans_are_equal():

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from lgrpauli import quadrics
+from lgrpauli import projection, quadrics
 from lgrpauli.cli import EXIT_VERIFY, main
 from lgrpauli.gf2 import rank
 from lgrpauli.projection import ProjPoint, clifford_gates, image, local_gates
@@ -94,7 +94,20 @@ def test_n5_variety_is_certified_by_its_66_derived_forms():
     rep = verify_variety(5)
     assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (
         66, 1024, 1024, True, True)
-    assert variety_quadrics(5) == tuple(vanishing_quadrics(image(5)))
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_variety_reads_the_image_columns_alone(monkeypatch, n):
+    # the derived forms and the certificate come from ``_image_columns``;
+    # no ProjPoint view of the image is built, and ``image`` is the oracle
+    def no_image(n):
+        raise AssertionError("the image's ProjPoints were built")
+
+    expected = tuple(image_quadrics(n))
+    monkeypatch.setattr(projection, "image", no_image)
+    assert not hasattr(quadrics, "image")
+    assert quadrics.variety_quadrics.__wrapped__(n) == variety_quadrics(n) == expected
+    assert verify_variety(n).matches
 
 
 def test_dropping_q1_fails_the_variety_check_through_the_gate_closure_alone(capsys, monkeypatch):
