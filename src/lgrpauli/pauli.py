@@ -59,12 +59,9 @@ class _Value:
         if order:
             cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_compare, (lt, le, gt, ge))
 
-    # Generator and ProjPoint unpack ``_setters`` instead of calling this:
-    # every warm ``map`` and lift miss builds a Generator, and ``image``
-    # builds a ProjPoint per image point (75,735 at N = 5); routed through
-    # here and ``_require_qubits``, ``image(5)`` took about twice as long
-    # (2-vCPU x86_64 host).  They test the qubit count inline and call
-    # ``_require_qubits`` only to word a failure.
+    # Generator unpacks ``_setters`` instead of calling this: every warm
+    # ``map`` and lift miss builds one.  It tests the qubit count inline and
+    # calls ``_require_qubits`` only to word a failure.
     def __init__(self, *fields, **named):
         if named or len(fields) != len(self._setters):
             raise TypeError(f"{type(self).__qualname__} takes its {len(self._setters)} fields positionally")
@@ -233,7 +230,6 @@ class Generator(_Value):
     def __init__(self, n_qubits: int, rows: Iterable[int]):
         n = n_qubits
         if n.__class__ is not int or not 0 < n <= MAX_QUBITS:
-            _require_qubits(n, 1, None)  # N < 1 or not an int: worded as PauliPoint words it
             _require_qubits(n)
         table, rank = wedge(rows, 2 * n)  # ValueError for a row not an int or wider than 2N bits
         if rank != n:

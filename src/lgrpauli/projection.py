@@ -66,14 +66,11 @@ class ProjPoint(_Value, order=True):
     __slots__ = ("n_source", "bits")
 
     def __init__(self, n_source: int, bits: int):
-        if n_source.__class__ is not int or n_source < 1:
-            _require_qubits(n_source, 1, None, "source qubit count")
-        if bits.__class__ is not int or bits <= 0 or bits >> (1 << n_source):  # one comparison on the hot path
+        _require_qubits(n_source, 1, None, "source qubit count")
+        if bits.__class__ is not int or bits <= 0 or bits >> (1 << n_source):  # builds no 2^(2^N) bound
             _require_int("bits", bits)
             raise ValueError("point must be nonzero and within 2^N coordinates")
-        set_n, set_bits = self._setters
-        set_n(self, n_source)
-        set_bits(self, bits)
+        _Value.__init__(self, n_source, bits)
 
     def display_str(self) -> str:
         return "[" + ":".join(self.bit_string()) + "]"
@@ -92,6 +89,8 @@ class ProjPoint(_Value, order=True):
         """Parse a display bit string ("0010"), colon form ("[0:0:1:0]") or
         hex ("0x4", ASCII hex digits only)."""
         _require_qubits(n_qubits, 1, None, "source qubit count")
+        if not isinstance(text, str):
+            raise ValueError(f"point must be a str, got {type(text).__name__}")
         text = text.strip()
         size = 1 << n_qubits
         if text.startswith("[") and text.endswith("]"):

@@ -78,12 +78,19 @@ class QuadForm(_Value):
         return " + ".join("*".join(f"x{i}" for i in m) for m in self.sorted_monomials())
 
 
-def _form(n_vars: int, *pairs) -> QuadForm:
-    """The sum of x_i x_j over display-numbered pairs (i, j); (i, i) is the
-    square term."""
+def _variable_qubits(n_vars: int) -> int:
+    """N for a variable count 2^N, with N in 1..5."""
     n = n_vars.bit_length() - 1
     if n_vars < 2 or n_vars != 1 << n:
         raise ValueError(f"the variable count {n_vars} is not 2^N with N >= 1")
+    _require_qubits(n)
+    return n
+
+
+def _form(n_vars: int, *pairs) -> QuadForm:
+    """The sum of x_i x_j over display-numbered pairs (i, j); (i, i) is the
+    square term."""
+    n = _variable_qubits(n_vars)
     bits = 0
     for pair in pairs:
         if len(pair) != 2:
@@ -97,6 +104,7 @@ def _form(n_vars: int, *pairs) -> QuadForm:
 def hyperbolic_form(n_vars: int) -> QuadForm:
     """The standard pairing sum_k x_k x_{k + n/2}."""
     _require_int("variable count", n_vars)
+    _variable_qubits(n_vars)  # before any pair is built
     half = n_vars // 2
     return _form(n_vars, *[(k, k + half) for k in range(1, half + 1)])
 

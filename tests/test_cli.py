@@ -455,6 +455,43 @@ def test_verify_bijection_projects_nothing_twice(capsys, monkeypatch, n):
     assert out.count(": PASS\n") == 3
 
 
+BULK_FREE_ARGV = [
+    *(f"{cmd} --n 4" for cmd in ("counts", "generators", "relations", "constraints", "orbits", "tables",
+                                 "verify", "cayley")),
+    "project --n 4 --ops ZZII,XXII,IIZZ,IIXX", "map --n 4 --ops ZZII,XXII,IIZZ,IIXX",
+    "lift --n 4 --point 0x4571", "rank --n 4 --point 0x4571",
+    "map --n 5 --ops XXIII,ZZIII,IIXII,IIIXI,IIIIX", "lift --n 5 --point 0x6167d7a7", "counts --n 5",
+    "verify --n 5 --suite variety",
+]
+
+
+def test_no_command_builds_projected_points_in_bulk():
+    # in a fresh interpreter, so that no cache an earlier test filled hides
+    # a path: ``image`` raises, and each command's ProjPoint constructions
+    # are counted (29 orbit representatives and 6 class rows at most today)
+    out = fresh_stdout(
+        "import contextlib, io, json\n"
+        "from lgrpauli import cli, projection\n"
+        "def no_image(n):\n"
+        "    raise AssertionError('image was called')\n"
+        "built, init = [], projection.ProjPoint.__init__\n"
+        "def counted(self, *fields):\n"
+        "    built.append(fields)\n"
+        "    init(self, *fields)\n"
+        "projection.image, projection.ProjPoint.__init__ = no_image, counted\n"
+        "counts = {}\n"
+        f"for argv in {BULK_FREE_ARGV!r}:\n"
+        "    built.clear()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv.split())\n"
+        "    counts[argv] = [code, len(built)]\n"
+        "print(json.dumps(counts))")
+    counts = json.loads(out)
+    assert list(counts) == BULK_FREE_ARGV
+    assert {argv: code for argv, (code, _) in counts.items() if code} == {}
+    assert {argv: built for argv, (_, built) in counts.items() if built > 64} == {}
+
+
 def test_verify_json_one_record_per_check(capsys):
     code, out, err = run(capsys, "verify", "--n", "3", "--format", "json")
     assert code == 0 and err == ""

@@ -350,8 +350,8 @@ def test_generator_edge_inputs():
 
 @pytest.mark.parametrize("n, rows", [(0, ()), (0, (1,)), (-1, ()), (-1, (1,))])
 def test_generator_rejects_fewer_than_one_qubit(n, rows):
-    # the message PauliPoint gives, before any row is read
-    with pytest.raises(ValueError, match=f"^qubit count {n} is below 1$") as ei:
+    # the bounded wording, as for N = 6, before any row is read
+    with pytest.raises(ValueError, match=f"^qubit count {n} is outside 1..5$") as ei:
         Generator(n, rows)
     assert type(ei.value) is ValueError
 

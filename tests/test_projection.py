@@ -315,11 +315,23 @@ def test_display_forms_match_the_per_mask_oracle_and_parse_back(n):
     (ProjPoint.from_string, (3, "0x0"), "point must be nonzero and within 2^N coordinates"),
     (ProjPoint.from_string, (0, "1"), "source qubit count 0 is below 1"),
     (ProjPoint.from_string, (-1, "1"), "source qubit count -1 is below 1"),
+    (ProjPoint.from_string, (3, 5), "point must be a str, got int"),
+    (ProjPoint.from_string, (3, b"0010"), "point must be a str, got bytes"),
+    (ProjPoint, (3, 1 << 8), "point must be nonzero and within 2^N coordinates"),
+    (ProjPoint, (3, -1), "point must be nonzero and within 2^N coordinates"),
+    (ProjPoint, (6, 1 << 64), "point must be nonzero and within 2^N coordinates"),
 ])
 def test_malformed_points_keep_their_messages(parse, arg, message):
     with pytest.raises(ValueError) as ei:
         parse(*arg)
     assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_a_point_takes_every_coordinate_up_to_the_last(n):
+    top = (1 << (1 << n)) - 1
+    assert ProjPoint(n, top).bits == top
+    assert ProjPoint.from_string(n, "1" * (1 << n)) == ProjPoint(n, top)
 
 
 def test_point_serialization_roundtrip():
@@ -461,9 +473,10 @@ def test_warm_map_and_lift_make_no_qubit_count_call(monkeypatch, n):
     assert [map_and_lift(labels) for labels in families] == warm
     assert calls == [] and inits == []
     ProjPoint.from_string(n, "1" * (1 << n))  # the counters see the calls that remain
-    assert calls == [(n, 1, None, "source qubit count")]
+    assert calls == [(n, 1, None, "source qubit count")] * 2  # from_string's, then the constructor's
+    assert inits == [ProjPoint]
     PauliPoint(n, 1)
-    assert inits == [PauliPoint]
+    assert inits == [ProjPoint, PauliPoint]
 
 
 def test_worked_examples():

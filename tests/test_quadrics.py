@@ -303,6 +303,22 @@ def test_forms_name_a_bad_qubit_or_variable_count(make, arg, message):
         make(arg)
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_hyperbolic_form_refuses_n_above_5_before_building_a_monomial(monkeypatch, n):
+    # the count grows steeply in N, so a larger one is not tried
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return monomial(*args)
+
+    monomial = quadrics._monomial
+    monkeypatch.setattr(quadrics, "_monomial", counted)
+    with pytest.raises(ValueError, match=f"^qubit count {n} is outside 1..5$"):
+        hyperbolic_form(1 << n)
+    assert built == []
+
+
 @pytest.mark.parametrize("pair", [(1, 2, 3), (), (3,)])
 def test_form_names_a_pair_of_another_length(pair):
     with pytest.raises(ValueError, match=f"^{re.escape(f'expected a pair of variables, got {pair}')}$"):

@@ -191,7 +191,7 @@ UNBOUNDED, BOUNDED = "{name} {n} is below 1", "{name} {n} is outside {lo}..{hi}"
 @pytest.mark.parametrize("n", [-1, 0, False, True])
 @pytest.mark.parametrize("func, name, lo, hi", [
     (lambda n: PauliPoint(n, 1), "qubit count", 1, None),
-    (lambda n: Generator(n, ()), "qubit count", 1, None),
+    (lambda n: Generator(n, ()), "qubit count", 1, 5),
     (generator_count, "qubit count", 1, None),
     (display_masks, "qubit count", 1, None),
     (principal_keys, "qubit count", 1, None),
