@@ -43,7 +43,7 @@ def _compare(op):
 
 
 class _Value:
-    """An immutable value whose public ``__slots__`` are its fields: equal and
+    """An immutable value whose ``__slots__`` are its fields: equal and
     hashed as their tuple within one class, ordered by it if declared with
     ``order=True``, shown as ``Name(field=value, ...)``, and copied and
     pickled through its constructor.  Assignment raises AttributeError, so a
@@ -53,8 +53,7 @@ class _Value:
     __slots__ = ()
 
     def __init_subclass__(cls, order: bool = False):
-        cls._fields = tuple(s for s in cls.__slots__ if s[0] != "_")
-        cls._key = attrgetter(*cls._fields)
+        cls._key = attrgetter(*cls.__slots__)
         cls._setters = tuple(cls.__dict__[s].__set__ for s in cls.__slots__)
         if order:
             cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_compare, (lt, le, gt, ge))
@@ -78,7 +77,7 @@ class _Value:
         return type(self), self._key(self)
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
 
     def __hash__(self) -> int:
         return hash(self._key(self))

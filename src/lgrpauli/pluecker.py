@@ -13,7 +13,7 @@ import itertools
 from functools import lru_cache
 
 from .gf2 import grades, independent, rank
-from .pauli import Generator, _require_int, _require_qubits, _Value, omega_masks
+from .pauli import Generator, _require_int, _require_qubits, _Value, omega_contraction, omega_masks
 
 
 @lru_cache(maxsize=None)
@@ -25,14 +25,13 @@ def _key_label(n_ambient: int, key: int) -> str:
 
 
 class PlueckerVec(_Value, order=True):
-    """Plucker coordinates of a generator: one bit per N-subset of {1..2N}.
+    """Plucker coordinates: bit m of ``table`` is the coordinate of the
+    N-subset mask m of {1..2N}.  A bit at any other key is rejected, and so
+    is a table off the kernel of the isotropy constraints, naming the first
+    constraint it violates.  The kernel is the generators' span up to N = 3,
+    one dimension more at N = 4 (43) and ten more at N = 5 (142)."""
 
-    ``table`` packs the coordinate of subset-mask m at bit m; a bit at any
-    other key is rejected.  ``_isotropic``, no field, is True only for the
-    vectors of ``embed``, whose generators checked it (and their keys).
-    """
-
-    __slots__ = ("n_qubits", "table", "_isotropic")
+    __slots__ = ("n_qubits", "table")
 
     def __init__(self, n_qubits: int, table: int):
         _require_qubits(n_qubits)
@@ -42,13 +41,17 @@ class PlueckerVec(_Value, order=True):
         if bad := table & ~grades(2 * n_qubits)[n_qubits]:
             key = (bad & -bad).bit_length() - 1
             raise ValueError(f"Plucker key {key} is not a {n_qubits}-subset of 1..{2 * n_qubits}")
-        _Value.__init__(self, n_qubits, table, False)
+        if s := omega_contraction(n_qubits, table):
+            # bit K sums K's constraint, whose terms K | p_i meet in K (the p_i are disjoint)
+            c = next(c for c in lagrangian_constraints(n_qubits) if s >> (c.term_keys[0] & c.term_keys[1]) & 1)
+            raise ValueError(f"input violates isotropy constraint {c}")
+        _Value.__init__(self, n_qubits, table)
 
 
-# ``embed`` writes a vector's slots itself: the constructor's call chain,
-# not its checks, is what it saves.  Held here, so no call looks them up.
+# ``embed`` writes a vector's slots itself, as its generator passed the same
+# checks.  Held here, so no call looks them up.
 _new = object.__new__
-_set_vec_n, _set_vec_table, _set_vec_isotropic = PlueckerVec._setters
+_set_vec_n, _set_vec_table = PlueckerVec._setters
 
 
 def embed(g: Generator) -> PlueckerVec:
@@ -57,7 +60,6 @@ def embed(g: Generator) -> PlueckerVec:
     v = _new(PlueckerVec)
     _set_vec_n(v, g.n_qubits)
     _set_vec_table(v, g.table)
-    _set_vec_isotropic(v, True)
     return v
 
 

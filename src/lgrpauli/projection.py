@@ -26,8 +26,8 @@ from typing import Iterable
 
 from . import pauli
 from .gf2 import LOWER, SWAP, Gate, Tables, apply_gate, apply_tables, byte_tables, gate, packed_rref
-from .pauli import MAX_QUBITS, Generator, PauliPoint, _require_int, _require_qubits, _Value, omega_contraction
-from .pluecker import PlueckerVec, lagrangian_constraints
+from .pauli import MAX_QUBITS, Generator, PauliPoint, _require_int, _require_qubits, _Value
+from .pluecker import PlueckerVec
 
 
 class NotInImageError(ValueError):
@@ -118,15 +118,11 @@ _set_op_n, _set_op_bits = PauliPoint._setters
 def project(v: PlueckerVec) -> ProjPoint:
     """Keep the principal-minor coordinates of a Plucker vector.
 
-    The input must satisfy the isotropy constraints; a resulting zero
-    vector signals a point off the Lagrangian locus and is rejected.
+    The vector's constructor checked the isotropy constraints, whose kernel
+    is larger than the generators' span at N >= 4; a resulting zero vector
+    signals a point off the Lagrangian locus and is rejected.
     """
     n = v.n_qubits
-    if not v._isotropic:  # the vectors from ``embed`` were checked as generators
-        if s := omega_contraction(n, v.table):
-            # bit K sums K's constraint, whose terms K | p_i meet in K (the p_i are disjoint)
-            c = next(c for c in lagrangian_constraints(n) if s >> (c.term_keys[0] & c.term_keys[1]) & 1)
-            raise ValueError(f"input violates isotropy constraint {c}")
     bits = _principal_bits(n, v.table)
     if bits == 0:
         raise ValueError("all principal coordinates vanish: input not Lagrangian")

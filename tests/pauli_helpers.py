@@ -5,7 +5,7 @@ under test."""
 import itertools
 
 from lgrpauli.pauli import _LABEL_CHUNKS, BITS_LETTER, LETTER_BITS, Generator, LabelError, PauliPoint
-from lgrpauli.pluecker import PlueckerVec, principal_keys
+from lgrpauli.pluecker import principal_keys
 
 
 def subset_keys(n_ambient: int, k: int) -> tuple[int, ...]:
@@ -77,7 +77,7 @@ def from_label_outcome(s: str) -> PauliPoint | str:
         return str(e)
 
 
-def principal_bits(v: PlueckerVec) -> int:
-    """The principal coordinates of a Plucker vector, one key at a time:
-    bit m is the coordinate at the key of subset m."""
-    return sum((v.table >> key & 1) << m for m, key in enumerate(principal_keys(v.n_qubits)))
+def principal_bits(n: int, table: int) -> int:
+    """The principal coordinates of an N-qubit Plucker table, one key at a
+    time: bit m is the coordinate at the key of subset m."""
+    return sum((table >> key & 1) << m for m, key in enumerate(principal_keys(n)))

@@ -67,12 +67,11 @@ def constraint_terms(c: LinearConstraint) -> list[SubsetIndex]:
     return [SubsetIndex.from_key(two_n, k) for k in c.term_keys]
 
 
-def constraint_value(c: LinearConstraint, v: PlueckerVec) -> int:
-    """The constraint's sum at ``v``, term by term."""
-    t = v.table
+def constraint_value(c: LinearConstraint, table: int) -> int:
+    """The constraint's sum on a Plucker table, term by term."""
     out = 0
     for k in c.term_keys:
-        out ^= (t >> k) & 1
+        out ^= (table >> k) & 1
     return out
 
 

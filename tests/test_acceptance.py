@@ -70,8 +70,8 @@ def test_criterion_2_bijectivity():
         img = set(points)
         ok &= len(img) == len(gens)
         # the principal coordinates read key by key agree with project's slice
-        ok &= all(p.bits == principal_bits(v) for p, v in zip(points, tables))
-        # the per-constraint oracle accepts every table project accepted:
+        ok &= all(p.bits == principal_bits(n, v.table) for p, v in zip(points, tables))
+        # the per-constraint oracle accepts every table the vectors hold:
         # each constraint's terms, summed through one mask, vanish
         masks = [sum(1 << k for k in c.term_keys) for c in lagrangian_constraints(n)]
         ok &= not any((v.table & m).bit_count() & 1 for v in tables for m in masks)
@@ -205,7 +205,7 @@ def test_criterion_8_property_suites():
         for g in enumerate_generators(n):
             v = embed(g)
             ok &= all(relation_value(r, v) == 0 for r in rels)
-            ok &= all(constraint_value(c, v) == 0 for c in cons)
+            ok &= all(constraint_value(c, v.table) == 0 for c in cons)
     # whole-space t_rank constant on orbits and equal to the orbit record
     # (exhaustive N <= 4)
     for n in (2, 3, 4):

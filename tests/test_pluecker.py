@@ -6,7 +6,8 @@ import re
 
 import pytest
 
-from lgrpauli.pauli import generator_from_operators, PauliPoint
+from lgrpauli.gf2 import reduce_row
+from lgrpauli.pauli import Generator, generator_from_operators, PauliPoint
 from lgrpauli.pluecker import (
     PlueckerRelation,
     PlueckerVec,
@@ -18,6 +19,7 @@ from lgrpauli.pluecker import (
     _relation_candidates,
 )
 from lgrpauli.projection import enumerate_generators
+from gf2_oracles import kernel
 from pauli_helpers import subset_keys
 from pluecker_oracles import (
     SubsetIndex,
@@ -141,13 +143,53 @@ def test_constraint_rank(n, rank):
     assert constraint_rank(n) == rank
 
 
+def symplectic_moves(n: int) -> list:
+    """Row maps generating Sp(2N, 2), the Clifford group modulo Paulis:
+    H_i exchanges x_i and x_{N+i}, S_i adds x_i to x_{N+i}, and CNOT_ij adds
+    x_j to x_i and x_{N+i} to x_{N+j} (bit k - 1 of a row is x_k)."""
+    moves = []
+    for i in range(n):
+        moves.append(lambda r, i=i: r ^ ((r >> i ^ r >> n + i) & 1) * (1 << i | 1 << n + i))
+        moves.append(lambda r, i=i: r ^ (r >> i & 1) << n + i)
+        moves += [lambda r, i=i, j=j: r ^ (r >> j & 1) << i ^ (r >> n + i & 1) << n + j for j in range(n) if j != i]
+    return moves
+
+
+@pytest.mark.parametrize("n, kernel_dim, span", [(1, 2, 2), (2, 5, 5), (3, 14, 14), (4, 43, 42), (5, 142, 132)])
+def test_pluecker_vec_admits_the_constraint_kernel(n, kernel_dim, span):
+    # the constructor checks the linear constraints alone, so it admits their
+    # whole kernel: every generator's vector and, at N >= 4, more
+    keys = subset_keys(2 * n, n)
+    assert len(keys) - constraint_rank(n) == kernel_dim
+    column = {k: j for j, k in enumerate(keys)}
+    rows = [sum(1 << column[k] for k in c.term_keys) for c in lagrangian_constraints(n)]
+    basis = [sum(1 << k for j, k in enumerate(keys) if b >> j & 1) for b in kernel(rows, len(keys))]
+    assert len(basis) == kernel_dim
+    for t in basis:  # the check is linear, so every sum of these passes too
+        assert PlueckerVec(n, t).table == t
+    # a prefix of the generators spans ``span`` dimensions (4,590 of them at
+    # N = 5), and no generator leaves that span: it is closed under moves
+    # generating Sp(2N, 2), which is transitive on the generators
+    pivots, kept = {}, []
+    for g in enumerate_generators(n):
+        if row := reduce_row(pivots, g.table):
+            pivots[row.bit_length()] = row
+            kept.append(g)
+            if len(kept) == span:
+                break
+    assert len(kept) == span
+    for g in kept:
+        for move in symplectic_moves(n):
+            assert reduce_row(pivots, Generator(n, map(move, g.rows)).table) == 0
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_constraints_vanish_on_embedded_generators(n):
     cons = lagrangian_constraints(n)
     for g in enumerate_generators(n):
         v = embed(g)
         for c in cons:
-            assert constraint_value(c, v) == 0
+            assert constraint_value(c, v.table) == 0
 
 
 def test_n4_three_term_constraints_sum_to_zero():

@@ -160,22 +160,21 @@ def constraint_messages(n: int) -> dict:
     return {c: f"input violates isotropy constraint {c}" for c in lagrangian_constraints(n)}
 
 
-def project_oracle(v: PlueckerVec) -> ProjPoint | str:
-    """``project`` as a per-constraint check: the message of the first
-    constraint, in order, whose terms sum to 1 (``constraint_value``, term
-    by term), else the principal coordinates, or the message for all
-    of them vanishing."""
-    n = v.n_qubits
+def project_oracle(n: int, table: int) -> ProjPoint | str:
+    """Building a vector on ``table`` and projecting it, as a per-constraint
+    check: the message of the first constraint, in order, whose terms sum
+    to 1 (``constraint_value``, term by term), else the principal
+    coordinates, or the message for all of them vanishing."""
     for c, msg in constraint_messages(n).items():
-        if constraint_value(c, v):
+        if constraint_value(c, table):
             return msg
-    bits = principal_bits(v)
+    bits = principal_bits(n, table)
     return ProjPoint(n, bits) if bits else "all principal coordinates vanish: input not Lagrangian"
 
 
-def project_outcome(v: PlueckerVec) -> ProjPoint | str:
+def project_outcome(n: int, table: int) -> ProjPoint | str:
     try:
-        return project(v)
+        return project(PlueckerVec(n, table))
     except ValueError as e:
         return str(e)
 
@@ -370,7 +369,8 @@ def test_from_string_fuzz(n, text):
 def test_project_names_the_first_violated_constraint(n):
     # sparse tables on the N-subset keys, or on keys of any size: the vector
     # refuses a key off the N-subsets, naming the lowest, and the table
-    # without those keys is projected
+    # without those keys is built, which names the first constraint it
+    # violates, and projected
     rng = random.Random(n)
     pools = (subset_keys(2 * n, n), range(1 << (2 * n)))
     masks = {c: sum(1 << k for k in c.term_keys) for c in lagrangian_constraints(n)}
@@ -382,10 +382,10 @@ def test_project_names_the_first_violated_constraint(n):
             with pytest.raises(ValueError, match=f"^Plucker key {min(off)} is not a {n}-subset of 1..{2 * n}$"):
                 PlueckerVec(n, sum(1 << k for k in bits))
             refused += 1
-        v = PlueckerVec(n, sum(1 << k for k in bits if k not in off))
-        expected = project_oracle(v)
-        assert project_outcome(v) == expected
-        assert all((v.table & m).bit_count() & 1 == constraint_value(c, v) for c, m in masks.items())
+        table = sum(1 << k for k in bits if k not in off)
+        expected = project_oracle(n, table)
+        assert project_outcome(n, table) == expected
+        assert all((table & m).bit_count() & 1 == constraint_value(c, table) for c, m in masks.items())
         rejected += isinstance(expected, str) and "isotropy" in expected
         vanished += isinstance(expected, str) and "vanish" in expected
     assert 0 < rejected < 2000 and vanished > 0 and refused > 0
@@ -397,13 +397,12 @@ def test_contraction_matches_constraint_oracle_on_single_bit_flips(n):
     for g in enumerate_generators(n):
         t = embed(g).table
         for k in keys:
-            v = PlueckerVec(n, t ^ (1 << k))
-            assert project_outcome(v) == project_oracle(v)
+            assert project_outcome(n, t ^ 1 << k) == project_oracle(n, t ^ 1 << k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_constraint_keys_are_every_bit_the_contraction_can_set(n):
-    # ``project`` rejects a table whose contraction is nonzero, naming the
+    # ``PlueckerVec`` rejects a table whose contraction is nonzero, naming the
     # constraint of a set bit: the keys K must be exactly the bits that the
     # contraction of a table on the N-subset keys can set, and those are the
     # (N-2)-subset keys (none at N = 1); each constraint's K is the meet of
@@ -593,6 +592,9 @@ def test_pluecker_vec_rejects_a_negative_table():
     # its bits would read as two's complement; embed's vectors are never negative
     with pytest.raises(ValueError, match="Plucker table must be nonnegative, got -5"):
         PlueckerVec(2, -5)
+    # the sign is named before the keys and the constraints: -p13 would break p13 + p24 = 0
+    with pytest.raises(ValueError, match="^Plucker table must be nonnegative, got -32$"):
+        PlueckerVec(2, -(1 << 0b0101))
     assert project(PlueckerVec(2, 1 << 0b0011)) == ProjPoint(2, 1)  # x_{} = p12
 
 
@@ -601,19 +603,25 @@ def test_pluecker_vec_rejects_a_key_off_the_n_subsets():
     g = enumerate_generators(2)[3]
     with pytest.raises(ValueError, match="^Plucker key 40 is not a 2-subset of 1..4$"):
         PlueckerVec(2, g.table | 1 << 40)
+    # the key is named before the constraints: p13 alone breaks p13 + p24 = 0
+    with pytest.raises(ValueError, match="^Plucker key 40 is not a 2-subset of 1..4$"):
+        PlueckerVec(2, 1 << 0b0101 | 1 << 40)
 
 
-def test_project_checks_every_vector_not_from_embed():
-    # embed marks a checked generator's vector, which compares and hashes as
-    # the same vector built by hand; a hand-built one is checked
+def test_every_pluecker_vec_is_checked_for_isotropy():
+    # embed writes a checked generator's vector, which compares and hashes as
+    # the same vector built by hand; a hand-built one is checked by its
+    # constructor, before project is reached
     g = enumerate_generators(3)[7]
     v = embed(g)
     assert v == PlueckerVec(3, g.table) and hash(v) == hash(PlueckerVec(3, g.table))
     assert project(v) == project(PlueckerVec(3, g.table))
     bad = v.table ^ 1 << 0b001011  # p124 holds the pair {1, 4}, so its flip breaks an isotropy sum
-    expected = project_oracle(PlueckerVec(3, bad))
+    expected = project_oracle(3, bad)
     assert "isotropy" in expected
-    assert project_outcome(PlueckerVec(3, bad)) == expected
+    assert project_outcome(3, bad) == expected
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        PlueckerVec(3, bad)
 
 
 def fresh_lift_caches(monkeypatch):

@@ -56,6 +56,7 @@ def test_value_types_are_frozen_field_tuples(name):
     make, names, fields, larger, text = CASES[name]
     v, w = make(), make()
     assert type(v).__name__ == name and tuple(getattr(v, f) for f in names) == fields
+    assert type(v).__slots__ == names  # no slot but the fields
     for f in names + ("extra",):
         with pytest.raises(AttributeError):
             setattr(v, f, 0)
