@@ -94,8 +94,7 @@ def _require_int(name: str, value) -> None:
 def _require_qubits(n, lo: int = 1, hi: int | None = MAX_QUBITS, name: str = "qubit count") -> None:
     """Raise a ValueError naming ``n`` unless it is an int (not a bool)
     qubit count in lo..hi, or at least lo if ``hi`` is None."""
-    if n.__class__ is not int:
-        raise ValueError(f"{name} must be an int, got {n!r}")
+    _require_int(name, n)
     if n < lo or hi is not None and n > hi:
         raise ValueError(f"{name} {n} is below {lo}" if hi is None else f"{name} {n} is outside {lo}..{hi}")
 

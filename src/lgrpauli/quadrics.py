@@ -12,6 +12,7 @@ display numbering x_1..x_{2^N} is used only to read and print forms.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import chain
 from operator import or_
 
 from .gf2 import SWAP, Gate, absent_masks, apply_gate, columns, gate, independent, rank, reduce_row
@@ -135,7 +136,7 @@ def variety_quadrics(n_qubits: int) -> tuple[QuadForm, ...]:
 
 
 class VarietyReport(_Value):
-    """Counts of zeros and image points on ``verify_variety``'s Σ; ``closed``: (a), (b)."""
+    """Counts of zeros and image points on ``verify_variety``'s Σ; ``closed``: its (a) and gate closure (b)."""
     __slots__ = ("n_qubits", "quadric_count", "zero_set_size", "image_size", "closed", "matches")
 
 
@@ -183,17 +184,16 @@ def vanishes_on_image(q: QuadForm) -> bool:
 def verify_variety(n_qubits: int) -> VarietyReport:
     """Certify Z = I, Z the common zeros of ``variety_quadrics(n)`` and I the
     image, on Σ = {x_{} = 1, x_{i} = 0 for each i}: Z = I iff (a) the forms
-    vanish on I, (b) each gate of ``clifford_gates`` maps their span into
-    itself, and (c) |Z ∩ Σ| = |I ∩ Σ|.  By (a) and (b), Z holds I and is
-    stable under the gates.  H_T, for a T with x_T = 1, then S_i for each i
-    with x_i = 1, moves any point of Z into Σ.  I ∩ Σ is the 2^(N(N-1)/2)
-    graph points of the zero-diagonal symmetric matrices, and the gates
-    preserve I (the projection is equivariant).  So by (c), Z = I."""
+    vanish on I, (b) their span is its own ``_span_closure`` under the gates
+    of ``clifford_gates``, and (c) |Z ∩ Σ| = |I ∩ Σ|.  By (a) and (b), Z holds
+    I and is stable under the gates.  H_T, for a T with x_T = 1, then S_i for
+    each i with x_i = 1, moves any point of Z into Σ.  I ∩ Σ is the
+    2^(N(N-1)/2) graph points of the zero-diagonal symmetric matrices, and the
+    gates preserve I (the projection is equivariant).  So by (c), Z = I."""
     n = n_qubits
     quads = variety_quadrics(n)  # checks n
     bits = [q.bits for q in quads]
-    moved = [_act(n, g, b) for g in clifford_gates(n) for b in bits]
-    closed = all(map(vanishes_on_image, quads)) and rank(bits + moved) == rank(bits)
+    closed = all(map(vanishes_on_image, quads)) and len(_span_closure(n, bits, clifford_gates(n))) == rank(bits)
     cols = _image_columns(n)
     axes = reduce(or_, (cols[1 << i] for i in range(n)))  # the image points with some x_{i} = 1
     zeros, size = _slice_zeros(n, quads), (cols[0] & ~axes).bit_count()
@@ -212,6 +212,7 @@ def vanishing_quadrics(points) -> list[QuadForm]:
     n = points[0].n_source
     if other := next((p.n_source for p in points if p.n_source != n), None):
         raise ValueError(f"coordinate count mismatch: {n} and {other}")
+    _require_qubits(n)
     return _vanishing(n, columns([p.bits for p in points], 1 << n))
 
 
@@ -285,18 +286,17 @@ def _act(n: int, g: Gate, bits: int) -> int:
     return (c ^ ct) & upper | c & diag
 
 
-def _span_closure(n: int, bits: int) -> list[int]:
-    """A basis of the smallest space of forms that holds ``bits`` and is
-    mapped into itself by every gate of ``local_gates``: each basis form,
-    ``bits`` first, is acted on once by each gate, and what
-    ``gf2.reduce_row`` leaves is a new basis form."""
-    basis = [bits] if bits else []
-    pivots = {f.bit_length(): f for f in basis}
-    for f in basis:  # grows while walked
-        for g in local_gates(n):
-            if r := reduce_row(pivots, _act(n, g, f)):
-                pivots[r.bit_length()] = r
-                basis.append(r)
+def _span_closure(n: int, seeds, gates) -> list[int]:
+    """A basis of the smallest space of forms that holds the packed forms
+    ``seeds`` and is mapped into itself by each of the point gates ``gates``:
+    what ``gf2.reduce_row`` leaves of each seed, then of each basis form
+    acted on once by each gate, is a new basis form."""
+    basis: list[int] = []
+    pivots: dict[int, int] = {}
+    for f in chain(seeds, (_act(n, g, b) for b in basis for g in gates)):  # basis grows while walked
+        if r := reduce_row(pivots, f):
+            pivots[r.bit_length()] = r
+            basis.append(r)
     return basis
 
 
@@ -308,7 +308,7 @@ def quadric_orbit(q: QuadForm, n_qubits: int) -> set[QuadForm]:
     if q.n_qubits != n_qubits:
         raise ValueError(f"variable count mismatch: {q.n_qubits} and {n_qubits}")
     kept: list[int] = []
-    for f in sorted(_span_closure(n_qubits, q.bits)):  # distinct top bits
+    for f in sorted(_span_closure(n_qubits, [q.bits], local_gates(n_qubits))):  # distinct top bits
         for k in kept:
             if f >> (k.bit_length() - 1) & 1:
                 f ^= k

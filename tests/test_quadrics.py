@@ -214,7 +214,7 @@ def test_quadric_orbit_is_the_minimal_weight_basis_of_the_cayley_span(n):
     # the Cayley forms have pairwise disjoint supports, so the reduced
     # echelon basis is also the enumerated minimal-weight one
     q = cayley_quadric(n)
-    assert quadric_orbit(q, n) == min_weight_basis(n, _span_closure(n, q.bits))
+    assert quadric_orbit(q, n) == min_weight_basis(n, _span_closure(n, [q.bits], local_gates(n)))
 
 
 def _is_reduced(forms) -> bool:
@@ -226,7 +226,7 @@ def _is_reduced(forms) -> bool:
 
 def test_quadric_orbit_of_the_zero_form_is_empty():
     assert quadric_orbit(QuadForm(4, 0), 4) == set()
-    assert _span_closure(4, 0) == []
+    assert _span_closure(4, [0], local_gates(4)) == []
 
 
 def test_quadric_orbit_rejects_a_form_on_another_qubit_count():
@@ -241,8 +241,8 @@ DIM80 = cayley_quadric(4) + _form(16, (1, 2))
 
 
 def test_quadric_orbit_reduces_a_span_of_dimension_80():
-    assert len(_span_closure(4, DIM80.bits)) == 80
-    assert len(_span_closure(4, cayley_quadric(4).bits)) == 9
+    assert len(_span_closure(4, [DIM80.bits], local_gates(4))) == 80
+    assert len(_span_closure(4, [cayley_quadric(4).bits], local_gates(4))) == 9
     orb = quadric_orbit(DIM80, 4)
     assert len(orb) == 80 and _is_reduced(orb)
 
@@ -253,7 +253,7 @@ def test_span_closure_spans_the_oracle_orbit(q, n, orbit_size):
     # the closure reduces as it goes and lists no orbit; its basis spans
     # what the oracle's whole orbit spans, and so does quadric_orbit's
     orbit = [from_monomials(n, monos).bits for monos in orbit_closure(q, n)]
-    basis = _span_closure(n, q.bits)
+    basis = _span_closure(n, [q.bits], local_gates(n))
     assert len(orbit) == orbit_size and basis[0] == q.bits
     assert len(rref(basis)) == len(basis) == len(rref(orbit)) == len(rref(basis + orbit))
     assert len(rref([f.bits for f in quadric_orbit(q, n)] + orbit)) == len(basis)
@@ -278,7 +278,7 @@ def test_span_closures_of_the_n5_vanishing_quadrics():
     assert _is_reduced(image_quadrics(5))
     dims = set()
     for q in image_quadrics(5):
-        basis = _span_closure(5, q.bits)
+        basis = _span_closure(5, [q.bits], local_gates(5))
         moved = [_act(5, g, f) for f in basis for g in local_gates(5)]
         assert basis[0] == q.bits and rank(basis) == len(basis) == rank(basis + moved)
         orb = quadric_orbit(q, 5)
@@ -287,6 +287,48 @@ def test_span_closures_of_the_n5_vanishing_quadrics():
             assert orb == set(image_quadrics(5))
         dims.add(len(basis))
     assert dims == {15, 51, 65, 66}
+
+
+def _closed_in_one_step(n, bits):
+    # the one-step test: each gate moves each form into the forms' span
+    return rank(bits + [_act(n, g, b) for g in clifford_gates(n) for b in bits]) == rank(bits)
+
+
+def _closure_cases():
+    rng = random.Random(4)
+    diag, upper = _upper(4)
+    monos = [1 << k for k in range(1 << 8) if (diag | upper) >> k & 1]
+    cases = [pytest.param(n, variety_quadrics(n), True, id=f"variety-n{n}") for n in (2, 3, 4, 5)]
+    cases.append(pytest.param(4, variety_quadrics(4)[1:], False, id="Q2-Q10"))
+    cases += [pytest.param(4, (q,), False, id=f"Q{k}") for k, q in enumerate(variety_quadrics(4), 1)]
+    cases += [pytest.param(n, (hyperbolic_form(1 << n),), n > 2, id=f"pairing-n{n}")  # CZ_12 moves it at N = 2
+              for n in (2, 3, 4, 5)]
+    cases += [pytest.param(4, tuple(QuadForm(4, m) for m in rng.sample(monos, 2)), None, id=f"monomials-{k}")
+              for k in range(8)]
+    return cases
+
+
+@pytest.mark.parametrize("n, quads, closed", _closure_cases())
+def test_gate_closure_agrees_with_the_one_step_test(n, quads, closed):
+    # a span is closed under the gates iff its closure adds no form; the
+    # one-step rank test is the oracle, and it alone decides the random pairs (None)
+    bits = [q.bits for q in quads]
+    got = len(_span_closure(n, bits, clifford_gates(n))) == rank(bits)
+    assert got == _closed_in_one_step(n, bits)
+    assert closed is None or got == closed
+
+
+def test_clifford_closures_of_the_n5_vanishing_quadrics():
+    # under clifford_gates the 66 forms of variety_quadrics(5) span 55, 65
+    # or 66 dimensions, each closure inside their 66-dimensional span
+    quads = variety_quadrics(5)
+    full = [q.bits for q in quads]
+    dims = set()
+    for q in quads:
+        basis = _span_closure(5, [q.bits], clifford_gates(5))
+        assert basis[0] == q.bits and rank(basis) == len(basis) and rank(full + basis) == 66
+        dims.add(len(basis))
+    assert dims == {55, 65, 66}
 
 
 @pytest.mark.parametrize("make, arg, message", [
@@ -316,6 +358,30 @@ def test_hyperbolic_form_refuses_n_above_5_before_building_a_monomial(monkeypatc
     monkeypatch.setattr(quadrics, "_monomial", counted)
     with pytest.raises(ValueError, match=f"^qubit count {n} is outside 1..5$"):
         hyperbolic_form(1 << n)
+    assert built == []
+
+
+def _random_points(n, count, seed):
+    rng = random.Random(seed)
+    return [ProjPoint(n, rng.randrange(1, 1 << (1 << n))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n, points", [(6, [ProjPoint(6, 1)]), (7, [ProjPoint(7, 1)]), (6, _random_points(6, 2200, 5))],
+                         ids=["n6", "n7", "n6-2200"])
+def test_vanishing_quadrics_refuses_n_above_5_before_building_a_monomial(monkeypatch, n, points):
+    # the monomial masks and the elimination grow steeply in N; 2,200
+    # random N = 6 points have no vanishing form, so only the N check
+    # refuses them
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return upper(*args)
+
+    upper = quadrics._upper
+    monkeypatch.setattr(quadrics, "_upper", counted)
+    with pytest.raises(ValueError, match=f"^qubit count {n} is outside 1..5$"):
+        vanishing_quadrics(points)
     assert built == []
 
 
