@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 Gate = tuple[int, int, int, int, int]
@@ -174,19 +174,20 @@ def apply_gate(g: Gate, bits: int) -> int:
     return bits ^ (bits & n00 ^ hi & n01) ^ (bits & n10 ^ hi & n11) << shift
 
 
-def span(rows: Iterable[int]) -> list[int]:
-    """Every sum of ``rows``: entry c is the XOR of row k over the bits k of c."""
-    out = [0]
-    for r in rows:
-        out += [v ^ r for v in out]
+def walk(start: int, steps: Iterable[Callable[[int], int]]) -> list[int]:
+    """Entry c is ``start`` moved by step k for each bit k of c, for steps
+    that commute: step k maps the first 2^k entries to the next 2^k."""
+    out = [start]
+    for step in steps:
+        out += list(map(step, out))  # a snapshot: ``out += map(step, out)`` would chase its own tail
     return out
 
 
 def byte_tables(images: Sequence[int]) -> Tables:
     """The linear map sending bit k to ``images[k]``, as one table per input
-    byte: entry v of table b is the image of v << 8b, the ``span`` of the
-    byte's images."""
-    return tuple(tuple(span(images[lo:lo + 8])) for lo in range(0, len(images), 8))
+    byte: entry v of table b is the image of v << 8b, the XOR ``walk`` from
+    0 by the byte's images."""
+    return tuple(tuple(walk(0, [r.__xor__ for r in images[lo:lo + 8]])) for lo in range(0, len(images), 8))
 
 
 def apply_tables(tables: Tables, x: int) -> int:

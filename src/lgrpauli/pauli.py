@@ -131,7 +131,7 @@ class PauliPoint(_Value, order=True):
 
     def __init__(self, n_qubits: int, bits: int):
         _require_qubits(n_qubits, 1, None)
-        if not (bits.__class__ is int and 0 < bits < 1 << (2 * n_qubits)):
+        if not (bits.__class__ is int and 0 < bits and not bits >> 2 * n_qubits):  # builds no 2^(2N) bound
             _require_int("bits", bits)
             raise ValueError(f"bits must be in 1..4^N-1 for N={n_qubits}, got {bits}")
         _Value.__init__(self, n_qubits, bits)

@@ -158,7 +158,7 @@ def principal_keys(n_qubits: int) -> tuple[int, ...]:
     """Entry m is the key of the Plucker index whose minor is the principal
     minor on the subset mask m of {1..N}: ({1..N} minus m) together with
     {N+i : i in m}."""
-    _require_qubits(n_qubits, 1, None)
+    _require_qubits(n_qubits)
     full = (1 << n_qubits) - 1
     return tuple((full & ~m) | (m << n_qubits) for m in range(1 << n_qubits))
 

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable
 
 from . import pauli
-from .gf2 import LOWER, SWAP, Gate, Tables, apply_gate, apply_tables, byte_tables, gate, packed_rref
+from .gf2 import LOWER, SWAP, Gate, Tables, apply_gate, apply_tables, byte_tables, gate, packed_rref, walk
 from .pauli import MAX_QUBITS, Generator, PauliPoint, _require_int, _require_qubits, _Value
 from .pluecker import PlueckerVec
 
@@ -38,7 +38,7 @@ class NotInImageError(ValueError):
 def display_masks(n_qubits: int) -> tuple[int, ...]:
     """Internal subset masks in display order (length 2^N)."""
     n = n_qubits
-    _require_qubits(n, 1, None)
+    _require_qubits(n)
     # the N-1 bits of d, reversed, are elements 2..N
     first = [int(format(d, f"0{n - 1}b")[::-1], 2) << 1 for d in range(1 << n - 1)]
     full = (1 << n) - 1
@@ -46,12 +46,12 @@ def display_masks(n_qubits: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _display_order(n_qubits: int) -> tuple[Tables, Tables]:
+def _display_order(n_qubits: int) -> Tables:
     """The display order as byte tables of a bit permutation, moving the
-    coordinate of display_masks(N)[j] to bit j, and of its inverse."""
+    coordinate of display_masks(N)[j] to bit j."""
     masks = display_masks(n_qubits)
     positions = sorted(range(len(masks)), key=masks.__getitem__)  # the inverse permutation
-    return byte_tables([1 << j for j in positions]), byte_tables([1 << m for m in masks])
+    return byte_tables([1 << j for j in positions])
 
 
 _HEX = re.compile(r"0[xX][0-9a-fA-F]+")
@@ -78,7 +78,7 @@ class ProjPoint(_Value, order=True):
     def bit_string(self) -> str:
         # display coordinate j is bit j of the permuted int, so it is read reversed
         n = self.n_source
-        return format(apply_tables(_display_order(n)[0], self.bits), f"0{1 << n}b")[::-1]
+        return format(apply_tables(_display_order(n), self.bits), f"0{1 << n}b")[::-1]
 
     def hex_string(self) -> str:
         width = ((1 << self.n_source) + 3) // 4
@@ -89,6 +89,7 @@ class ProjPoint(_Value, order=True):
         """Parse a display bit string ("0010"), colon form ("[0:0:1:0]") or
         hex ("0x4", ASCII hex digits only)."""
         _require_qubits(n_qubits, 1, None, "source qubit count")
+        masks = display_masks(n_qubits)  # N in 1..5, checked before the text is read
         if not isinstance(text, str):
             raise ValueError(f"point must be a str, got {type(text).__name__}")
         text = text.strip()
@@ -104,7 +105,7 @@ class ProjPoint(_Value, order=True):
             bitstr = text
         if len(bitstr) != size or set(bitstr) - {"0", "1"}:
             raise ValueError(f"expected {size} binary digits or hex")
-        return cls(n_qubits, apply_tables(_display_order(n_qubits)[1], int(bitstr[::-1], 2)))
+        return cls(n_qubits, sum(1 << m for m, digit in zip(masks, bitstr) if digit == "1"))
 
 
 # ``project`` and ``to_observable`` write their results' slots themselves:
@@ -158,7 +159,7 @@ def to_observable(p: ProjPoint) -> PauliPoint:
     n = p.n_source
     o = _new(PauliPoint)
     _set_op_n(o, 1 << n - 1)
-    _set_op_bits(o, apply_tables(_display_order(n)[0], p.bits))
+    _set_op_bits(o, apply_tables(_display_order(n), p.bits))
     return o
 
 
@@ -185,15 +186,6 @@ def local_gates(n: int) -> tuple[Gate, ...]:
     return clifford_gates(n)[:2 * n] + tuple(gate(n, 1 << k, 2 << k, SWAP) for k in range(n - 1))
 
 
-def _walk(steps: list[Gate], start: int) -> list[int]:
-    """Entry c is ``start`` moved by gate k for each bit k of c (the gates
-    commute): gate k moves the first 2^k entries to the next 2^k."""
-    out = [start]
-    for g in steps:
-        out += [apply_gate(g, bits) for bits in out]
-    return out
-
-
 @lru_cache(maxsize=None)
 def _image_bits(n_qubits: int) -> tuple[int, ...]:
     """The packed bits of every image point, sorted; ``verify``'s bijection
@@ -210,15 +202,14 @@ def _image_bits(n_qubits: int) -> tuple[int, ...]:
     x_{U | (e - T)}), U = (S ^ T) - e, that is gate(n, e & T, e - T, LOWER)."""
     n = n_qubits
     _require_qubits(n)
-    hits = [bits for t in range(1 << n) for bits in _walk(
-        [gate(n, e & t, e & ~t, LOWER) for e in _entries(n) if not t >> e.bit_length() - 1 & 1], 1 << t)]
+    hits = [bits for t in range(1 << n) for bits in walk(1 << t, [
+        partial(apply_gate, gate(n, e & t, e & ~t, LOWER)) for e in _entries(n) if not t >> e.bit_length() - 1 & 1])]
     return tuple(sorted(hits))
 
 
-@lru_cache(maxsize=None)
 def image(n_qubits: int) -> tuple[ProjPoint, ...]:
     """The projected images of all generators, sorted: one per generator (the
-    projection is injective)."""
+    projection is injective), built on each call."""
     return tuple(ProjPoint(n_qubits, bits) for bits in _image_bits(n_qubits))
 
 

@@ -8,17 +8,22 @@ after); and the principal coordinates read by one strided slice of the
 table's bit string (``_principal_bits`` folds them together)."""
 
 import itertools
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
-from lgrpauli.gf2 import Tables, apply_tables, byte_tables
-from lgrpauli.projection import _entries, _walk, clifford_gates
+from lgrpauli import projection
+from lgrpauli.gf2 import Tables, apply_gate, apply_tables, byte_tables, walk
+from lgrpauli.projection import _entries, clifford_gates
+
+# ``projection.image`` builds its points on each call; the tests that read
+# them again share this one cache
+image = cache(projection.image)
 
 
 def chart_points(n_qubits: int) -> list[int]:
     """Entry c is the chart point of the symmetric matrix A with code c,
     bit k of c the entry flipped by gate k of ``clifford_gates(n)[n:]``
     (a_ii by S_i, then a_ij = a_ji by CZ_ij), walked from x_{} = 1."""
-    return _walk(list(clifford_gates(n_qubits)[n_qubits:]), 1)
+    return walk(1, [partial(apply_gate, g) for g in clifford_gates(n_qubits)[n_qubits:]])
 
 
 def _chart_cell(n: int, t: int) -> list[int]:

@@ -10,7 +10,7 @@ packed point has variable k at bit k-1.
 import itertools
 from functools import lru_cache
 
-from lgrpauli.gf2 import absent_masks, apply_gate, independent, span
+from lgrpauli.gf2 import absent_masks, apply_gate, independent, walk
 from lgrpauli.pauli import _require_qubits
 from lgrpauli.pluecker import principal_keys
 from lgrpauli.projection import display_masks, local_gates
@@ -83,7 +83,7 @@ def min_weight_basis(n: int, rows) -> set[QuadForm]:
     nonzero element of the span of ``rows`` (2^dim of them), sorted by
     (monomial count, monomial list), each kept if independent of those
     kept before."""
-    elems = sorted((QuadForm(n, b) for b in span(rows)[1:]),
+    elems = sorted((QuadForm(n, b) for b in walk(0, [r.__xor__ for r in rows])[1:]),
                    key=lambda f: (f.bits.bit_count(), f.sorted_monomials()))
     return {elems[k] for k in independent(f.bits for f in elems)}
 

@@ -25,7 +25,7 @@ from lgrpauli.pluecker import (
     lagrangian_constraints,
     pluecker_relations,
 )
-from lgrpauli.projection import ProjPoint, enumerate_generators, image, lift, project, to_observable
+from lgrpauli.projection import ProjPoint, enumerate_generators, lift, project, to_observable
 from lgrpauli.quadrics import (
     _image_columns,
     _values,
@@ -38,6 +38,7 @@ from lgrpauli.quadrics import (
 from orbit_oracles import chart_points_of_orbit, orbit_members, whole_space_t_ranks
 from pauli_helpers import all_points, principal_bits, quad_form, y_count
 from pluecker_oracles import constraint_terms, constraint_value, relation_terms, relation_value
+from projection_oracles import image
 from quadric_oracles import value_at, whole_space_zeros
 
 

@@ -25,7 +25,8 @@ from lgrpauli.cli import (
 )
 from lgrpauli.pauli import PauliPoint, generator_count, generator_from_operators
 from lgrpauli.pluecker import embed
-from lgrpauli.projection import ProjPoint, image, project
+from lgrpauli.projection import ProjPoint, project
+from projection_oracles import image
 
 
 def run(capsys, *argv):
@@ -101,6 +102,15 @@ def test_no_module_imports_an_unused_name():
                     if bound not in used:
                         unused.append(f"{path.name}: {bound}")
     assert unused == []
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10, and the suite runs on
+    # a later interpreter; parsing at 3.10 catches syntax that came after it
+    pyproject = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=3.10"' in pyproject
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 def fresh_stdout(code: str) -> str:

@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from functools import reduce
+from functools import partial, reduce
 from operator import xor
 
 import pytest
@@ -13,9 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lgrpauli import gf2
-from lgrpauli.gf2 import (apply_tables, byte_tables, columns, grades, independent, packed_rref, rank, reduce_row,
-                          span, wedge)
-from lgrpauli.projection import _image_bits
+from lgrpauli.gf2 import (apply_gate, apply_tables, byte_tables, columns, grades, independent, packed_rref, rank,
+                          reduce_row, walk, wedge)
+from lgrpauli.projection import _image_bits, clifford_gates
 from gf2_oracles import columns_by_string_joins, kernel, rref
 from orbit_oracles import minor
 from pluecker_oracles import bitwise_wedge
@@ -200,7 +200,7 @@ def test_independent_keeps_the_rows_outside_the_earlier_span(m):
         kept = independent(rs)
         assert kept == [k for k in range(len(rs)) if len(rref(rs[:k + 1])) > len(rref(rs[:k]))]
         basis = [rs[k] for k in kept]
-        sums = span(basis)
+        sums = walk(0, [r.__xor__ for r in basis])
         assert len(set(sums)) == len(sums) == 1 << len(kept)
         assert rref(sums) == rref(rs)
         assert all(sums[c] == reduce(xor, [r for k, r in enumerate(basis) if c >> k & 1], 0)
@@ -316,6 +316,48 @@ def test_byte_tables_match_the_bit_loop_oracle(size):
 def test_byte_tables_of_no_images_map_to_zero():
     assert byte_tables([]) == ()
     assert apply_tables((), 0) == 0
+
+
+def walk_by_bits(start: int, steps, c: int) -> int:
+    """Oracle: ``start`` moved by step k for each bit k of c, in turn."""
+    for k, step in enumerate(steps):
+        if c >> k & 1:
+            start = step(start)
+    return start
+
+
+@pytest.mark.parametrize("size", range(0, 11))
+def test_walk_by_xors_from_zero_sums_the_rows_at_the_bits_of_each_entry(size):
+    # seeded rows, some zero or repeated: entry c is the XOR of the rows at
+    # the bits of c, as the per-bit oracle reads it
+    rng = random.Random(1100 + size)
+    rows = [rng.getrandbits(rng.choice((1, 8, 40))) * rng.randrange(3) for _ in range(size)]
+    rows += rows[:size // 4]
+    steps = [r.__xor__ for r in rows]
+    got = walk(0, steps)
+    assert len(got) == 1 << len(rows)
+    assert got == [reduce(xor, [r for k, r in enumerate(rows) if c >> k & 1], 0) for c in range(len(got))]
+    assert got == [walk_by_bits(0, steps, c) for c in range(len(got))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_walk_by_commuting_gates_matches_the_per_bit_oracle(n):
+    # the chart gates S_i and CZ_ij commute: seeded subsets of them in
+    # seeded orders, from seeded starts
+    rng = random.Random(1200 + n)
+    chart_gates = clifford_gates(n)[n:]
+    for _ in range(8):
+        gates = rng.sample(chart_gates, rng.randrange(len(chart_gates) + 1))
+        steps = [partial(apply_gate, g) for g in gates]
+        start = rng.getrandbits(1 << n)
+        got = walk(start, steps)
+        assert got == [walk_by_bits(start, steps, c) for c in range(1 << len(gates))]
+
+
+@pytest.mark.parametrize("start", [0, 1, 0b1011, 1 << 70])
+def test_walk_with_no_steps_is_its_start(start):
+    assert walk(start, []) == [start]
+    assert walk(start, iter(())) == [start]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -25,7 +25,7 @@ from lgrpauli.orbits import (
 )
 from lgrpauli.pauli import PauliPoint, commute, generator_from_operators
 from lgrpauli.pluecker import embed
-from lgrpauli.projection import ProjPoint, _image_bits, image, local_gates, project, to_observable
+from lgrpauli.projection import ProjPoint, _image_bits, local_gates, project, to_observable
 from orbit_oracles import (
     chart_points_of_orbit,
     exclusive_minor_e_rank,
@@ -35,6 +35,7 @@ from orbit_oracles import (
     separable_tensors,
     whole_space_t_ranks,
 )
+from projection_oracles import image
 
 GL22 = [m for m in itertools.product(itertools.product((0, 1), repeat=2), repeat=2)
         if (m[0][0] & m[1][1]) ^ (m[0][1] & m[1][0])]

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import defaultdict
 
 import pytest
@@ -285,6 +286,22 @@ def test_every_commuting_pair_everywhere():
 def test_point_rejects_bits_outside_one_to_four_to_the_n():
     for bits in (0, 0b10000, 0b10001, -1):
         with pytest.raises(ValueError):
+            PauliPoint(2, bits)
+
+
+def test_point_range_check_builds_no_4_to_the_n_bound():
+    # the bits are shifted down by 2N, not compared with 1 << 2N, which at
+    # N = 10^7 is a 2.5 MiB int; the edges and messages stay as they were
+    tracemalloc.start()
+    try:
+        p = PauliPoint(10**7, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.bits == 1 and peak < 512 << 10
+    assert PauliPoint(2, 0b1111).bits == 0b1111
+    for bits in (0, 0b10000, -1, 1 << 70):
+        with pytest.raises(ValueError, match=f"^bits must be in 1..4\\^N-1 for N=2, got {bits}$"):
             PauliPoint(2, bits)
 
 

@@ -15,11 +15,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lgrpauli import pauli, pluecker, projection
-from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, gate, grades
+from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, byte_tables, gate, grades
 from lgrpauli.pauli import (
     BITS_LETTER,
     Generator,
     PauliPoint,
+    _require_qubits,
     generator_count,
     generator_from_operators,
     omega_masks,
@@ -39,7 +40,6 @@ from lgrpauli.projection import (
     clifford_gates,
     display_masks,
     enumerate_generators,
-    image,
     lift,
     project,
     to_observable,
@@ -48,7 +48,7 @@ from gf2_oracles import rref
 from orbit_oracles import minor, to_chart
 from pauli_helpers import principal_bits, subset_keys, y_count
 from pluecker_oracles import SubsetIndex, constraint_value
-from projection_oracles import (_chart_cell, chart_points, graph_rows_by_cell, hadamard,
+from projection_oracles import (_chart_cell, chart_points, graph_rows_by_cell, hadamard, image,
                                 principal_bits_by_slice)
 
 
@@ -275,7 +275,7 @@ def test_display_order_n3_explicit():
 
 
 def test_display_masks_match_the_element_oracle():
-    assert [display_masks(n) for n in range(1, 7)] == [display_masks_by_elements(n) for n in range(1, 7)]
+    assert [display_masks(n) for n in range(1, 6)] == [display_masks_by_elements(n) for n in range(1, 6)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -330,7 +330,82 @@ def test_malformed_points_keep_their_messages(parse, arg, message):
 def test_a_point_takes_every_coordinate_up_to_the_last(n):
     top = (1 << (1 << n)) - 1
     assert ProjPoint(n, top).bits == top
-    assert ProjPoint.from_string(n, "1" * (1 << n)) == ProjPoint(n, top)
+    if n <= 5:
+        assert ProjPoint.from_string(n, "1" * (1 << n)) == ProjPoint(n, top)
+    else:  # a point takes any N, its display forms N in 1..5
+        with pytest.raises(ValueError, match=f"^qubit count {n} is outside 1..5$"):
+            ProjPoint.from_string(n, "1" * (1 << n))
+
+
+def from_string_by_inverse_table(n: int, text) -> ProjPoint:
+    """Oracle: ``ProjPoint.from_string`` reading its display bits through
+    byte tables of the inverse display order, display bit j to the subset
+    mask ``display_masks(n)[j]``, after the checks of each form."""
+    _require_qubits(n, 1, None, "source qubit count")
+    if not isinstance(text, str):
+        raise ValueError(f"point must be a str, got {type(text).__name__}")
+    text, size = text.strip(), 1 << n
+    if text.startswith("[") and text.endswith("]"):
+        parts = [part.strip() for part in text[1:-1].split(":")]
+        if len(parts) != size or set(parts) - {"0", "1"}:
+            raise ValueError(f"expected {size} coordinates, each 0 or 1")
+        bitstr = "".join(parts)
+    elif re.fullmatch(r"0[xX][0-9a-fA-F]+", text):
+        bitstr = format(int(text, 16), f"0{size}b")
+    else:
+        bitstr = text
+    if len(bitstr) != size or set(bitstr) - {"0", "1"}:
+        raise ValueError(f"expected {size} binary digits or hex")
+    return ProjPoint(n, apply_tables(byte_tables([1 << m for m in display_masks(n)]), int(bitstr[::-1], 2)))
+
+
+def parsed(parse, n, text):
+    """The point ``parse`` reads, or the type and message of its ValueError."""
+    try:
+        return parse(n, text)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_from_string_matches_the_inverse_table_oracle(n):
+    # every display string at N <= 3 (the zero string included), seeded
+    # ones at N = 4 and 5, each as bits, colon form and hex, spaced and
+    # cased; then a malformed text for each message
+    size = 1 << n
+    rng = random.Random(1300 + n)
+    values = range(1 << size) if n <= 3 else [0, (1 << size) - 1, *(rng.getrandbits(size) for _ in range(300))]
+    texts = []
+    for v in values:
+        s = format(v, f"0{size}b")
+        texts += [s, "[" + ":".join(s) + "]", f"0x{v:x}", f" 0X{v:0{size // 4}X}\n", "[ " + " : ".join(s) + " ]"]
+    s = texts[-5]
+    texts += ["", "  ", s[:-1], s + "0", s[:-1] + "2", s.replace("1", "l"), "0b" + s, "[" + s + "]", "[0:1]",
+              "[" + ":".join(s[:-1] + "2") + "]", "[:" + ":".join(s) + "]", "0x", f"0x{1 << size:x}", "0x\u0661",
+              "x1", "0x1g", "\u0661" * size, 5, b"01", None, ["0"] * size]
+    for text in texts:
+        assert parsed(ProjPoint.from_string, n, text) == parsed(from_string_by_inverse_table, n, text), text
+    for bad_n in (0, -1, True, 3.0, "3"):
+        assert parsed(ProjPoint.from_string, bad_n, "1") == parsed(from_string_by_inverse_table, bad_n, "1")
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_the_display_path_refuses_n_above_5_before_building_a_table(n, monkeypatch):
+    # the display masks and principal keys, the display forms of a point
+    # and its observable, and the parser raise before any table over the
+    # 2^N coordinates is built; the point itself takes any N
+    def no_tables(images):
+        raise AssertionError(f"byte tables built over {len(images)} coordinates")
+
+    monkeypatch.setattr(projection, "byte_tables", no_tables)
+    p = ProjPoint(n, 1)
+    assert p.bits == 1
+    for call in (lambda: display_masks(n), lambda: principal_keys(n), p.bit_string, p.display_str, p.hex_string,
+                 lambda: to_observable(p), lambda: ProjPoint.from_string(n, "1" * (1 << n)),
+                 lambda: ProjPoint.from_string(n, "0x1"), lambda: ProjPoint.from_string(n, "[1:0]")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError and str(info.value) == f"qubit count {n} is outside 1..5"
 
 
 def test_point_serialization_roundtrip():
@@ -434,7 +509,7 @@ def test_warm_map_builds_what_the_checking_constructors_build(n):
         v = embed(g)
         p = project(v)
         o = to_observable(p)
-        observable = PauliPoint(1 << n - 1, apply_tables(projection._display_order(n)[0], bits))
+        observable = PauliPoint(1 << n - 1, apply_tables(projection._display_order(n), bits))
         for built, checked in ((v, PlueckerVec(n, g.table)), (p, ProjPoint(n, bits)), (o, observable)):
             assert type(built) is type(checked) and repr(built) == repr(checked)
             assert built == checked and hash(built) == hash(checked)
@@ -785,15 +860,15 @@ def test_lift_builds_no_image(monkeypatch):
 
 
 def recorded_walks(monkeypatch) -> list[tuple[int, list[int]]]:
-    """Each ``_walk`` run from now on in this test, as its start and its
-    entries."""
-    walks, walk = [], projection._walk
+    """Each ``walk`` that ``projection`` runs from now on in this test, as
+    its start and its entries."""
+    walks, walk = [], projection.walk
 
-    def recording(steps, start):
-        walks.append((start, walk(steps, start)))
+    def recording(start, steps):
+        walks.append((start, walk(start, steps)))
         return walks[-1][1]
 
-    monkeypatch.setattr(projection, "_walk", recording)
+    monkeypatch.setattr(projection, "walk", recording)
     return walks
 
 

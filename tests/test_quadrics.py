@@ -11,7 +11,7 @@ import pytest
 from lgrpauli import projection, quadrics
 from lgrpauli.cli import EXIT_VERIFY, main
 from lgrpauli.gf2 import rank
-from lgrpauli.projection import ProjPoint, clifford_gates, image, local_gates
+from lgrpauli.projection import ProjPoint, clifford_gates, local_gates
 from lgrpauli.quadrics import (
     QuadForm,
     _act,
@@ -29,6 +29,7 @@ from lgrpauli.quadrics import (
     verify_variety,
 )
 from gf2_oracles import rref
+from projection_oracles import image
 from quadric_oracles import (
     cayley_by_pluecker_triples,
     display_rows,

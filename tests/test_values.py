@@ -136,15 +136,18 @@ def test_points_and_generator_counts_keep_their_wider_range():
     (local_gates, -1, "qubit count -1 is outside 1..5"),
     (local_gates, 0, "qubit count 0 is outside 1..5"),
     (local_gates, 6, "qubit count 6 is outside 1..5"),
-    (display_masks, -1, "qubit count -1 is below 1"),
-    (display_masks, 0, "qubit count 0 is below 1"),
-    (principal_keys, -1, "qubit count -1 is below 1"),
-    (principal_keys, 0, "qubit count 0 is below 1"),
+    (display_masks, -1, "qubit count -1 is outside 1..5"),
+    (display_masks, 0, "qubit count 0 is outside 1..5"),
+    (display_masks, 6, "qubit count 6 is outside 1..5"),
+    (principal_keys, -1, "qubit count -1 is outside 1..5"),
+    (principal_keys, 0, "qubit count 0 is outside 1..5"),
+    (principal_keys, 6, "qubit count 6 is outside 1..5"),
 ])
 def test_gate_lists_and_coordinate_orders_name_a_bad_qubit_count(func, n, message):
     # the gate lists returned () for N = -1 and 0, display_masks and
     # principal_keys(-1) raised a bare "negative shift count", and
-    # principal_keys(0) returned (0,)
+    # principal_keys(0) returned (0,); the display masks and principal keys
+    # took any N >= 1, tabulating 2^N coordinates
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         func(n)
 
@@ -194,8 +197,8 @@ UNBOUNDED, BOUNDED = "{name} {n} is below 1", "{name} {n} is outside {lo}..{hi}"
     (lambda n: PauliPoint(n, 1), "qubit count", 1, None),
     (lambda n: Generator(n, ()), "qubit count", 1, 5),
     (generator_count, "qubit count", 1, None),
-    (display_masks, "qubit count", 1, None),
-    (principal_keys, "qubit count", 1, None),
+    (display_masks, "qubit count", 1, 5),
+    (principal_keys, "qubit count", 1, 5),
     (lambda n: ProjPoint(n, 1), "source qubit count", 1, None),
     (lambda n: ProjPoint.from_string(n, "1"), "source qubit count", 1, None),
     (lambda n: QuadForm(n, 0), "qubit count", 1, 5),
