@@ -25,7 +25,7 @@ _MODULE_OF = {
                      "constraint_rank"), "pluecker"),
     **dict.fromkeys(("ProjPoint", "NotInImageError", "project", "to_observable", "lift", "image"),
                     "projection"),
-    **dict.fromkeys(("variety_quadrics", "verify_variety", "hyperbolic_form", "cayley_quadric",
+    **dict.fromkeys(("variety_quadrics", "verify_variety", "pairing_quadric", "cayley_quadric",
                      "quadric_orbit", "vanishing_quadrics", "spans"), "quadrics"),
     **dict.fromkeys(("MixedOrbitError", "orbit_partition", "classify_image", "orbit_of_point",
                      "t_rank", "e_rank", "emit_tables"), "orbits"),

@@ -2,7 +2,7 @@
 scriptable report in text, CSV, or JSON.
 
 Exit codes: 0 success, 1 internal error (naming the command and the
-exception type), 2 parse error or unwritable ``--out`` path, 3
+exception type), 2 parse error or unwritable output, 3
 non-commuting input, 4 non-maximal input, 5 verification failure.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 
 from .pauli import (
@@ -234,13 +235,13 @@ def _suite_bijection(n: int) -> list[tuple[str, bool]]:
 
 
 def _suite_variety(n: int) -> list[tuple[str, bool]]:
-    from .quadrics import hyperbolic_form, vanishes_on_image, verify_variety
+    from .quadrics import pairing_quadric, vanishes_on_image, verify_variety
 
     rep = verify_variety(n)
     checks = [(f"quadric count {rep.quadric_count}: vanish on the image, span closed under the gates", rep.closed),
               (f"slice: zeros {rep.zero_set_size} == image {rep.image_size}", rep.zero_set_size == rep.image_size)]
     if n >= 4:
-        checks.append(("pairing quadric vanishes on the image", vanishes_on_image(hyperbolic_form(1 << n))))
+        checks.append(("pairing quadric vanishes on the image", vanishes_on_image(pairing_quadric(n))))
     return checks
 
 
@@ -258,15 +259,15 @@ def _suite_tables(n: int) -> list[tuple[str, bool]]:
 
 
 def _suite_cayley(n: int) -> list[tuple[str, bool]]:
-    from .quadrics import cayley_quadric, hyperbolic_form, quadric_orbit, variety_quadrics
+    from .quadrics import cayley_quadric, pairing_quadric, quadric_orbit, variety_quadrics
 
     if n == 3:
         return [("Cayley quadric equals the pairing quadric on 8 variables",
-                 cayley_quadric(3) == hyperbolic_form(8))]
+                 cayley_quadric(3) == pairing_quadric(3))]
     quads = variety_quadrics(4)
     q0 = quads[8] + quads[9]
     expected = {q0} | set(quads[:8])
-    orb = quadric_orbit(cayley_quadric(4), 4)
+    orb = quadric_orbit(cayley_quadric(4))
     return [
         (f"orbit of the Cayley quadric has {len(orb)} elements == 9", len(orb) == 9),
         ("orbit equals {Q0..Q8}", orb == expected),
@@ -311,7 +312,7 @@ def cmd_cayley(args) -> str:
     q = cayley_quadric(args.n)
     rows = [{"quadric": str(q)}]
     if args.n == 4:
-        orb = quadric_orbit(q, 4)
+        orb = quadric_orbit(q)
         rows[0]["orbit_size"] = len(orb)
         rows[0]["orbit"] = sorted(str(f) for f in orb)
     return _emit(rows, args.format)
@@ -381,15 +382,17 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as e:  # noqa: BLE001
         print(f"internal error in {args.command}: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as f:
                 f.write(text)
-        except OSError as e:
-            print(f"cannot write --out {args.out}: {e.strerror}", file=sys.stderr)
-            return EXIT_PARSE
-    else:
-        sys.stdout.write(text)
+        else:
+            print(text, end="", flush=True)
+    except OSError as e:
+        if not args.out and sys.stdout is sys.__stdout__:  # what stays buffered is flushed at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write {f'--out {args.out}' if args.out else 'standard output'}: {e.strerror}", file=sys.stderr)
+        return EXIT_PARSE
     return EXIT_OK
 
 

@@ -67,7 +67,7 @@ class ProjPoint(_Value, order=True):
 
     def __init__(self, n_source: int, bits: int):
         _require_qubits(n_source, 1, None, "source qubit count")
-        if bits.__class__ is not int or bits <= 0 or bits >> (1 << n_source):  # builds no 2^(2^N) bound
+        if bits.__class__ is not int or bits <= 0 or (bits.bit_length() - 1) >> n_source:  # builds no 2^N-bit int
             _require_int("bits", bits)
             raise ValueError("point must be nonzero and within 2^N coordinates")
         _Value.__init__(self, n_source, bits)

@@ -64,7 +64,7 @@ class QuadForm(_Value):
 
     def __add__(self, other: "QuadForm") -> "QuadForm":
         if self.n_qubits != other.n_qubits:
-            raise ValueError(f"variable count mismatch: {self.n_qubits} and {other.n_qubits}")
+            raise ValueError(f"qubit count mismatch: {self.n_qubits} and {other.n_qubits}")
         return QuadForm(self.n_qubits, self.bits ^ other.bits)
 
     def sorted_monomials(self) -> list[tuple[int, ...]]:
@@ -79,35 +79,26 @@ class QuadForm(_Value):
         return " + ".join("*".join(f"x{i}" for i in m) for m in self.sorted_monomials())
 
 
-def _variable_qubits(n_vars: int) -> int:
-    """N for a variable count 2^N, with N in 1..5."""
-    n = n_vars.bit_length() - 1
-    if n_vars < 2 or n_vars != 1 << n:
-        raise ValueError(f"the variable count {n_vars} is not 2^N with N >= 1")
-    _require_qubits(n)
-    return n
-
-
-def _form(n_vars: int, *pairs) -> QuadForm:
+def _form(n: int, *pairs) -> QuadForm:
     """The sum of x_i x_j over display-numbered pairs (i, j); (i, i) is the
     square term."""
-    n = _variable_qubits(n_vars)
+    masks = display_masks(n)  # checks n
     bits = 0
     for pair in pairs:
         if len(pair) != 2:
             raise ValueError(f"expected a pair of variables, got {pair}")
-        if not all(1 <= v <= n_vars for v in pair):
-            raise ValueError(f"variable out of range 1..{n_vars} in {pair}")
-        bits ^= _monomial(n, *(display_masks(n)[v - 1] for v in pair))
+        if not all(1 <= v <= len(masks) for v in pair):
+            raise ValueError(f"variable out of range 1..{len(masks)} in {pair}")
+        bits ^= _monomial(n, *(masks[v - 1] for v in pair))
     return QuadForm(n, bits)
 
 
-def hyperbolic_form(n_vars: int) -> QuadForm:
-    """The standard pairing sum_k x_k x_{k + n/2}."""
-    _require_int("variable count", n_vars)
-    _variable_qubits(n_vars)  # before any pair is built
-    half = n_vars // 2
-    return _form(n_vars, *[(k, k + half) for k in range(1, half + 1)])
+def pairing_quadric(n_qubits: int) -> QuadForm:
+    """The pairing quadric sum_S x_S x_{S^c}, one term per subset S without
+    element 1: in display numbering, sum_k x_k x_{k + 2^(N-1)}."""
+    _require_qubits(n_qubits)
+    full = (1 << n_qubits) - 1
+    return QuadForm(n_qubits, sum(_monomial(n_qubits, s, full ^ s) for s in range(0, full, 2)))
 
 
 @lru_cache(maxsize=None)
@@ -119,19 +110,18 @@ def variety_quadrics(n_qubits: int) -> tuple[QuadForm, ...]:
     if n_qubits in (2, 5):
         return tuple(_vanishing(n_qubits, _image_columns(n_qubits)))
     if n_qubits == 3:
-        return (hyperbolic_form(8),)
-    v = 16
+        return (pairing_quadric(3),)
     return (
-        _form(v, (12, 13), (11, 14), (10, 15), (9, 16)),
-        _form(v, (1, 13), (2, 14), (3, 15), (4, 16)),
-        _form(v, (1, 11), (2, 12), (5, 15), (6, 16)),
-        _form(v, (4, 5), (3, 6), (2, 7), (1, 8)),
-        _form(v, (1, 10), (3, 12), (5, 14), (7, 16)),
-        _form(v, (5, 9), (6, 10), (7, 11), (8, 12)),
-        _form(v, (3, 9), (4, 10), (7, 13), (8, 14)),
-        _form(v, (2, 9), (4, 11), (6, 13), (8, 15)),
-        _form(v, (1, 9), (4, 12), (6, 14), (7, 15)),
-        _form(v, (2, 10), (3, 11), (5, 13), (8, 16)),
+        _form(4, (12, 13), (11, 14), (10, 15), (9, 16)),
+        _form(4, (1, 13), (2, 14), (3, 15), (4, 16)),
+        _form(4, (1, 11), (2, 12), (5, 15), (6, 16)),
+        _form(4, (4, 5), (3, 6), (2, 7), (1, 8)),
+        _form(4, (1, 10), (3, 12), (5, 14), (7, 16)),
+        _form(4, (5, 9), (6, 10), (7, 11), (8, 12)),
+        _form(4, (3, 9), (4, 10), (7, 13), (8, 14)),
+        _form(4, (2, 9), (4, 11), (6, 13), (8, 15)),
+        _form(4, (1, 9), (4, 12), (6, 14), (7, 15)),
+        _form(4, (2, 10), (3, 11), (5, 13), (8, 16)),
     )
 
 
@@ -211,7 +201,7 @@ def vanishing_quadrics(points) -> list[QuadForm]:
         raise ValueError("need at least one point")
     n = points[0].n_source
     if other := next((p.n_source for p in points if p.n_source != n), None):
-        raise ValueError(f"coordinate count mismatch: {n} and {other}")
+        raise ValueError(f"qubit count mismatch: {n} and {other}")
     _require_qubits(n)
     return _vanishing(n, columns([p.bits for p in points], 1 << n))
 
@@ -235,7 +225,7 @@ def spans(basis_forms, q: QuadForm) -> bool:
     """Whether ``q`` lies in the GF(2) span of ``basis_forms``."""
     basis_forms = list(basis_forms)
     if other := next((f.n_qubits for f in basis_forms if f.n_qubits != q.n_qubits), None):
-        raise ValueError(f"variable count mismatch: {other} and {q.n_qubits}")
+        raise ValueError(f"qubit count mismatch: {other} and {q.n_qubits}")
     return len(basis_forms) not in independent([*(f.bits for f in basis_forms), q.bits])
 
 
@@ -300,17 +290,19 @@ def _span_closure(n: int, seeds, gates) -> list[int]:
     return basis
 
 
-def quadric_orbit(q: QuadForm, n_qubits: int) -> set[QuadForm]:
+def quadric_orbit(q: QuadForm, n_qubits: int | None = None) -> set[QuadForm]:
     """Canonical reduced closure of ``q`` under the group action: the
     reduced echelon basis of the space of ``_span_closure`` (no form holds
     another's highest monomial), the convention of ``vanishing_quadrics``;
-    each closure form, ascending, is cleared of the top bits of those kept."""
-    if q.n_qubits != n_qubits:
-        raise ValueError(f"variable count mismatch: {q.n_qubits} and {n_qubits}")
+    each closure form, ascending, is cleared of the top bits of those kept.
+    N is q's own; ``n_qubits``, if given, must equal it."""
+    n = q.n_qubits
+    if n_qubits is not None and n_qubits != n:
+        raise ValueError(f"qubit count mismatch: {n} and {n_qubits}")
     kept: list[int] = []
-    for f in sorted(_span_closure(n_qubits, [q.bits], local_gates(n_qubits))):  # distinct top bits
+    for f in sorted(_span_closure(n, [q.bits], local_gates(n))):  # distinct top bits
         for k in kept:
             if f >> (k.bit_length() - 1) & 1:
                 f ^= k
         kept.append(f)
-    return {QuadForm(n_qubits, f) for f in kept}
+    return {QuadForm(n, f) for f in kept}

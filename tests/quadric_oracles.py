@@ -23,7 +23,13 @@ def monomials(q: QuadForm) -> frozenset:
 
 
 def from_monomials(n: int, monos) -> QuadForm:
-    return _form(1 << n, *[(m[0], m[-1]) for m in monos])
+    return _form(n, *[(m[0], m[-1]) for m in monos])
+
+
+def display_pairing(n: int) -> QuadForm:
+    """The pairing quadric as the display pairs sum_k x_k x_{k + 2^(N-1)}."""
+    half = 1 << n - 1
+    return _form(n, *[(k, k + half) for k in range(1, half + 1)])
 
 
 def display_rows(n: int, g) -> list[int]:

@@ -30,7 +30,7 @@ from lgrpauli.quadrics import (
     _image_columns,
     _values,
     cayley_quadric,
-    hyperbolic_form,
+    pairing_quadric,
     quadric_orbit,
     variety_quadrics,
     verify_variety,
@@ -89,7 +89,7 @@ def test_criterion_3_image_identification():
     reps = {n: verify_variety(n) for n in (2, 3, 4, 5)}
     zeros3 = whole_space_zeros(variety_quadrics(3), 3).bit_count()
     zeros4 = whole_space_zeros(variety_quadrics(4), 4).bit_count()
-    pairing = hyperbolic_form(16)
+    pairing = pairing_quadric(4)
     q0_ok = all(value_at(pairing, p.bits) == 0 for p in image(4))
     ok = (
         ok2
@@ -170,10 +170,10 @@ def test_criterion_6_table_reproduction():
 def test_criterion_7_cayley_orbit():
     quads = variety_quadrics(4)
     q0 = quads[8] + quads[9]
-    orb = quadric_orbit(cayley_quadric(4), 4)
+    orb = quadric_orbit(cayley_quadric(4))
     expected = {q0} | set(quads[:8])
     ok4 = orb == expected and quads[8] not in orb and quads[9] not in orb
-    ok3 = cayley_quadric(3) == hyperbolic_form(8)
+    ok3 = cayley_quadric(3) == pairing_quadric(3)
     report(
         "7 Cayley orbit",
         ok4 and ok3,
@@ -234,7 +234,7 @@ def test_criterion_9_n5_reported_checks():
     gens = enumerate_generators(5)
     img = image(5)
     ok = len(img) == len(gens) == 75735
-    pairing = hyperbolic_form(32)
+    pairing = pairing_quadric(5)
     vanish = len(img) - _values(pairing, _image_columns(5)).bit_count()
     report(
         "9 N=5 coverage",

@@ -3,6 +3,8 @@ exports and imports: output format, worked examples, determinism, and exit
 codes."""
 
 import ast
+import errno
+import io
 import json
 import os
 import re
@@ -613,7 +615,7 @@ def test_verify_reports_a_generator_count_mismatch_as_a_failure(capsys, monkeypa
 
 def test_verify_reports_a_pairing_quadric_that_misses_the_image(capsys, monkeypatch):
     # x_1^2 = x_1 is 1 on part of the image
-    monkeypatch.setattr(quadrics, "hyperbolic_form", lambda n_vars: quadrics._form(n_vars, (1, 1)))
+    monkeypatch.setattr(quadrics, "pairing_quadric", lambda n: quadrics._form(n, (1, 1)))
     code, out, err = run(capsys, "verify", "--n", "4", "--suite", "variety")
     assert (code, out) == (EXIT_VERIFY, "")
     assert err == ("[variety] quadric count 10: vanish on the image, span closed under the gates: PASS\n"
@@ -736,6 +738,59 @@ def test_out_unwritable_path_exit_2(tmp_path, capsys):
     assert code == EXIT_PARSE
     assert out == ""
     assert err.count("\n") == 1 and str(target) in err
+
+
+def refused(where: str, err: int) -> tuple[int, str]:
+    """The exit code and stderr of an output that cannot be written."""
+    return EXIT_PARSE, f"cannot write {where}: {os.strerror(err)}\n"
+
+
+def _unwritable(method, error):
+    """A standard output whose ``method`` raises ``error``."""
+    def refuse(self, *args):
+        raise error
+    return type("Unwritable", (io.StringIO,), {method: refuse})()
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                                   BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))], ids=["ENOSPC", "EPIPE"])
+def test_an_unwritable_stdout_exits_2_with_one_line(capsys, monkeypatch, method, error):
+    monkeypatch.setattr(sys, "stdout", _unwritable(method, error))
+    assert (main(["counts", "--n", "4"]), capsys.readouterr().err) == refused("standard output", error.errno)
+
+
+def cli_process(stdout, *argv) -> subprocess.CompletedProcess:
+    """``lgrpauli *argv`` in a fresh interpreter, writing to ``stdout``."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-m", "lgrpauli.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, text=True, timeout=60)
+
+
+# one output that fits the stream's buffer, and one that does not
+SMALL_AND_LARGE = [("counts", "--n", "4"), ("generators", "--n", "4")]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", SMALL_AND_LARGE, ids=" ".join)
+def test_stdout_on_a_full_device_exits_2_with_one_line(capsys, argv):
+    with open("/dev/full", "w") as full:
+        proc = cli_process(full, *argv)
+    assert (proc.returncode, proc.stderr) == refused("standard output", errno.ENOSPC)
+    # the --out path's message, unchanged
+    code, out, err = run(capsys, *argv, "--out", "/dev/full")
+    assert out == "" and (code, err) == refused("--out /dev/full", errno.ENOSPC)
+
+
+@pytest.mark.parametrize("argv", SMALL_AND_LARGE, ids=" ".join)
+def test_stdout_on_a_closed_pipe_exits_2_with_one_line(argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = cli_process(write, *argv)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == refused("standard output", errno.EPIPE)
 
 
 def test_generators_listing(capsys):

@@ -238,11 +238,12 @@ def test_generator_lists_keep_their_digest(n, digest):
     ("generators", "f920a66fa5667a828962d09d25201922fdc80f0f69a36582e6b538d4a87f3619"),
     ("relations", "60ad1b9985f4be645253a25abee9b6a9c28258b0a233b4c93c7e89e19713ac86"),
     ("constraints", "68092863e992a656416f3855f1e5e16a020b5fd6562e47e2d0e91a301ff67fea"),
+    ("generators --format json", "cfe465b25df6ca45488726b7e772cc38dfd8468d541336aeda803c9579a15aaa"),
 ])
 def test_n5_listings_keep_their_digest(capsys, command, digest):
     # the SHA-256 of the stdout of `<command> --n 5`: no golden file holds
     # the N = 5 listings
-    assert main([command, "--n", "5"]) == 0
+    assert main([*command.split(), "--n", "5"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import defaultdict
 from functools import lru_cache
 
@@ -335,6 +336,23 @@ def test_a_point_takes_every_coordinate_up_to_the_last(n):
     else:  # a point takes any N, its display forms N in 1..5
         with pytest.raises(ValueError, match=f"^qubit count {n} is outside 1..5$"):
             ProjPoint.from_string(n, "1" * (1 << n))
+
+
+def test_point_width_check_builds_no_2_to_the_n_bit_int():
+    # the width is read from bits.bit_length(), shifted down by N: a shift
+    # by 1 << N builds a 2^N-bit count, and took the peak to 2.5 MiB at
+    # N = 10^7; a larger N is not tried, and the edges and messages stay
+    tracemalloc.start()
+    try:
+        p = ProjPoint(10**7, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.bits == 1 and peak < 512 << 10
+    for n in (1, 2, 5):
+        assert ProjPoint(n, 1 << (1 << n) - 1).bits == 1 << (1 << n) - 1
+        with pytest.raises(ValueError, match=r"^point must be nonzero and within 2\^N coordinates$"):
+            ProjPoint(n, 1 << (1 << n))
 
 
 def from_string_by_inverse_table(n: int, text) -> ProjPoint:

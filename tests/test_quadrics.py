@@ -20,7 +20,7 @@ from lgrpauli.quadrics import (
     _span_closure,
     _upper,
     cayley_quadric,
-    hyperbolic_form,
+    pairing_quadric,
     quadric_orbit,
     spans,
     vanishes_on_image,
@@ -32,6 +32,7 @@ from gf2_oracles import rref
 from projection_oracles import image
 from quadric_oracles import (
     cayley_by_pluecker_triples,
+    display_pairing,
     display_rows,
     from_monomials,
     kernel_vanishing_quadrics,
@@ -48,12 +49,12 @@ from quadric_oracles import (
 
 
 def test_quadform_algebra():
-    a = _form(4, (1, 2), (3, 4))
-    b = _form(4, (3, 4), (1, 3))
+    a = _form(2, (1, 2), (3, 4))
+    b = _form(2, (3, 4), (1, 3))
     assert (a + b).sorted_monomials() == [(1, 2), (1, 3)]
     assert (a + a).bits == 0 and str(a + a) == "0"
     # squares reduce to the affine value: (a, a) behaves as x_a
-    sq = _form(4, (2, 2))
+    sq = _form(2, (2, 2))
     assert str(sq) == "x2"
     assert value_at(sq, ProjPoint.from_string(2, "0100").bits) == 1
     assert value_at(sq, ProjPoint.from_string(2, "1011").bits) == 0
@@ -65,17 +66,24 @@ def test_quadform_rejects_bits_outside_the_monomials():
             QuadForm(2, bits)
     for pair in ((0, 1), (1, 5)):
         with pytest.raises(ValueError):
-            _form(4, pair)
+            _form(2, pair)
     with pytest.raises(ValueError):
-        hyperbolic_form(6)
+        pairing_quadric(6)
     with pytest.raises(ValueError):
-        _form(4, (1, 2)) + _form(8, (1, 2))
+        _form(2, (1, 2)) + _form(3, (1, 2))
 
 
-def test_hyperbolic_form_pairs_opposite_halves():
-    q = hyperbolic_form(8)
+def test_pairing_quadric_pairs_opposite_halves():
+    q = pairing_quadric(3)
     assert q.sorted_monomials() == [(1, 5), (2, 6), (3, 7), (4, 8)]
     assert str(q) == "x1*x5 + x2*x6 + x3*x7 + x4*x8"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pairing_quadric_equals_the_display_pair_oracle(n):
+    # sum_S x_S x_{S^c} over the subsets S without element 1, read off
+    # their masks, is the display pairing of each x_k with x_{k + 2^(N-1)}
+    assert pairing_quadric(n) == display_pairing(n)
 
 
 def test_n3_variety_is_hyperbolic_quadric():
@@ -132,7 +140,7 @@ def test_dropping_q1_fails_the_variety_check_through_the_gate_closure_alone(caps
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_slice_zeros_match_the_whole_space_walk_on_the_slice(n):
-    explicit = [variety_quadrics(n), (hyperbolic_form(1 << n),), (_form(1 << n, (1, 2)),)]
+    explicit = [variety_quadrics(n), (pairing_quadric(n),), (_form(n, (1, 2)),)]
     randoms = _random_forms(n, 12)
     for forms in explicit + [randoms[k:k + 1] for k in range(6)] + [randoms[6:9], randoms[9:]]:
         assert _slice_zeros(n, forms) == on_slice(n, whole_space_zeros(forms, n))
@@ -140,9 +148,9 @@ def test_slice_zeros_match_the_whole_space_walk_on_the_slice(n):
 
 def test_n4_pairing_quadric_is_sum_of_last_two():
     quads = variety_quadrics(4)
-    assert quads[8] + quads[9] == hyperbolic_form(16)
+    assert quads[8] + quads[9] == pairing_quadric(4)
     for p in image(4):
-        assert value_at(hyperbolic_form(16), p.bits) == 0
+        assert value_at(pairing_quadric(4), p.bits) == 0
 
 
 def test_all_n4_quadrics_vanish_on_image():
@@ -165,7 +173,7 @@ def test_vanishing_quadrics_match_declared_generators(n):
 
 
 def test_cayley_quadric_n3_equals_defining_quadric():
-    assert cayley_quadric(3) == hyperbolic_form(8)
+    assert cayley_quadric(3) == pairing_quadric(3)
 
 
 def test_cayley_quadric_n4_is_q8():
@@ -189,7 +197,7 @@ def test_cayley_quadric_is_defined_at_n_3_and_4_only(n):
 def test_reduced_closure_is_q0_through_q8():
     quads = variety_quadrics(4)
     q0 = quads[8] + quads[9]
-    orb = quadric_orbit(cayley_quadric(4), 4)
+    orb = quadric_orbit(cayley_quadric(4))
     assert orb == {q0} | set(quads[:8])
     assert quads[8] not in orb  # Q9
     assert quads[9] not in orb  # Q10
@@ -207,7 +215,7 @@ def test_raw_closure_spans_same_space_and_misses_q9_q10():
 
 
 def test_quadric_orbit_n3_is_singleton():
-    assert quadric_orbit(cayley_quadric(3), 3) == {hyperbolic_form(8)}
+    assert quadric_orbit(cayley_quadric(3)) == {pairing_quadric(3)}
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -215,7 +223,7 @@ def test_quadric_orbit_is_the_minimal_weight_basis_of_the_cayley_span(n):
     # the Cayley forms have pairwise disjoint supports, so the reduced
     # echelon basis is also the enumerated minimal-weight one
     q = cayley_quadric(n)
-    assert quadric_orbit(q, n) == min_weight_basis(n, _span_closure(n, [q.bits], local_gates(n)))
+    assert quadric_orbit(q) == min_weight_basis(n, _span_closure(n, [q.bits], local_gates(n)))
 
 
 def _is_reduced(forms) -> bool:
@@ -226,25 +234,25 @@ def _is_reduced(forms) -> bool:
 
 
 def test_quadric_orbit_of_the_zero_form_is_empty():
-    assert quadric_orbit(QuadForm(4, 0), 4) == set()
+    assert quadric_orbit(QuadForm(4, 0)) == set()
     assert _span_closure(4, [0], local_gates(4)) == []
 
 
 def test_quadric_orbit_rejects_a_form_on_another_qubit_count():
     # read at N = 4, the N = 3 Cayley quadric's bits are another form
-    with pytest.raises(ValueError, match="variable count mismatch"):
+    with pytest.raises(ValueError, match="qubit count mismatch"):
         quadric_orbit(cayley_quadric(3), 4)
 
 
 # the Cayley quadric plus x1*x2: its span, of dimension 80, has 2^80
 # elements; the Cayley span has 9
-DIM80 = cayley_quadric(4) + _form(16, (1, 2))
+DIM80 = cayley_quadric(4) + _form(4, (1, 2))
 
 
 def test_quadric_orbit_reduces_a_span_of_dimension_80():
     assert len(_span_closure(4, [DIM80.bits], local_gates(4))) == 80
     assert len(_span_closure(4, [cayley_quadric(4).bits], local_gates(4))) == 9
-    orb = quadric_orbit(DIM80, 4)
+    orb = quadric_orbit(DIM80)
     assert len(orb) == 80 and _is_reduced(orb)
 
 
@@ -257,7 +265,7 @@ def test_span_closure_spans_the_oracle_orbit(q, n, orbit_size):
     basis = _span_closure(n, [q.bits], local_gates(n))
     assert len(orbit) == orbit_size and basis[0] == q.bits
     assert len(rref(basis)) == len(basis) == len(rref(orbit)) == len(rref(basis + orbit))
-    assert len(rref([f.bits for f in quadric_orbit(q, n)] + orbit)) == len(basis)
+    assert len(rref([f.bits for f in quadric_orbit(q)] + orbit)) == len(basis)
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +290,7 @@ def test_span_closures_of_the_n5_vanishing_quadrics():
         basis = _span_closure(5, [q.bits], local_gates(5))
         moved = [_act(5, g, f) for f in basis for g in local_gates(5)]
         assert basis[0] == q.bits and rank(basis) == len(basis) == rank(basis + moved)
-        orb = quadric_orbit(q, 5)
+        orb = quadric_orbit(q)
         assert _is_reduced(orb) and len(orb) == len(basis) == rank([f.bits for f in orb] + basis)
         if len(basis) == 66:
             assert orb == set(image_quadrics(5))
@@ -302,7 +310,7 @@ def _closure_cases():
     cases = [pytest.param(n, variety_quadrics(n), True, id=f"variety-n{n}") for n in (2, 3, 4, 5)]
     cases.append(pytest.param(4, variety_quadrics(4)[1:], False, id="Q2-Q10"))
     cases += [pytest.param(4, (q,), False, id=f"Q{k}") for k, q in enumerate(variety_quadrics(4), 1)]
-    cases += [pytest.param(n, (hyperbolic_form(1 << n),), n > 2, id=f"pairing-n{n}")  # CZ_12 moves it at N = 2
+    cases += [pytest.param(n, (pairing_quadric(n),), n > 2, id=f"pairing-n{n}")  # CZ_12 moves it at N = 2
               for n in (2, 3, 4, 5)]
     cases += [pytest.param(4, tuple(QuadForm(4, m) for m in rng.sample(monos, 2)), None, id=f"monomials-{k}")
               for k in range(8)]
@@ -335,19 +343,19 @@ def test_clifford_closures_of_the_n5_vanishing_quadrics():
 @pytest.mark.parametrize("make, arg, message", [
     (lambda n: QuadForm(n, 0), -1, "qubit count -1 is outside 1..5"),
     (lambda n: QuadForm(n, 1), 0, "qubit count 0 is outside 1..5"),
-    (hyperbolic_form, 0, "the variable count 0 is not 2^N with N >= 1"),
-    (hyperbolic_form, 1, "the variable count 1 is not 2^N with N >= 1"),
-    (_form, 0, "the variable count 0 is not 2^N with N >= 1"),
-    (_form, 1, "the variable count 1 is not 2^N with N >= 1"),
-    (_form, 6, "the variable count 6 is not 2^N with N >= 1"),
+    (pairing_quadric, 0, "qubit count 0 is outside 1..5"),
+    (pairing_quadric, 6, "qubit count 6 is outside 1..5"),
+    (_form, -1, "qubit count -1 is outside 1..5"),
+    (_form, 0, "qubit count 0 is outside 1..5"),
+    (_form, 6, "qubit count 6 is outside 1..5"),
 ])
-def test_forms_name_a_bad_qubit_or_variable_count(make, arg, message):
+def test_forms_name_a_bad_qubit_count(make, arg, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make(arg)
 
 
 @pytest.mark.parametrize("n", [6, 7])
-def test_hyperbolic_form_refuses_n_above_5_before_building_a_monomial(monkeypatch, n):
+def test_pairing_quadric_refuses_n_above_5_before_building_a_monomial(monkeypatch, n):
     # the count grows steeply in N, so a larger one is not tried
     built = []
 
@@ -358,7 +366,7 @@ def test_hyperbolic_form_refuses_n_above_5_before_building_a_monomial(monkeypatc
     monomial = quadrics._monomial
     monkeypatch.setattr(quadrics, "_monomial", counted)
     with pytest.raises(ValueError, match=f"^qubit count {n} is outside 1..5$"):
-        hyperbolic_form(1 << n)
+        pairing_quadric(n)
     assert built == []
 
 
@@ -389,7 +397,7 @@ def test_vanishing_quadrics_refuses_n_above_5_before_building_a_monomial(monkeyp
 @pytest.mark.parametrize("pair", [(1, 2, 3), (), (3,)])
 def test_form_names_a_pair_of_another_length(pair):
     with pytest.raises(ValueError, match=f"^{re.escape(f'expected a pair of variables, got {pair}')}$"):
-        _form(4, (1, 2), pair)
+        _form(2, (1, 2), pair)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -424,12 +432,12 @@ def test_gate_action_matches_substitution_oracle(n):
 def test_clifford_gates_preserve_the_pairing_quadric(n):
     # each gate of clifford_gates fixes sum_k x_k x_{k + 2^(N-1)}, save at
     # N = 2 CZ_12, which adds the square term x1 = x_{} (display_masks(2)[0])
-    q = hyperbolic_form(1 << n)
+    q = pairing_quadric(n)
     moved = [QuadForm(n, _act(n, g, q.bits)) for g in clifford_gates(n)]
     assert len(moved) == 2 * n + n * (n - 1) // 2
     expected = [q] * len(moved)
     if n == 2:
-        expected[4] = q + _form(4, (1, 1))
+        expected[4] = q + _form(2, (1, 1))
     assert moved == expected
 
 
@@ -445,7 +453,7 @@ def test_a_form_with_as_many_zeros_as_the_image_elsewhere_fails_the_variety_chec
     # x1*x2 + x3*x4 + x5*x6 + x7*x8 has 135 zeros, as many as the N = 3
     # image, but not the image's points: it misses the image, and it has
     # 12 zeros on the slice where the image has 8
-    q = _form(8, (1, 2), (3, 4), (5, 6), (7, 8))
+    q = _form(3, (1, 2), (3, 4), (5, 6), (7, 8))
     assert len(zero_set([q], 3)) == 135 and not vanishes_on_image(q)
     monkeypatch.setattr(quadrics, "variety_quadrics", lambda n: (q,))
     rep = verify_variety(3)
@@ -460,7 +468,7 @@ def test_a_form_with_as_many_zeros_as_the_image_elsewhere_fails_the_variety_chec
 def test_vanishes_on_image_matches_pointwise_evaluation(n):
     # the pairing quadric and the defining forms vanish there; a square
     # x_i^2 = x_i and random forms mostly do not
-    forms = [hyperbolic_form(1 << n), *variety_quadrics(n), _form(1 << n, (1, 1)), *_random_forms(n, 12)]
+    forms = [pairing_quadric(n), *variety_quadrics(n), _form(n, (1, 1)), *_random_forms(n, 12)]
     got = [vanishes_on_image(q) for q in forms]
     assert got == [all(value_at(q, p.bits) == 0 for p in image(n)) for q in forms]
     assert got[:2] == [True, True] and got[-13] is False
@@ -468,7 +476,7 @@ def test_vanishes_on_image_matches_pointwise_evaluation(n):
 
 def test_vanishes_on_image_takes_every_qubit_count_of_a_form():
     # it reads the image's columns, so N = 5 needs no whole-space column
-    assert vanishes_on_image(hyperbolic_form(32))
+    assert vanishes_on_image(pairing_quadric(5))
     assert not vanishes_on_image(QuadForm(5, 1)) and not vanishes_on_image(QuadForm(1, 1))
 
 
@@ -499,10 +507,10 @@ def test_vanishing_quadrics_equal_the_kernel_oracle_off_the_image(seed, count):
 def test_quadric_helpers_reject_no_points_and_mixed_qubit_counts():
     with pytest.raises(ValueError, match="need at least one point"):
         vanishing_quadrics([])
-    with pytest.raises(ValueError, match="coordinate count mismatch"):
+    with pytest.raises(ValueError, match="qubit count mismatch"):
         vanishing_quadrics([ProjPoint(3, 5), ProjPoint(4, 0x8000)])
     q3 = cayley_quadric(3)
-    with pytest.raises(ValueError, match="variable count mismatch"):
+    with pytest.raises(ValueError, match="qubit count mismatch"):
         spans([q3], QuadForm(4, q3.bits))
-    with pytest.raises(ValueError, match="variable count mismatch"):
+    with pytest.raises(ValueError, match="qubit count mismatch"):
         spans([q3, cayley_quadric(4)], cayley_quadric(4))

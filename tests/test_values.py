@@ -14,7 +14,7 @@ from lgrpauli.pluecker import (LinearConstraint, PlueckerRelation, PlueckerVec, 
                                pluecker_relations, principal_keys)
 from lgrpauli.projection import (ProjPoint, _image_bits, _lift_points, clifford_gates, display_masks,
                                  enumerate_generators, image, local_gates)
-from lgrpauli.quadrics import (QuadForm, VarietyReport, cayley_quadric, hyperbolic_form, quadric_orbit, spans,
+from lgrpauli.quadrics import (QuadForm, VarietyReport, _form, cayley_quadric, pairing_quadric, quadric_orbit, spans,
                                vanishing_quadrics, variety_quadrics, verify_variety)
 
 REP = ProjPoint(2, 1)
@@ -97,7 +97,8 @@ def test_value_types_are_frozen_field_tuples(name):
     (lambda n: QuadForm(n, 1), "qubit count"),
     (generator_count, "qubit count"),
     (display_masks, "qubit count"),
-    (hyperbolic_form, "variable count"),
+    (pairing_quadric, "qubit count"),
+    (lambda n: _form(n, (1, 2)), "qubit count"),  # display_masks checks it; its cache keeps 2.0 from 2
 ])
 def test_value_types_name_a_qubit_count_that_is_not_an_int(make, what, count):
     # each used to fail with a bare TypeError from a comparison or a shift
@@ -176,10 +177,10 @@ def test_tensor_rank_names_a_bad_qubit_count(n):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: QuadForm(3, 1) + QuadForm(4, 1), "variable count mismatch: 3 and 4"),
-    (lambda: spans([QuadForm(4, 1), QuadForm(3, 1)], QuadForm(4, 1)), "variable count mismatch: 3 and 4"),
-    (lambda: quadric_orbit(cayley_quadric(3), 4), "variable count mismatch: 3 and 4"),
-    (lambda: vanishing_quadrics([ProjPoint(3, 5), ProjPoint(4, 1)]), "coordinate count mismatch: 3 and 4"),
+    (lambda: QuadForm(3, 1) + QuadForm(4, 1), "qubit count mismatch: 3 and 4"),
+    (lambda: spans([QuadForm(4, 1), QuadForm(3, 1)], QuadForm(4, 1)), "qubit count mismatch: 3 and 4"),
+    (lambda: quadric_orbit(cayley_quadric(3), 4), "qubit count mismatch: 3 and 4"),
+    (lambda: vanishing_quadrics([ProjPoint(3, 5), ProjPoint(4, 1)]), "qubit count mismatch: 3 and 4"),
     (lambda: symplectic_product(PauliPoint(1, 1), PauliPoint(2, 1)), "qubit count mismatch: 1 and 2"),
     (lambda: generator_from_operators([PauliPoint(2, 1), PauliPoint(3, 1)]), "mixed qubit counts: 2 and 3"),
 ], ids=["add", "spans", "quadric_orbit", "vanishing_quadrics", "symplectic_product",
