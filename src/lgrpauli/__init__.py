@@ -26,7 +26,7 @@ _MODULE_OF = {
     **dict.fromkeys(("ProjPoint", "NotInImageError", "project", "to_observable", "lift", "image"),
                     "projection"),
     **dict.fromkeys(("variety_quadrics", "verify_variety", "pairing_quadric", "cayley_quadric",
-                     "quadric_orbit", "vanishing_quadrics", "spans"), "quadrics"),
+                     "quadric_orbit", "vanishing_quadrics"), "quadrics"),
     **dict.fromkeys(("MixedOrbitError", "orbit_partition", "classify_image", "orbit_of_point",
                      "t_rank", "e_rank", "emit_tables"), "orbits"),
 }

@@ -139,13 +139,12 @@ def cmd_project(args) -> str:
     n = args.n
     v = embed(_generator(n, args.ops))
     p = project(v)
-    pluecker = {_key_label(2 * n, k): v.table >> k & 1 for k in sorted(principal_keys(n))}
     return _emit([{
         "point": p.display_str(),
         "bits": p.bit_string(),
         "hex": p.hex_string(),
         "observable": to_observable(p).label(),
-        "pluecker_retained": [f"{k}={val}" for k, val in pluecker.items()],
+        "pluecker_retained": [f"{_key_label(2 * n, k)}={v.table >> k & 1}" for k in principal_keys(n)],  # ascending
     }], args.format)
 
 
@@ -246,12 +245,12 @@ def _suite_variety(n: int) -> list[tuple[str, bool]]:
 
 
 def _suite_tables(n: int) -> list[tuple[str, bool]]:
-    from .orbits import _class_points, e_rank, orbit_of_point, t_rank
+    from .orbits import _class_points, e_rank, orbit_of_point
 
     checks = []
     for row, p in _class_points(n):
         rec = orbit_of_point(p)
-        obs, tr, er = to_observable(p).label(), t_rank(p), e_rank(p)
+        obs, tr, er = to_observable(p).label(), rec.t_rank, e_rank(p)
         ok = (rec.size, obs, tr, er) == (row["size"], row["observable"], row["t_rank"], row["e_rank"])
         checks.append((f"class {row['label']}: size {rec.size}, "
                        f"observable {obs}, t_rank {tr}, e_rank {er}", ok))

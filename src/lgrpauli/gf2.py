@@ -1,8 +1,8 @@
 """Exact GF(2) linear algebra and linear maps (gates, byte tables) on packed ints.
 
 A matrix is a sequence of Python integers, one per row, with column j
-(1-based) at bit j-1.  All arithmetic is exact; there is no floating
-point anywhere.  Every elimination goes through ``reduce_row``.
+(1-based) at bit j-1, and all arithmetic is exact.  Every forward elimination
+goes through ``reduce_row``; ``quadric_orbit`` back-substitutes on its own.
 """
 
 from __future__ import annotations

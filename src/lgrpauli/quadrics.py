@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 from itertools import chain
 from operator import or_
 
-from .gf2 import SWAP, Gate, absent_masks, apply_gate, columns, gate, independent, rank, reduce_row
+from .gf2 import SWAP, Gate, absent_masks, apply_gate, columns, gate, rank, reduce_row
 from .pauli import _require_int, _require_qubits, _Value
 from .projection import _image_bits, clifford_gates, display_masks, local_gates
 
@@ -63,6 +63,8 @@ class QuadForm(_Value):
         _Value.__init__(self, n_qubits, bits)
 
     def __add__(self, other: "QuadForm") -> "QuadForm":
+        if other.__class__ is not QuadForm:
+            return NotImplemented
         if self.n_qubits != other.n_qubits:
             raise ValueError(f"qubit count mismatch: {self.n_qubits} and {other.n_qubits}")
         return QuadForm(self.n_qubits, self.bits ^ other.bits)
@@ -219,14 +221,6 @@ def _vanishing(n: int, cols: list[int] | tuple[int, ...]) -> list[QuadForm]:
             forms.append(QuadForm(n, r))
     forms.sort(key=lambda q: q.sorted_monomials())
     return forms
-
-
-def spans(basis_forms, q: QuadForm) -> bool:
-    """Whether ``q`` lies in the GF(2) span of ``basis_forms``."""
-    basis_forms = list(basis_forms)
-    if other := next((f.n_qubits for f in basis_forms if f.n_qubits != q.n_qubits), None):
-        raise ValueError(f"qubit count mismatch: {other} and {q.n_qubits}")
-    return len(basis_forms) not in independent([*(f.bits for f in basis_forms), q.bits])
 
 
 def cayley_quadric(n_qubits: int) -> QuadForm:

@@ -15,7 +15,7 @@ from lgrpauli.pauli import _require_qubits
 from lgrpauli.pluecker import principal_keys
 from lgrpauli.projection import display_masks, local_gates
 from lgrpauli.quadrics import QuadForm, _form, _monomial, _upper, _values
-from gf2_oracles import kernel
+from gf2_oracles import kernel, rref
 
 
 def monomials(q: QuadForm) -> frozenset:
@@ -82,6 +82,13 @@ def orbit_closure(q: QuadForm, n: int) -> set[frozenset]:
                     nxt.append(g)
         frontier = nxt
     return seen
+
+
+def spans(basis_forms, q: QuadForm) -> bool:
+    """Whether ``q`` lies in the GF(2) span of ``basis_forms``: adding it
+    leaves the reduced row echelon form unchanged."""
+    rows = [f.bits for f in basis_forms]
+    return rref(rows) == rref([*rows, q.bits])
 
 
 def min_weight_basis(n: int, rows) -> set[QuadForm]:

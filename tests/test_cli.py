@@ -639,6 +639,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_RUNS = [f"{cmd} --n {n} --format {fmt}" for cmd in ("cayley", "verify")
                for n in (3, 4) for fmt in ("text", "csv", "json")]
 GOLDEN_RUNS += [f"verify --n {n} --suite variety --format text" for n in (2, 5)]
+GOLDEN_RUNS += [f"verify --n 2 --format {fmt}" for fmt in ("text", "csv", "json")]
 # the outputs of the GF(2) eliminator: the independent Plucker relations and
 # the isotropy constraints with their rank
 GOLDEN_RUNS += [f"relations --n 3 --format {fmt}" for fmt in ("text", "csv", "json")]

@@ -210,7 +210,10 @@ def test_retained_indices_count_matches_display_dimension():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_principal_keys_are_the_keys_no_constraint_touches(n):
-    assert sorted(principal_keys(n)) == complement_of_constraint_keys(n)
+    # they ascend (key m is (m + 1)(2^N - 1)), which the `project` listing relies on
+    keys = list(principal_keys(n))
+    assert keys == sorted(keys) and len(set(keys)) == 1 << n
+    assert keys == complement_of_constraint_keys(n)
     assert [idx.key for idx in retained_indices(n)] == complement_of_constraint_keys(n)
 
 

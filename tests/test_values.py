@@ -14,7 +14,7 @@ from lgrpauli.pluecker import (LinearConstraint, PlueckerRelation, PlueckerVec, 
                                pluecker_relations, principal_keys)
 from lgrpauli.projection import (ProjPoint, _image_bits, _lift_points, clifford_gates, display_masks,
                                  enumerate_generators, image, local_gates)
-from lgrpauli.quadrics import (QuadForm, VarietyReport, _form, cayley_quadric, pairing_quadric, quadric_orbit, spans,
+from lgrpauli.quadrics import (QuadForm, VarietyReport, _form, cayley_quadric, pairing_quadric, quadric_orbit,
                                vanishing_quadrics, variety_quadrics, verify_variety)
 
 REP = ProjPoint(2, 1)
@@ -178,16 +178,22 @@ def test_tensor_rank_names_a_bad_qubit_count(n):
 
 @pytest.mark.parametrize("make, message", [
     (lambda: QuadForm(3, 1) + QuadForm(4, 1), "qubit count mismatch: 3 and 4"),
-    (lambda: spans([QuadForm(4, 1), QuadForm(3, 1)], QuadForm(4, 1)), "qubit count mismatch: 3 and 4"),
     (lambda: quadric_orbit(cayley_quadric(3), 4), "qubit count mismatch: 3 and 4"),
     (lambda: vanishing_quadrics([ProjPoint(3, 5), ProjPoint(4, 1)]), "qubit count mismatch: 3 and 4"),
     (lambda: symplectic_product(PauliPoint(1, 1), PauliPoint(2, 1)), "qubit count mismatch: 1 and 2"),
     (lambda: generator_from_operators([PauliPoint(2, 1), PauliPoint(3, 1)]), "mixed qubit counts: 2 and 3"),
-], ids=["add", "spans", "quadric_orbit", "vanishing_quadrics", "symplectic_product",
+], ids=["add", "quadric_orbit", "vanishing_quadrics", "symplectic_product",
         "generator_from_operators"])
 def test_mixed_counts_are_named(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+@pytest.mark.parametrize("other", [1, None, PauliPoint(2, 3)], ids=["int", "None", "PauliPoint"])
+def test_a_form_adds_only_a_form(other):
+    # a Pauli operator's bits are not monomials, so no form is read off them
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \+"):
+        QuadForm(2, 1) + other
 
 
 UNBOUNDED, BOUNDED = "{name} {n} is below 1", "{name} {n} is outside {lo}..{hi}"
