@@ -47,7 +47,6 @@ def rank(rows: Iterable[int]) -> int:
     return len(independent(rows))
 
 
-@lru_cache(maxsize=None)
 def absent_masks(n_cols: int) -> tuple[int, ...]:
     """Entry j has bit m set iff the subset mask m omits column j+1, for the
     2^n_cols masks m."""

@@ -139,7 +139,6 @@ class OrbitRecord(_Value):
                  "reference_label")
 
 
-@lru_cache(maxsize=None)
 def _class_points(n: int) -> list[tuple[dict, ProjPoint]]:
     """Each ``CLASS_TABLE`` row of N with its parsed representative."""
     return [(row, ProjPoint.from_string(n, row["representative"])) for row in CLASS_TABLE.get(n, ())]

@@ -261,7 +261,7 @@ def generator_from_operators(ops: list[PauliPoint]) -> Generator:
     rows = []
     for p in ops:  # a loop, not a comprehension and its frame
         if p.n_qubits != n:
-            raise ValueError(f"mixed qubit counts: {n} and {p.n_qubits}")
+            raise ValueError(f"qubit count mismatch: {n} and {p.n_qubits}")
         rows.append(p.bits)
     try:
         return Generator(n, rows)

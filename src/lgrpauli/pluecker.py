@@ -153,7 +153,6 @@ def constraint_rank(n_qubits: int) -> int:
     return rank(sum(1 << k for k in c.term_keys) for c in lagrangian_constraints(n_qubits))
 
 
-@lru_cache(maxsize=None)
 def principal_keys(n_qubits: int) -> tuple[int, ...]:
     """Entry m is the key of the Plucker index whose minor is the principal
     minor on the subset mask m of {1..N}: ({1..N} minus m) together with

@@ -178,7 +178,6 @@ def clifford_gates(n_qubits: int) -> tuple[Gate, ...]:
     return tuple([gate(n, 0, e, SWAP) for e in entries[:n]] + [gate(n, 0, e, LOWER) for e in entries])
 
 
-@lru_cache(maxsize=None)
 def local_gates(n: int) -> tuple[Gate, ...]:
     """Generators of the local group as gates: H_i and S_i on each axis
     (SWAP and LOWER generate GL(2,2)), then the adjacent axis swaps

@@ -29,13 +29,6 @@ def _upper(n: int) -> tuple[int, int]:
     return diag, upper
 
 
-@lru_cache(maxsize=None)
-def _display_monomials(n: int) -> tuple[tuple[int, ...], ...]:
-    """Entry (a << N) | b is x_a x_b in display numbering, as ``sorted_monomials`` lists it."""
-    pos = {m: k + 1 for k, m in enumerate(display_masks(n))}
-    return tuple(tuple(sorted({pos[a], pos[b]})) for a in range(1 << n) for b in range(1 << n))
-
-
 def _monomial(n: int, a: int, b: int) -> int:
     return 1 << ((min(a, b) << n) | max(a, b))
 
@@ -72,8 +65,9 @@ class QuadForm(_Value):
     def sorted_monomials(self) -> list[tuple[int, ...]]:
         """The monomials in display numbering, (i,) for the square of x_i and
         (i, j) with i < j otherwise: squares first, then ascending."""
-        n, display = self.n_qubits, _display_monomials(self.n_qubits)
-        return sorted((display[a << n | b] for a, b in _pairs(n, self.bits)), key=lambda m: (len(m), m))
+        n = self.n_qubits
+        pos = {m: k + 1 for k, m in enumerate(display_masks(n))}
+        return sorted((tuple(sorted({pos[a], pos[b]})) for a, b in _pairs(n, self.bits)), key=lambda m: (len(m), m))
 
     def __str__(self) -> str:
         if not self.bits:

@@ -1,6 +1,7 @@
 """Tests for the defining quadratic forms of the projected image and the
 reduced closure of the distinguished four-monomial quadric."""
 
+import hashlib
 import random
 import re
 from functools import lru_cache
@@ -46,6 +47,7 @@ from quadric_oracles import (
     whole_space_zeros,
     zero_set,
 )
+from test_cli import fresh_stdout
 
 
 def test_quadform_algebra():
@@ -103,6 +105,14 @@ def test_n5_variety_is_certified_by_its_66_derived_forms():
     rep = verify_variety(5)
     assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (
         66, 1024, 1024, True, True)
+
+
+def test_n5_forms_keep_their_text_and_order():
+    # the SHA-256 of the 66 forms as printed, one per line (2548 bytes):
+    # their text reads the display numbering and their order sorts by it
+    text = "".join(f"{q}\n" for q in variety_quadrics(5))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f17322671338aa7fd55a6c7c89caa24a83211be41dc0f3fc7a0ec0004a044bcc")
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -401,8 +411,8 @@ def test_form_names_a_pair_of_another_length(pair):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_sorted_monomials_read_back_through_the_display_numbering(n):
-    # the cached display numbering against ``_form``'s, on seeded random
-    # forms: distinct monomials, squares first, then ascending
+    # the display numbering read from ``display_masks`` against ``_form``'s,
+    # on seeded random forms: distinct monomials, squares first, then ascending
     for q in _random_forms(n, 20):
         monos = q.sorted_monomials()
         assert len(set(monos)) == len(monos) == q.bits.bit_count()
@@ -425,6 +435,21 @@ def test_gate_action_matches_substitution_oracle(n):
         for g in gates:
             moved = QuadForm(n, _act(n, g, q.bits))
             assert monomials(moved) == substitute(monomials(q), display_rows(n, g))
+
+
+def test_each_gate_is_lifted_once():
+    # in a fresh interpreter: the 14 gates of clifford_gates(4) for the
+    # variety check, then the 3 axis swaps of local_gates(4), each list built
+    # afresh per call, and none lifted again by a second orbit
+    out = fresh_stdout(
+        "from lgrpauli import quadrics\n"
+        "from lgrpauli.quadrics import cayley_quadric, quadric_orbit, verify_variety\n"
+        "verify_variety(4)\n"
+        "print(quadrics._lift.cache_info().currsize)\n"
+        "for _ in range(2):\n"
+        "    quadric_orbit(cayley_quadric(4))\n"
+        "    print(quadrics._lift.cache_info().currsize)\n")
+    assert out.split() == ["14", "17", "17"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -181,7 +181,7 @@ def test_tensor_rank_names_a_bad_qubit_count(n):
     (lambda: quadric_orbit(cayley_quadric(3), 4), "qubit count mismatch: 3 and 4"),
     (lambda: vanishing_quadrics([ProjPoint(3, 5), ProjPoint(4, 1)]), "qubit count mismatch: 3 and 4"),
     (lambda: symplectic_product(PauliPoint(1, 1), PauliPoint(2, 1)), "qubit count mismatch: 1 and 2"),
-    (lambda: generator_from_operators([PauliPoint(2, 1), PauliPoint(3, 1)]), "mixed qubit counts: 2 and 3"),
+    (lambda: generator_from_operators([PauliPoint(2, 1), PauliPoint(3, 1)]), "qubit count mismatch: 2 and 3"),
 ], ids=["add", "quadric_orbit", "vanishing_quadrics", "symplectic_product",
         "generator_from_operators"])
 def test_mixed_counts_are_named(make, message):
