@@ -47,18 +47,13 @@ def rank(rows: Iterable[int]) -> int:
     return len(independent(rows))
 
 
-def absent_masks(n_cols: int) -> tuple[int, ...]:
-    """Entry j has bit m set iff the subset mask m omits column j+1, for the
-    2^n_cols masks m."""
-    npos = 1 << n_cols
+def column_masks(n_cols: int) -> tuple[int, ...]:
+    """Entry j has bit m set iff the subset mask m holds column j+1, for the
+    2^n_cols masks m; by doubling, as the keys of c + 1 columns are those of c
+    and the same keys with column c + 1."""
     masks = []
-    for j in range(n_cols):
-        pat = (1 << (1 << j)) - 1
-        width = 1 << (j + 1)
-        while width < npos:
-            pat |= pat << width
-            width <<= 1
-        masks.append(pat)
+    for c in range(n_cols):
+        masks = [m | m << (1 << c) for m in masks] + [((1 << (1 << c)) - 1) << (1 << c)]
     return tuple(masks)
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import attrgetter, eq, ge, gt, le, lt
 from typing import Iterable
 
-from .gf2 import absent_masks, packed_rref, wedge
+from .gf2 import column_masks, packed_rref, wedge
 
 MAX_QUBITS = 5
 SHOWN_LETTERS = 40  # of a label in a message
@@ -201,9 +201,8 @@ def commute(a: PauliPoint, b: PauliPoint) -> bool:
 @lru_cache(maxsize=None)
 def omega_masks(n: int) -> tuple[tuple[int, int], ...]:
     """Each pair p_i = {i, N+i} as a key, with the mask M_i of the keys containing it."""
-    absent = absent_masks(2 * n)
-    full = (1 << (1 << 2 * n)) - 1
-    return tuple(((1 << i) | (1 << n + i), full ^ (absent[i] | absent[n + i])) for i in range(n))
+    cols = column_masks(2 * n)
+    return tuple(((1 << i) | (1 << n + i), cols[i] & cols[n + i]) for i in range(n))
 
 
 def omega_contraction(n: int, table: int) -> int:
@@ -252,9 +251,9 @@ class Generator(_Value):
 
 
 def generator_from_operators(ops: list[PauliPoint]) -> Generator:
-    """Canonical generator spanned by a maximal pairwise-commuting set.  The
-    span is isotropic iff the operators commute, so only a rejected set is
-    searched for its first anticommuting pair (reported before its rank)."""
+    """Canonical generator spanned by a maximal pairwise-commuting set.  A refused set of
+    1..5 qubits whose wedge has a nonzero omega contraction (its span is not isotropic) is
+    searched over its distinct operators for its first anticommuting pair, reported before its rank."""
     if not ops:
         raise ValueError("need at least one operator")
     n = ops[0].n_qubits
@@ -266,7 +265,9 @@ def generator_from_operators(ops: list[PauliPoint]) -> Generator:
     try:
         return Generator(n, rows)
     except ValueError:
-        for a, b in itertools.combinations(ops, 2):
+        if n > MAX_QUBITS or not omega_contraction(n, wedge(rows, 2 * n)[0]):
+            raise
+        for a, b in itertools.combinations(dict.fromkeys(ops), 2):
             if symplectic_product(a, b):
                 raise CommutationError(a, b) from None
         raise

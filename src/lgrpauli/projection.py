@@ -39,10 +39,8 @@ def display_masks(n_qubits: int) -> tuple[int, ...]:
     """Internal subset masks in display order (length 2^N)."""
     n = n_qubits
     _require_qubits(n)
-    # the N-1 bits of d, reversed, are elements 2..N
-    first = [int(format(d, f"0{n - 1}b")[::-1], 2) << 1 for d in range(1 << n - 1)]
-    full = (1 << n) - 1
-    return tuple(first + [full ^ m for m in first])
+    # bit k of the index toggles element N - k for k < N - 1, and its top bit complements
+    return tuple(walk(0, [(1 << k).__xor__ for k in reversed(range(1, n))] + [((1 << n) - 1).__xor__]))
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 from itertools import chain
 from operator import or_
 
-from .gf2 import SWAP, Gate, absent_masks, apply_gate, columns, gate, rank, reduce_row
+from .gf2 import SWAP, Gate, apply_gate, column_masks, columns, gate, rank, reduce_row
 from .pauli import _require_int, _require_qubits, _Value
 from .projection import _image_bits, clifford_gates, display_masks, local_gates
 
@@ -142,8 +142,8 @@ def _slice_zeros(n: int, forms) -> int:
     sliced, looped = free[:16], free[16:]
     full = (1 << (1 << len(sliced))) - 1
     cols = [full] + [0] * ((1 << n) - 1)
-    for m, absent in zip(sliced, absent_masks(len(sliced))):
-        cols[m] = full ^ absent
+    for m, col in zip(sliced, column_masks(len(sliced))):
+        cols[m] = col
     count = 0
     for v in range(1 << len(looped)):
         for k, m in enumerate(looped):

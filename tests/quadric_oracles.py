@@ -10,7 +10,7 @@ packed point has variable k at bit k-1.
 import itertools
 from functools import lru_cache
 
-from lgrpauli.gf2 import absent_masks, apply_gate, independent, walk
+from lgrpauli.gf2 import apply_gate, column_masks, independent, walk
 from lgrpauli.pauli import _require_qubits
 from lgrpauli.pluecker import principal_keys
 from lgrpauli.projection import display_masks, local_gates
@@ -129,7 +129,7 @@ def whole_space_zeros(forms, n: int) -> int:
     stands for the point with packed coordinates p."""
     _require_qubits(n, 1, 4)
     full = (1 << (1 << (1 << n))) - 1
-    cols = tuple(full ^ m for m in absent_masks(1 << n))
+    cols = column_masks(1 << n)
     zeros = full - 1  # the nonzero points
     for q in forms:
         zeros &= ~_values(q, cols)

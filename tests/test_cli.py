@@ -106,15 +106,6 @@ def test_no_module_imports_an_unused_name():
     assert unused == []
 
 
-def test_every_module_parses_at_the_declared_python_floor():
-    # pyproject.toml declares requires-python >= 3.10, and the suite runs on
-    # a later interpreter; parsing at 3.10 catches syntax that came after it
-    pyproject = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
-    assert 'requires-python = ">=3.10"' in pyproject
-    for path in sorted(PACKAGE.glob("*.py")):
-        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
-
-
 def fresh_stdout(code: str) -> str:
     """The standard output of ``code`` run in a fresh interpreter on this
     package."""

@@ -1,10 +1,7 @@
 """Property tests for the packed-row GF(2) linear algebra kernel."""
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 from functools import partial, reduce
 from operator import xor
 
@@ -13,12 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lgrpauli import gf2
-from lgrpauli.gf2 import (apply_gate, apply_tables, byte_tables, columns, grades, independent, packed_rref, rank,
-                          reduce_row, walk, wedge)
+from lgrpauli.gf2 import (apply_gate, apply_tables, byte_tables, column_masks, columns, grades, independent,
+                          packed_rref, rank, reduce_row, walk, wedge)
 from lgrpauli.projection import _image_bits, clifford_gates
 from gf2_oracles import columns_by_string_joins, kernel, rref
 from orbit_oracles import minor
 from pluecker_oracles import bitwise_wedge
+from test_cli import fresh_stdout
 
 
 def mats(max_rows=6, max_cols=6):
@@ -112,6 +110,22 @@ def test_grades_mask_the_keys_by_column_count(cols):
     assert all(g[k] == sum(1 << m for m in range(1 << cols) if m.bit_count() == k) for k in range(cols + 1))
 
 
+@pytest.mark.parametrize("cols", range(0, 13))
+def test_column_masks_hold_each_key_that_holds_the_column(cols):
+    # bit m of entry j is bit j of the key m, for all 2^cols keys
+    masks = column_masks(cols)
+    assert len(masks) == cols
+    assert all(masks[j] >> m & 1 == m >> j & 1 for j in range(cols) for m in range(1 << cols))
+
+
+def test_column_masks_of_the_n5_slice_on_sampled_keys():
+    # 16 columns, the N = 5 slice of ``verify_variety``: 2,000 seeded keys per column
+    rng, masks = random.Random(16), column_masks(16)
+    assert len(masks) == 16 and all(m.bit_length() <= 1 << 16 for m in masks)
+    for j, mask in enumerate(masks):
+        assert all(mask >> m & 1 == m >> j & 1 for m in (rng.randrange(1 << 16) for _ in range(2000)))
+
+
 def test_wedge_carry_never_raises_the_column_count():
     # the wedge shifts every key m by 2^j for each column j of a row: when m
     # holds column j the carry must leave at most |m| columns, so that only
@@ -171,10 +185,7 @@ def test_wedge_row_memo_matches_the_bitwise_wedge(cols):
 def test_wedge_fills_its_row_memo_lazily():
     # in a fresh process one wedge of one row memoizes that row alone
     code = "from lgrpauli import gf2; gf2.wedge([5], 10); print({c: list(m) for c, m in gf2._row_memo.items()})"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gf2.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60).stdout
-    assert out == "{10: [5]}\n"
+    assert fresh_stdout(code) == "{10: [5]}\n"
 
 
 @given(mats())

@@ -35,6 +35,11 @@ def names_after_3_10(tree: ast.AST) -> list[str]:
     return [name for name in used if name in NAMES_3_11]
 
 
+def test_pyproject_declares_the_python_3_10_floor():
+    # the floor the checks below hold the sources to
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_sources_parse_as_python_3_10(path):
     """Every module under ``src/`` and ``tests/`` parses with the 3.10

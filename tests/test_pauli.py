@@ -3,11 +3,8 @@ maximal commuting families."""
 
 import hashlib
 import itertools
-import os
 import random
 import re
-import subprocess
-import sys
 import tracemalloc
 from collections import defaultdict
 
@@ -35,6 +32,7 @@ from gf2_oracles import rref
 from pauli_helpers import (all_points, from_label_oracle, from_label_outcome, generator_points, label_chunk_oracle,
                            label_oracle, quad_form, y_count)
 from pluecker_oracles import bitwise_wedge, rref_generator_rows
+from test_cli import fresh_stdout
 
 
 def points(n):
@@ -120,10 +118,7 @@ def test_from_label_memo_fills_lazily():
     # stores that label alone
     code = ("from lgrpauli import cli, pauli; print(len(pauli._parsed)); "
             "pauli.PauliPoint.from_label('XZ'); print(pauli._parsed)")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pauli.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60).stdout
-    assert out == "0\n{'XZ': PauliPoint(n_qubits=2, bits=6)}\n"
+    assert fresh_stdout(code) == "0\n{'XZ': PauliPoint(n_qubits=2, bits=6)}\n"
 
 
 @pytest.mark.parametrize("s", [None, 5, b"XY", b"", ["X"]])
@@ -375,10 +370,12 @@ def test_generator_rejects_fewer_than_one_qubit(n, rows):
 
 
 def test_generator_rejects_more_than_max_qubits():
-    # N = 6 would embed as a PlueckerVec its own constructor rejects
+    # N = 6 would embed as a PlueckerVec its own constructor rejects; an
+    # anticommuting set is refused for its qubit count too, before any pair is searched
     labels = [("I" * k + "X").ljust(6, "I") for k in range(6)]
     for make in (lambda: Generator(6, [1 << 6 + k for k in range(6)]),
-                 lambda: generator_from_operators([PauliPoint.from_label(s) for s in labels])):
+                 lambda: generator_from_operators([PauliPoint.from_label(s) for s in labels]),
+                 lambda: generator_from_operators([PauliPoint.from_label(s) for s in ("XIIIII", "ZIIIII")])):
         with pytest.raises(ValueError, match="^qubit count 6 is outside 1..5$") as ei:
             make()
         assert type(ei.value) is ValueError
@@ -440,6 +437,66 @@ def test_first_anticommuting_pair_in_input_order_is_reported():
         with pytest.raises(CommutationError) as ei:
             generator_from_operators([PauliPoint.from_label(s) for s in labels])
         assert [p.label() for p in ei.value.pair] == ["XIIII", "ZIIII"]
+
+
+def counted_products(monkeypatch) -> list:
+    """Patch ``symplectic_product`` in ``pauli`` to record each of its calls."""
+    calls = []
+    monkeypatch.setattr(pauli, "symplectic_product", lambda a, b: calls.append((a, b)) or symplectic_product(a, b))
+    return calls
+
+
+def test_an_isotropic_rejected_set_searches_no_pair(monkeypatch):
+    # 200 commuting operators of rank 2: the wedge's omega contraction is 0,
+    # so no pair can anticommute and none of the 19,900 pairs is tried
+    calls = counted_products(monkeypatch)
+    with pytest.raises(NotMaximalError, match="^subspace has rank 2, expected 5$"):
+        generator_from_operators([PauliPoint.from_label(s) for s in ["ZIIII", "IZIII"] * 100])
+    assert calls == []
+
+
+def test_a_late_anticommuting_pair_is_found_among_distinct_operators(monkeypatch):
+    # 200 copies of ZIIII count once: three distinct operators, three pairs at most
+    calls = counted_products(monkeypatch)
+    with pytest.raises(CommutationError) as ei:
+        generator_from_operators([PauliPoint.from_label(s) for s in ["ZIIII"] * 200 + ["IXIII", "IZIII"]])
+    assert [p.label() for p in ei.value.pair] == ["IXIII", "IZIII"]
+    assert len(calls) <= 3
+
+
+def first_anticommuting_pair(ops):
+    """Oracle: the first anticommuting pair of ``ops`` in combinations order,
+    every pair of the list tried, repeats included; None if they commute."""
+    for a, b in itertools.combinations(ops, 2):
+        if symplectic_product(a, b):
+            return a, b
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_reported_pair_is_the_first_of_the_whole_list(n):
+    # lists drawn with repeats from a Lagrangian basis, its sums and now and
+    # then a random operator: the pair reported is the oracle's, and a list
+    # without one is refused for its rank or accepted
+    rng = random.Random(300 + n)
+    kinds = set()
+    for _ in range(1000):
+        pool = random_lagrangian_rows(rng, n)
+        pool += [a ^ b for a, b in itertools.combinations(pool, 2)]
+        pool += [rng.randrange(1, 1 << 2 * n) for _ in range(rng.randrange(3))]
+        ops = [PauliPoint(n, r) for r in rng.choices([r for r in pool if r], k=rng.randrange(1, 2 * n + 4))]
+        expected = first_anticommuting_pair(ops)
+        try:
+            generator_from_operators(ops)
+            kind = "accepted"
+        except CommutationError as e:
+            assert e.pair == expected, ops
+            kind = "pair"
+        except NotMaximalError:
+            kind = "rank"
+        assert kind == "pair" or expected is None, ops
+        kinds.add(kind)
+    assert kinds == {"accepted", "rank", "pair"}
 
 
 def random_lagrangian_rows(rng: random.Random, n: int) -> list[int]:

@@ -2,11 +2,8 @@
 observable map, and the chart-based inverse."""
 
 import itertools
-import os
 import random
 import re
-import subprocess
-import sys
 import tracemalloc
 from collections import defaultdict
 from functools import lru_cache
@@ -51,6 +48,7 @@ from pauli_helpers import principal_bits, subset_keys, y_count
 from pluecker_oracles import SubsetIndex, constraint_value
 from projection_oracles import (_chart_cell, chart_points, graph_rows_by_cell, hadamard, image,
                                 principal_bits_by_slice)
+from test_cli import fresh_stdout
 
 
 @lru_cache(maxsize=None)
@@ -798,9 +796,7 @@ def test_lift_keeps_one_readout_per_n_and_shares_the_wedge_terms():
                   for w, memo in gf2._row_memo.items() for r, (_, shifts) in memo.items()]
         print(projection._readout.cache_info().currsize, peak, len(shared), all(shared))
     """
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(projection.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60).stdout.split()
+    out = fresh_stdout(code).split()
     readouts, peak, rows, shared = int(out[0]), int(out[1]), int(out[2]), out[3]
     assert readouts == 1
     assert peak < 100 * 1024, f"lifting one point per cell peaked at {peak} bytes"
