@@ -118,6 +118,9 @@ class CommutationError(ValueError):
         self.pair = (a, b)
         super().__init__(f"operators {a.label()} and {b.label()} do not commute")
 
+    def __reduce__(self):
+        return type(self), self.pair
+
 
 class NotMaximalError(ValueError):
     """Raised when a commuting set does not span an N-dimensional subspace."""

@@ -40,13 +40,6 @@ class SubsetIndex:
         return "p{" + ",".join(str(j) for j in self.members) + "}"
 
 
-def coord(v: PlueckerVec, idx: SubsetIndex) -> int:
-    """The coordinate of ``v`` at an N-subset index."""
-    if idx.n_ambient != 2 * v.n_qubits or len(idx.members) != v.n_qubits:
-        raise ValueError("index shape mismatch")
-    return v.table >> idx.key & 1
-
-
 def relation_terms(r: PlueckerRelation) -> list[tuple[SubsetIndex, SubsetIndex]]:
     two_n = 2 * r.n_qubits
     return [(SubsetIndex.from_key(two_n, a), SubsetIndex.from_key(two_n, b))

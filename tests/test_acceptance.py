@@ -2,10 +2,6 @@
 single PASS/FAIL line (run with -s to see them).  All comparisons are
 exact integer or set equality; no tolerances anywhere."""
 
-import itertools
-
-import pytest
-
 from lgrpauli.orbits import (
     CLASS_TABLE,
     classify_image,

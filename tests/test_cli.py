@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and the package's
-exports and imports: output format, worked examples, determinism, and exit
-codes."""
+exports and imports: output format, worked examples, determinism, exit
+codes and messages, the modules each command loads, and the hygiene of the
+package and of these tests. Each output the README shows is also pinned
+byte for byte by its file in ``golden/``."""
 
 import ast
 import errno
@@ -38,7 +40,15 @@ def run(capsys, *argv):
 
 
 PACKAGE = Path(lgrpauli.__file__).parent
-README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
+
+
+def parsed(directory: Path) -> dict[str, ast.Module]:
+    """The syntax tree of each ``.py`` file in ``directory``, keyed by its
+    directory and file name."""
+    return {f"{directory.name}/{path.name}": ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(directory.glob("*.py"))}
 
 
 def test_all_exports_resolve():
@@ -90,10 +100,9 @@ def test_the_enumeration_keeps_its_name_on_pauli_for_the_layer_trace():
 
 def test_no_module_imports_an_unused_name():
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
+    for name, tree in {**parsed(PACKAGE), **parsed(TESTS)}.items():
+        if name == f"{PACKAGE.name}/__init__.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -102,16 +111,20 @@ def test_no_module_imports_an_unused_name():
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in used:
-                        unused.append(f"{path.name}: {bound}")
+                        unused.append(f"{name}: {bound}")
     assert unused == []
+
+
+def fresh_run(*args, **kwargs) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter on this package."""
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                          text=True, timeout=60, **kwargs)
 
 
 def fresh_stdout(code: str) -> str:
     """The standard output of ``code`` run in a fresh interpreter on this
     package."""
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True, timeout=60).stdout
+    return fresh_run("-c", code, capture_output=True, check=True).stdout
 
 
 def loaded_modules(code: str) -> set[str]:
@@ -166,20 +179,25 @@ def test_exports_resolve_on_first_use_in_a_fresh_interpreter():
 def test_every_module_level_definition_is_used_or_exported():
     # a function, class or assigned name (dunders and the package's PEP 562
     # hooks, which the interpreter calls, aside) that no module reads and
-    # the package does not export is dead code
-    hooks = {("__init__.py", "__getattr__"), ("__init__.py", "__dir__")}
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
-    used = {node.id for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    defined = [(name, node.name) for name, tree in trees.items() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (name, node.name) not in hooks]
-    assigned = [(name, target.id) for name, tree in trees.items() for node in tree.body
-                if isinstance(node, (ast.Assign, ast.AnnAssign))
-                for top in (node.targets if isinstance(node, ast.Assign) else [node.target])
-                for target in ast.walk(top) if isinstance(target, ast.Name) and not target.id.startswith("__")]
-    assert defined and assigned
-    defined += assigned
-    assert [f"{name}: {d}" for name, d in defined if d not in used and d not in lgrpauli.__all__] == []
+    # the package does not export is dead code; so is one of a test helper
+    # module that no test module or helper reads
+    init = f"{PACKAGE.name}/__init__.py"
+    hooks = {(init, "__getattr__"), (init, "__dir__")}
+    package, tests = parsed(PACKAGE), parsed(TESTS)
+    helpers = {name: tree for name, tree in tests.items() if not name.startswith(f"{TESTS.name}/test_")}
+    dead = []
+    for trees, readers, exported in ((package, package, lgrpauli.__all__), (helpers, tests, ())):
+        used = {node.id for tree in readers.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        defined = [(name, node.name) for name, tree in trees.items() for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (name, node.name) not in hooks]
+        assigned = [(name, target.id) for name, tree in trees.items() for node in tree.body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for top in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                    for target in ast.walk(top) if isinstance(target, ast.Name) and not target.id.startswith("__")]
+        assert defined and assigned
+        dead += [f"{name}: {d}" for name, d in defined + assigned if d not in used and d not in exported]
+    assert dead == []
 
 
 def test_counts_n3(capsys):
@@ -626,7 +644,7 @@ def test_cayley_command(capsys):
     assert "x1*x5 + x2*x6 + x3*x7 + x4*x8" in out
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN = TESTS / "golden"
 GOLDEN_RUNS = [f"{cmd} --n {n} --format {fmt}" for cmd in ("cayley", "verify")
                for n in (3, 4) for fmt in ("text", "csv", "json")]
 GOLDEN_RUNS += [f"verify --n {n} --suite variety --format text" for n in (2, 5)]
@@ -754,9 +772,7 @@ def test_an_unwritable_stdout_exits_2_with_one_line(capsys, monkeypatch, method,
 
 def cli_process(stdout, *argv) -> subprocess.CompletedProcess:
     """``lgrpauli *argv`` in a fresh interpreter, writing to ``stdout``."""
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    return subprocess.run([sys.executable, "-m", "lgrpauli.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
-                          env=env, text=True, timeout=60)
+    return fresh_run("-m", "lgrpauli.cli", *argv, stdout=stdout, stderr=subprocess.PIPE)
 
 
 # one output that fits the stream's buffer, and one that does not

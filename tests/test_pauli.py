@@ -1,8 +1,10 @@
 """Tests for the binary symplectic Pauli encoding and the enumeration of
 maximal commuting families."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 import re
 import tracemalloc
@@ -427,6 +429,15 @@ def test_non_commuting_rejected_with_pair():
             generator_from_operators(ops)
         assert [p.label() for p in ei.value.pair] == list(labels)
         assert str(ei.value) == f"operators {labels[0]} and {labels[1]} do not commute"
+
+
+def test_a_commutation_error_survives_copy_and_pickle():
+    # BaseException rebuilds a copy from args, which hold the message alone
+    with pytest.raises(CommutationError) as ei:
+        generator_from_operators([PauliPoint.from_label(s) for s in ("XI", "ZI")])
+    e = ei.value
+    for clone in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert (type(clone), clone.pair, str(clone)) == (CommutationError, e.pair, str(e))
 
 
 def test_first_anticommuting_pair_in_input_order_is_reported():
