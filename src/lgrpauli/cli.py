@@ -381,16 +381,17 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as e:  # noqa: BLE001
         print(f"internal error in {args.command}: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    to_stdout = args.out is None  # an empty --out is a path, which fails to open
     try:
-        if args.out:
+        if to_stdout:
+            print(text, end="", flush=True)
+        else:
             with open(args.out, "w", encoding="utf-8") as f:
                 f.write(text)
-        else:
-            print(text, end="", flush=True)
     except OSError as e:
-        if not args.out and sys.stdout is sys.__stdout__:  # what stays buffered is flushed at exit
+        if to_stdout and sys.stdout is sys.__stdout__:  # what stays buffered is flushed at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"cannot write {f'--out {args.out}' if args.out else 'standard output'}: {e.strerror}", file=sys.stderr)
+        print(f"cannot write {'standard output' if to_stdout else f'--out {args.out}'}: {e.strerror}", file=sys.stderr)
         return EXIT_PARSE
     return EXIT_OK
 

@@ -223,6 +223,9 @@ class Generator(_Value):
     constructor takes any spanning rows of at most 2N bits; the vector
     depends only on their span, so two generators are equal iff their row
     spaces are, and ``rows`` reads the canonical RREF basis back from it.
+    Refused, in order: the qubit count; a row's type or width; the first
+    anticommuting pair of distinct rows (``CommutationError``) whenever the
+    span is not isotropic, at any rank; a rank below N (``NotMaximalError``).
     """
 
     __slots__ = ("n_qubits", "table")
@@ -231,11 +234,14 @@ class Generator(_Value):
         n = n_qubits
         if n.__class__ is not int or not 0 < n <= MAX_QUBITS:
             _require_qubits(n)
+        if rows.__class__ is not list:  # a refused set is read again for its pair
+            rows = list(rows)
         table, rank = wedge(rows, 2 * n)  # ValueError for a row not an int or wider than 2N bits
-        if rank != n:
+        if omega_contraction(n, table):  # a span that is not isotropic has an anticommuting pair
+            pairs = itertools.combinations([PauliPoint(n, r) for r in dict.fromkeys(rows) if r], 2)
+            raise CommutationError(*next((a, b) for a, b in pairs if symplectic_product(a, b)))
+        if rank < n:
             raise NotMaximalError(f"subspace has rank {rank}, expected {n}")
-        if omega_contraction(n, table):
-            raise ValueError("basis is not totally isotropic")
         set_n, set_table = self._setters
         set_n(self, n)
         set_table(self, table)
@@ -254,9 +260,8 @@ class Generator(_Value):
 
 
 def generator_from_operators(ops: list[PauliPoint]) -> Generator:
-    """Canonical generator spanned by a maximal pairwise-commuting set.  A refused set of
-    1..5 qubits whose wedge has a nonzero omega contraction (its span is not isotropic) is
-    searched over its distinct operators for its first anticommuting pair, reported before its rank."""
+    """Canonical generator spanned by a maximal pairwise-commuting set, refused as
+    ``Generator`` refuses its rows: its first anticommuting pair, then its rank."""
     if not ops:
         raise ValueError("need at least one operator")
     n = ops[0].n_qubits
@@ -265,15 +270,7 @@ def generator_from_operators(ops: list[PauliPoint]) -> Generator:
         if p.n_qubits != n:
             raise ValueError(f"qubit count mismatch: {n} and {p.n_qubits}")
         rows.append(p.bits)
-    try:
-        return Generator(n, rows)
-    except ValueError:
-        if n > MAX_QUBITS or not omega_contraction(n, wedge(rows, 2 * n)[0]):
-            raise
-        for a, b in itertools.combinations(dict.fromkeys(ops), 2):
-            if symplectic_product(a, b):
-                raise CommutationError(a, b) from None
-        raise
+    return Generator(n, rows)
 
 
 def generator_count(n_qubits: int) -> int:

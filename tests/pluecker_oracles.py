@@ -1,13 +1,13 @@
 """Reference implementations that the packed Plucker code replaced, kept for
 the tests to compare against: the subset-object layer (one index object per
 coordinate, relations and constraints evaluated term by term), the
-bit-by-bit exterior product, and the generator constructor that reduced its
-rows to RREF and checked isotropy pair by pair."""
+bit-by-bit exterior product, and the generator constructor that checked
+isotropy pair by pair and reduced its rows to RREF."""
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from lgrpauli.pauli import NotMaximalError
+from lgrpauli.pauli import CommutationError, NotMaximalError, PauliPoint
 from lgrpauli.pluecker import LinearConstraint, PlueckerRelation, PlueckerVec, principal_keys
 from gf2_oracles import rref
 
@@ -96,17 +96,18 @@ def bitwise_wedge(rows, two_n: int) -> int:
 
 
 def rref_generator_rows(n: int, rows) -> tuple[int, ...]:
-    """The rows the RREF constructor kept, raising what it raised: a width
-    check, then the rank, then isotropy pair by pair."""
+    """The rows the RREF constructor kept, raising what ``Generator`` raises:
+    a width check, then the first anticommuting pair of the whole list in
+    combinations order, then a rank below N."""
     if any(r >> (2 * n) for r in rows):
         raise ValueError(f"basis rows must have at most {2 * n} bits")
-    reduced = tuple(rref(rows))
-    if len(reduced) != n:
-        raise NotMaximalError(f"subspace has rank {len(reduced)}, expected {n}")
     low = (1 << n) - 1
-    for i, a in enumerate(reduced):
+    for i, a in enumerate(rows):
         w = (a >> n) | (a & low) << n  # a with its halves exchanged
-        for b in reduced[i + 1:]:
+        for b in rows[i + 1:]:
             if (w & b).bit_count() & 1:
-                raise ValueError("basis is not totally isotropic")
+                raise CommutationError(PauliPoint(n, a), PauliPoint(n, b))
+    reduced = tuple(rref(rows))
+    if len(reduced) < n:
+        raise NotMaximalError(f"subspace has rank {len(reduced)}, expected {n}")
     return reduced

@@ -743,11 +743,12 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_out_unwritable_path_exit_2(tmp_path, capsys):
-    target = tmp_path / "missing" / "x.txt"
-    code, out, err = run(capsys, "counts", "--n", "2", "--out", str(target))
-    assert code == EXIT_PARSE
-    assert out == ""
-    assert err.count("\n") == 1 and str(target) in err
+    # a missing directory, an empty path (a path, not standard output) and a directory
+    missing = tmp_path / "missing" / "x.txt"
+    for target, err_no in ((missing, errno.ENOENT), ("", errno.ENOENT), (tmp_path, errno.EISDIR)):
+        code, out, err = run(capsys, "counts", "--n", "2", "--out", str(target))
+        assert (code, err) == refused(f"--out {target}", err_no)
+        assert out == ""
 
 
 def refused(where: str, err: int) -> tuple[int, str]:

@@ -343,11 +343,11 @@ def test_generator_rows_are_rref_and_table_is_their_wedge(n):
 
 
 def test_generator_edge_inputs():
-    # N + 1 independent rows: the rank is reported, above N
-    with pytest.raises(NotMaximalError, match="^subspace has rank 3, expected 2$"):
-        Generator(2, (1, 2, 4))
-    with pytest.raises(NotMaximalError, match="^subspace has rank 6, expected 5$"):
-        Generator(5, (1, 2, 4, 8, 16, 32))
+    # N + 1 independent rows span no isotropic space: the first pair is named
+    for n, rows, pair in ((2, (1, 2, 4), ["ZI", "XI"]), (5, (1, 2, 4, 8, 16, 32), ["ZIIII", "XIIII"])):
+        with pytest.raises(CommutationError) as ei:
+            Generator(n, rows)
+        assert [p.label() for p in ei.value.pair] == pair
     # zero and repeated rows are accepted and dropped
     assert Generator(2, (0, 1, 0, 2, 1, 3)) == Generator(2, (1, 2))
     # N = 1 has no pair of rows to check: every line is isotropic
@@ -412,7 +412,7 @@ def test_generator_agrees_with_rref_constructor_on_random_rows(n):
         got = rows_outcome(lambda n, rows: Generator(n, rows).rows, n, rows)
         assert got == expected, rows
         outcomes.add(expected[0] if isinstance(expected[0], str) else "ok")
-    assert outcomes == {"ok", "NotMaximalError", "ValueError"}
+    assert outcomes == {"ok", "CommutationError", "NotMaximalError", "ValueError"}
 
 
 def test_generator_rank_deficient_basis_raises_not_maximal():
@@ -475,6 +475,24 @@ def test_a_late_anticommuting_pair_is_found_among_distinct_operators(monkeypatch
     assert len(calls) <= 3
 
 
+def test_a_one_shot_iterator_of_rows_is_refused_with_its_pair():
+    # the rows are listed once, so the pair search reads what the wedge read
+    with pytest.raises(CommutationError) as ei:
+        Generator(2, iter([1, 2, 0, 4]))
+    assert [p.label() for p in ei.value.pair] == ["ZI", "XI"]
+    assert Generator(2, (r for r in (1, 2))) == Generator(2, [1, 2])
+
+
+def test_a_refused_family_is_wedged_once(monkeypatch):
+    # Generator refuses the rows itself: no second wedge to find the pair
+    calls = []
+    monkeypatch.setattr(pauli, "wedge", lambda rows, n_cols: calls.append(rows) or gf2.wedge(rows, n_cols))
+    with pytest.raises(CommutationError) as ei:
+        generator_from_operators([PauliPoint.from_label(s) for s in ("IZI", "XII", "ZII")])
+    assert [p.label() for p in ei.value.pair] == ["XII", "ZII"]
+    assert len(calls) == 1
+
+
 def first_anticommuting_pair(ops):
     """Oracle: the first anticommuting pair of ``ops`` in combinations order,
     every pair of the list tried, repeats included; None if they commute."""
@@ -527,19 +545,19 @@ def test_generator_isotropy_check_agrees_with_symplectic_product(n):
         rows = random_lagrangian_rows(rng, n)
         if rng.randrange(2):  # one flipped bit, which may break isotropy or rank
             rows[rng.randrange(n)] ^= 1 << rng.randrange(2 * n)
-        pts = [PauliPoint(n, r) for r in rows if r]
-        isotropic = not any(symplectic_product(a, b) for a, b in itertools.combinations(pts, 2))
-        if rank(rows) < n:
+        pair = first_anticommuting_pair([PauliPoint(n, r) for r in rows if r])
+        if pair:  # at any rank
+            expected = "pair"
+            with pytest.raises(CommutationError) as ei:
+                Generator(n, rows)
+            assert ei.value.pair == pair
+        elif rank(rows) < n:
             expected = "NotMaximalError"
             with pytest.raises(NotMaximalError):
                 Generator(n, rows)
-        elif isotropic:
+        else:
             expected = "ok"
             Generator(n, rows)
-        else:
-            expected = "basis is not totally isotropic"
-            with pytest.raises(ValueError, match=expected):
-                Generator(n, rows)
         outcomes.add(expected)
     assert len(outcomes) == 3
 
