@@ -99,11 +99,11 @@ def _relation_candidates(n_qubits: int) -> list[tuple[tuple[int, int], ...]]:
 
 @lru_cache(maxsize=None)
 def pluecker_relations(n_qubits: int) -> tuple[PlueckerRelation, ...]:
-    """The deduplicated quadratic relations cutting out Gr(N,2N).
-
-    The candidates of ``_relation_candidates`` that are GF(2) sums of
-    earlier ones are removed: the result is an independent system, ordered
-    by terms.
+    """The GF(2)-independent single-exchange relations of Gr(N,2N): the
+    candidates of ``_relation_candidates`` that are GF(2) sums of earlier
+    ones are removed, the rest ordered by terms.  They span the degree-2
+    part of the ideal at N <= 4, and all of it but one dimension at N = 5
+    (12,473 of 12,474).
     """
     n = n_qubits
     _require_qubits(n, 2)

@@ -122,7 +122,7 @@ def variety_quadrics(n_qubits: int) -> tuple[QuadForm, ...]:
 
 
 class VarietyReport(_Value):
-    """Counts of zeros and image points on ``verify_variety``'s Σ; ``closed``: its (a) and gate closure (b)."""
+    """Counts of zeros and image points on ``verify_variety``'s Σ, 1 each if Z = I; ``closed``: its (a) and (b)."""
     __slots__ = ("n_qubits", "quadric_count", "zero_set_size", "image_size", "closed", "matches")
 
 
@@ -136,24 +136,17 @@ def _values(q: QuadForm, cols: list[int] | tuple[int, ...]) -> int:
 
 
 def _slice_zeros(n: int, forms) -> int:
-    """Count the common zeros of ``forms`` on Σ (``verify_variety``): up to 16 free
-    coordinates bitsliced, each value of the rest a block left once empty."""
-    free = [m for m in range(1 << n) if m & (m - 1)]  # the subsets of two or more
-    sliced, looped = free[:16], free[16:]
-    full = (1 << (1 << len(sliced))) - 1
+    """Count the common zeros of ``forms`` on Σ (``verify_variety``), bitsliced
+    over its free coordinates, the subsets of three or more (at most 16)."""
+    free = [m for m in range(1 << n) if m.bit_count() > 2]
+    full = (1 << (1 << len(free))) - 1
     cols = [full] + [0] * ((1 << n) - 1)
-    for m, col in zip(sliced, column_masks(len(sliced))):
+    for m, col in zip(free, column_masks(len(free))):
         cols[m] = col
-    count = 0
-    for v in range(1 << len(looped)):
-        for k, m in enumerate(looped):
-            cols[m] = full if v >> k & 1 else 0
-        zeros = full
-        for q in forms:
-            if not (zeros := zeros & ~_values(q, cols)):
-                break
-        count += zeros.bit_count()
-    return count
+    zeros = full
+    for q in forms:
+        zeros &= ~_values(q, cols)
+    return zeros.bit_count()
 
 
 @lru_cache(maxsize=None)
@@ -169,20 +162,20 @@ def vanishes_on_image(q: QuadForm) -> bool:
 
 def verify_variety(n_qubits: int) -> VarietyReport:
     """Certify Z = I, Z the common zeros of ``variety_quadrics(n)`` and I the
-    image, on Σ = {x_{} = 1, x_{i} = 0 for each i}: Z = I iff (a) the forms
+    image, on Σ = {x_{} = 1, x_S = 0 for |S| = 1, 2}: Z = I iff (a) the forms
     vanish on I, (b) their span is its own ``_span_closure`` under the gates
     of ``clifford_gates``, and (c) |Z ∩ Σ| = |I ∩ Σ|.  By (a) and (b), Z holds
     I and is stable under the gates.  H_T, for a T with x_T = 1, then S_i for
-    each i with x_i = 1, moves any point of Z into Σ.  I ∩ Σ is the
-    2^(N(N-1)/2) graph points of the zero-diagonal symmetric matrices, and the
-    gates preserve I (the projection is equivariant).  So by (c), Z = I."""
+    each x_{i} = 1, then CZ_ij for each x_{ij} = 1, moves any point of Z into
+    Σ.  I ∩ Σ is x_{} alone, the graph point of A = 0, and the gates preserve
+    I (the projection is equivariant).  So by (c), Z = I."""
     n = n_qubits
     quads = variety_quadrics(n)  # checks n
     bits = [q.bits for q in quads]
     closed = all(map(vanishes_on_image, quads)) and len(_span_closure(n, bits, clifford_gates(n))) == rank(bits)
     cols = _image_columns(n)
-    axes = reduce(or_, (cols[1 << i] for i in range(n)))  # the image points with some x_{i} = 1
-    zeros, size = _slice_zeros(n, quads), (cols[0] & ~axes).bit_count()
+    minors = reduce(or_, (cols[m] for m in range(1, 1 << n) if m.bit_count() <= 2))  # some 1- or 2-minor is 1
+    zeros, size = _slice_zeros(n, quads), (cols[0] & ~minors).bit_count()
     return VarietyReport(n, len(quads), zeros, size, closed, closed and zeros == size)
 
 

@@ -138,9 +138,9 @@ def whole_space_zeros(forms, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _slice_mask(n: int) -> int:
-    """Bit p set for the points p of the slice x_{} = 1, x_{i} = 0 for each i."""
-    axes = 1 | sum(1 << (1 << i) for i in range(n))
-    return sum(1 << p for p in range(1 << (1 << n)) if p & axes == 1)
+    """Bit p set for the points p of the slice x_{} = 1, x_S = 0 for |S| = 1, 2."""
+    minors = sum(1 << m for m in range(1 << n) if m.bit_count() <= 2)
+    return sum(1 << p for p in range(1 << (1 << n)) if p & minors == 1)
 
 
 def on_slice(n: int, bits: int) -> int:

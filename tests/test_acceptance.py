@@ -2,6 +2,9 @@
 single PASS/FAIL line (run with -s to see them).  All comparisons are
 exact integer or set equality; no tolerances anywhere."""
 
+from functools import reduce
+from operator import or_
+
 from lgrpauli.orbits import (
     CLASS_TABLE,
     classify_image,
@@ -87,9 +90,14 @@ def test_criterion_3_image_identification():
     zeros4 = whole_space_zeros(variety_quadrics(4), 4).bit_count()
     pairing = pairing_quadric(4)
     q0_ok = all(value_at(pairing, p.bits) == 0 for p in image(4))
+    # the image points with x_{} = 1 and every x_{i} = 0 are the 2^(N(N-1)/2)
+    # graph points of the zero-diagonal symmetric matrices
+    cols = {n: _image_columns(n) for n in reps}
+    graphs = {n: (c[0] & ~reduce(or_, (c[1 << i] for i in range(n)))).bit_count() for n, c in cols.items()}
     ok = (
         ok2
-        and all(rep.matches and rep.zero_set_size == 1 << n * (n - 1) // 2 for n, rep in reps.items())
+        and all(rep.matches and rep.zero_set_size == rep.image_size == 1 for rep in reps.values())
+        and graphs == {2: 2, 3: 8, 4: 64, 5: 1024}
         and zeros3 == 135
         and zeros4 == 2295
         and q0_ok
@@ -98,7 +106,8 @@ def test_criterion_3_image_identification():
         "3 image identification",
         ok,
         f"N=2 full space {ok2}; N=3 zero set {zeros3}; N=4 zero set {zeros4}; "
-        f"slice zeros {[rep.zero_set_size for rep in reps.values()]}; Q0 vanishes {q0_ok}",
+        f"slice zeros {[rep.zero_set_size for rep in reps.values()]}; "
+        f"zero-diagonal graph points {list(graphs.values())}; Q0 vanishes {q0_ok}",
     )
 
 

@@ -628,7 +628,7 @@ def test_verify_reports_a_pairing_quadric_that_misses_the_image(capsys, monkeypa
     code, out, err = run(capsys, "verify", "--n", "4", "--suite", "variety")
     assert (code, out) == (EXIT_VERIFY, "")
     assert err == ("[variety] quadric count 10: vanish on the image, span closed under the gates: PASS\n"
-                   "[variety] slice: zeros 64 == image 64: PASS\n"
+                   "[variety] slice: zeros 1 == image 1: PASS\n"
                    "[variety] pairing quadric vanishes on the image: FAIL\n")
 
 

@@ -129,6 +129,24 @@ def test_relation_count_n5():
     assert len(pluecker_relations(5)) == 12473
 
 
+def incomparable_pairs(n):
+    """How many pairs of N-subsets of 2N indices, each in ascending order, are
+    not entrywise comparable: the dimension of the quadrics in Gr(N,2N)'s
+    ideal, as the comparable pairs (the standard monomials) are a basis of
+    the degree-2 coordinate ring in every characteristic."""
+    subsets = list(itertools.combinations(range(2 * n), n))
+    return sum(any(a < b for a, b in zip(s, t)) and any(a > b for a, b in zip(s, t))
+               for s, t in itertools.combinations(subsets, 2))
+
+
+@pytest.mark.parametrize("n,ideal", [(2, 1), (3, 35), (4, 721), (5, 12474)])
+def test_relations_are_one_short_of_the_quadratic_ideal_at_n5_alone(n, ideal):
+    # the GF(2)-independent single-exchange relations span the whole
+    # degree-2 ideal at N <= 4, and all of it but one dimension at N = 5
+    assert incomparable_pairs(n) == ideal
+    assert len(pluecker_relations(n)) == ideal - (n == 5)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_relations_vanish_on_embedded_generators(n):
     rels = pluecker_relations(n)

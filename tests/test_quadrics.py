@@ -11,7 +11,7 @@ import pytest
 
 from lgrpauli import projection, quadrics
 from lgrpauli.cli import EXIT_VERIFY, main
-from lgrpauli.gf2 import rank
+from lgrpauli.gf2 import apply_gate, rank
 from lgrpauli.projection import ProjPoint, clifford_gates, local_gates
 from lgrpauli.quadrics import (
     QuadForm,
@@ -90,21 +90,29 @@ def test_pairing_quadric_equals_the_display_pair_oracle(n):
 
 def test_n3_variety_is_hyperbolic_quadric():
     rep = verify_variety(3)
-    assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (1, 8, 8, True, True)
+    assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (1, 1, 1, True, True)
     assert whole_space_zeros(variety_quadrics(3), 3).bit_count() == len(image(3)) == 135
 
 
 def test_n4_variety_cut_out_by_ten_quadrics():
     rep = verify_variety(4)
-    assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (10, 64, 64, True, True)
+    assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (10, 1, 1, True, True)
     assert whole_space_zeros(variety_quadrics(4), 4).bit_count() == len(image(4)) == 2295
 
 
 def test_n5_variety_is_certified_by_its_66_derived_forms():
-    # 2^(N(N-1)/2) = 1024 graph points of zero-diagonal matrices on the slice
+    # the one point of the slice in the image is x_{}, the graph point of A = 0
     rep = verify_variety(5)
     assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (
-        66, 1024, 1024, True, True)
+        66, 1, 1, True, True)
+    # pointwise: the forms vanish at x_{} and have no common zero at 2,000
+    # seeded other points of the slice, x_{} plus any x_S with |S| >= 3
+    quads, rng = variety_quadrics(5), random.Random(5)
+    free = [m for m in range(32) if m.bit_count() > 2]
+    assert all(value_at(q, 1) == 0 for q in quads)
+    for k in (rng.randrange(1, 1 << len(free)) for _ in range(2000)):
+        x = 1 | sum(1 << m for j, m in enumerate(free) if k >> j & 1)
+        assert any(value_at(q, x) for q in quads)
 
 
 def test_n5_forms_keep_their_text_and_order():
@@ -130,21 +138,21 @@ def test_variety_reads_the_image_columns_alone(monkeypatch, n):
 
 
 def test_dropping_q1_fails_the_variety_check_through_the_gate_closure_alone(capsys, monkeypatch):
-    # Q2..Q10 vanish on the image and have its 64 zeros on the slice, but
+    # Q2..Q10 vanish on the image and have its one zero on the slice, but
     # 2415 zeros in the whole space, not 2295: only the closure sees it
     quads = variety_quadrics(4)[1:]
     bits = [q.bits for q in quads]
     assert all(map(vanishes_on_image, quads))
     assert rank(bits + [_act(4, g, b) for g in clifford_gates(4) for b in bits]) > rank(bits)
-    assert _slice_zeros(4, quads) == 64
+    assert _slice_zeros(4, quads) == 1
     assert whole_space_zeros(quads, 4).bit_count() == 2415
     monkeypatch.setattr(quadrics, "variety_quadrics", lambda n: quads)
     rep = verify_variety(4)
-    assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (9, 64, 64, False, False)
+    assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (9, 1, 1, False, False)
     assert main(["verify", "--n", "4", "--suite", "variety"]) == EXIT_VERIFY
     assert capsys.readouterr() == ("", (
         "[variety] quadric count 9: vanish on the image, span closed under the gates: FAIL\n"
-        "[variety] slice: zeros 64 == image 64: PASS\n"
+        "[variety] slice: zeros 1 == image 1: PASS\n"
         "[variety] pairing quadric vanishes on the image: PASS\n"))
 
 
@@ -154,6 +162,35 @@ def test_slice_zeros_match_the_whole_space_walk_on_the_slice(n):
     randoms = _random_forms(n, 12)
     for forms in explicit + [randoms[k:k + 1] for k in range(6)] + [randoms[6:9], randoms[9:]]:
         assert _slice_zeros(n, forms) == on_slice(n, whole_space_zeros(forms, n))
+
+
+def _into_slice(n, x):
+    """The walk of ``verify_variety``'s proof: H_i for each i in T, the lowest
+    subset with x_T = 1, then each S_i and CZ_ij of ``clifford_gates``, in
+    order, whose entry x_{i} or x_{ij} is 1 at its turn; a gate's shift is
+    that entry's subset."""
+    gates = clifford_gates(n)
+    t = (x & -x).bit_length() - 1
+    for g in gates[:n]:
+        if t & g[0]:
+            x = apply_gate(g, x)
+    for g in gates[n:]:
+        if x >> g[0] & 1:
+            x = apply_gate(g, x)
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_gate_walk_moves_every_point_into_the_slice(n):
+    # every nonzero point lands on the slice x_{} = 1, x_S = 0 for |S| = 1, 2
+    # (all of them at N <= 3, 2,000 seeded ones above), and every image point
+    # on x_{} itself (all of them at N <= 4, 2,000 seeded ones at N = 5)
+    rng = random.Random(n)
+    minors = sum(1 << m for m in range(1 << n) if m.bit_count() <= 2)
+    points = range(1, 1 << (1 << n)) if n <= 3 else [rng.randrange(1, 1 << (1 << n)) for _ in range(2000)]
+    assert all(_into_slice(n, x) & minors == 1 for x in points)
+    img = projection._image_bits(n)
+    assert all(_into_slice(n, x) == 1 for x in (img if n <= 4 else rng.sample(img, 2000)))
 
 
 def test_n4_pairing_quadric_is_sum_of_last_two():
@@ -476,16 +513,16 @@ def test_zero_set_matches_pointwise_scan(n):
 def test_a_form_with_as_many_zeros_as_the_image_elsewhere_fails_the_variety_check(capsys, monkeypatch):
     # x1*x2 + x3*x4 + x5*x6 + x7*x8 has 135 zeros, as many as the N = 3
     # image, but not the image's points: it misses the image, and it has
-    # 12 zeros on the slice where the image has 8
+    # 2 zeros on the slice where the image has 1
     q = _form(3, (1, 2), (3, 4), (5, 6), (7, 8))
     assert len(zero_set([q], 3)) == 135 and not vanishes_on_image(q)
     monkeypatch.setattr(quadrics, "variety_quadrics", lambda n: (q,))
     rep = verify_variety(3)
-    assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (1, 12, 8, False, False)
+    assert (rep.quadric_count, rep.zero_set_size, rep.image_size, rep.closed, rep.matches) == (1, 2, 1, False, False)
     assert main(["verify", "--n", "3", "--suite", "variety"]) == EXIT_VERIFY
     assert capsys.readouterr() == ("", (
         "[variety] quadric count 1: vanish on the image, span closed under the gates: FAIL\n"
-        "[variety] slice: zeros 12 == image 8: FAIL\n"))
+        "[variety] slice: zeros 2 == image 1: FAIL\n"))
 
 
 @pytest.mark.parametrize("n", [3, 4])
