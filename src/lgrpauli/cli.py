@@ -92,7 +92,7 @@ def _cell(v):
 
 
 def _emit(rows: list[dict], fmt: str, title: str | None = None) -> str:
-    """Serialize a list of uniform dict rows; all values are primitives or
+    """Serialize one or more uniform dict rows; all values are primitives or
     lists of primitives."""
     if fmt == "json":
         return json.dumps(rows, indent=2, sort_keys=True) + "\n"
@@ -100,10 +100,9 @@ def _emit(rows: list[dict], fmt: str, title: str | None = None) -> str:
         import csv
 
         buf = io.StringIO()
-        if rows:
-            w = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-            w.writeheader()
-            w.writerows({k: _cell(v) for k, v in r.items()} for r in rows)
+        w = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        w.writeheader()
+        w.writerows({k: _cell(v) for k, v in r.items()} for r in rows)
         return buf.getvalue()
     lines = [title] if title else []
     lines += ["  ".join(f"{k}={_cell(v)}" for k, v in r.items()) for r in rows]

@@ -92,41 +92,35 @@ def e_rank(p: ProjPoint) -> int:
 
 # Classification data for the known commuting classes: display-order
 # representative, class label in the standard orbit numbering, observable,
-# tensor/exclusive rank, orbit size, and a commuting set that maps into the class.
+# tensor/exclusive rank and orbit size; the rows label every image orbit.
 CLASS_TABLE: dict[int, list[dict]] = {
     2: [
         {"label": "O1", "representative": "0010", "observable": "XI",
-         "t_rank": 1, "e_rank": 0, "size": 9, "ops": ("XI", "IX")},
+         "t_rank": 1, "e_rank": 0, "size": 9},
         {"label": "O2", "representative": "1010", "observable": "YI",
-         "t_rank": 2, "e_rank": 1, "size": 6, "ops": ("ZX", "XZ")},
+         "t_rank": 2, "e_rank": 1, "size": 6},
     ],
     3: [
         {"label": "O1", "representative": "00001000", "observable": "XIII",
-         "t_rank": 1, "e_rank": 0, "size": 27, "ops": ("XII", "IXI", "IIX")},
+         "t_rank": 1, "e_rank": 0, "size": 27},
         {"label": "O2", "representative": "00010010", "observable": "IIXZ",
-         "t_rank": 2, "e_rank": 1, "size": 54, "ops": ("ZZI", "XXI", "IIX")},
+         "t_rank": 2, "e_rank": 1, "size": 54},
         {"label": "O4", "representative": "00010110", "observable": "IXXZ",
-         "t_rank": 3, "e_rank": 1, "size": 54, "ops": ("XIX", "IXX", "ZZZ")},
+         "t_rank": 3, "e_rank": 1, "size": 54},
     ],
     4: [
         {"label": "O2", "representative": "0000000010000000",
-         "observable": "XIIIIIII", "t_rank": 1, "e_rank": 0, "size": 81,
-         "ops": ("XIII", "IXII", "IIXI", "IIIX")},
+         "observable": "XIIIIIII", "t_rank": 1, "e_rank": 0, "size": 81},
         {"label": "O3", "representative": "0000000001100000",
-         "observable": "IXXIIIII", "t_rank": 2, "e_rank": 1, "size": 324,
-         "ops": ("XIII", "IXII", "IIZZ", "IIYY")},
+         "observable": "IXXIIIII", "t_rank": 2, "e_rank": 1, "size": 324},
         {"label": "O6", "representative": "0000000001101000",
-         "observable": "IXXIXIII", "t_rank": 3, "e_rank": 1, "size": 648,
-         "ops": ("XIII", "IZZZ", "IYYZ", "IYZY")},
+         "observable": "IXXIXIII", "t_rank": 3, "e_rank": 1, "size": 648},
         {"label": "O14", "representative": "0000000101101000",
-         "observable": "IXXIXIIZ", "t_rank": 4, "e_rank": 1, "size": 162,
-         "ops": ("ZYYY", "YZYY", "YYZY", "YYYZ")},
+         "observable": "IXXIXIIZ", "t_rank": 4, "e_rank": 1, "size": 162},
         {"label": "O17", "representative": "0000011000000110",
-         "observable": "IIIIIYYI", "t_rank": 4, "e_rank": 2, "size": 108,
-         "ops": ("XXII", "ZZII", "IIZZ", "IIYY")},
+         "observable": "IIIIIYYI", "t_rank": 4, "e_rank": 2, "size": 108},
         {"label": "O18", "representative": "0000011010000110",
-         "observable": "XIIIIYYI", "t_rank": 4, "e_rank": 2, "size": 972,
-         "ops": ("XIZZ", "IXZZ", "ZZXI", "ZZIX")},
+         "observable": "XIIIIYYI", "t_rank": 4, "e_rank": 2, "size": 972},
     ],
 }
 
@@ -185,7 +179,7 @@ def orbit_partition(n: int) -> tuple[OrbitRecord, ...]:
             )
         inside = hit > 0
         label = ref_labels.get(i)
-        if label is None and not inside:
+        if label is None:
             label = _NON_IMAGE_LABELS.get(n, {}).get(size)
         records.append(OrbitRecord(i + 1, size, rep, inside, trank[i], e_rank(rep) if inside else None,
                                    to_observable(rep).label() if inside else None, label))
@@ -209,7 +203,7 @@ def emit_tables(n: int) -> list[dict]:
     refs = {row["label"]: p for row, p in _class_points(n)}  # matched to orbits by ``orbit_partition``
     rows = []
     for rec in classify_image(n):
-        ref_rep = refs.get(rec.reference_label, rec.representative)
+        ref_rep = refs[rec.reference_label]
         g = lift(ref_rep)
         sample = [PauliPoint(n, r).label() for r in g.rows]
         rows.append(

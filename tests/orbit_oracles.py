@@ -11,6 +11,21 @@ from lgrpauli.gf2 import apply_gate, rank
 from lgrpauli.orbits import _orbit_data
 from lgrpauli.projection import ProjPoint, lift, local_gates
 
+# A commuting set that maps into each class of ``orbits.CLASS_TABLE``, by N
+# and class label.
+CLASS_SAMPLE_SETS: dict[int, dict[str, tuple[str, ...]]] = {
+    2: {"O1": ("XI", "IX"), "O2": ("ZX", "XZ")},
+    3: {"O1": ("XII", "IXI", "IIX"), "O2": ("ZZI", "XXI", "IIX"), "O4": ("XIX", "IXX", "ZZZ")},
+    4: {
+        "O2": ("XIII", "IXII", "IIXI", "IIIX"),
+        "O3": ("XIII", "IXII", "IIZZ", "IIYY"),
+        "O6": ("XIII", "IZZZ", "IYYZ", "IYZY"),
+        "O14": ("ZYYY", "YZYY", "YYZY", "YYYZ"),
+        "O17": ("XXII", "ZZII", "IIZZ", "IIYY"),
+        "O18": ("XIZZ", "IXZZ", "ZZXI", "ZZIX"),
+    },
+}
+
 
 def orbit_data_by_local_gates(n: int) -> tuple[bytes, list[tuple[int, int]]]:
     """(assignment, (size, least member) of each orbit) as ``_orbit_data``

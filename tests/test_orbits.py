@@ -27,6 +27,7 @@ from lgrpauli.pauli import PauliPoint, commute, generator_from_operators
 from lgrpauli.pluecker import embed
 from lgrpauli.projection import ProjPoint, _image_bits, local_gates, project, to_observable
 from orbit_oracles import (
+    CLASS_SAMPLE_SETS,
     chart_points_of_orbit,
     exclusive_minor_e_rank,
     is_separable_by_flattenings,
@@ -276,6 +277,9 @@ def test_e_rank_rejects_non_image_points():
 
 def test_class_table_rows():
     for n, rows in CLASS_TABLE.items():
+        # the rows label every image orbit, each once
+        labels = [rec.reference_label for rec in classify_image(n)]
+        assert sorted(labels, key=str) == sorted(row["label"] for row in rows) and len(set(labels)) == len(labels)
         for row in rows:
             p = ProjPoint.from_string(n, row["representative"])
             rec = orbit_of_point(p)
@@ -286,12 +290,12 @@ def test_class_table_rows():
 
 
 def test_class_table_sample_sets_project_into_the_same_orbit():
-    # each row's ops commute, span N dimensions and project into the row's
-    # orbit, onto its representative except at O14
+    # each row's sample set commutes, spans N dimensions and projects into
+    # the row's orbit, onto its representative except at O14
     off_rep = []
     for n, rows in CLASS_TABLE.items():
         for row in rows:
-            ops = [PauliPoint.from_label(s) for s in row["ops"]]
+            ops = [PauliPoint.from_label(s) for s in CLASS_SAMPLE_SETS[n][row["label"]]]
             assert len(ops) == n and all(commute(a, b) for a, b in itertools.combinations(ops, 2))
             assert rank([op.bits for op in ops]) == n
             p = project(embed(generator_from_operators(ops)))

@@ -13,12 +13,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lgrpauli import pauli, pluecker, projection
-from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, byte_tables, gate, grades
+from lgrpauli.gf2 import LOWER, SWAP, apply_gate, apply_tables, byte_tables, gate, grades, rank
 from lgrpauli.pauli import (
     BITS_LETTER,
     Generator,
     PauliPoint,
     _require_qubits,
+    commute,
     generator_count,
     generator_from_operators,
     omega_masks,
@@ -981,6 +982,39 @@ def test_observable_even_y_count_on_image():
     for n in (3, 4):
         for p in image(n):
             assert y_count(to_observable(p)) % 2 == 0
+
+
+def _gaussian_binomial(n: int, d: int) -> int:
+    """[n choose d]_2: the number of d-dimensional subspaces of GF(2)^n."""
+    num = den = 1
+    for i in range(d):
+        num *= (1 << n - i) - 1
+        den *= (1 << i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_observables_commute_iff_their_generators_meet(n):
+    # L0 and L' meet iff rank(L0 u L') < 2N iff their 2N x 2N determinant
+    # vanishes, which by Laplace expansion over GF(2) is the sum over the
+    # N-subsets S of p_S(L') p_{S^c}(L0); key S^c is 2^(2N) - 1 - S, so the
+    # sum is the parity of L'.table AND L0.table with its bits reversed.
+    # Every L0 at N = 2, 3; the first and the middle one at N = 4.
+    gens = enumerate_generators(n)
+    rows = [g.rows for g in gens]
+    vecs = [embed(g) for g in gens]
+    obs = [to_observable(project(v)) for v in vecs]
+    width = 1 << 2 * n
+    tally = {2: [1, 6, 8], 3: [1, 14, 56, 64], 4: [1, 30, 280, 960, 1024]}[n]
+    for i in range(len(gens)) if n < 4 else (0, len(gens) // 2):
+        reversed0 = int(format(vecs[i].table, f"0{width}b")[::-1], 2)
+        by_distance = [0] * (n + 1)
+        for r, v, o in zip(rows, vecs, obs):
+            d = rank(rows[i] + r) - n  # the distance N - dim(L0 & L')
+            assert commute(obs[i], o) == (d < n)
+            assert (v.table & reversed0).bit_count() % 2 == (d == n)
+            by_distance[d] += 1
+        assert by_distance == [2 ** (d * (d + 1) // 2) * _gaussian_binomial(n, d) for d in range(n + 1)] == tally
 
 
 def test_image_sizes():
