@@ -16,7 +16,6 @@ import sys
 
 from .pauli import (
     CommutationError,
-    Generator,
     LabelError,
     NotMaximalError,
     PauliPoint,
@@ -49,7 +48,10 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_ops(n: int, text: str) -> list[PauliPoint]:
+def _point(n: int, text: str) -> ProjPoint:
+    """The projected point of the generator spanned by the operators of
+    ``--ops``; exit 2 on a malformed field or qubit count, then 3 or 4 when
+    they do not commute or span fewer than N dimensions."""
     if not text.strip():
         raise CliError(EXIT_PARSE, "no operators given")
     ops, fields = [], text.split(",")
@@ -64,14 +66,8 @@ def _parse_ops(n: int, text: str) -> list[PauliPoint]:
         if op.n_qubits != n:  # worded from the field, sign dropped: op.label() is quadratic in N
             label = field.strip().lstrip("+-−")
             raise CliError(EXIT_PARSE, f"operator {_shown(label)} has {op.n_qubits} qubits, expected {n}")
-    return ops
-
-
-def _generator(n: int, ops_text: str) -> Generator:
-    """The generator spanned by the operators of ``--ops``; exit 3 or 4 when
-    they do not commute or span fewer than N dimensions."""
     try:
-        return generator_from_operators(_parse_ops(n, ops_text))
+        return project(embed(generator_from_operators(ops)))
     except CommutationError as e:
         raise CliError(EXIT_NONCOMMUTING,
                        f"operators do not commute: {e.pair[0].label()}, {e.pair[1].label()}") from e
@@ -136,20 +132,19 @@ def cmd_generators(args) -> str:
 
 def cmd_project(args) -> str:
     n = args.n
-    v = embed(_generator(n, args.ops))
-    p = project(v)
+    p = _point(n, args.ops)
     return _emit([{
         "point": p.display_str(),
         "bits": p.bit_string(),
         "hex": p.hex_string(),
         "observable": to_observable(p).label(),
-        "pluecker_retained": [f"{_key_label(2 * n, k)}={v.table >> k & 1}" for k in principal_keys(n)],  # ascending
+        "pluecker_retained": [f"{_key_label(2 * n, k)}={p.bits >> m & 1}"
+                              for m, k in enumerate(principal_keys(n))],  # ascending
     }], args.format)
 
 
 def cmd_map(args) -> str:
-    p = project(embed(_generator(args.n, args.ops)))
-    return _emit([{"observable": to_observable(p).label()}], args.format)
+    return _emit([{"observable": to_observable(_point(args.n, args.ops)).label()}], args.format)
 
 
 def cmd_lift(args) -> str:

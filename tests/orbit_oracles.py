@@ -194,3 +194,43 @@ def exclusive_minor_e_rank(p: ProjPoint) -> int:
     _, q = to_chart(p)
     a = tuple(r >> n for r in lift(q).rows)
     return next(k for k in range(n + 1) if _exclusive_minors_vanish(a, k + 1))
+
+
+def _local_complement(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """Toggle every edge between two neighbours of vertex ``v``."""
+    nb = adj[v]
+    return tuple(a ^ nb & ~(1 << u) if nb >> u & 1 else a for u, a in enumerate(adj))
+
+
+def _swap_vertices(adj: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Relabel vertices k and k + 1 of the graph."""
+    def moved(a):
+        return a ^ ((a >> k ^ a >> k + 1) & 1) * (3 << k)
+    return tuple(moved(adj[u]) for u in (*range(k), k + 1, k, *range(k + 2, len(adj))))
+
+
+def graph_classes(n: int) -> list[set[tuple[int, ...]]]:
+    """The graphs on ``n`` vertices, each as its neighbourhood masks, in
+    classes under local complementation and vertex relabelling."""
+    pairs = list(itertools.combinations(range(n), 2))
+    left = set()
+    for edges in range(1 << len(pairs)):
+        adj = [0] * n
+        for k, (i, j) in enumerate(pairs):
+            if edges >> k & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        left.add(tuple(adj))
+    classes = []
+    while left:
+        frontier = [left.pop()]
+        cls = set(frontier)
+        while frontier:
+            adj = frontier.pop()
+            for nxt in [_local_complement(adj, v) for v in range(n)] + [_swap_vertices(adj, k) for k in range(n - 1)]:
+                if nxt not in cls:
+                    cls.add(nxt)
+                    frontier.append(nxt)
+        left -= cls
+        classes.append(cls)
+    return classes

@@ -9,6 +9,7 @@ import errno
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -27,8 +28,9 @@ from lgrpauli.cli import (
     EXIT_VERIFY,
     main,
 )
-from lgrpauli.pauli import PauliPoint, generator_count, generator_from_operators
-from lgrpauli.pluecker import embed
+from lgrpauli.gf2 import rank
+from lgrpauli.pauli import Generator, PauliPoint, commute, generator_count, generator_from_operators
+from lgrpauli.pluecker import _key_label, embed, principal_keys
 from lgrpauli.projection import ProjPoint, project
 from projection_oracles import image
 
@@ -261,6 +263,25 @@ def test_project_two_qubits(capsys):
     code, out, _ = run(capsys, "project", "--n", "2", "--ops", "XI,IX")
     assert code == 0
     assert "[0:0:1:0]" in out and "observable=XI" in out
+
+
+def test_project_n5_lists_the_retained_coordinates_by_principal_key(capsys):
+    # 50 seeded maximal commuting sets, each grown one random operator at a
+    # time that commutes with the rows so far and is independent of them;
+    # entry m is the table bit of that generator at principal_keys(5)[m]
+    rng = random.Random(58)
+    for _ in range(50):
+        rows = []
+        while len(rows) < 5:
+            r = rng.randrange(1, 1 << 10)
+            if all(commute(PauliPoint(5, r), PauliPoint(5, s)) for s in rows) and rank(rows + [r]) > len(rows):
+                rows.append(r)
+        ops = ",".join(PauliPoint(5, r).label() for r in rows)
+        code, out, err = run(capsys, "project", "--n", "5", "--ops", ops, "--format", "json")
+        assert (code, err) == (0, "")
+        table = Generator(5, rows).table
+        assert json.loads(out)[0]["pluecker_retained"] == [
+            f"{_key_label(10, k)}={table >> k & 1}" for k in principal_keys(5)]
 
 
 def test_project_non_commuting_exit_3(capsys):

@@ -23,13 +23,14 @@ from lgrpauli.orbits import (
     orbit_partition,
     t_rank,
 )
-from lgrpauli.pauli import PauliPoint, commute, generator_from_operators
+from lgrpauli.pauli import Generator, PauliPoint, commute, generator_from_operators
 from lgrpauli.pluecker import embed
 from lgrpauli.projection import ProjPoint, _image_bits, local_gates, project, to_observable
 from orbit_oracles import (
     CLASS_SAMPLE_SETS,
     chart_points_of_orbit,
     exclusive_minor_e_rank,
+    graph_classes,
     is_separable_by_flattenings,
     orbit_data_by_local_gates,
     orbit_members,
@@ -305,6 +306,17 @@ def test_class_table_sample_sets_project_into_the_same_orbit():
             if p != rep:
                 off_rep.append((n, row["label"], to_observable(p).label()))
     assert off_rep == [(4, "O14", "XXXIXIIZ")]
+
+
+@pytest.mark.parametrize("n, count", [(2, 2), (3, 3), (4, 6)])
+def test_graph_state_classes_are_the_image_orbits(n, count):
+    # each class of graphs under local complementation and relabelling,
+    # built without the gates, lies in one image orbit, one class per orbit;
+    # a graph's point projects the rows Z_i X_j (j a neighbour of i)
+    orbit_ids = [{orbit_of_point(project(embed(Generator(n, [1 << i | a << n for i, a in enumerate(adj)])))).orbit_id
+                  for adj in cls} for cls in graph_classes(n)]
+    assert len(orbit_ids) == count and all(len(ids) == 1 for ids in orbit_ids)
+    assert sorted(ids.pop() for ids in orbit_ids) == [rec.orbit_id for rec in classify_image(n)]
 
 
 def test_emit_tables_covers_all_image_orbits():

@@ -1017,6 +1017,16 @@ def test_observables_commute_iff_their_generators_meet(n):
         assert by_distance == [2 ** (d * (d + 1) // 2) * _gaussian_binomial(n, d) for d in range(n + 1)] == tally
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_coordinate_is_one_iff_the_generator_misses_its_product_basis(n):
+    # x_m(L) = 1 iff L meets <Z_i (i in m), X_i (i not in m)> only in 0, that
+    # is iff the two span all 2N dimensions; Z_i is bit i - 1 and X_i bit N + i - 1
+    bases = [tuple(1 << i if m >> i & 1 else 1 << n + i for i in range(n)) for m in range(1 << n)]
+    for g in enumerate_generators(n):
+        bits = project(embed(g)).bits
+        assert [bits >> m & 1 for m in range(1 << n)] == [rank(g.rows + u) == 2 * n for u in bases]
+
+
 def test_image_sizes():
     assert len(image(2)) == 15
     assert len(image(3)) == 135
