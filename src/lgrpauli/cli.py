@@ -239,12 +239,12 @@ def _suite_variety(n: int) -> list[tuple[str, bool]]:
 
 
 def _suite_tables(n: int) -> list[tuple[str, bool]]:
-    from .orbits import _class_points, e_rank, orbit_of_point
+    from .orbits import _class_points, orbit_of_point
 
     checks = []
     for row, p in _class_points(n):
         rec = orbit_of_point(p)
-        obs, tr, er = to_observable(p).label(), rec.t_rank, e_rank(p)
+        obs, tr, er = to_observable(p).label(), rec.t_rank, rec.e_rank
         ok = (rec.size, obs, tr, er) == (row["size"], row["observable"], row["t_rank"], row["e_rank"])
         checks.append((f"class {row['label']}: size {rec.size}, "
                        f"observable {obs}, t_rank {tr}, e_rank {er}", ok))
@@ -280,13 +280,10 @@ _SUITES = {
 
 def cmd_verify(args) -> str:
     n = args.n
-    if args.suite:
+    names = [name for name, (_fn, (lo, hi)) in _SUITES.items() if lo <= n <= hi and args.suite in (None, name)]
+    if not names:  # every N in 2..5 has the bijection suite, so --suite names one outside its range
         lo, hi = _SUITES[args.suite][1]
-        if not lo <= n <= hi:
-            raise CliError(EXIT_PARSE, f"--n must be in {lo}..{hi} for verify --suite {args.suite}")
-        names = [args.suite]
-    else:
-        names = [name for name, (_fn, (lo, hi)) in _SUITES.items() if lo <= n <= hi]
+        raise CliError(EXIT_PARSE, f"--n must be in {lo}..{hi} for verify --suite {args.suite}")
     rows = [{"suite": name, "check": desc, "pass": ok}
             for name in names for desc, ok in _SUITES[name][0](n)]
     if args.format == "text":

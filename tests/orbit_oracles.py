@@ -4,12 +4,12 @@ orbit partition's per-orbit records.  The exclusive-minor E-rank reads the
 chart matrix through ``to_chart`` and takes its minors with ``minor``."""
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
-from lgrpauli.gf2 import apply_gate, rank
-from lgrpauli.orbits import _orbit_data
-from lgrpauli.projection import ProjPoint, lift, local_gates
+from lgrpauli.gf2 import apply_gate, apply_tables, byte_tables, rank
+from lgrpauli.orbits import _generator_pair, _orbit_data
+from lgrpauli.projection import ProjPoint, _image_bits, lift, local_gates
 
 # A commuting set that maps into each class of ``orbits.CLASS_TABLE``, by N
 # and class label.
@@ -60,6 +60,31 @@ def orbit_data_by_local_gates(n: int) -> tuple[bytes, list[tuple[int, int]]]:
     relabel = {old: new for new, old in enumerate(order)}
     assign = bytes(relabel[x] if x >= 0 else 255 for x in oid)
     return assign, [(len(raw[old]), min(raw[old])) for old in order]
+
+
+def image_orbits(n: int) -> list[list[int]]:
+    """The orbits that the image points reach under the two elements of
+    ``_generator_pair(n)``, each as its members' bits in the order reached,
+    sorted by (size, least member).  Each element is tabulated by
+    ``byte_tables`` over the 2^N unit vectors, and the closure starts from
+    each image point not reached yet, so it works at N = 5, where
+    ``_orbit_data``'s walk over all 2^(2^N) points does not."""
+    tables = [byte_tables([reduce(lambda v, h: apply_gate(h, v), seq, 1 << k) for k in range(1 << n)])
+              for seq in _generator_pair(n)]
+    reached: set[int] = set()
+    orbits = []
+    for start in _image_bits(n):
+        if start in reached:
+            continue
+        members = [start]
+        reached.add(start)
+        for v in members:  # grows while walked: each member is visited once
+            for t in tables:
+                if (w := apply_tables(t, v)) not in reached:
+                    reached.add(w)
+                    members.append(w)
+        orbits.append(members)
+    return sorted(orbits, key=lambda members: (len(members), min(members)))
 
 
 @lru_cache(maxsize=None)

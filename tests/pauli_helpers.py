@@ -1,6 +1,7 @@
 """Point and index enumerations and label statistics for the tests: each is
 computed from a point's bits or label alone, independently of the code
-under test."""
+under test.  Also the field GF(2^N) at N = 2..5, for the Desarguesian
+spread."""
 
 import itertools
 
@@ -81,3 +82,43 @@ def principal_bits(n: int, table: int) -> int:
     """The principal coordinates of an N-qubit Plucker table, one key at a
     time: bit m is the coordinate at the key of subset m."""
     return sum((table >> key & 1) << m for m, key in enumerate(principal_keys(n)))
+
+
+# the modulus of GF(2^N) by N: bit k is the coefficient of x^k
+FIELD_MODULI = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101}
+
+
+def field_product(n: int, a: int, b: int) -> int:
+    """a * b in GF(2^N), each element in the polynomial basis 1, x, .., x^(N-1)."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> n:
+            a ^= FIELD_MODULI[n]
+    return out
+
+
+def field_trace(n: int, a: int) -> int:
+    """Tr(a) = a + a^2 + a^4 + .. + a^(2^(N-1)), which is 0 or 1."""
+    t = 0
+    for _ in range(n):
+        t ^= a
+        a = field_product(n, a, a)
+    return t
+
+
+def desarguesian_spread(n: int) -> list[Generator]:
+    """The 2^N + 1 generators <(t, 0)> and <(a t, t)>, one per a in GF(2^N),
+    of GF(2^N)^2 with the form Tr(x y' + x' y).  A pair (x, y) is the point
+    whose Z half (bit i - 1, x_i) is x in the polynomial basis and whose X
+    half (bit N + i - 1) is y in the trace-dual basis, coordinate j being
+    Tr(y x^j); the form is then the symplectic product."""
+    def point(x: int, y: int) -> int:
+        return x | sum(field_trace(n, field_product(n, y, 1 << j)) << j for j in range(n)) << n
+
+    units = [1 << k for k in range(n)]
+    return [Generator(n, [point(t, 0) for t in units])] + [
+        Generator(n, [point(field_product(n, a, t), t) for t in units]) for a in range(1 << n)]

@@ -31,6 +31,7 @@ from orbit_oracles import (
     chart_points_of_orbit,
     exclusive_minor_e_rank,
     graph_classes,
+    image_orbits,
     is_separable_by_flattenings,
     orbit_data_by_local_gates,
     orbit_members,
@@ -317,6 +318,25 @@ def test_graph_state_classes_are_the_image_orbits(n, count):
                   for adj in cls} for cls in graph_classes(n)]
     assert len(orbit_ids) == count and all(len(ids) == 1 for ids in orbit_ids)
     assert sorted(ids.pop() for ids in orbit_ids) == [rec.orbit_id for rec in classify_image(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_image_orbits_oracle_matches_classify_image(n):
+    assert [(len(m), min(m)) for m in image_orbits(n)] == [(r.size, r.representative.bits) for r in classify_image(n)]
+
+
+def test_n5_image_orbits_are_the_graph_state_classes():
+    # the closure of the image under the group leaves the image at no step:
+    # its 11 orbits partition the 75,735 image points, and the graph classes
+    # lie one per orbit, as at N <= 4
+    orbits5 = image_orbits(5)
+    assert [len(m) for m in orbits5] == [243, 486, 1620, 1620, 2430, 3240, 4860, 7776, 9720, 14580, 29160]
+    orbit_of = {v: k for k, m in enumerate(orbits5) for v in m}
+    assert orbit_of.keys() == set(_image_bits(5))
+    orbit_ids = [{orbit_of[project(embed(Generator(5, [1 << i | a << 5 for i, a in enumerate(adj)]))).bits]
+                  for adj in cls} for cls in graph_classes(5)]
+    assert all(len(ids) == 1 for ids in orbit_ids)
+    assert sorted(ids.pop() for ids in orbit_ids) == list(range(11))
 
 
 def test_emit_tables_covers_all_image_orbits():

@@ -2,12 +2,13 @@
 relations, and the linear isotropy constraints."""
 
 import itertools
+import math
 import re
 
 import pytest
 
-from lgrpauli.gf2 import reduce_row
-from lgrpauli.pauli import Generator, generator_from_operators, PauliPoint
+from lgrpauli.gf2 import rank, reduce_row
+from lgrpauli.pauli import Generator, generator_from_operators, omega_masks, PauliPoint
 from lgrpauli.pluecker import (
     PlueckerRelation,
     PlueckerVec,
@@ -208,6 +209,30 @@ def test_constraints_vanish_on_embedded_generators(n):
         v = embed(g)
         for c in cons:
             assert constraint_value(c, v.table) == 0
+
+
+def divided_power_forms(n: int) -> list[tuple[int, ...]]:
+    """The contraction with the divided power sum_{i<j} e_i e_{N+i} e_j e_{N+j}
+    of omega, which omega ^ omega = 0 does not give over GF(2): for each
+    (N-4)-subset K of {1..2N}, the keys K | p_i | p_j over the pairs i < j
+    with p_i and p_j disjoint from K, p_i = {i, N+i} (``omega_masks``)."""
+    if n < 4:
+        return []
+    pairs = [p for p, _ in omega_masks(n)]
+    return [tuple(k | p | q for p, q in itertools.combinations(pairs, 2) if not k & (p | q))
+            for k in subset_keys(2 * n, n - 4)]
+
+
+@pytest.mark.parametrize("n, count, omega_rank", [(2, 0, 1), (3, 0, 6), (4, 1, 27), (5, 10, 110)])
+def test_divided_power_forms_close_the_constraint_gap(n, count, omega_rank):
+    # each form vanishes on every generator, and with the omega rows they
+    # have rank C(2N, N-2), the codimension of the generators' span
+    forms = [sum(1 << k for k in keys) for keys in divided_power_forms(n)]
+    assert len(forms) == count
+    assert not any((g.table & form).bit_count() & 1 for g in enumerate_generators(n) for form in forms)
+    omega_rows = [sum(1 << k for k in c.term_keys) for c in lagrangian_constraints(n)]
+    assert rank(omega_rows) == constraint_rank(n) == omega_rank
+    assert rank(omega_rows + forms) == math.comb(2 * n, n - 2)
 
 
 def test_n4_three_term_constraints_sum_to_zero():

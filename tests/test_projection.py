@@ -2,11 +2,12 @@
 observable map, and the chart-based inverse."""
 
 import itertools
+import operator
 import random
 import re
 import tracemalloc
 from collections import defaultdict
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given
@@ -45,7 +46,7 @@ from lgrpauli.projection import (
 )
 from gf2_oracles import rref
 from orbit_oracles import minor, to_chart
-from pauli_helpers import principal_bits, subset_keys, y_count
+from pauli_helpers import desarguesian_spread, generator_points, principal_bits, subset_keys, y_count
 from pluecker_oracles import SubsetIndex, constraint_value
 from projection_oracles import (_chart_cell, chart_points, graph_rows_by_cell, hadamard, image,
                                 principal_bits_by_slice)
@@ -1025,6 +1026,22 @@ def test_a_coordinate_is_one_iff_the_generator_misses_its_product_basis(n):
     for g in enumerate_generators(n):
         bits = project(embed(g)).bits
         assert [bits >> m & 1 for m in range(1 << n)] == [rank(g.rows + u) == 2 * n for u in bases]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_desarguesian_spread_maps_to_anticommuting_observables(n):
+    # its 2^N + 1 generators partition the non-identity Paulis, and their
+    # observables on 2^(N-1) qubits anticommute pairwise: 2^N + 1 is the
+    # most that pairwise anticommuting Paulis on 2^(N-1) qubits can number
+    spread = desarguesian_spread(n)
+    assert len(spread) == (1 << n) + 1
+    assert sorted(p.bits for g in spread for p in generator_points(g)) == list(range(1, 1 << 2 * n))
+    points = [project(embed(g)) for g in spread]
+    observables = [to_observable(p) for p in points]
+    assert not any(commute(a, b) for a, b in itertools.combinations(observables, 2))
+    assert reduce(operator.xor, (p.bits for p in points)) == 0
+    assert reduce(operator.xor, (o.bits for o in observables)) == 0
+    assert rank(p.bits for p in points) == 1 << n
 
 
 def test_image_sizes():
